@@ -381,7 +381,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_scaling)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # name the failure instead of printing a traceback
+        return _fail(f"{args.command}: {type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

@@ -410,22 +410,6 @@ class SpaceBasis:
             phase_common = complex(1.0)
         return combo, phase_common
 
-    def coefficient_series(self, i: int, prec: int) -> list[Fraction]:
-        """Coefficients a(0..prec) of basis form i, via fast integer series."""
-        num = [0] * (prec + 1)
-        den = 1
-        for c in (v for v in self.vectors[i]):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        for (a, b), c in zip(self.monomials, self.vectors[i]):
-            if c == 0:
-                continue
-            series = _monomial_int(a, b, prec)
-            mult = int(c * den)
-            for m in range(min(prec + 1, len(series))):
-                if series[m]:
-                    num[m] += mult * series[m]
-        return [Fraction(n, den) for n in num]
-
     def to_json(self) -> str:
         payload = {
             "weight_num": self.weight.numerator,

@@ -3,7 +3,8 @@
 Everything here deliberately takes a different route from the library:
 60-digit ascending series for Bessel J, the Eisenstein-polynomial route to
 the discriminant coefficients (the library builds them from eta powers),
-naive fraction Gaussian elimination, direct high-precision Salie summation,
+a plain double loop for series products (no packing, no FFT), naive
+fraction Gaussian elimination, direct high-precision Salie summation,
 and a quadrature-based completed-L-value with a different smoothing than
 the production incomplete-gamma sums.
 """
@@ -61,6 +62,17 @@ def delta_by_eisenstein(prec: int) -> list[Fraction]:
     e4_3 = mul(mul(e4, e4), e4)
     e6_2 = mul(e6, e6)
     return [(a - b) / 1728 for a, b in zip(e4_3, e6_2)]
+
+
+def series_mul_reference(a: list[int], b: list[int], prec: int) -> list[int]:
+    """Coefficients 0..min(prec, len(a) + len(b) - 2) of the product a*b, by
+    the plain double loop on Python ints."""
+    n = min(prec, len(a) + len(b) - 2)
+    out = [0] * (n + 1)
+    for i in range(min(len(a), n + 1)):
+        for j in range(min(len(b), n + 1 - i)):
+            out[i + j] += a[i] * b[j]
+    return out
 
 
 def naive_rank(rows) -> int:

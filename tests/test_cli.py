@@ -44,6 +44,15 @@ def test_invalid_weight_usage_error():
     assert code != 0
 
 
+def test_uncaught_error_is_named_check(capsys):
+    # the Hecke field at 37/2 is cubic, which the eigenform path does not handle
+    code, _ = run_cli(["eigen", "--k", "37/2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED check: eigen: NotImplementedError: ")
+    assert "Traceback" not in err
+
+
 def test_counts_table():
     code, text = run_cli(["counts", "--z", "i", "--L", "9", "--delta-grid", "0.5,2"])
     assert code == 0
