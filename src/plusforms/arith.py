@@ -27,19 +27,6 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 @lru_cache(maxsize=4096)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, e), ...), by trial division."""
@@ -319,14 +306,3 @@ class QuadExt:
         if self.b == 0:
             return f"{self.a}"
         return f"({self.a} + {self.b}*sqrt({self.d}))"
-
-
-def scalar_float(x) -> float:
-    """float() for Fraction | int | QuadExt | float."""
-    return float(x)
-
-
-def scalar_is_zero(x) -> bool:
-    if isinstance(x, QuadExt):
-        return x.a == 0 and x.b == 0
-    return x == 0

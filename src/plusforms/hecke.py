@@ -37,8 +37,11 @@ from .qexp import (
     PrecisionError,
     QExpansion,
     SpaceBasis,
+    _monomial_int,
+    combine_int_rows,
     cusp_plus_basis,
     from_int_series,
+    sturm_index,
 )
 
 # ---------------------------------------------------------------------------
@@ -297,34 +300,29 @@ def _poly_divide_linear(cp: list[Fraction], root: Fraction) -> list[Fraction]:
     return out
 
 
+def _combine_exact(rows, vec, n: int):
+    """sum_j vec[j] * rows[j] on indices 0..n-1 for integer rows and Fraction
+    or QuadExt scalars, as (rational parts, sqrt(d) parts, d).  The last two
+    are None when every scalar is rational."""
+    d0 = next((v.d for v in vec if isinstance(v, QuadExt)), None)
+
+    def part(coeffs):
+        num, den = combine_int_rows(rows, coeffs, n)
+        return [Fraction(x, den) for x in num]
+
+    ra = part([v.a if isinstance(v, QuadExt) else Fraction(v) for v in vec])
+    if d0 is None:
+        return ra, None, None
+    return ra, part([v.b if isinstance(v, QuadExt) else Fraction(0) for v in vec]), d0
+
+
 def _combine_int_rows(basis_rows, vec, prec: int):
-    n = prec + 1
-    if any(isinstance(v, QuadExt) for v in vec):
-        d0 = next(v.d for v in vec if isinstance(v, QuadExt))
-        ra = _combine_rational(basis_rows, [_qa(v) for v in vec], n)
-        rb = _combine_rational(basis_rows, [_qb(v) for v in vec], n)
-        return [QuadExt(a, b, d0) for a, b in zip(ra, rb)]
-    return _combine_rational(basis_rows, [Fraction(v) for v in vec], n)
-
-
-def _qa(v) -> Fraction:
-    return v.a if isinstance(v, QuadExt) else Fraction(v)
-
-
-def _qb(v) -> Fraction:
-    return v.b if isinstance(v, QuadExt) else Fraction(0)
-
-
-def _combine_rational(basis_rows, vec: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for row, c in zip(basis_rows, vec):
-        if c == 0:
-            continue
-        lim = min(n, len(row))
-        for m in range(lim):
-            if row[m]:
-                out[m] += c * row[m]
-    return out
+    """Coefficients 0..prec of sum_j vec[j] * basis_rows[j]; all QuadExt when
+    any scalar is."""
+    ra, rb, d0 = _combine_exact(basis_rows, vec, prec + 1)
+    if d0 is None:
+        return ra
+    return [QuadExt(a, b, d0) for a, b in zip(ra, rb)]
 
 
 def hecke_matrix_level1(w: int, p: int) -> list[list[Fraction]]:
@@ -481,7 +479,6 @@ class HalfIntegralForm:
 
     def _extract_eigenvalue(self, p: int):
         """lambda(p^2) read off from the coefficient action at the pivot."""
-        n0 = min(m for m, v in self.basis.forms[0].coeffs.items() if v != 0)
         pivots = _pivot_indices(self.basis)
         n0 = min(
             piv for piv, c in zip(pivots, self.vector) if not _is_zero(c)
@@ -506,44 +503,19 @@ class HalfIntegralForm:
             return LogScaled.zero()
         return LogScaled(
             1 if f > 0 else -1,
-            _log_abs_scalar(lam) - float(self.k - 1) / 2.0 * math.log(m),
+            log_abs_fraction(lam) - float(self.k - 1) / 2.0 * math.log(m),
         )
 
 
-def _log_abs_scalar(x) -> float:
-    if isinstance(x, QuadExt):
-        return math.log(abs(float(x)))
-    return log_abs_fraction(x)
-
-
 def _combine_monomials(basis: SpaceBasis, mono_vec, n_max: int):
-    """Exact coefficients of sum_j mono_vec[j] * Theta^a G^b up to n_max."""
-    from .qexp import _monomial_int
-
-    if any(isinstance(v, QuadExt) for v in mono_vec):
-        d0 = next(v.d for v in mono_vec if isinstance(v, QuadExt))
-        ra = _combine_int_mono(basis, [_qa(v) for v in mono_vec], n_max)
-        rb = _combine_int_mono(basis, [_qb(v) for v in mono_vec], n_max)
-        return [QuadExt(a, b, d0) if b != 0 else a for a, b in zip(ra, rb)]
-    return _combine_int_mono(basis, [Fraction(v) for v in mono_vec], n_max)
-
-
-def _combine_int_mono(basis: SpaceBasis, vec: list[Fraction], n_max: int):
-    from .qexp import _monomial_int
-
-    den = 1
-    for c in vec:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    num = [0] * (n_max + 1)
-    for (a, b), c in zip(basis.monomials, vec):
-        if c == 0:
-            continue
-        series = _monomial_int(a, b, n_max)
-        mult = int(c * den)
-        for m in range(min(n_max + 1, len(series))):
-            if series[m]:
-                num[m] += mult * series[m]
-    return [Fraction(x, den) for x in num]
+    """Exact coefficients of sum_j mono_vec[j] * Theta^a G^b up to n_max;
+    QuadExt only where the sqrt(d) part is nonzero."""
+    used = [(mono, v) for mono, v in zip(basis.monomials, mono_vec) if v != 0]
+    rows = [_monomial_int(a, b, n_max, "I")[0] for (a, b), _ in used]
+    ra, rb, d0 = _combine_exact(rows, [v for _, v in used], n_max + 1)
+    if d0 is None:
+        return ra
+    return [QuadExt(a, b, d0) if b != 0 else a for a, b in zip(ra, rb)]
 
 
 SEPARATING_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -671,7 +643,7 @@ def shimura_charpolys_match(k) -> bool:
     k = half_integer(k)
     w = int(2 * k - 1)
     d = dim_cusp_level1(w)
-    basis = cusp_plus_basis(k, prec=9 * (sturm_for(k) + 1))
+    basis = cusp_plus_basis(k, prec=9 * (sturm_index(k) + 1))
     if basis.dimension != d:
         return False
     if d == 0:
@@ -679,9 +651,3 @@ def shimura_charpolys_match(k) -> bool:
     cp_plus = charpoly_exact(hecke_matrix_plus(basis, 3))
     cp_int = charpoly_exact(hecke_matrix_level1(w, 3))
     return cp_plus == cp_int
-
-
-def sturm_for(k) -> int:
-    from .qexp import sturm_index
-
-    return sturm_index(k)

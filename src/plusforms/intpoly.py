@@ -286,11 +286,6 @@ def poly_scale_shift(a: list[int], scale: int, shift: int, prec: int) -> list[in
     return out
 
 
-def poly_add(a: list[int], b: list[int]) -> list[int]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # Specific series
 # ---------------------------------------------------------------------------

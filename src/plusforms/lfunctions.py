@@ -24,13 +24,12 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaincc
 
 from .arith import half_integer, is_fundamental_discriminant, kronecker_symbol, primes_up_to
-from .numerics import NEG_INF, CertifiedValue, LogScaled, logsumexp
+from .numerics import CertifiedValue, LogScaled, log_abs_fraction, logsumexp
 from .salie import spectral_average
 from .supnorm import FormEvaluator
 
@@ -277,7 +276,7 @@ def _eval_grid(ev: FormEvaluator, label: str, zs: np.ndarray) -> np.ndarray:
     if not items:
         return np.zeros_like(zs, dtype=complex)
     ts = np.array([(m + float(q.param)) / q.width for m, _ in items])
-    logs = np.array([_scalar_log_abs(v) for _, v in items])
+    logs = np.array([log_abs_fraction(v) for _, v in items])
     signs = np.array([1.0 if float(v) > 0 else -1.0 for _, v in items])
     # terms: sign * exp(log - 2 pi t y) * e(t x)
     phase = np.exp(2j * math.pi * np.outer(ts, zs.real))
@@ -285,17 +284,7 @@ def _eval_grid(ev: FormEvaluator, label: str, zs: np.ndarray) -> np.ndarray:
     return (signs[:, None] * mag * phase).sum(axis=0) * math.exp(ev.log_norm)
 
 
-def _scalar_log_abs(v) -> float:
-    from .numerics import log_abs_fraction
-
-    if isinstance(v, Fraction) or isinstance(v, int):
-        return log_abs_fraction(v)
-    f = float(v)
-    return math.log(abs(f)) if f else NEG_INF
-
-
-def petersson_gram(evals: list[FormEvaluator], rtol: float = 1e-5,
-                   y_cap: float = 64.0) -> tuple[np.ndarray, float]:
+def petersson_gram(evals: list[FormEvaluator], y_cap: float = 64.0) -> tuple[np.ndarray, float]:
     """Gram matrix <f_i, f_j> = (1/6) int over a Gamma_0(4) domain.
 
     The domain is the union of six translates gamma_i F_SL2; on each the
@@ -347,13 +336,12 @@ def petersson_gram(evals: list[FormEvaluator], rtol: float = 1e-5,
     return np.real(g2), err
 
 
-def petersson_norm_f(form, method: str = "quadrature", prec: int = 700,
-                     rtol: float = 1e-5) -> CertifiedValue:
+def petersson_norm_f(form, method: str = "quadrature", prec: int = 700) -> CertifiedValue:
     """<f,f>_{Gamma_0(4)} for a plus-space form: 2-d quadrature over the
     explicit domain, or (dim-1 spectral route) |fhat(m)|^2 / spectral sum."""
     if method == "quadrature":
         ev = FormEvaluator.from_plus_form(form, prec)
-        g, err = petersson_gram([ev], rtol=rtol)
+        g, err = petersson_gram([ev])
         val = float(g[0, 0])
         return CertifiedValue(LogScaled.from_float(val), math.log(err + 1e-300))
     if method == "spectral":
@@ -401,7 +389,7 @@ def kohnen_zagier_check(f, F, D: int, norm_f: CertifiedValue,
     c = f.coeff(abs(D))
     if float(c) == 0.0:
         return {"skipped": True, "D": D}
-    lhs_log = 2.0 * _scalar_log_abs(c) - norm_f.value.logm
+    lhs_log = 2.0 * log_abs_fraction(c) - norm_f.value.logm
     if l_central.value.sign <= 0:
         return {"skipped": True, "D": D, "reason": "nonpositive central value"}
     rhs_log = (
@@ -439,7 +427,7 @@ def coefficient_bound_report(f, alpha_beta=(1.0 / 3.0, 1.0 / 3.0),
         c = f.coeff(m)
         if float(c) == 0.0:
             continue
-        ratio_log = _scalar_log_abs(c) - base_log - (k - 1.0) / 2.0 * math.log(m)
+        ratio_log = log_abs_fraction(c) - base_log - (k - 1.0) / 2.0 * math.log(m)
         xs.append(math.log(m))
         ys.append(2.0 * ratio_log)  # squared-envelope exponent
     slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
@@ -468,7 +456,7 @@ def coefficient_growth_k_sweep(k_list, m: int = 1, prec: int = 700) -> dict:
                 continue
             nf = petersson_norm_f(f, "quadrature", prec=prec)
             ratio_log = (
-                _scalar_log_abs(f.coeff(m))
+                log_abs_fraction(f.coeff(m))
                 - 0.5 * nf.value.logm
                 + 0.5 * math.lgamma(kf)
                 - 0.5 * kf * math.log(4.0 * math.pi)

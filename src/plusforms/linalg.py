@@ -77,26 +77,6 @@ def _clear_denominators(row: list[Fraction]) -> list[int]:
     return [int(x * den) for x in row]
 
 
-def solve_exact(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve M x = b exactly; raises ValueError if inconsistent/underdetermined."""
-    n = len(matrix)
-    ncols = len(matrix[0])
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    rank, red, _ = rref_exact(aug)
-    rank_m, _, _ = rref_exact([list(r) for r in matrix])
-    if rank != rank_m:
-        raise ValueError("inconsistent linear system")
-    if rank_m < ncols:
-        raise ValueError("underdetermined linear system")
-    sol = [Fraction(0)] * ncols
-    for row in red:
-        for c in range(ncols):
-            if row[c] != 0:
-                sol[c] = row[ncols]
-                break
-    return sol
-
-
 def charpoly_exact(matrix: list[list[Fraction]]) -> list[Fraction]:
     """Characteristic polynomial det(xI - M) via Faddeev-LeVerrier.
 
@@ -106,7 +86,6 @@ def charpoly_exact(matrix: list[list[Fraction]]) -> list[Fraction]:
     m = [[Fraction(x) for x in row] for row in matrix]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    aux = [[Fraction(0)] * n for _ in range(n)]
     ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     mk = ident
     for k in range(1, n + 1):

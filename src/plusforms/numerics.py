@@ -45,7 +45,8 @@ def log_abs_int(n: int) -> float:
 
 
 def log_abs_fraction(x) -> float:
-    """log|x| for int, Fraction, float, or anything with numerator/denominator."""
+    """log|x| for any scalar: exact for int and Fraction (no float overflow),
+    through float(x) otherwise (floats, QuadExt)."""
     if isinstance(x, int):
         return log_abs_int(x)
     if isinstance(x, float):
@@ -427,10 +428,6 @@ def gamma_half(t) -> GammaValue:
     return GammaValue(LogScaled.from_log(math.lgamma(tf)), None, False)
 
 
-def log_gamma(t: float) -> float:
-    return math.lgamma(t)
-
-
 # ---------------------------------------------------------------------------
 # The sum S(alpha, beta, kappa)
 # ---------------------------------------------------------------------------
@@ -488,8 +485,3 @@ def unit_power(s: int, k) -> complex:
         kf = float(half_integer(k)) if not isinstance(k, float) else k
         return complex(math.cos(math.pi * kf), math.sin(math.pi * kf))
     raise ValueError("unit_power expects s in {-1, +1}")
-
-
-def i_power_half(m: int) -> complex:
-    """i^(m/2) = e^(i pi m / 4) on the principal branch (arg(i) = pi/2)."""
-    return complex(math.cos(math.pi * m / 4.0), math.sin(math.pi * m / 4.0))

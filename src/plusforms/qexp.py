@@ -1,13 +1,21 @@
 """Exact q-expansion spaces on Gamma_0(4) at half-integral weight.
 
-A QExpansion is a truncated series  sum_m a(m) e((m + param) z / width)
-with exact rational coefficients, tagged with its weight.  The spaces
-M_k(Gamma_0(4)) are spanned by monomials Theta^a G^b where Theta is the
-standard theta series (weight 1/2) and G = sum_{n odd} sigma_1(n) q^n is a
-weight-2 holomorphic form on Gamma_0(4).  Expansions at the cusps 0 and 1/2
-are exact as well: both generators have explicit Fricke and V-frame series
-(derived from the theta transformation law and the quasi-modularity of E_2),
-so every monomial does too.
+Every exact series is a list of integer numerators over one common
+denominator.  Series are built and combined with the integer products of
+`intpoly`; a QExpansion only stores the result,
+sum_m a(m) e((m + param) z / width) with rational a(m) and a weight tag,
+and evaluates it.  It does no arithmetic, and `from_int_series` is where
+its Fractions are made.
+
+The spaces M_k(Gamma_0(4)) are spanned by monomials Theta^a G^b where Theta
+is the standard theta series (weight 1/2) and G = sum_{n odd} sigma_1(n) q^n
+is a weight-2 holomorphic form on Gamma_0(4).  Expansions at the cusps 0 and
+1/2 are exact as well.  Both generators have explicit Fricke and V-frame
+series, derived from the theta transformation law and the quasi-modularity
+of E_2: Theta is Fricke-invariant and 16 G|W = Theta^4 - 16 G, while
+Theta|V = 2 e(1/8) q^(1/4) sum_{t >= 0} q^(t(t+1)) and 16 G|V is an integer
+series.  So every monomial is an integer series over 16^b in all three
+frames.
 
 Cusp and plus-space conditions are imposed by exact row reduction, giving
 exact rational bases of S_k, M_k^+ and the Kohnen plus space S_k^+.
@@ -24,21 +32,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import intpoly
-from .arith import half_integer
+from .arith import half_integer, sigma1_table
 from .linalg import rref_exact
 from .numerics import NEG_INF, LogScaled, log_abs_fraction
 
 
 class PrecisionError(Exception):
     """A computation needed series coefficients beyond the stored precision."""
-
-
-def scalar_log_abs(v) -> float:
-    """log|v| for Fraction/int (exact-path) or quadratic-field scalars."""
-    if isinstance(v, (Fraction, int)):
-        return log_abs_fraction(v)
-    f = float(v)
-    return math.log(abs(f)) if f != 0.0 else NEG_INF
 
 
 # ---------------------------------------------------------------------------
@@ -72,91 +72,6 @@ class QExpansion:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.coeffs.values())
 
-    def exponent(self, m: int) -> Fraction:
-        """The exponent (m + param)/width multiplying e(z)."""
-        return (m + self.param) / self.width
-
-    def copy_truncated(self, prec: int) -> "QExpansion":
-        return QExpansion(
-            self.weight,
-            self.width,
-            self.param,
-            min(prec, self.prec),
-            {m: v for m, v in self.coeffs.items() if m <= prec},
-        )
-
-    def scale(self, c) -> "QExpansion":
-        c = Fraction(c)
-        return QExpansion(
-            self.weight, self.width, self.param, self.prec,
-            {m: c * v for m, v in self.coeffs.items() if c * v != 0},
-        )
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if (self.weight, self.width, self.param) != (other.weight, other.width, other.param):
-            raise ValueError("can only add expansions on the same grid and weight")
-        prec = min(self.prec, other.prec)
-        out: dict[int, Fraction] = {}
-        for m in set(self.coeffs) | set(other.coeffs):
-            if m <= prec:
-                v = self.coeffs.get(m, Fraction(0)) + other.coeffs.get(m, Fraction(0))
-                if v != 0:
-                    out[m] = v
-        return QExpansion(self.weight, self.width, self.param, prec, out)
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "QExpansion") -> "QExpansion":
-        """Product; weights add, widths combine by lcm, parameters add mod 1.
-
-        The result is truncated so that no reported coefficient could be
-        affected by terms beyond either operand's precision.
-        """
-        n1, n2 = self.width, other.width
-        width = n1 * n2 // math.gcd(n1, n2)
-        shift_param = self.param * (width // n1) + other.param * (width // n2)
-        carry = int(shift_param)  # integer part moves into the index
-        param = shift_param - carry
-        # first unknown exponent of each factor bounds the trusted range
-        e1 = (self.prec + 1 + self.param) / n1
-        e2 = (other.prec + 1 + other.param) / n2
-        e_min = min(e1, e2)
-        prec = math.ceil(e_min * width - param) - 1
-        out: dict[int, Fraction] = {}
-        items1 = sorted(self.coeffs.items())
-        items2 = sorted(other.coeffs.items())
-        f1 = width // n1
-        f2 = width // n2
-        for m1, a1 in items1:
-            if a1 == 0:
-                continue
-            base = m1 * f1 + carry
-            for m2, a2 in items2:
-                m = base + m2 * f2
-                if m > prec:
-                    break
-                if a2 == 0:
-                    continue
-                out[m] = out.get(m, Fraction(0)) + a1 * a2
-        out = {m: v for m, v in out.items() if v != 0}
-        return QExpansion(self.weight + other.weight, width, param, prec, out)
-
-    def pow(self, e: int) -> "QExpansion":
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        if e == 0:
-            return QExpansion(Fraction(0), 1, Fraction(0), self.prec, {0: Fraction(1)})
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     # -- evaluation ---------------------------------------------------------
 
     def _arrays(self):
@@ -165,7 +80,7 @@ class QExpansion:
             return cached
         ms = np.array(sorted(m for m, v in self.coeffs.items() if v != 0), dtype=np.float64)
         logs = np.array(
-            [scalar_log_abs(self.coeffs[int(m)]) for m in ms], dtype=np.float64
+            [log_abs_fraction(self.coeffs[int(m)]) for m in ms], dtype=np.float64
         )
         signs = np.array([1.0 if float(self.coeffs[int(m)]) > 0 else -1.0 for m in ms])
         self._eval_arrays = (ms, logs, signs)
@@ -202,7 +117,7 @@ class QExpansion:
         if not self.coeffs:
             return NEG_INF
         c_log = max(
-            scalar_log_abs(v) - growth * math.log(m + 1)
+            log_abs_fraction(v) - growth * math.log(m + 1)
             for m, v in self.coeffs.items()
             if v != 0
         )
@@ -227,11 +142,33 @@ def from_int_series(weight, series, prec: int, den: int = 1, width: int = 1,
     return QExpansion(Fraction(weight), width, Fraction(param), prec, coeffs)
 
 
+def combine_int_rows(rows, coeffs, n: int) -> tuple[list[int], int]:
+    """sum_j coeffs[j] * rows[j] on indices 0..n-1, for integer rows and
+    rational coeffs, as (integer numerators, common denominator).
+
+    The denominator is the lcm of the coefficients' denominators.
+    """
+    den = 1
+    for c in coeffs:
+        den = math.lcm(den, c.denominator)
+    num = [0] * n
+    for row, c in zip(rows, coeffs):
+        if c == 0:
+            continue
+        mult = int(c * den)
+        for m, y in enumerate(row[:n]):
+            if y:
+                num[m] += mult * y
+    return num, den
+
+
 # ---------------------------------------------------------------------------
 # Generators and their cusp expansions
 # ---------------------------------------------------------------------------
 
 HALF = Fraction(1, 2)
+# Theta|V = V_PHASE * 2 q^(1/4) sum_{t >= 0} q^(t(t+1)), V_PHASE = e^(i pi/4)
+_V_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
 
 
 def theta_series(prec: int) -> QExpansion:
@@ -253,30 +190,33 @@ def weight2_generator(prec: int) -> QExpansion:
     return from_int_series(Fraction(2), list(intpoly.sigma_odd_int(prec)), prec)
 
 
-def theta_frame_w(prec: int) -> QExpansion:
-    """Theta under the Fricke frame: Theta is invariant."""
-    return theta_series(prec)
+def _g16_frame_w(prec: int) -> list[int]:
+    """16 G|W = Theta^4 - 16 G."""
+    th4 = intpoly.poly_pow_trunc(list(intpoly.theta_int(prec)), 4, prec)
+    return [t - 16 * g for t, g in zip(th4, intpoly.sigma_odd_int(prec))]
 
 
-def theta_frame_v(prec: int) -> tuple[QExpansion, complex]:
-    """Theta under the V-frame: e^(i pi/4) * 2 sum_{j odd > 0} e(j^2 z / 4).
+def _g16_frame_v(prec: int) -> list[int]:
+    """16 G|V: -1 at q^0, -8 sigma(n) for odd n, 48 sigma(n/2) - 24 sigma(n) for even n."""
+    sig = sigma1_table(prec)
+    return [-1] + [
+        -8 * sig[n] if n % 2 else 48 * sig[n // 2] - 24 * sig[n] for n in range(1, prec + 1)
+    ]
 
-    Returned as (rational series on the quarter-integer grid, unit phase).
-    Index m of the series means exponent (m + 1/4): j^2 = 4m + 1.
-    """
-    coeffs: dict[int, Fraction] = {}
-    j = 1
-    while (j * j - 1) // 4 <= prec:
-        coeffs[(j * j - 1) // 4] = Fraction(2)
-        j += 2
-    q = QExpansion(HALF, 1, Fraction(1, 4), prec, coeffs)
-    return q, complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+
+def _theta_v_core(prec: int) -> list[int]:
+    """sum_{t >= 0} q^(t(t+1)), so that Theta|V = 2 e(1/8) q^(1/4) times it."""
+    out = [0] * (prec + 1)
+    t = 0
+    while t * (t + 1) <= prec:
+        out[t * (t + 1)] = 1
+        t += 1
+    return out
 
 
 def weight2_generator_frame_w(prec: int) -> QExpansion:
     """G under the Fricke frame: Theta^4/16 - G, exact."""
-    th4 = theta_series(prec).pow(4).scale(Fraction(1, 16))
-    return th4 - weight2_generator(prec)
+    return from_int_series(Fraction(2), _g16_frame_w(prec), prec, den=16)
 
 
 def weight2_generator_frame_v(prec: int) -> QExpansion:
@@ -285,19 +225,7 @@ def weight2_generator_frame_v(prec: int) -> QExpansion:
     Coefficients: -1/16 at q^0; -sigma(n)/2 for odd n; 3 sigma(n/2) - 3
     sigma(n)/2 for even n.
     """
-    sig = [0] + [0] * prec
-    for d in range(1, prec + 1):
-        for m in range(d, prec + 1, d):
-            sig[m] += d
-    coeffs = {0: Fraction(-1, 16)}
-    for n in range(1, prec + 1):
-        if n % 2:
-            v = Fraction(-sig[n], 2)
-        else:
-            v = Fraction(-3 * sig[n], 2) + 3 * sig[n // 2]
-        if v != 0:
-            coeffs[n] = v
-    return QExpansion(Fraction(2), 1, Fraction(0), prec, coeffs)
+    return from_int_series(Fraction(2), _g16_frame_v(prec), prec, den=16)
 
 
 # ---------------------------------------------------------------------------
@@ -326,35 +254,37 @@ def weight_monomials(k) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=None)
-def _monomial_cached(a: int, b: int, prec: int, frame: str):
-    """Exact expansion of Theta^a G^b in the given frame ('I', 'W4', 'V4')."""
+def _monomial_int(a: int, b: int, prec: int, frame: str) -> tuple[tuple[int, ...], int]:
+    """Theta^a G^b in frame 'I', 'W4' or 'V4' to index prec, as (integer
+    numerators, common denominator).
+
+    In the V frame index m stands for the exponent m + (a mod 4)/4: the
+    factor q^(a/4) of (Theta|V)^a moves floor(a/4) into the index.
+    """
     if frame == "I":
-        th = intpoly.theta_int(prec)
-        g = intpoly.sigma_odd_int(prec)
-        series = intpoly.poly_pow_trunc(list(th), a, prec) if a else [1]
-        if b:
-            gb = intpoly.poly_pow_trunc(list(g), b, prec)
-            series = intpoly.poly_mul_trunc(series, gb, prec)
-        q = from_int_series(Fraction(a, 2) + 2 * b, series, prec)
-        return q, complex(1.0)
-    if frame == "W4":
-        th = theta_series(prec)
-        q = th.pow(a) if a else zero_expansion(0, prec) + from_int_series(0, [1], prec)
-        if b:
-            q = q * weight2_generator_frame_w(prec).pow(b)
-        return q.copy_truncated(prec), complex(1.0)
+        theta, g, den = intpoly.theta_int(prec), intpoly.sigma_odd_int(prec), 1
+    elif frame == "W4":
+        theta, g, den = intpoly.theta_int(prec), _g16_frame_w(prec), 16**b
+    elif frame == "V4":
+        theta, g, den = _theta_v_core(prec), _g16_frame_v(prec), 16**b
+    else:
+        raise ValueError(f"unknown frame {frame!r}")
+    series = intpoly.poly_pow_trunc(list(theta), a, prec)
     if frame == "V4":
-        tv, phase = theta_frame_v(prec)
-        q = tv.pow(a)
-        if b:
-            q = q * weight2_generator_frame_v(prec).pow(b)
-        return q.copy_truncated(min(prec, q.prec)), phase**a
-    raise ValueError(f"unknown frame {frame!r}")
+        series = intpoly.poly_scale_shift(series, 2**a, a // 4, prec)
+    if b:
+        gb = intpoly.poly_pow_trunc(list(g), b, prec)
+        series = intpoly.poly_mul_trunc(series, gb, prec)
+    return tuple(series), den
 
 
 def monomial_expansion(a: int, b: int, prec: int, frame: str = "I") -> tuple[QExpansion, complex]:
-    q, phase = _monomial_cached(a, b, prec, frame)
-    return q, phase
+    """Exact expansion of Theta^a G^b in the given frame, with its unit phase."""
+    series, den = _monomial_int(a, b, prec, frame)
+    weight = Fraction(a, 2) + 2 * b
+    if frame == "V4":
+        return from_int_series(weight, series, prec, den, param=Fraction(a % 4, 4)), _V_PHASE**a
+    return from_int_series(weight, series, prec, den), complex(1.0)
 
 
 @dataclass
@@ -389,26 +319,23 @@ class SpaceBasis:
     def frame_series(self, i: int, frame: str, prec: int) -> tuple[QExpansion, complex]:
         """Exact expansion of basis form i in frame 'I', 'W4' or 'V4'."""
         r = int(2 * self.weight)
-        combo = None
-        phase_common = None
+        rows, coeffs = [], []
         for (a, b), c in zip(self.monomials, self.vectors[i]):
             if c == 0:
                 continue
-            q, phase = monomial_expansion(a, b, prec, frame)
-            if frame == "V4":
-                # phases e^(i a pi/4) agree up to sign across monomials
-                sign = 1 if (a - r) % 8 == 0 else -1
-                if phase_common is None:
-                    phase_common = complex(math.cos(math.pi * r / 4), math.sin(math.pi * r / 4))
-                q = q.scale(c * sign)
-            else:
-                phase_common = phase
-                q = q.scale(c)
-            combo = q if combo is None else combo + q
-        if combo is None:
-            combo = zero_expansion(self.weight, prec)
-            phase_common = complex(1.0)
-        return combo, phase_common
+            series, den = _monomial_int(a, b, prec, frame)
+            if frame == "V4" and (a - r) % 8:
+                # the phase e^(i a pi/4) of the monomial is -e^(i r pi/4)
+                c = -c
+            rows.append(series)
+            coeffs.append(c / den)
+        if not rows:
+            return zero_expansion(self.weight, prec), complex(1.0)
+        num, den = combine_int_rows(rows, coeffs, prec + 1)
+        if frame == "V4":
+            phase = complex(math.cos(math.pi * r / 4), math.sin(math.pi * r / 4))
+            return from_int_series(self.weight, num, prec, den, param=Fraction(r % 4, 4)), phase
+        return from_int_series(self.weight, num, prec, den), complex(1.0)
 
     def to_json(self) -> str:
         payload = {
@@ -424,17 +351,6 @@ class SpaceBasis:
             ],
         }
         return json.dumps(payload, indent=1)
-
-
-@lru_cache(maxsize=None)
-def _monomial_int(a: int, b: int, prec: int) -> tuple[int, ...]:
-    """Integer coefficient list of Theta^a G^b to the given precision."""
-    th = list(intpoly.theta_int(prec))
-    series = intpoly.poly_pow_trunc(th, a, prec) if a else [1]
-    if b:
-        gb = intpoly.poly_pow_trunc(list(intpoly.sigma_odd_int(prec)), b, prec)
-        series = intpoly.poly_mul_trunc(series, gb, prec)
-    return tuple(series)
 
 
 def monomial_span(k, prec: int) -> SpaceBasis:
@@ -469,52 +385,46 @@ def space_basis(k, prec: int, kind: str) -> SpaceBasis:
     monos = weight_monomials(k)
     if not monos:
         return SpaceBasis(k, kind, st, [], [], [])
-    mono_forms = [monomial_expansion(a, b, prec, "I")[0] for a, b in monos]
+    if kind == "full M":
+        return monomial_span(k, prec)
+    rows = [_monomial_int(a, b, prec, "I")[0] for a, b in monos]
     sign = -1 if int(k - HALF) % 2 else 1
 
-    conditions: list[list[Fraction]] = []
+    conditions: list[list] = []
     if kind in ("full S", "plus S"):
-        conditions.append([q.coeff(0) for q in mono_forms])
+        conditions.append([row[0] for row in rows])
         conditions.append([Fraction(1, 16**b) for (_, b) in monos])  # Fricke constant
     if kind in ("plus M", "plus S"):
         for n in range(1, st + 1):
             if (sign * n) % 4 in (2, 3):
-                conditions.append([q.coeff(n) for q in mono_forms])
-    if kind == "full M":
-        return monomial_span(k, prec)
+                conditions.append([row[n] for row in rows])
 
     if conditions:
         _, _, kernel = rref_exact(conditions)
     else:
         kernel = [[Fraction(int(i == j)) for j in range(len(monos))] for i in range(len(monos))]
 
-    vectors = _echelonize(kernel, mono_forms, st)
+    vectors = _echelonize(kernel, rows, st)
     forms = []
     for vec in vectors:
-        combo = None
-        for c, q in zip(vec, mono_forms):
-            if c == 0:
-                continue
-            term = q.scale(c)
-            combo = term if combo is None else combo + term
-        forms.append(combo if combo is not None else zero_expansion(k, prec))
+        num, den = combine_int_rows(rows, vec, prec + 1)
+        forms.append(from_int_series(k, num, prec, den))
     return SpaceBasis(k, kind, st, monos, vectors, forms)
 
 
 def _echelonize(
-    kernel: list[list[Fraction]], mono_forms: list[QExpansion], st: int
+    kernel: list[list[Fraction]], rows: list[tuple[int, ...]], st: int
 ) -> list[list[Fraction]]:
-    """Echelonize kernel combinations by their q-expansions up to the Sturm index."""
+    """Echelonize kernel combinations of the monomial rows by their
+    q-expansions up to the Sturm index."""
     if not kernel:
         return []
-    rows = []
-    for vec in kernel:
-        coeffs = [
-            sum(c * q.coeff(n) for c, q in zip(vec, mono_forms)) for n in range(st + 1)
-        ]
-        rows.append(coeffs + list(vec))
-    _, red, _ = rref_exact(rows)
     ncoe = st + 1
+    mat = []
+    for vec in kernel:
+        num, den = combine_int_rows(rows, vec, ncoe)
+        mat.append([Fraction(x, den) for x in num] + list(vec))
+    _, red, _ = rref_exact(mat)
     out = []
     for row in red:
         if all(v == 0 for v in row[:ncoe]):

@@ -120,9 +120,6 @@ def _bessel_tail_log(k: float, x_at_c1: float, c_from: int) -> float:
     bounded by the integral of c^(-(k-1)).
     """
     rho = k - 1.0
-    if rho <= 2.0:
-        # k = 5/2: integral bound sum c^(-3/2) <= c_from^(-1/2) / (1/2) * ... use exact zeta-style bound
-        pass
     head = math.log(2.0) + 0.125 + rho * math.log(x_at_c1 / 2.0) - math.lgamma(rho + 1.0)
     # sum_{c>=c0} c^(-rho) <= c0^(-rho) + integral_{c0}^inf t^(-rho) dt
     c0 = float(c_from)

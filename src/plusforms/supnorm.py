@@ -383,8 +383,6 @@ def iter_gl(l: int, z: complex, delta: float, w: complex | None = None, modc: in
             if rad < -1e-12:
                 continue
             rad = math.sqrt(max(rad, 0.0))
-            center = (d * xw - a * xz) + 0 * 1.0
-            blo = math.ceil(center + d * xw - d * xw - rad - a * xz + a * xz - 1e-9)
             # |a xz + b - d xw| <= rad
             blo = math.ceil(d * xw - a * xz - rad - 1e-9)
             bhi = math.floor(d * xw - a * xz + rad + 1e-9)

@@ -3,16 +3,20 @@
 Everything here deliberately takes a different route from the library:
 60-digit ascending series for Bessel J, the Eisenstein-polynomial route to
 the discriminant coefficients (the library builds them from eta powers),
-a plain double loop for series products (no packing, no FFT), naive
-fraction Gaussian elimination, direct high-precision Salie summation,
-and a quadrature-based completed-L-value with a different smoothing than
-the production incomplete-gamma sums.
+a plain double loop for series products (no packing, no FFT), q-expansions
+as dicts of Fractions multiplied term by term with their own precision and
+parameter bookkeeping (the library works on integer numerators over a
+common denominator), the frame generators written out coefficient by
+coefficient, naive fraction Gaussian elimination, direct high-precision
+Salie summation, and a quadrature-based completed-L-value with a different
+smoothing than the production incomplete-gamma sums.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 
@@ -73,6 +77,145 @@ def series_mul_reference(a: list[int], b: list[int], prec: int) -> list[int]:
         for j in range(min(len(b), n + 1 - i)):
             out[i + j] += a[i] * b[j]
     return out
+
+
+def qexp_mul_reference(x, y):
+    """Product of two QExpansions by the double loop over their Fraction dicts.
+
+    Weights add, widths combine by lcm and parameters add mod 1, the integer
+    part moving into the index.  The result stops before the first exponent
+    that a term beyond either operand's precision could reach.
+    """
+    from plusforms.qexp import QExpansion
+
+    n1, n2 = x.width, y.width
+    width = n1 * n2 // math.gcd(n1, n2)
+    shift_param = x.param * (width // n1) + y.param * (width // n2)
+    carry = int(shift_param)
+    param = shift_param - carry
+    e_min = min((x.prec + 1 + x.param) / n1, (y.prec + 1 + y.param) / n2)
+    prec = math.ceil(e_min * width - param) - 1
+    out: dict[int, Fraction] = {}
+    for m1, a1 in sorted(x.coeffs.items()):
+        for m2, a2 in sorted(y.coeffs.items()):
+            m = m1 * (width // n1) + m2 * (width // n2) + carry
+            if m > prec:
+                break
+            out[m] = out.get(m, Fraction(0)) + a1 * a2
+    out = {m: v for m, v in out.items() if v != 0}
+    return QExpansion(x.weight + y.weight, width, param, prec, out)
+
+
+def qexp_pow_reference(q, e: int):
+    """q^e by binary powering with qexp_mul_reference; q^0 is 1 at weight 0."""
+    from plusforms.qexp import QExpansion
+
+    if e == 0:
+        return QExpansion(Fraction(0), 1, Fraction(0), q.prec, {0: Fraction(1)})
+    result = None
+    base = q
+    while e:
+        if e & 1:
+            result = base if result is None else qexp_mul_reference(result, base)
+        e >>= 1
+        if e:
+            base = qexp_mul_reference(base, base)
+    return result
+
+
+def qexp_sum_reference(terms, prec: int | None = None):
+    """sum c * q over (c, q) pairs on one grid, to the smallest precision
+    (and at most prec)."""
+    from plusforms.qexp import QExpansion
+
+    q0 = terms[0][1]
+    if any((q.weight, q.width, q.param) != (q0.weight, q0.width, q0.param) for _, q in terms):
+        raise ValueError("terms live on different grids")
+    top = min([q.prec for _, q in terms] + ([] if prec is None else [prec]))
+    out: dict[int, Fraction] = {}
+    for c, q in terms:
+        for m, v in q.coeffs.items():
+            if m <= top:
+                out[m] = out.get(m, Fraction(0)) + Fraction(c) * v
+    out = {m: v for m, v in out.items() if v != 0}
+    return QExpansion(q0.weight, q0.width, q0.param, top, out)
+
+
+def _sigma1(n: int) -> int:
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def theta_reference(prec: int):
+    """Theta = 1 + 2 sum q^(n^2); also its Fricke image (Theta is invariant)."""
+    from plusforms.qexp import QExpansion
+
+    coeffs = {n * n: Fraction(2) for n in range(1, math.isqrt(prec) + 1)}
+    coeffs[0] = Fraction(1)
+    return QExpansion(Fraction(1, 2), 1, Fraction(0), prec, coeffs)
+
+
+def theta_v_reference(prec: int):
+    """Theta under the V frame: e(1/8) * 2 sum_{j odd > 0} e(j^2 z / 4), as
+    (series with index m at exponent m + 1/4, unit phase)."""
+    from plusforms.qexp import QExpansion
+
+    coeffs = {}
+    j = 1
+    while (j * j - 1) // 4 <= prec:
+        coeffs[(j * j - 1) // 4] = Fraction(2)
+        j += 2
+    phase = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
+    return QExpansion(Fraction(1, 2), 1, Fraction(1, 4), prec, coeffs), phase
+
+
+def g_reference(prec: int):
+    """G = sum_{n odd} sigma_1(n) q^n by trial division."""
+    from plusforms.qexp import QExpansion
+
+    coeffs = {n: Fraction(_sigma1(n)) for n in range(1, prec + 1, 2)}
+    return QExpansion(Fraction(2), 1, Fraction(0), prec, coeffs)
+
+
+def g_w_reference(prec: int):
+    """G under the Fricke frame: Theta^4/16 - G."""
+    th4 = qexp_pow_reference(theta_reference(prec), 4)
+    return qexp_sum_reference([(Fraction(1, 16), th4), (-1, g_reference(prec))])
+
+
+def g_v_reference(prec: int):
+    """G under the V frame: -1/16 at q^0, -sigma(n)/2 for odd n and
+    3 sigma(n/2) - 3 sigma(n)/2 for even n."""
+    from plusforms.qexp import QExpansion
+
+    coeffs = {0: Fraction(-1, 16)}
+    for n in range(1, prec + 1):
+        if n % 2:
+            coeffs[n] = Fraction(-_sigma1(n), 2)
+        else:
+            coeffs[n] = 3 * _sigma1(n // 2) - Fraction(3 * _sigma1(n), 2)
+    return QExpansion(Fraction(2), 1, Fraction(0), prec, coeffs)
+
+
+@lru_cache(maxsize=None)
+def _generator_power(frame: str, gen: str, e: int, prec: int):
+    """(Theta or G in the frame)^e; cached because monomials share powers."""
+    if gen == "theta":
+        q = theta_v_reference(prec)[0] if frame == "V4" else theta_reference(prec)
+    else:
+        q = {"I": g_reference, "W4": g_w_reference, "V4": g_v_reference}[frame](prec)
+    return qexp_pow_reference(q, e)
+
+
+def monomial_reference(a: int, b: int, prec: int, frame: str):
+    """Theta^a G^b in frame 'I', 'W4' or 'V4' by Fraction-dict products, as
+    (series to index prec, unit phase)."""
+    if frame not in ("I", "W4", "V4"):
+        raise ValueError(f"unknown frame {frame!r}")
+    q = _generator_power(frame, "theta", a, prec)
+    if b:
+        q = qexp_mul_reference(q, _generator_power(frame, "g", b, prec))
+    phase = theta_v_reference(0)[1] ** a if frame == "V4" else complex(1.0)
+    return qexp_sum_reference([(1, q)], prec), phase
 
 
 def naive_rank(rows) -> int:

@@ -85,6 +85,14 @@ def test_shimura_check_cmd():
     assert "True" in text
 
 
+def test_kernel_check_cmd():
+    code, text = run_cli(["kernel-check", "--k", "13/2", "--prec", "200", "--format", "json"])
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert len(rows) == 5
+    assert all(r["rel_err"] < 1e-3 for r in rows)
+
+
 def test_scaling_cmd():
     code, text = run_cli(["scaling", "--k-range", "13/2:21/2"])
     assert code == 0

@@ -1,18 +1,28 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    g_v_reference,
+    g_w_reference,
+    monomial_reference,
+    qexp_mul_reference,
+    qexp_sum_reference,
+)
 from plusforms.hecke import dim_cusp_level1
 from plusforms.qexp import (
     PrecisionError,
     QExpansion,
     cusp_plus_basis,
+    monomial_expansion,
     monomial_span,
     space_basis,
+    sturm_index,
     theta_series,
     weight2_generator,
     weight2_generator_frame_v,
@@ -158,7 +168,7 @@ def test_export_json_format():
     assert payload["forms"][0][0] == [1, 1, 1]  # index 1, coefficient 1/1
 
 
-# -- QExpansion algebra --------------------------------------------------------
+# -- the reference QExpansion algebra of tests/oracles.py ----------------------
 
 
 def _random_qexp(rng, weight, width, param, prec):
@@ -178,10 +188,10 @@ def test_multiplication_commutative_associative(seed):
     a = _random_qexp(rng, HALF, 1, 0, rng.randint(3, 8))
     b = _random_qexp(rng, 2, 1, 0, rng.randint(3, 8))
     c = _random_qexp(rng, HALF, 1, Fraction(1, 4), rng.randint(3, 8))
-    ab, ba = a * b, b * a
+    ab, ba = qexp_mul_reference(a, b), qexp_mul_reference(b, a)
     assert ab.coeffs == ba.coeffs and ab.prec == ba.prec
-    lhs = (a * b) * c
-    rhs = a * (b * c)
+    lhs = qexp_mul_reference(qexp_mul_reference(a, b), c)
+    rhs = qexp_mul_reference(a, qexp_mul_reference(b, c))
     common = min(lhs.prec, rhs.prec)
     for m in range(common + 1):
         assert lhs.coeff(m) == rhs.coeff(m)
@@ -191,7 +201,7 @@ def test_multiplication_commutative_associative(seed):
 def test_multiplication_never_reports_beyond_precision():
     a = QExpansion(HALF, 1, Fraction(0), 3, {0: Fraction(1), 3: Fraction(1)})
     b = QExpansion(HALF, 1, Fraction(0), 9, {0: Fraction(1), 9: Fraction(1)})
-    prod = a * b
+    prod = qexp_mul_reference(a, b)
     assert prod.prec == 3  # the first unknown index of a caps the result
     assert max(prod.coeffs) <= 3
 
@@ -200,6 +210,65 @@ def test_parameter_carry():
     # (1/4) + (3/4) exponents carry into the integer index
     a = QExpansion(HALF, 1, Fraction(1, 4), 4, {0: Fraction(1)})
     b = QExpansion(HALF, 1, Fraction(3, 4), 4, {0: Fraction(2)})
-    prod = a * b
+    prod = qexp_mul_reference(a, b)
     assert prod.param == 0
     assert prod.coeff(1) == 2  # e(z/4) * e(3z/4) = e(z)
+
+
+# -- integer frame series against the Fraction-dict oracle ----------------------
+
+FRAMES = ("I", "W4", "V4")
+
+
+@lru_cache(maxsize=None)
+def _reference_monomial(a, b, prec, frame):
+    return monomial_reference(a, b, prec, frame)
+
+
+def _assert_same_expansion(q, ref):
+    assert q.coeffs == ref.coeffs
+    assert (q.prec, q.param, q.weight, q.width) == (ref.prec, ref.param, ref.weight, ref.width)
+
+
+def test_frame_generators_match_fraction_oracle():
+    for prec in (1, 7, 200):
+        _assert_same_expansion(weight2_generator_frame_w(prec), g_w_reference(prec))
+        _assert_same_expansion(weight2_generator_frame_v(prec), g_v_reference(prec))
+
+
+# At prec 7 and 3 the V-frame index offset floor(a/4) takes a large share of
+# the stored range, and for a >= 16 all of it.
+@pytest.mark.parametrize("num", range(5, 27, 2))
+def test_monomial_expansion_matches_fraction_oracle(num):
+    k = Fraction(num, 2)
+    for prec in (sturm_index(k), 200, 7, 3):
+        for a, b in weight_monomials(k):
+            for frame in FRAMES:
+                q, phase = monomial_expansion(a, b, prec, frame)
+                ref, ref_phase = _reference_monomial(a, b, prec, frame)
+                _assert_same_expansion(q, ref)
+                assert phase == ref_phase
+
+
+@pytest.mark.parametrize("kstr", ["13/2", "25/2"])
+@pytest.mark.parametrize("kind", ["full S", "plus S"])
+def test_frame_series_matches_fraction_oracle(kstr, kind):
+    basis = space_basis(kstr, 200, kind)
+    r = int(2 * basis.weight)
+    assert basis.dimension > 0
+    for i in range(basis.dimension):
+        for prec in (basis.sturm, 200):
+            for frame in FRAMES:
+                terms = []
+                for (a, b), c in zip(basis.monomials, basis.vectors[i]):
+                    if c != 0:
+                        ref, ref_phase = _reference_monomial(a, b, prec, frame)
+                        # V frame: the phase e^(i a pi/4) is +-e^(i r pi/4)
+                        sign = -1 if frame == "V4" and (a - r) % 8 else 1
+                        terms.append((sign * c, ref))
+                q, phase = basis.frame_series(i, frame, prec)
+                expected = qexp_sum_reference(terms)
+                _assert_same_expansion(q, expected)
+                assert phase == pytest.approx(sign * ref_phase, abs=1e-15)
+                if frame == "I" and prec == 200:
+                    _assert_same_expansion(basis.forms[i], expected)
