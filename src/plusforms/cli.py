@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .arith import fundamental_discriminants, half_integer
@@ -294,19 +293,13 @@ def cmd_amplify(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    ks = _k_range(args.k_range)
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        reports = list(pool.map(lambda k: scaling_experiment([k]), ks))
-    rows = [r["rows"][0] for r in reports if r["rows"]]
+    report = scaling_experiment(_k_range(args.k_range))
+    rows = report["rows"]
     if len(rows) < 2:
         print("FAILED check: scaling sweep needs at least two admissible weights",
               file=sys.stderr)
         return 1
-    import numpy as np
-
-    xs = np.array([r["log_k"] for r in rows])
-    ys = np.array([r["log_S"] for r in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    slope = report["slope"]
     out_rows = [
         {"k": str(r["k"]), "log_k": r["log_k"], "log_S": r["log_S"],
          "bessel_correction": r["bessel_correction"]}
@@ -333,7 +326,6 @@ def main(argv=None) -> int:
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("basis", help="exact plus-space basis")
     common(p)

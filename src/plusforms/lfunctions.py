@@ -12,10 +12,15 @@ with alpha_p + conj = Fhat(p), alpha conj = p^(2k-2); the reported tail is a
 heuristic (validated by doubling P), since on the edge of the critical
 strip no Deligne-only certificate converges.
 
+The root number is the eps of that same solve (root_number).
+
 Petersson norms: <F,F> over the modular surface by Parseval in the strip
 y >= 1 plus quadrature over the cap; <f,f> = (1/6) * integral over a
 fundamental domain of Gamma_0(4) assembled from six translates of the
 standard domain, each evaluated through the frame that sees its cusp.
+Every series value on the quadrature nodes comes from one array call of
+QExpansion.eval_reduced (directly for the cap of <F,F>, through
+FormEvaluator.eval_frame_complex for the Gram matrix).
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from scipy.special import gammaincc
 
 from .arith import half_integer, is_fundamental_discriminant, kronecker_symbol, primes_up_to
 from .numerics import CertifiedValue, LogScaled, log_abs_fraction, logsumexp
+from .qexp import QExpansion
 from .salie import spectral_average
 from .supnorm import FormEvaluator
 
@@ -75,6 +81,19 @@ def central_value(F, D: int, target_err: float = 1e-9) -> CertifiedValue:
     Raises if the root-number solve is inconsistent (|eps| far from 1 or the
     residual across smoothing parameters exceeds target_err * scale).
     """
+    value, _eps, err_log = _afe_solve(F, D, target_err)
+    return CertifiedValue(LogScaled.from_float(value), err_log)
+
+
+def root_number(F, D: int) -> int:
+    """The sign of the functional equation (+1 or -1), as solved and
+    certified by central_value."""
+    return _afe_solve(F, D)[1]
+
+
+def _afe_solve(F, D: int, target_err: float = 1e-9) -> tuple[float, int, float]:
+    """(central value, root number, log error bound) from the smoothed
+    approximate functional equation at the splits x in xs and 1/x."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     w = F.weight
@@ -126,9 +145,8 @@ def central_value(F, D: int, target_err: float = 1e-9) -> CertifiedValue:
         raise RuntimeError(
             f"functional equation residual {residual:.3g} exceeds target"
         )
-    value = candidates[0]
     err_log = logsumexp([tail_log, math.log(residual + 1e-300)])
-    return CertifiedValue(LogScaled.from_float(value), err_log)
+    return candidates[0], eps, err_log
 
 
 def _eps_by_consistency(a_vals, xs, scale, target_err):
@@ -141,26 +159,6 @@ def _eps_by_consistency(a_vals, xs, scale, target_err):
     if best[1] > 10 * target_err * max(1.0, scale):
         raise RuntimeError("root number undetermined: both signs inconsistent")
     return best[0]
-
-
-def root_number(F, D: int) -> int:
-    """The solved sign of the functional equation (+1 or -1)."""
-    w = F.weight
-    a = (w - 1) / 2.0
-    q = abs(D)
-    qc = q / (2.0 * math.pi)
-    n_terms = max(16, math.ceil(3.0 * q * math.sqrt(w)) * 2)
-    b = _twisted_coeffs(F, D, n_terms)
-    ns = np.arange(1, n_terms + 1, dtype=np.float64)
-    bn = b[1:] / np.sqrt(ns)
-
-    def A(x):
-        return float(np.sum(bn * gammaincc(a + 0.5, ns * x / qc)))
-
-    num = A(1.0) - A(1.5)
-    den = A(1.0 / 1.5) - A(1.0)
-    eps = num / den
-    return 1 if eps > 0 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +202,21 @@ def _gauss_nodes(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+def _cap_nodes(order: int) -> tuple[list[complex], list[float]]:
+    """Tensor Gauss nodes and weights on the cap of the standard fundamental
+    domain below y = 1, on x in [0, 1/2] with weights doubled for the
+    reflection x -> -x.  x is outermost so the inner bound sqrt(1 - x^2)
+    stays smooth; y outermost would put a square-root singularity at y = 1
+    and stall the quadrature."""
+    pts, wts = [], []
+    xs, wx = _gauss_nodes(0.0, 0.5, order)
+    for x, wgt in zip(xs, wx):
+        ys, wy = _gauss_nodes(math.sqrt(1.0 - x * x), 1.0, order)
+        pts.extend(x + 1j * ys)
+        wts.extend(2.0 * wgt * wy)
+    return pts, wts
+
+
 def petersson_norm_integral(F, rtol: float = 1e-8) -> CertifiedValue:
     """<F,F> = int_{F_SL2} |F|^2 y^(w-2) dx dy for an integral-weight form.
 
@@ -229,21 +242,15 @@ def petersson_norm_integral(F, rtol: float = 1e-8) -> CertifiedValue:
         if n > F.precision:
             break
     strip = math.exp(logsumexp(strip_logs))
+    n_coef = min(F.precision, 80)
+    series = QExpansion(w, 1, 0, n_coef, {n: F.coeff(n) for n in range(1, n_coef + 1)})
 
     def cap_integral(order: int) -> float:
-        # x outer keeps the inner bound sqrt(1-x^2) smooth; y-outer would put
-        # a square-root singularity at y = 1 and stall the quadrature
-        xs, wx = _gauss_nodes(0.0, 0.5, order)
-        total = 0.0
-        n_coef = min(F.precision, 80)
-        coef = np.array([float(F.coeff(n)) for n in range(1, n_coef + 1)])
-        ns = np.arange(1, n_coef + 1)
-        for x, wgt in zip(xs, wx):
-            y0 = math.sqrt(1.0 - x * x)
-            ys, wy = _gauss_nodes(y0, 1.0, order)
-            vals = np.exp(2j * math.pi * np.outer(ns, x + 1j * ys)).T @ coef
-            total += wgt * 2.0 * float(np.sum(wy * ys ** (w - 2.0) * np.abs(vals) ** 2))
-        return total
+        zs, wts = _cap_nodes(order)
+        zs = np.array(zs)
+        reduced, log_scale = series.eval_reduced(zs)
+        abs_sq = np.abs(reduced) ** 2 * np.exp(2.0 * log_scale)
+        return float(np.sum(np.array(wts) * zs.imag ** (w - 2.0) * abs_sq))
 
     c1, c2 = cap_integral(24), cap_integral(36)
     value = strip + c2
@@ -263,27 +270,6 @@ _PIECES = (
 )
 
 
-def _piece_values(ev: FormEvaluator, label: str, scale: float, shift: float,
-                  zs: np.ndarray) -> np.ndarray:
-    args = scale * (zs + shift)
-    return _eval_grid(ev, label, args)
-
-
-def _eval_grid(ev: FormEvaluator, label: str, zs: np.ndarray) -> np.ndarray:
-    fs = ev.frames[label]
-    q = fs.series
-    items = sorted((m, v) for m, v in q.coeffs.items() if v != 0)
-    if not items:
-        return np.zeros_like(zs, dtype=complex)
-    ts = np.array([(m + float(q.param)) / q.width for m, _ in items])
-    logs = np.array([log_abs_fraction(v) for _, v in items])
-    signs = np.array([1.0 if float(v) > 0 else -1.0 for _, v in items])
-    # terms: sign * exp(log - 2 pi t y) * e(t x)
-    phase = np.exp(2j * math.pi * np.outer(ts, zs.real))
-    mag = np.exp(logs[:, None] - 2.0 * math.pi * np.outer(ts, zs.imag) + fs.log_scale)
-    return (signs[:, None] * mag * phase).sum(axis=0) * math.exp(ev.log_norm)
-
-
 def petersson_gram(evals: list[FormEvaluator], y_cap: float = 64.0) -> tuple[np.ndarray, float]:
     """Gram matrix <f_i, f_j> = (1/6) int over a Gamma_0(4) domain.
 
@@ -296,18 +282,9 @@ def petersson_gram(evals: list[FormEvaluator], y_cap: float = 64.0) -> tuple[np.
     n = len(evals)
 
     def domain_nodes(order: int):
-        """(points, weights) covering the standard fundamental domain; the
-        cap below y = 1 is parametrized with x outermost so all panel
-        boundaries stay smooth."""
-        pts = []
-        wts = []
-        xs, wx = _gauss_nodes(0.0, 0.5, order)
-        for x, wgt in zip(xs, wx):
-            y0 = math.sqrt(1.0 - x * x)
-            ys, wy = _gauss_nodes(y0, 1.0, order)
-            for y, wgy in zip(ys, wy):
-                pts.append(complex(x, y))
-                wts.append(2.0 * wgt * wgy)  # x-reflection symmetry
+        """(points, weights) covering the standard fundamental domain: the
+        cap below y = 1, then strips [2^j, 2^(j+1)] up to y_cap."""
+        pts, wts = _cap_nodes(order)
         lo = 1.0
         while lo < y_cap:
             hi = min(2 * lo, y_cap)
@@ -325,7 +302,7 @@ def petersson_gram(evals: list[FormEvaluator], y_cap: float = 64.0) -> tuple[np.
         zs, wts = domain_nodes(order)
         measure = wts / zs.imag**2
         for label, scale, shift in _PIECES:
-            vals = np.stack([_piece_values(ev, label, scale, shift, zs) for ev in evals])
+            vals = np.stack([ev.eval_frame_complex(label, scale * (zs + shift)) for ev in evals])
             pref = (scale * zs.imag) ** k * measure
             g += np.einsum("ip,jp,p->ij", vals, np.conjugate(vals), pref)
         return g / 6.0

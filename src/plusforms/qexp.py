@@ -7,6 +7,12 @@ sum_m a(m) e((m + param) z / width) with rational a(m) and a weight tag,
 and evaluates it.  It does no arithmetic, and `from_int_series` is where
 its Fractions are made.
 
+`QExpansion.eval_reduced` is the one place where a truncated series is
+summed at points: whole arrays of points in fixed-size blocks, each point
+shifted by its largest log term so that nothing overflows or underflows.
+The frame evaluators, the sup-norm scan, the Petersson quadratures and the
+Bergman kernel's spectral side all evaluate through it.
+
 The spaces M_k(Gamma_0(4)) are spanned by monomials Theta^a G^b where Theta
 is the standard theta series (weight 1/2) and G = sum_{n odd} sigma_1(n) q^n
 is a weight-2 holomorphic form on Gamma_0(4).  Expansions at the cusps 0 and
@@ -34,11 +40,16 @@ import numpy as np
 from . import intpoly
 from .arith import half_integer, sigma1_table
 from .linalg import rref_exact
-from .numerics import NEG_INF, LogScaled, log_abs_fraction
+from .numerics import NEG_INF, log_abs_fraction
 
 
 class PrecisionError(Exception):
     """A computation needed series coefficients beyond the stored precision."""
+
+
+# points per block in QExpansion.eval_reduced: bounds its work arrays at
+# 256 x (number of terms) complex entries
+_EVAL_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +86,7 @@ class QExpansion:
     # -- evaluation ---------------------------------------------------------
 
     def _arrays(self):
+        """(t, log|a|, sign a) over the nonzero terms, t = (m + param) / width."""
         cached = getattr(self, "_eval_arrays", None)
         if cached is not None:
             return cached
@@ -83,30 +95,32 @@ class QExpansion:
             [log_abs_fraction(self.coeffs[int(m)]) for m in ms], dtype=np.float64
         )
         signs = np.array([1.0 if float(self.coeffs[int(m)]) > 0 else -1.0 for m in ms])
-        self._eval_arrays = (ms, logs, signs)
+        self._eval_arrays = ((ms + float(self.param)) / self.width, logs, signs)
         return self._eval_arrays
 
-    def eval_reduced(self, z: complex) -> tuple[complex, float]:
-        """Series value as (reduced complex, log scale): value = reduced * e^scale."""
-        if not self.coeffs:
-            return 0.0j, NEG_INF
-        ms, logs, signs = self._arrays()
-        x, y = z.real, z.imag
-        t = (ms + float(self.param)) / self.width
-        logterm = logs - 2.0 * math.pi * t * y
-        m0 = float(np.max(logterm))
-        reduced = np.sum(
-            signs * np.exp(logterm - m0) * np.exp(2j * math.pi * t * x)
-        )
-        return complex(reduced), m0
+    def eval_reduced(self, zs) -> tuple[np.ndarray, np.ndarray]:
+        """Series values at zs, a point or an array of points of any shape, as
+        (reduced, log_scale) arrays of that shape: value = reduced * e^log_scale.
 
-    def eval_abs_log(self, z: complex) -> LogScaled:
-        """log-scaled |series value| at z."""
-        reduced, m0 = self.eval_reduced(z)
-        r = abs(reduced)
-        if r == 0.0:
-            return LogScaled.zero()
-        return LogScaled(1, m0 + math.log(r))
+        Each point is shifted by its own largest log term, so a value whose
+        terms all underflow float64 (large y) is still found.  Points are
+        summed in blocks of _EVAL_BLOCK, each a (points, terms) matrix.
+        """
+        zs = np.asarray(zs, dtype=complex)
+        flat = zs.reshape(-1)
+        reduced = np.zeros(flat.shape, dtype=complex)
+        log_scale = np.full(flat.shape, NEG_INF)
+        t, logs, signs = self._arrays()
+        if t.size:
+            rate, freq = 2.0 * math.pi * t, 2j * math.pi * t
+            for lo in range(0, flat.size, _EVAL_BLOCK):
+                z = flat[lo:lo + _EVAL_BLOCK, None]
+                logterm = logs - rate * z.imag
+                m0 = np.max(logterm, axis=1, keepdims=True)
+                terms = signs * np.exp(logterm - m0) * np.exp(freq * z.real)
+                reduced[lo:lo + _EVAL_BLOCK] = np.sum(terms, axis=1)
+                log_scale[lo:lo + _EVAL_BLOCK] = m0[:, 0]
+        return reduced.reshape(zs.shape), log_scale.reshape(zs.shape)
 
     def tail_log(self, y: float, growth: float) -> float:
         """log bound on the dropped tail, assuming |a(m)| <= C (m+1)^growth.

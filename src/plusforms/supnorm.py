@@ -2,7 +2,9 @@
 
 Evaluation of the invariant y^(k/2) |(f|ki)(z)| in the three frames that
 cover a fundamental domain of Gamma_0(4) (identity, Fricke, and the frame
-moving the cusp 1/2), grid+golden-section sup-norm scans, enumeration of
+moving the cusp 1/2) at single points or whole arrays of points, through
+`QExpansion.eval_reduced`; grid+golden-section sup-norm scans (one array
+call per frame for the grid), enumeration of
 
     G_l(4) = { integer 2x2 gamma : det gamma = l, c = 0 mod 4 }
 
@@ -143,28 +145,35 @@ class FormEvaluator:
         peak = kf * width / (4.0 * math.pi * y)
         return math.ceil(3.0 * peak + 40.0 * math.sqrt(kf))
 
-    def eval_frame(self, label: str, z: complex, check: bool = True) -> LogScaled:
-        """y^(k/2) |(f|ki)(z)| as a LogScaled value."""
+    def eval_frame(self, label: str, z, check: bool = True) -> LogScaled:
+        """y^(k/2) |(f|ki)(z)| as a LogScaled value.  For an array of points
+        its sign and logm are arrays of the same shape."""
         fs = self.frames[label]
-        y = z.imag
+        y = np.imag(z)
         if check:
-            need = self.required_precision(label, y)
+            y_min = float(np.min(y))
+            need = self.required_precision(label, y_min)
             if fs.series.prec < need:
                 raise PrecisionError(
-                    f"frame {label} at y={y:.4g} needs coefficient index {need},"
+                    f"frame {label} at y={y_min:.4g} needs coefficient index {need},"
                     f" stored {fs.series.prec}"
                 )
-        val = fs.series.eval_abs_log(z)
-        if val.sign == 0:
-            return val
-        shift = 0.5 * float(self.k) * math.log(y) + fs.log_scale + self.log_norm
-        return LogScaled(val.sign, val.logm + shift)
+        reduced, m0 = fs.series.eval_reduced(z)
+        r = np.hypot(reduced.real, reduced.imag)
+        shift = 0.5 * float(self.k) * np.log(y) + fs.log_scale + self.log_norm
+        with np.errstate(divide="ignore"):
+            logm = m0 + np.log(r) + shift
+        sign = np.where(r > 0.0, 1, 0)
+        if np.ndim(z) == 0:
+            return LogScaled(int(sign), float(logm))
+        return LogScaled(sign, logm)
 
-    def eval_frame_complex(self, label: str, z: complex) -> complex:
-        """Raw series value (f|ki)(z) (no y-power), for kernel work."""
+    def eval_frame_complex(self, label: str, z):
+        """Raw series value (f|ki)(z) (no y-power), for kernel work; an array
+        of the shape of z for an array of points."""
         fs = self.frames[label]
         reduced, logf = fs.series.eval_reduced(z)
-        return reduced * math.exp(logf + fs.log_scale + self.log_norm)
+        return reduced * np.exp(logf + fs.log_scale + self.log_norm)
 
     # -- evaluation anywhere on the upper half plane -------------------------
 
@@ -242,23 +251,22 @@ def supnorm_scan(
 ) -> ScanResult:
     """max over the three frames of sup_{y >= y_min} y^(k/2)|(f|ki)(z)|.
 
-    Coarse grid (log-spaced in y), then coordinate-wise golden-section
-    refinement around the best grid point of each frame.
+    Coarse grid (log-spaced in y), evaluated in one call per frame, then
+    coordinate-wise golden-section refinement around the first best grid
+    point of each frame in y-then-x order.
     """
     kf = float(ev.k)
     if y_max is None:
         y_max = 12.0 * kf / math.pi
     ys = np.exp(np.linspace(math.log(y_min), math.log(y_max), ny))
     xs = np.linspace(0.0, 1.0, nx, endpoint=False)
+    grid = xs + 1j * ys[:, None]  # row i is y = ys[i]
     per_frame = {}
     for label in FRAME_LABELS:
-        best = (LogScaled.zero(), 0.0, ys[0])
-        for y in ys:
-            for x in xs:
-                v = ev.eval_frame(label, complex(x, y))
-                if best[0].sign == 0 or v > best[0]:
-                    best = (v, float(x), float(y))
-        v, x, y = best
+        vals = ev.eval_frame(label, grid)
+        iy, ix = np.unravel_index(np.argmax(vals.logm), grid.shape)
+        v = LogScaled(int(vals.sign[iy, ix]), float(vals.logm[iy, ix]))
+        x, y = float(xs[ix]), float(ys[iy])
         dx = xs[1] - xs[0]
         for _ in range(refine_rounds):
             x, v = _golden(lambda t: ev.eval_frame(label, complex(t, y)), x - dx, x + dx, v, x)
@@ -599,8 +607,7 @@ def bergman_spectral(z: complex, w: complex, evaluators: list[FormEvaluator],
     """Spectral side sum_j conj(f_j(w)) f_j(z) from a basis with Gram matrix."""
     g = np.array(gram, dtype=np.float64)
     ginv = np.linalg.inv(g)
-    vz = np.array([ev.eval_frame_complex("I", z) for ev in evaluators])
-    vw = np.array([ev.eval_frame_complex("I", w) for ev in evaluators])
+    vz, vw = np.array([ev.eval_frame_complex("I", np.array([z, w])) for ev in evaluators]).T
     return complex(np.conjugate(vw) @ ginv @ vz)
 
 

@@ -7,7 +7,9 @@ a plain double loop for series products (no packing, no FFT), q-expansions
 as dicts of Fractions multiplied term by term with their own precision and
 parameter bookkeeping (the library works on integer numerators over a
 common denominator), the frame generators written out coefficient by
-coefficient, naive fraction Gaussian elimination, direct high-precision
+coefficient, 40-digit term-by-term series values (the library sums float64
+terms in blocks, shifted by the largest one), naive fraction Gaussian
+elimination, direct high-precision
 Salie summation, and a quadrature-based completed-L-value with a different
 smoothing than the production incomplete-gamma sums.
 """
@@ -216,6 +218,21 @@ def monomial_reference(a: int, b: int, prec: int, frame: str):
         q = qexp_mul_reference(q, _generator_power(frame, "g", b, prec))
     phase = theta_v_reference(0)[1] ** a if frame == "V4" else complex(1.0)
     return qexp_sum_reference([(1, q)], prec), phase
+
+
+def series_eval_reference(q, z: complex, dps: int = 40):
+    """sum_m a(m) e((m + param) z / width) for a QExpansion q, term by term
+    in dps-digit complex arithmetic.  No scaling is needed: mpmath exponents
+    do not underflow, so this is exact where float64 terms vanish."""
+    with mp.workdps(dps):
+        z = mp.mpc(z.real, z.imag)
+        param = mp.mpf(q.param.numerator) / q.param.denominator
+        total = mp.mpc(0)
+        for m, a in sorted(q.coeffs.items()):
+            a = Fraction(a)
+            t = (m + param) / q.width
+            total += mp.mpf(a.numerator) / a.denominator * mp.exp(2 * mp.pi * mp.j * t * z)
+        return total
 
 
 def naive_rank(rows) -> int:

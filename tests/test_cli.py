@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -91,6 +92,17 @@ def test_kernel_check_cmd():
     rows = json.loads(text)["rows"]
     assert len(rows) == 5
     assert all(r["rel_err"] < 1e-3 for r in rows)
+
+
+def test_supnorm_cmd():
+    code, text = run_cli(["supnorm", "--k", "13/2", "--format", "json"])
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert len(rows) == 1
+    row = rows[0]
+    assert row["frame"] in ("I", "W4", "V4")
+    assert math.sqrt(3.0) / 8.0 <= row["y"] <= 12.0 * 6.5 / math.pi
+    assert math.isfinite(row["log_sup"])
 
 
 def test_scaling_cmd():

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from oracles import (
     monomial_reference,
     qexp_mul_reference,
     qexp_sum_reference,
+    series_eval_reference,
 )
 from plusforms.hecke import dim_cusp_level1
 from plusforms.qexp import (
@@ -28,6 +31,7 @@ from plusforms.qexp import (
     weight2_generator_frame_v,
     weight2_generator_frame_w,
     weight_monomials,
+    zero_expansion,
 )
 
 HALF = Fraction(1, 2)
@@ -56,7 +60,7 @@ def test_weight2_generator_fixture_table():
 
 def _eval_series(q: QExpansion, z: complex) -> complex:
     reduced, scale = q.eval_reduced(z)
-    return reduced * math.exp(scale)
+    return complex(reduced) * math.exp(float(scale))
 
 
 def test_weight2_generator_automorphy_numerically():
@@ -116,6 +120,55 @@ def test_rank_two_at_weight_two():
     rows = [[f.coeff(n) for n in range(10)] for f in basis.forms]
     rank, _, _ = rref_exact(rows)
     assert rank == 2
+
+
+# -- evaluation -------------------------------------------------------------------
+
+
+def _eval_points(label: str, n: int, seed: int) -> np.ndarray:
+    """n random points, y log-uniform over the scan range of k = 13/2; the I
+    frame also gets points near y = 130, where every term underflows float64."""
+    rng = random.Random(seed)
+    pts = [complex(rng.uniform(0.0, 1.0), math.exp(rng.uniform(math.log(0.22), math.log(25.0))))
+           for _ in range(n)]
+    if label == "I":
+        pts[-4:] = [complex(rng.uniform(0.0, 1.0), rng.uniform(128.0, 132.0)) for _ in range(4)]
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("label", ["I", "W4", "V4"])
+def test_eval_reduced_matches_mpmath_oracle(evaluator_13_2, label):
+    q = evaluator_13_2.frames[label].series
+    zs = _eval_points(label, 24, 71).reshape(4, 6)
+    reduced, scale = q.eval_reduced(zs)
+    assert reduced.shape == scale.shape == zs.shape
+    for z, r, s in zip(zs.flat, reduced.flat, scale.flat):
+        ref = series_eval_reference(q, complex(z))
+        with mp.workdps(40):
+            got = mp.mpc(complex(r)) * mp.exp(float(s))
+            assert abs(got - ref) <= 1e-12 * abs(ref), (label, z)
+    if label == "I":
+        # e^scale bounds every term: at y ~ 130 all of them underflow
+        assert np.all(scale.flat[-4:] < math.log(np.finfo(float).smallest_subnormal))
+
+
+def test_eval_reduced_grid_equals_points(evaluator_13_2):
+    for label in ("I", "W4", "V4"):
+        q = evaluator_13_2.frames[label].series
+        zs = _eval_points(label, 300, 72).reshape(12, 25)  # two blocks of points
+        reduced, scale = q.eval_reduced(zs)
+        for idx in np.ndindex(zs.shape):
+            r, s = q.eval_reduced(zs[idx])
+            assert r.shape == s.shape == ()
+            assert r == reduced[idx] and s == scale[idx]
+
+
+def test_eval_reduced_empty_series():
+    q = zero_expansion(Fraction(13, 2), 10)
+    zs = np.array([[0.1 + 1j, 0.2 + 2j, 0.3 + 0.5j]])
+    reduced, scale = q.eval_reduced(zs)
+    assert reduced.shape == scale.shape == zs.shape
+    assert np.all(reduced == 0) and np.all(scale == -math.inf)
 
 
 # -- monomials and spaces ------------------------------------------------------

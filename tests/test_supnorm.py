@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from plusforms.arith import jacobi_symbol
@@ -151,8 +152,10 @@ def test_zero_form_evaluates_to_zero():
     basis = space_basis("13/2", 60, "plus S")
     ev = FormEvaluator.from_basis_element(basis, 0, 60)
     ev.frames["I"].series.coeffs.clear()
-    ev.frames["I"].series._eval_arrays = None
+    ev.frames["I"].series._eval_arrays = None  # QExpansion's term cache
     assert ev.eval_frame("I", complex(0.3, 1.0), check=False).sign == 0
+    grid = ev.eval_frame("I", np.array([0.3 + 1.0j, 0.1 + 2.0j]), check=False)
+    assert list(grid.sign) == [0, 0] and np.all(grid.logm == -math.inf)
 
 
 # -- scan --------------------------------------------------------------------------
