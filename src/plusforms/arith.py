@@ -1,15 +1,16 @@
 """Elementary number-theoretic helpers shared across the package.
 
 Everything here is exact: sieves, divisor functions, Jacobi/Kronecker
-symbols, fundamental discriminants, and a small real quadratic extension
-type used for Hecke eigenvalues whose characteristic polynomial does not
-split over Q.
+symbols, fundamental discriminants, and the one scalar type for Hecke
+eigenvalues that are not rational: an element of a real number field
+Q[y]/(m), y sent to a fixed real root of m, with a correctly rounded float.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -202,107 +203,235 @@ def half_integer(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Real quadratic extension Q(sqrt(d)), d > 1 squarefree.  Just enough exact
-# arithmetic for eigenvalue systems of 2-dimensional Hecke matrices.
+# Real number fields Q[y]/(m), y sent to one real root of m: the one exact
+# scalar type for Hecke eigenvalues.  Polynomials are lists [c_0, ..., c_n].
 # ---------------------------------------------------------------------------
 
 
+def _trim(p: list) -> list:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_mul(a, b) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_divmod(a, b) -> tuple[list, list]:
+    """(q, r) with a = q b + r and r trimmed of degree < deg b (b[-1] != 0)."""
+    r, n = list(a), len(b) - 1
+    q = [Fraction(0)] * max(len(r) - n, 0)
+    for i in range(len(r) - 1 - n, -1, -1):
+        q[i] = c = r[i + n] / b[-1]
+        for j, bj in enumerate(b):
+            r[i + j] -= c * bj
+    return q, _trim(r[:n])
+
+
+def _sturm_chain(m) -> list[list]:
+    """m, m' and the negated Euclidean remainders; the last is a multiple of
+    gcd(m, m')."""
+    chain = [list(m), [i * c for i, c in enumerate(m)][1:]]
+    while len(chain[-1]) > 1:
+        r = _poly_divmod(chain[-2], chain[-1])[1]
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def is_squarefree_poly(p) -> bool:
+    """True when gcd(p, p') is a nonzero constant: no repeated root."""
+    return len(_sturm_chain(p)[-1]) == 1
+
+
+def real_roots(m) -> list:
+    """The roots of a monic squarefree m over Q, descending, as exact scalars;
+    complex roots raise ValueError.
+
+    Degree 1, or degree 2 with a square discriminant: Fractions.  Other
+    degree 2: elements of the one field Q(sqrt d), m = y^2 - d with d
+    squarefree and y -> +sqrt(d).  Degree 3 or more: y in Q[y]/(m), one field
+    per root.  Nothing is factored over Q, so such an m must be irreducible.
+    """
+    m = [Fraction(c) for c in m]
+    n = len(m) - 1
+    chain = _sturm_chain(m)
+    at_minus_inf = [p[-1] * (-1) ** (len(p) - 1) for p in chain]
+    if _sign_changes(at_minus_inf) - _sign_changes([p[-1] for p in chain]) != n:
+        raise ValueError("complex eigenvalues cannot occur for these operators")
+    if n == 1:
+        return [-m[0]]
+    if n > 2:
+        return [NumberField(tuple(m), i)([0, 1]) for i in range(n)]
+    disc = m[1] * m[1] - 4 * m[0]
+    d = squarefree_part(disc.numerator * disc.denominator)
+    square = disc / d
+    s = Fraction(math.isqrt(square.numerator), math.isqrt(square.denominator)) / 2
+    y = NumberField((Fraction(-d), Fraction(0), Fraction(1)), 0)([0, 1]) if d > 1 else 1
+    return [-m[1] / 2 + s * y, -m[1] / 2 - s * y]
+
+
 @dataclass(frozen=True)
-class QuadExt:
-    """a + b*sqrt(d) with a, b rational and d > 1 squarefree."""
+class NumberField:
+    """Q[y]/(m), m monic and squarefree with only real roots, y sent to the
+    index-th largest root (index 0 is the largest).
 
-    a: Fraction
-    b: Fraction
-    d: int
+    Elements whose coordinates above the constant one all vanish are plain
+    Fractions.  m must be irreducible for this to be a field; a reducible m
+    surfaces as a nonzero element with no inverse.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+    modulus: tuple  # (m_0, ..., m_n), m_n = 1
+    index: int
+    _root: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def _coerce(self, other) -> "QuadExt":
-        if isinstance(other, QuadExt):
-            if other.d != self.d and other.b != 0 and self.b != 0:
-                raise ValueError("mixing different quadratic fields")
-            d = self.d if self.b != 0 or other.b == 0 else other.d
-            return QuadExt(other.a, other.b, d)
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(Fraction(other), Fraction(0), self.d)
-        return NotImplemented
+    @property
+    def degree(self) -> int:
+        return len(self.modulus) - 1
+
+    def __call__(self, coords):
+        """sum coords[i] y^i reduced mod m; a Fraction when it is rational."""
+        m, n = self.modulus, len(self.modulus) - 1
+        c = [x if isinstance(x, Fraction) else Fraction(x) for x in coords]
+        for i in range(len(c) - 1, n - 1, -1):
+            for j in range(n):
+                c[i - n + j] -= c[i] * m[j]
+        c = tuple(c[:n]) + (Fraction(0),) * (n - len(c))
+        return FieldElement(self, c) if any(c[1:]) else c[0]
+
+    def coords(self, x) -> tuple:
+        """Power-basis coordinates of a Fraction, an int or an element."""
+        if not isinstance(x, FieldElement):
+            return (Fraction(x),) + (Fraction(0),) * (self.degree - 1)
+        if x.field != self:
+            raise ValueError("mixing elements of different number fields")
+        return x.coords
+
+    def _bracket(self, bits: int) -> tuple[int, int]:
+        """(N, b) with b >= bits and the root in (N / 2^b, (N + 1) / 2^b]:
+        bisection on Sturm's count of the roots above a point, kept here."""
+        st = self._root
+        if not st:
+            bound = 1 << (int(max(abs(c) for c in self.modulus)) + 1).bit_length()  # Cauchy
+            st.update(chain=_sturm_chain(self.modulus), lo=Fraction(-bound),
+                      width=Fraction(2 * bound))
+        chain, lo, width = st["chain"], st["lo"], st["width"]
+        at_inf = _sign_changes([p[-1] for p in chain])
+        while width.denominator < 1 << bits:
+            width /= 2
+            values = [_horner(p, lo + width) for p in chain]
+            if values[0] == 0:
+                raise ValueError(f"the modulus has the rational root {lo + width}")
+            if _sign_changes(values) - at_inf > self.index:
+                lo += width
+        st.update(lo=lo, width=width)
+        b = width.denominator.bit_length() - 1
+        return int(lo * (1 << b)), b
+
+    def embed(self, coords) -> float:
+        """sum coords[i] r^i at the root r, correctly rounded.
+
+        The value at the bracket's left end, plus or minus the width times a
+        bound on the derivative, encloses the true value; the bracket narrows
+        until both ends of the enclosure round to the same float.
+        """
+        den = math.lcm(*(c.denominator for c in coords))
+        a = [c.numerator * (den // c.denominator) for c in coords]
+        n = len(a)
+        for bits in (64, 256, 1024, 4096):
+            lo, b = self._bracket(bits)
+            s, mag = 1 << b, abs(lo) + 1
+            val = sum(c * lo**i * s ** (n - 1 - i) for i, c in enumerate(a))
+            err = sum(i * abs(c) * mag ** (i - 1) * s ** (n - 1 - i)
+                      for i, c in enumerate(a[1:], 1))
+            q = den * s ** (n - 1)
+            if (val - err) / q == (val + err) / q:
+                break
+        return val / q
+
+
+class FieldElement:
+    """sum coords[i] y^i in a NumberField, some coords[i] with i >= 1 nonzero."""
+
+    __slots__ = ("field", "coords")
+
+    def __init__(self, field: NumberField, coords: tuple):
+        self.field, self.coords = field, coords
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, (FieldElement, int, Fraction)):
             return NotImplemented
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+        return self.field([a + b for a, b in zip(self.coords, self.field.coords(other))])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return FieldElement(self.field, tuple(-a for a in self.coords))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
+        if not isinstance(other, (FieldElement, int, Fraction)):
             return NotImplemented
-        return QuadExt(self.a * o.a + self.b * o.b * self.d, self.a * o.b + self.b * o.a, self.d)
+        return self.field(_poly_mul(self.field.coords(other), self.coords))
 
     __rmul__ = __mul__
 
-    def conj(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
-    def norm(self) -> Fraction:
-        return self.a * self.a - self.b * self.b * self.d
-
-    def inverse(self) -> "QuadExt":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero norm element")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+    def inverse(self):
+        """1/x by the extended Euclidean algorithm on (m, x)."""
+        r0, r1 = list(self.field.modulus), _trim(list(self.coords))
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while len(r1) > 1:
+            q, r = _poly_divmod(r0, r1)
+            qs = _poly_mul(q, s1)
+            s0, s1 = s1, [a - b for a, b in itertools.zip_longest(s0, qs, fillvalue=0)]
+            r0, r1 = r1, r
+        if not r1:
+            raise ZeroDivisionError(f"no inverse: the modulus {self.field.modulus} is reducible")
+        return self.field([c / r1[0] for c in s1])
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
+        return self * (other.inverse() if isinstance(other, FieldElement) else 1 / Fraction(other))
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = QuadExt(Fraction(1), Fraction(0), self.d)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return self.inverse() * other
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if isinstance(other, QuadExt):
-            if self.b == 0 and other.b == 0:
-                return self.a == other.a
-            return self.d == other.d and self.a == other.a and self.b == other.b
-        return NotImplemented
+        return (isinstance(other, FieldElement) and self.field == other.field
+                and self.coords == other.coords)
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
+        return hash((self.field, self.coords))
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        return self.field.embed(self.coords)
 
     def __repr__(self):
-        if self.b == 0:
-            return f"{self.a}"
-        return f"({self.a} + {self.b}*sqrt({self.d}))"
+        m = self.field.modulus
+        name = f"sqrt({-m[0]})" if len(m) == 3 and m[1] == 0 and self.field.index == 0 else "y"
+        terms = [f"{c}*{name}" + (f"^{i}" if i > 1 else "")
+                 for i, c in enumerate(self.coords) if i and c]
+        return "(" + " + ".join([str(self.coords[0])] + terms) + ")"

@@ -169,7 +169,7 @@ def cmd_kz(args) -> int:
     rows = []
     ok_all = True
     for f in forms:
-        if f.field_disc is not None:
+        if not isinstance(f.eigenvalue(9), Fraction):
             continue  # rational systems only on the command line
         F = next(
             P for P in partners

@@ -1,8 +1,12 @@
 """Hecke theory on both sides of the Shimura correspondence.
 
 Level-1 integral weight: Victor Miller echelon bases of S_w(SL(2,Z)) built
-from E4, E6 and the discriminant form, classical T(p), exact eigenforms
-(rational or real-quadratic; numeric beyond that).
+from E4, E6 and the discriminant form, classical T(p), exact eigenforms.
+
+Eigenvalues are exact at every degree: rational, in Q(sqrt(d)), or y in
+Q[y]/(charpoly) with y sent to one real root (arith.NumberField).  Both
+sides are diagonalised by T(3) on S_{2k-1} and T(9) on S_k^+, whose
+charpolys agree, so a plus form and its partner share one field.
 
 Half-integral weight: the coefficient action of T(p^2) on the Kohnen plus
 space, simultaneous eigenbases, the pairing lambda(p^2) = Fhat(p) with the
@@ -21,14 +25,15 @@ from functools import lru_cache
 
 from . import intpoly
 from .arith import (
-    QuadExt,
+    FieldElement,
     divisors,
     factorize,
     half_integer,
     is_fundamental_discriminant,
+    is_squarefree_poly,
     kronecker_symbol,
     moebius,
-    squarefree_part,
+    real_roots,
 )
 from .linalg import charpoly_exact
 from .numerics import LogScaled, log_abs_fraction
@@ -77,21 +82,15 @@ def _miller_int(w: int, prec: int) -> tuple[tuple[int, ...], ...]:
         if beta:
             series = intpoly.poly_mul_trunc(series, e6, prec)
         rows.append(series)
-    # echelonize to leading terms q^1, ..., q^d (integer row operations)
+    # echelonize to leading terms q^1, ..., q^d: row i is q^(i+1) + ..., and
+    # no other row touches its pivot, so every pivot is 1 and every step integer
     for i in range(d):
-        piv = rows[i][i + 1]
-        assert piv == 1 or piv != 0
+        assert rows[i][i + 1] == 1
         for j in range(d):
-            if j != i and rows[j][i + 1] != 0:
-                f = Fraction(rows[j][i + 1], piv)
+            f = rows[j][i + 1]
+            if j != i and f:
                 rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
-    out = []
-    for i in range(d):
-        piv = rows[i][i + 1]
-        row = [Fraction(a, 1) / piv for a in rows[i]]
-        assert all(r.denominator == 1 for r in row)
-        out.append(tuple(int(r) for r in row))
-    return tuple(out)
+    return tuple(tuple(row) for row in rows)
 
 
 def miller_basis(w: int, prec: int) -> list[QExpansion]:
@@ -117,81 +116,13 @@ def hecke_integral(F: QExpansion, w: int, p: int) -> QExpansion:
     return QExpansion(F.weight, F.width, F.param, out_prec, coeffs)
 
 
-def _quad_roots(B: Fraction, C: Fraction):
-    """Roots of x^2 + Bx + C, as Fractions if split, else conjugate QuadExt pair."""
-    disc = B * B - 4 * C
-    if disc < 0:
-        raise ValueError("complex eigenvalues cannot occur for these operators")
-    num = disc.numerator * disc.denominator  # disc = num / den^2 form
-    d0 = squarefree_part(num) if num != 0 else 1
-    s2 = disc / d0
-    rs = _sqrt_fraction(s2)
-    if d0 == 1:
-        return (-B + rs) / 2, (-B - rs) / 2
-    half_b = -B / 2
-    half_s = rs / 2
-    return (
-        QuadExt(half_b, half_s, d0),
-        QuadExt(half_b, -half_s, d0),
-    )
-
-
-def _sqrt_fraction(x: Fraction) -> Fraction:
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
-        raise ValueError(f"{x} is not a rational square")
-    return Fraction(rn, rd)
-
-
-def _generic_kernel_vector(mat):
-    """One kernel vector of a singular square matrix over Fraction/QuadExt."""
-    n = len(mat)
-    m = [row[:] for row in mat]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if not _is_zero(m[i][c]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        raise ValueError("matrix is nonsingular, no kernel")
-    fc = free[0]
-    vec = [Fraction(0)] * n
-    vec[fc] = Fraction(1)
-    for c, row in pivots.items():
-        vec[c] = -m[row][fc]
-    return vec
-
-
-def _is_zero(x) -> bool:
-    if isinstance(x, QuadExt):
-        return x.a == 0 and x.b == 0
-    return x == 0
-
-
 @dataclass
 class IntegralForm:
     """Arithmetically normalised Hecke eigenform on SL(2,Z), Fhat(1) = 1."""
 
     weight: int
-    coeffs: list  # scalars (Fraction or QuadExt), index = n, up to precision
-    charpoly: list[Fraction]  # of T(2) on the ambient space
-    field_disc: int | None  # None: rational; else squarefree d of Q(sqrt d)
+    coeffs: list  # exact scalars, index = n, up to precision
+    charpoly: list[Fraction]  # of T(3) on the ambient space
 
     @property
     def precision(self) -> int:
@@ -223,106 +154,60 @@ class IntegralForm:
 
 
 def eigenforms_level1(w: int, prec: int) -> list[IntegralForm]:
-    """Hecke eigenforms of S_w(SL(2,Z)), exactly when the Hecke field has
-    degree <= 2 over Q; higher-degree systems raise (charpoly is still exact
-    via hecke_matrix_level1)."""
+    """Hecke eigenforms of S_w(SL(2,Z)), exact at every degree, by descending
+    T(3) eigenvalue; Fhat(3) = y when the Hecke field has degree 3 or more."""
     d = dim_cusp_level1(w)
     if d == 0:
         return []
     need = max(prec, 2 * d + 2)
     basis = _miller_int(w, need)
-    mat = hecke_matrix_level1(w, 2)
+    mat = hecke_matrix_level1(w, 3)
     cp = charpoly_exact(mat)
-    lams = _eigenvalues_from_charpoly(cp)
     out = []
-    for lam in lams:
-        if d == 1:
-            vec = [Fraction(1)]
-        else:
-            m = [[mat[i][j] - (lam if i == j else 0) for j in range(d)] for i in range(d)]
-            vec = _generic_kernel_vector(m)
+    for _, vec in _eigenvectors(mat, cp, "T(3)"):
         # arithmetic normalization: coefficient at q^1 equals vec[0]
-        v0 = vec[0]
-        if _is_zero(v0):
+        if vec[0] == 0:
             raise RuntimeError("eigenvector has vanishing leading coefficient")
-        vec = [v / v0 for v in vec]
-        coeffs = _combine_int_rows(basis, vec, need)
-        disc = lam.d if isinstance(lam, QuadExt) else None
-        out.append(IntegralForm(w, coeffs, cp, disc))
+        vec = [v / vec[0] for v in vec]
+        out.append(IntegralForm(w, _combine(basis, vec, need + 1), cp))
     return out
 
 
-def _eigenvalues_from_charpoly(cp: list[Fraction]):
-    """Roots of an exact monic charpoly: rational and quadratic factors only."""
-    deg = len(cp) - 1
-    if deg == 1:
-        return [-cp[0]]
-    if deg == 2:
-        r = _quad_roots(cp[1], cp[0])
-        return list(r)
-    # peel off integer roots numerically, then verify exactly
-    import numpy as np
-
-    poly = [float(c) for c in reversed(cp)]
-    roots = np.roots(poly)
-    remaining = cp
-    found = []
-    for r in roots:
-        cand = Fraction(round(float(r.real)))
-        if _poly_eval(remaining, cand) == 0:
-            found.append(cand)
-            remaining = _poly_divide_linear(remaining, cand)
-            if len(remaining) - 1 == 2:
-                found.extend(_quad_roots(remaining[1], remaining[0]))
-                return found
-    if len(remaining) - 1 <= 0:
-        return found
-    raise NotImplementedError(
-        f"Hecke field of degree {len(remaining) - 1} > 2; exact eigenvectors unsupported"
-    )
-
-
-def _poly_eval(cp: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cp):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_divide_linear(cp: list[Fraction], root: Fraction) -> list[Fraction]:
-    """cp / (x - root), exact (root must be a root)."""
-    deg = len(cp) - 1
-    out = [Fraction(0)] * deg
-    acc = Fraction(0)
-    for i in range(deg - 1, -1, -1):
-        acc = cp[i + 1] + acc * root
-        out[i] = acc
+def _eigenvectors(mat, cp, name: str) -> list[tuple]:
+    """(lambda, eigenvector) for each root lambda of the charpoly cp of mat,
+    by descending lambda; cp must be squarefree (the operator separates the
+    eigenforms) with only real roots.  The vector is a nonzero column of
+    q(mat), q = cp / (x - lambda), since (mat - lambda) q(mat) = cp(mat) = 0."""
+    if not is_squarefree_poly(cp):
+        raise RuntimeError(f"{name} does not separate; refinement not implemented "
+                           "for the desk-scale weights this package targets")
+    d = len(mat)
+    out = []
+    for lam in real_roots(cp):
+        q = [Fraction(1)]  # q_(d-1), ..., q_0 by synthetic division
+        for c in cp[-2:0:-1]:
+            q.append(c + lam * q[-1])
+        for j in range(d):  # column j by Horner: vec <- mat vec + q_i e_j
+            vec = [Fraction(int(i == j)) for i in range(d)]
+            for c in q[1:]:
+                vec = [sum((a * v for a, v in zip(row, vec)), start=c if i == j else Fraction(0))
+                       for i, row in enumerate(mat)]
+            if any(v != 0 for v in vec):
+                break
+        out.append((lam, vec))
     return out
 
 
-def _combine_exact(rows, vec, n: int):
-    """sum_j vec[j] * rows[j] on indices 0..n-1 for integer rows and Fraction
-    or QuadExt scalars, as (rational parts, sqrt(d) parts, d).  The last two
-    are None when every scalar is rational."""
-    d0 = next((v.d for v in vec if isinstance(v, QuadExt)), None)
-
-    def part(coeffs):
-        num, den = combine_int_rows(rows, coeffs, n)
+def _combine(rows, vec, n: int) -> list:
+    """Coefficients 0..n-1 of sum_j vec[j] * rows[j] for integer rows and
+    exact scalars: one qexp.combine_int_rows per power-basis coordinate."""
+    field = next((v.field for v in vec if isinstance(v, FieldElement)), None)
+    if field is None:
+        num, den = combine_int_rows(rows, vec, n)
         return [Fraction(x, den) for x in num]
-
-    ra = part([v.a if isinstance(v, QuadExt) else Fraction(v) for v in vec])
-    if d0 is None:
-        return ra, None, None
-    return ra, part([v.b if isinstance(v, QuadExt) else Fraction(0) for v in vec]), d0
-
-
-def _combine_int_rows(basis_rows, vec, prec: int):
-    """Coefficients 0..prec of sum_j vec[j] * basis_rows[j]; all QuadExt when
-    any scalar is."""
-    ra, rb, d0 = _combine_exact(basis_rows, vec, prec + 1)
-    if d0 is None:
-        return ra
-    return [QuadExt(a, b, d0) for a, b in zip(ra, rb)]
+    coords = [field.coords(v) for v in vec]
+    parts = [combine_int_rows(rows, [c[i] for c in coords], n) for i in range(field.degree)]
+    return [field([Fraction(num[t], den) for num, den in parts]) for t in range(n)]
 
 
 def hecke_matrix_level1(w: int, p: int) -> list[list[Fraction]]:
@@ -413,7 +298,6 @@ class HalfIntegralForm:
     basis: SpaceBasis
     vector: list  # scalars over basis.forms
     charpoly: list[Fraction]
-    field_disc: int | None
     shimura_partner: IntegralForm | None = None
     eigen_table: dict = field(default_factory=dict)  # p -> lambda(p^2), scalars
     _coeff_cache: dict = field(default_factory=dict, repr=False)
@@ -439,8 +323,10 @@ class HalfIntegralForm:
         """All fhat(0..n_max) in one pass (fast integer-series combination)."""
         if n_max <= self._cached_upto:
             return [self._coeff_cache[n] for n in range(n_max + 1)]
-        mono_vec = self._monomial_vector()
-        series = _combine_monomials(self.basis, mono_vec, n_max)
+        used = [(mono, v) for mono, v in zip(self.basis.monomials, self._monomial_vector())
+                if v != 0]
+        rows = [_monomial_int(a, b, n_max, "I")[0] for (a, b), _ in used]
+        series = _combine(rows, [v for _, v in used], n_max + 1)
         for n, v in enumerate(series):
             self._coeff_cache[n] = v
         self._cached_upto = n_max
@@ -481,7 +367,7 @@ class HalfIntegralForm:
         """lambda(p^2) read off from the coefficient action at the pivot."""
         pivots = _pivot_indices(self.basis)
         n0 = min(
-            piv for piv, c in zip(pivots, self.vector) if not _is_zero(c)
+            piv for piv, c in zip(pivots, self.vector) if c != 0
         )
         sign = self.basis.sign_unit()
         e_mid = int(self.k - Fraction(3, 2))
@@ -507,28 +393,17 @@ class HalfIntegralForm:
         )
 
 
-def _combine_monomials(basis: SpaceBasis, mono_vec, n_max: int):
-    """Exact coefficients of sum_j mono_vec[j] * Theta^a G^b up to n_max;
-    QuadExt only where the sqrt(d) part is nonzero."""
-    used = [(mono, v) for mono, v in zip(basis.monomials, mono_vec) if v != 0]
-    rows = [_monomial_int(a, b, n_max, "I")[0] for (a, b), _ in used]
-    ra, rb, d0 = _combine_exact(rows, [v for _, v in used], n_max + 1)
-    if d0 is None:
-        return ra
-    return [QuadExt(a, b, d0) if b != 0 else a for a, b in zip(ra, rb)]
-
-
-SEPARATING_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 PAIRING_PRIMES = (3, 5, 7, 11, 13)
 
 
 def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfIntegralForm]:
     """Simultaneous T(p^2) eigenbasis of S_k^+, paired with level-1 partners.
 
-    Eigen-systems are separated with T(9) and, if needed, further odd primes
-    up to 47; failure to separate aborts.  Pairing matches lambda(p^2) with
-    Fhat(p) for the first five odd primes, exactly for rational and
-    quadratic systems.
+    Eigen-systems are separated by T(9): its exact charpoly must be
+    squarefree, else this aborts.  Forms come by descending lambda(9), with
+    exact scalars at every degree (lambda(9) = y in Q[y]/(charpoly) from
+    degree 3 on).  Pairing matches lambda(p^2) with Fhat(p) exactly for the
+    first five odd primes.
     """
     k = half_integer(k)
     w = int(2 * k - 1)
@@ -540,28 +415,12 @@ def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfI
         return []
     mat = hecke_matrix_plus(basis, 3)
     cp = charpoly_exact(mat)
-    lams = _eigenvalues_from_charpoly(cp)
-    if len(set(map(str, lams))) != len(lams):
-        raise RuntimeError("T(9) does not separate; refinement not implemented "
-                           "for the desk-scale weights this package targets")
+    pivots = _pivot_indices(basis)
     forms = []
-    for lam in lams:
-        if d == 1:
-            vec = [Fraction(1)]
-        else:
-            m = [[mat[i][j] - (lam if i == j else 0) for j in range(d)] for i in range(d)]
-            vec = _generic_kernel_vector(m)
-        pivots = _pivot_indices(basis)
-        lead_positions = [i for i, c in enumerate(vec) if not _is_zero(c)]
-        lead = min(lead_positions, key=lambda i: pivots[i])
+    for lam, vec in _eigenvectors(mat, cp, "T(9)"):
+        lead = min((i for i, c in enumerate(vec) if c != 0), key=lambda i: pivots[i])
         vec = [v / vec[lead] for v in vec]
-        f = HalfIntegralForm(
-            k=k,
-            basis=basis,
-            vector=vec,
-            charpoly=cp,
-            field_disc=lam.d if isinstance(lam, QuadExt) else None,
-        )
+        f = HalfIntegralForm(k=k, basis=basis, vector=vec, charpoly=cp)
         f.eigen_table[3] = lam
         forms.append(f)
     if pair:

@@ -46,7 +46,7 @@ def log_abs_int(n: int) -> float:
 
 def log_abs_fraction(x) -> float:
     """log|x| for any scalar: exact for int and Fraction (no float overflow),
-    through float(x) otherwise (floats, QuadExt)."""
+    through float(x) otherwise (floats, number-field elements)."""
     if isinstance(x, int):
         return log_abs_int(x)
     if isinstance(x, float):

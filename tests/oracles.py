@@ -317,3 +317,23 @@ def central_value_quadrature(F, D: int, dps: int = 30) -> float:
         eps = 1 if eps > 0 else -1
         lam = a1 + eps * b1
         return float(lam / (mp.sqrt(qc) * mp.gamma(a + mp.mpf(1) / 2)))
+
+
+@lru_cache(maxsize=None)
+def _real_roots_reference(modulus: tuple, prec: int):
+    """The real roots of a monic rational polynomial, descending, by mpmath
+    polyroots at prec bits."""
+    with mp.workprec(prec):
+        coeffs = [mp.mpf(c.numerator) / c.denominator for c in reversed(modulus)]
+        roots = mp.polyroots(coeffs, maxsteps=400, extraprec=prec)
+        return sorted((mp.re(r) for r in roots), reverse=True)
+
+
+def embedding_reference(x, prec: int = 448):
+    """An exact scalar (Fraction or number-field element) at its field's root,
+    from an mpmath polyroots root and a prec-bit sum."""
+    with mp.workprec(prec):
+        if isinstance(x, Fraction):
+            return mp.mpf(x.numerator) / x.denominator
+        r = _real_roots_reference(x.field.modulus, prec)[x.field.index]
+        return mp.fsum(mp.mpf(c.numerator) / c.denominator * r**i for i, c in enumerate(x.coords))

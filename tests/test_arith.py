@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from plusforms.arith import (
-    QuadExt,
+    FieldElement,
+    NumberField,
     divisors,
     fundamental_discriminants,
     half_integer,
@@ -65,11 +66,25 @@ def test_half_integer_parsing():
 
 
 def test_quadext_field_arithmetic():
-    x = QuadExt(Fraction(1), Fraction(2), 5)  # 1 + 2 sqrt 5
-    y = QuadExt(Fraction(3), Fraction(-1), 5)
-    assert x * y == QuadExt(Fraction(-7), Fraction(5), 5)
+    q5 = NumberField((Fraction(-5), Fraction(0), Fraction(1)), 0)  # Q(sqrt 5)
+    x = q5([1, 2])  # 1 + 2 sqrt 5
+    y = q5([3, -1])
+    assert isinstance(x, FieldElement) and str(x) == "(1 + 2*sqrt(5))"
+    assert x * y == q5([-7, 5])
     assert (x / y) * y == x
-    assert x.conj() * x == x.norm()
     assert float(x) == pytest.approx(1 + 2 * math.sqrt(5))
-    assert x**3 == x * x * x
-    assert QuadExt(Fraction(2), Fraction(0), 5) == 2
+    assert q5([2, 0]) == 2 and isinstance(q5([2, 0]), Fraction)
+    assert x + q5([0, -2]) == 1 and isinstance(x + q5([0, -2]), Fraction)
+    # y^3 - 3y - 1, y -> its largest root 2 cos(pi/9)
+    cubic = NumberField((Fraction(-1), Fraction(-3), Fraction(0), Fraction(1)), 0)
+    r = 2 * math.cos(math.pi / 9)
+    x, y = cubic([1, 2]), cubic([3, -1, 1])
+    assert str(x) == "(1 + 2*y)"
+    assert x * y == cubic([5, 11, -1])  # y^3 = 3y + 1
+    assert (x / y) * y == x
+    assert float(x) == pytest.approx(1 + 2 * r)
+    assert float(x * y) == pytest.approx((1 + 2 * r) * (3 - r + r * r))
+    t = cubic([0, 1])
+    assert t * t * t - 3 * t == 1 and isinstance(t * t * t - 3 * t, Fraction)
+    with pytest.raises(ValueError):
+        t + NumberField(cubic.modulus, 1)([0, 1])  # another root, another field

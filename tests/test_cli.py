@@ -45,9 +45,12 @@ def test_invalid_weight_usage_error():
     assert code != 0
 
 
-def test_uncaught_error_is_named_check(capsys):
-    # the Hecke field at 37/2 is cubic, which the eigenform path does not handle
-    code, _ = run_cli(["eigen", "--k", "37/2"])
+def test_uncaught_error_is_named_check(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise NotImplementedError("injected failure")
+
+    monkeypatch.setattr("plusforms.cli.eigenbasis_plus", broken)
+    code, _ = run_cli(["eigen", "--k", "13/2"])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("FAILED check: eigen: NotImplementedError: ")
@@ -78,6 +81,18 @@ def test_eigen_json():
     assert row["partner_w"] == 12
     assert row["eigenvalues"]["9"] == "252"
     assert row["charpoly"] == ["-252", "1"]
+
+
+def test_eigen_cubic_weight():
+    from plusforms.hecke import hecke_matrix_level1
+    from plusforms.linalg import charpoly_exact
+
+    code, text = run_cli(["eigen", "--k", "37/2", "--format", "json"])
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert len(rows) == 3
+    cp = [str(c) for c in charpoly_exact(hecke_matrix_level1(36, 3))]
+    assert all(row["charpoly"] == cp for row in rows)
 
 
 def test_shimura_check_cmd():

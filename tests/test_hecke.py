@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from plusforms.arith import QuadExt, primes_up_to
+from plusforms.arith import FieldElement, fundamental_discriminants, primes_up_to
 from plusforms.hecke import (
     IntegralForm,
+    _eigenvectors,
+    _miller_int,
     dim_cusp_level1,
     eigenbasis_plus,
     eigenforms_level1,
@@ -21,7 +23,7 @@ from plusforms.hecke import (
 from plusforms.linalg import charpoly_exact
 from plusforms.qexp import PrecisionError, cusp_plus_basis
 
-from oracles import delta_by_eisenstein
+from oracles import delta_by_eisenstein, embedding_reference
 
 
 # -- Miller basis --------------------------------------------------------------
@@ -84,7 +86,7 @@ def test_w24_charpoly_integer_irrational_eigenvalues():
     hi = (1080 + math.sqrt(disc)) / 2
     assert vals[0] == pytest.approx(lo) and vals[1] == pytest.approx(hi)
     for F in forms:
-        assert isinstance(F.coeff(2), QuadExt)
+        assert isinstance(F.coeff(2), FieldElement)
         assert F.coeff(1) == 1
 
 
@@ -129,7 +131,7 @@ def test_hecke_plus_zero_and_character_term():
 def test_eigenbasis_pairing_13_2(eigenform_13_2):
     F = eigenform_13_2.shimura_partner
     assert F.coeff(2) == -24 and F.coeff(3) == 252
-    assert eigenform_13_2.field_disc is None
+    assert isinstance(eigenform_13_2.eigenvalue(9), Fraction)
 
 
 def test_eigenbasis_empty_5_2():
@@ -140,8 +142,9 @@ def test_eigenbasis_25_2_conjugate_pair():
     forms = eigenbasis_plus("25/2")
     assert len(forms) == 2
     l1, l2 = (f.eigenvalue(9) for f in forms)
-    assert isinstance(l1, QuadExt) and l1.conj() == l2
     cp = forms[0].charpoly
+    assert isinstance(l1, FieldElement) and isinstance(l2, FieldElement)
+    assert l1 + l2 == -cp[1] and l1 * l2 == cp[0]  # Vieta
     lam = forms[0].eigenvalue(9)
     # exact root of the exact characteristic polynomial
     assert lam * lam + cp[1] * lam + cp[0] == 0
@@ -207,3 +210,57 @@ def test_multiplicativity_quadratic_field():
     for f in forms:
         for m, n in ((3, 3), (3, 15), (5, 9), (15, 15)):
             assert multiplicativity_check(f, m, n)["ok"]
+
+
+# -- exact scalars of every degree ----------------------------------------------
+
+
+def test_miller_rows_are_integer_echelon():
+    for w in range(12, 62, 2):
+        rows = _miller_int(w, 200)
+        assert len(rows) == dim_cusp_level1(w)
+        for i, row in enumerate(rows):
+            assert all(type(a) is int for a in row)
+            assert [row[j + 1] for j in range(len(rows))] == [int(i == j) for j in range(len(rows))]
+
+
+def test_separation_and_real_roots_are_checked():
+    def mat_cp(rows):
+        mat = [[Fraction(a) for a in row] for row in rows]
+        return mat, charpoly_exact(mat)
+
+    repeated = mat_cp([[1, 0, 0], [0, 1, 0], [0, 0, -2]])  # (x - 1)^2 (x + 2)
+    with pytest.raises(RuntimeError, match=r"T\(9\) does not separate"):
+        _eigenvectors(*repeated, "T(9)")
+    rotation = mat_cp([[0, -1], [1, 0]])  # x^2 + 1
+    with pytest.raises(ValueError, match="complex eigenvalues"):
+        _eigenvectors(*rotation, "T(9)")
+
+
+@pytest.mark.parametrize("k", ["25/2", "29/2", "37/2", "61/2"])
+def test_embedding_correctly_rounded(k):
+    """float() of every fhat(1..1000) is the correctly rounded value of the
+    exact coefficient at the field's root (oracle: mpmath polyroots)."""
+    for f in eigenbasis_plus(k, pair=False):
+        for c in f.coefficients_upto(1000)[1:]:
+            ref = embedding_reference(c)
+            assert abs(float(c) - ref) <= 2.3e-16 * abs(ref)
+
+
+def test_exact_identities_through_61_2():
+    for num in range(37, 62, 2):
+        k = Fraction(num, 2)
+        forms = eigenbasis_plus(k)
+        assert len(forms) == dim_cusp_level1(num - 1)
+        sign = forms[0].basis.sign_unit()
+        for f in forms:
+            lam = f.eigenvalue(9)
+            value = 0
+            for c in reversed(f.charpoly):
+                value = value * lam + c
+            assert value == 0
+            assert f.shimura_partner.coeff(3) == lam
+            for D in fundamental_discriminants(13, sign):
+                assert verify_sqrcoeff(f, D, 6)["ok"]
+            for m, n in ((3, 3), (3, 5), (9, 3), (5, 5)):
+                assert multiplicativity_check(f, m, n)["ok"]
