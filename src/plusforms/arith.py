@@ -92,11 +92,39 @@ def sigma1_table(n_max: int) -> list[int]:
     return table
 
 
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
+def sqrt_mod_prime_power(a: int, p: int, e: int) -> tuple[int, ...]:
+    """The square roots of a modulo p^e, for an odd prime p not dividing a:
+    () if a is not a square mod p, else (y, p^e - y) with y < p^e / 2.
+
+    Tonelli-Shanks finds the root mod p; Newton (Hensel) steps then double
+    its p-adic precision until it holds mod p^e (2y is a unit, so the lift
+    of each root mod p is unique).
+    """
+    if p % 2 == 0 or a % p == 0:
+        raise ValueError("sqrt_mod_prime_power needs an odd prime p not dividing a")
+    if pow(a, (p - 1) // 2, p) != 1:
+        return ()
+    odd, s = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        s += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, y, t = pow(z, odd, p), pow(a, (odd + 1) // 2, p), pow(a, odd, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        y, c = y * b % p, b * b % p
+        t, s = t * c % p, i
+    q = p**e
+    while (y * y - a) % q:
+        y = (y - (y * y - a) * pow(2 * y, -1, q)) % q
+    y = min(y, q - y)
+    return (y, q - y)
 
 
 def squarefree_part(n: int) -> int:
@@ -195,9 +223,11 @@ def half_integer(value) -> Fraction:
         k = Fraction(int(num), int(den)) if den else Fraction(int(num))
     elif isinstance(value, tuple):
         k = Fraction(value[0], value[1])
+    elif isinstance(value, Fraction):
+        k = value
     else:
         k = Fraction(value)
-    if (2 * k).denominator != 1:
+    if k.denominator > 2:
         raise ValueError(f"not a half-integer: {value!r}")
     return k
 

@@ -151,16 +151,6 @@ class LogScaled:
     def __sub__(self, other):
         return self + (-LogScaled._lift(other))
 
-    def powi(self, e: float) -> "LogScaled":
-        """Power for positive values (or integer e with sign bookkeeping)."""
-        if self.sign == 0:
-            return LogScaled.zero()
-        if self.sign < 0:
-            if float(e) != int(e):
-                raise ValueError("fractional power of a negative LogScaled")
-            return LogScaled((-1) ** (int(e) % 2), self.logm * e)
-        return LogScaled(1, self.logm * e)
-
     def log(self) -> float:
         if self.sign <= 0:
             raise ValueError("log of non-positive LogScaled")
@@ -348,15 +338,6 @@ def _miller_downward(n: int, x: float) -> LogScaled:
     )
     sign = (1 if val > 0 else -1) * (1 if ref_rec * ref_exact > 0 else -1)
     return LogScaled(sign, logm)
-
-
-def bessel_smallarg_bound_log(rho: float, x: float) -> float:
-    """log of the rigorous bound e^{1/8} (x/2)^rho / Gamma(rho+1), valid for rho >= 2x^2.
-
-    From the absolute ascending series: |J_rho(x)| <= (x/2)^rho/Gamma(rho+1)
-    * exp(x^2/(4(rho+1))) and x^2/(4(rho+1)) <= 1/8 when rho >= 2x^2.
-    """
-    return 0.125 + rho * math.log(x / 2.0) - math.lgamma(rho + 1.0)
 
 
 def check_bessel_smallarg(rho_grid, x_grid, constant: float = 2.0) -> dict:

@@ -1,7 +1,13 @@
 """Salie-type character sums and plus-space Poincare coefficients.
 
-H_c(n, m) is a finite exponential sum over units delta mod 4c twisted by
-(4c|delta) and a quartic unit power; the plus-space Poincare series has
+H_c(n, m) is Kohnen's twisted Kloosterman sum (Math. Ann. 271, 1985), an
+exponential sum over the units delta mod 4c twisted by (4c|delta) and a
+quartic unit power.  `salie_h` evaluates it in closed form: a product of
+local sums over 2^(s+2) and each p^e exactly dividing the odd part of c,
+the odd ones prime to nm by square roots of nm mod p^e (Iwaniec, Topics in
+Classical Automorphic Forms, 1997), the others exactly in cyclotomic
+integers.  So the work per c is a few short local sums, not the 4c units,
+and a vanishing H_c is an exact 0.  The plus-space Poincare series has
 Fourier coefficients
 
   g_{k,m}(n) = (2/3) [ delta_{m,n} + (-1)^floor((k+1/2)/2) pi sqrt(2)
@@ -15,11 +21,12 @@ Bessel bound once k - 1 >= 2 (pi sqrt(nm)/c)^2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import half_integer, jacobi_symbol, kronecker_symbol
+from .arith import factorize, half_integer, jacobi_symbol, sqrt_mod_prime_power
 from .numerics import (
     NEG_INF,
     CertifiedValue,
@@ -27,7 +34,6 @@ from .numerics import (
     bessel_j_half,
     gamma_half,
     logsumexp,
-    unit_power,
 )
 
 HALF = Fraction(1, 2)
@@ -57,45 +63,102 @@ class SalieParams:
 
 
 def salie_h(p: SalieParams) -> complex:
-    """H_c(n, m): prefactor (1 - (-1)^(k-1/2) i)(1 + (4|c)) / (4c) times the
-    twisted unit sum over delta mod 4c.
+    """H_c(n, m) = (1 - (-1)^(k-1/2) i)(1 + (4|c)) / (4c) times
 
-    (4|c) is the Kronecker symbol: 1 for odd c, 0 for even c, so odd c get
-    weight 2 and even c weight 1.  This normalization is the one pinned down
-    by the exact plus-space eigenform ratios (see the spectral tests).
+        sum_{delta mod 4c, unit} (4c|delta) eps(delta) e((n delta + m delta^-1) / 4c),
+
+    eps(delta) = 1 for delta = 1 mod 4 and (-1)^k = e(k/2) for delta = 3 mod 4.
+    (4|c) is the Kronecker symbol: odd c get weight 2, even c weight 1, the
+    normalisation pinned down by the exact plus-space eigenform ratios (see
+    the spectral tests).
+
+    No unit is summed over 4c.  With 4c = Q R, Q = 2^(s+2), R odd, quadratic
+    reciprocity turns (4c|delta) into (2|delta)^s (-1)^((R-1)/2 (delta-1)/2)
+    (delta|R), and 1/(4c) = u/Q + sum t_p/p^e (CRT over Q and each p^e || R)
+    makes the sum a product of local sums.  An odd factor with p not dividing
+    its twisted A B is a Salie sum (e odd) or a Kloosterman sum (e even) in
+    closed form, a short sum over the square roots of A B mod p^e; the 2-adic
+    factor and any odd factor with p | A B are summed over their local units
+    in exact cyclotomic integers.  A vanishing local factor, hence H_c, is an exact 0.
     """
-    c, n, m, k = p.c, p.n, p.m, half_integer(p.k)
-    chi4 = kronecker_symbol(4, c)
-    sgn = _sign_unit(k)
-    pref = (1 - sgn * 1j) * (1 + chi4) / (4 * c)
-    minus4_pow = {1: 1.0 + 0.0j, -1: unit_power(-1, k)}
-    total = 0.0j
-    mod = 4 * c
-    units = [d for d in range(1, mod, 2) if math.gcd(d, mod) == 1]
-    inverses = _batch_inverse(units, mod)
-    for delta, dinv in zip(units, inverses):
-        chi = jacobi_symbol(mod, delta)
-        if chi == 0:
-            continue
-        eps = minus4_pow[jacobi_symbol(-4, delta)]
-        angle = 2.0 * math.pi * ((n * delta + m * dinv) % mod) / mod
-        total += chi * eps * complex(math.cos(angle), math.sin(angle))
-    return pref * total
+    c, n, m, sgn = p.c, p.n, p.m, _sign_unit(half_integer(p.k))
+    s = (c & -c).bit_length() - 1
+    r = c >> s
+    q2 = 4 << s
+    u = pow(r, -1, q2)
+    total = _two_adic_sum(q2, s, r, sgn, n * u % q2, m * u % q2)
+    for prime, e in factorize(r):
+        if not total:
+            break
+        q = prime**e
+        t = pow(4 * c // q, -1, q)
+        total *= _odd_local_sum(prime, e, n * t % q, m * t % q)
+    if not total:
+        return 0j
+    return (1 - sgn * 1j) * (2 if s == 0 else 1) / (4 * c) * total
 
 
-def _batch_inverse(values: list[int], mod: int) -> list[int]:
-    """Inverses mod `mod` of a list of units, with a single modular inversion."""
-    if not values:
-        return []
-    prefix = [1] * (len(values) + 1)
-    for i, v in enumerate(values):
-        prefix[i + 1] = prefix[i] * v % mod
-    inv_all = pow(prefix[-1], -1, mod)
-    out = [0] * len(values)
-    for i in range(len(values) - 1, -1, -1):
-        out[i] = prefix[i] * inv_all % mod
-        inv_all = inv_all * values[i] % mod
-    return out
+def _cyclotomic_value(coeffs: list[int], q: int) -> complex:
+    """sum_j coeffs[j] e(j/q); exactly 0j when every coefficient is 0."""
+    return sum((x * cmath.exp(2j * math.pi * j / q) for j, x in enumerate(coeffs) if x), 0j)
+
+
+def _two_adic_sum(q: int, s: int, r: int, sgn: int, a: int, b: int) -> complex:
+    """sum over odd x mod q = 2^(s+2) of (2|x)^s (-1)^((r-1)/2 (x-1)/2) eps(x)
+    e((a x + b x^-1)/q), eps(x) = sgn i for x = 3 mod 4.
+
+    Each term is +-e(j/q) (i = e(1/4) is a q-th root of unity), and the
+    e(j/q) with j < q/2 are a Z-basis of Z[e(1/q)], so the sum is kept as
+    integer coordinates in that basis and is zero exactly when they all are.
+    """
+    half = q // 2
+    coeffs = [0] * half
+    twist3 = sgn * (-1 if r % 4 == 3 else 1)
+    for x in range(1, q, 2):
+        sign = -1 if s % 2 and x % 8 in (3, 5) else 1
+        j = (a * x + b * pow(x, -1, q)) % q
+        if x % 4 == 3:
+            sign *= twist3
+            j = (j + q // 4) % q
+        if j >= half:
+            coeffs[j - half] -= sign
+        else:
+            coeffs[j] += sign
+    return _cyclotomic_value(coeffs, q)
+
+
+def _odd_local_sum(p: int, e: int, a: int, b: int) -> complex:
+    """sum over units x mod q = p^e of (x|p)^e e((a x + b x^-1)/q), p odd.
+
+    If p does not divide a b, the closed form over the roots y^2 = a b mod q:
+    eps_q sqrt(q) (b|p) sum_y e(2y/q) for e odd (eps_q = 1 or i as q = 1 or
+    3 mod 4), sqrt(q) sum_y e(2y/q) for e even, and 0 with no root.
+    Otherwise the sum is taken over the units as integer coordinates on the
+    e(j/q), which vanish in Z[e(1/q)] exactly when they are periodic mod
+    p^(e-1) (the q-th cyclotomic polynomial is sum_i X^(i p^(e-1))).
+    """
+    q = p**e
+    if a % p and b % p:
+        roots = sqrt_mod_prime_power(a * b, p, e)
+        if not roots:
+            return 0j
+        y = roots[0]
+        value = 2.0 * math.sqrt(q) * math.cos(4.0 * math.pi * y / q)
+        if e % 2 == 0:
+            return complex(value)
+        value *= jacobi_symbol(b, p)
+        return complex(value) if q % 4 == 1 else complex(0.0, value)
+    chi = [-1] * p
+    for x in range(1, p):
+        chi[x * x % p] = 1
+    coeffs = [0] * q
+    for x in range(1, q):
+        if x % p:
+            coeffs[(a * x + b * pow(x, -1, q)) % q] += chi[x % p] if e % 2 else 1
+    period = q // p
+    if all(coeffs[j] == coeffs[j % period] for j in range(period, q)):
+        return 0j
+    return _cyclotomic_value(coeffs, q)
 
 
 def salie_h_raw(c: int, n: int, m: int, k) -> complex:
@@ -110,6 +173,7 @@ class PoincareCoeff:
     value: CertifiedValue
     c_max: int
     tail_bound: float
+    imag_residual: float  # (2/3) |Im| of the c-sum; 0 in exact arithmetic, not in the error
 
 
 def _bessel_tail_log(k: float, x_at_c1: float, c_from: int) -> float:
@@ -160,7 +224,7 @@ def poincare_coeff(k, m: int, n: int, tol: float = 1e-10, c_cap: int = 10**6) ->
     total = 0.0j
     bessel_err_logs = []
     for c in range(1, c_max + 1):
-        h = _salie_cached(c, n, m, k)
+        h = salie_h(SalieParams(c, n, m, k))
         if h == 0:
             continue
         j = bessel_j_half(k - 1, x1 / c)
@@ -176,24 +240,11 @@ def poincare_coeff(k, m: int, n: int, tol: float = 1e-10, c_cap: int = 10**6) ->
     err_logs = [tail_log]
     if bessel_err_logs:
         err_logs.append(pref_log + math.log(2.0 / 3.0) + logsumexp(bessel_err_logs))
-    if imag != 0.0:
-        err_logs.append(math.log(abs(imag)))
     err_log = logsumexp(err_logs)
     return PoincareCoeff(
-        k, m, n, CertifiedValue(LogScaled.from_float(value), err_log), c_max, math.exp(tail_log)
+        k, m, n, CertifiedValue(LogScaled.from_float(value), err_log), c_max,
+        math.exp(tail_log), abs(imag),
     )
-
-
-_H_CACHE: dict = {}
-
-
-def _salie_cached(c: int, n: int, m: int, k: Fraction) -> complex:
-    key = (c, n, m, k)
-    if key not in _H_CACHE:
-        if len(_H_CACHE) > 200000:
-            _H_CACHE.clear()
-        _H_CACHE[key] = salie_h_raw(c, n, m, k)
-    return _H_CACHE[key]
 
 
 def spectral_average(k, m: int, rel_tol: float = 1e-8) -> CertifiedValue:

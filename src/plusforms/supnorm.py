@@ -32,14 +32,6 @@ SQRT3_OVER_8 = math.sqrt(3.0) / 8.0
 
 FRAME_LABELS = ("I", "W4", "V4")
 
-# matrix parts and cusp data of the three frames; multipliers have
-# |phi| = |j|^k with j = 2z for the Fricke frame and 2z+1 for the V frame
-FRAME_MATRIX = {
-    "I": (Fraction(1), Fraction(0), Fraction(0), Fraction(1)),
-    "W4": (Fraction(0), Fraction(-1, 2), Fraction(2), Fraction(0)),
-    "V4": (Fraction(1), Fraction(0), Fraction(2), Fraction(1)),
-}
-
 
 @dataclass(frozen=True)
 class CuspFrame:
@@ -61,11 +53,6 @@ class CuspFrame:
         if label == "V4":
             return CuspFrame("V4", "1/2", 1, Fraction(1, 2) - Fraction(sign, 4))
         raise ValueError(f"unknown frame {label!r}")
-
-
-def frame_apply(label: str, z: complex) -> complex:
-    a, b, c, d = FRAME_MATRIX[label]
-    return (float(a) * z + float(b)) / (float(c) * z + float(d))
 
 
 @dataclass

@@ -9,9 +9,11 @@ parameter bookkeeping (the library works on integer numerators over a
 common denominator), the frame generators written out coefficient by
 coefficient, 40-digit term-by-term series values (the library sums float64
 terms in blocks, shifted by the largest one), naive fraction Gaussian
-elimination, direct high-precision
-Salie summation, and a quadrature-based completed-L-value with a different
-smoothing than the production incomplete-gamma sums.
+elimination, Salie sums by direct summation over the units mod 4c (in
+doubles and in 40-digit arithmetic; the library factors them into local
+sums with square roots mod prime powers), and a quadrature-based
+completed-L-value with a different smoothing than the production
+incomplete-gamma sums.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import mpmath as mp
+import numpy as np
 
 
 def bessel_series(rho, x, dps: int = 60):
@@ -254,6 +257,47 @@ def naive_rank(rows) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def salie_unit_sum(c: int, n, m, k: Fraction):
+    """H_c(n, m) by the O(c) double-precision sum over the units delta mod 4c:
+    prefactor (1 - (-1)^(k-1/2) i)(1 + (4|c)) / (4c) times the sum of
+    (4c|delta) (-1)^k[delta = 3 mod 4] e((n delta + m delta^-1) / 4c).
+
+    n and m may be integer arrays, broadcast together, so that one table of
+    units, inverses and characters serves a whole grid of indices; scalars
+    give a complex."""
+    from plusforms.arith import half_integer, jacobi_symbol, kronecker_symbol
+    from plusforms.numerics import unit_power
+
+    k = half_integer(k)
+    n, m = np.asarray(n), np.asarray(m)
+    chi4 = kronecker_symbol(4, c)
+    sgn = -1 if int(k - Fraction(1, 2)) % 2 else 1
+    pref = (1 - sgn * 1j) * (1 + chi4) / (4 * c)
+    minus4_pow = {1: 1.0 + 0.0j, -1: unit_power(-1, k)}
+    mod = 4 * c
+    units = [d for d in range(1, mod, 2) if math.gcd(d, mod) == 1]
+    inverses = np.array(_batch_inverse(units, mod))
+    weights = np.array([jacobi_symbol(mod, d) * minus4_pow[jacobi_symbol(-4, d)] for d in units])
+    angle = 2.0 * np.pi * ((n[..., None] * np.array(units) + m[..., None] * inverses) % mod) / mod
+    out = pref * (weights * (np.cos(angle) + 1j * np.sin(angle))).sum(axis=-1)
+    return complex(out) if out.ndim == 0 else out
+
+
+def _batch_inverse(values: list[int], mod: int) -> list[int]:
+    """Inverses mod `mod` of a list of units, with a single modular inversion."""
+    if not values:
+        return []
+    prefix = [1] * (len(values) + 1)
+    for i, v in enumerate(values):
+        prefix[i + 1] = prefix[i] * v % mod
+    inv_all = pow(prefix[-1], -1, mod)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = prefix[i] * inv_all % mod
+        inv_all = inv_all * values[i] % mod
+    return out
 
 
 def salie_direct(c: int, n: int, m: int, k: Fraction, dps: int = 40):

@@ -15,6 +15,7 @@ from plusforms.arith import (
     moebius,
     primes_up_to,
     sigma1,
+    sqrt_mod_prime_power,
     squarefree_part,
 )
 
@@ -88,3 +89,25 @@ def test_quadext_field_arithmetic():
     assert t * t * t - 3 * t == 1 and isinstance(t * t * t - 3 * t, Fraction)
     with pytest.raises(ValueError):
         t + NumberField(cubic.modulus, 1)([0, 1])  # another root, another field
+
+
+def test_sqrt_mod_prime_power_against_squares_table():
+    # every unit residue mod p^e, p = 3 mod 4, 1 mod 4 and 1 mod 8 (the
+    # Tonelli-Shanks loop), e up to 4: exactly the roots a table of squares has
+    for p, e_max in ((3, 5), (5, 4), (7, 3), (11, 2), (17, 2), (41, 2), (73, 1), (97, 1), (113, 1)):
+        for e in range(1, e_max + 1):
+            q = p**e
+            roots = {}
+            for y in range(q):
+                roots.setdefault(y * y % q, []).append(y)
+            for a in range(1, q):
+                if a % p:
+                    assert sqrt_mod_prime_power(a, p, e) == tuple(roots.get(a, ())), (a, p, e)
+    # a and p^e far past any table
+    p, y = 1_000_000_007, 123_456_789
+    q = p**3
+    assert sqrt_mod_prime_power(y * y % q, p, 3) == (y, q - y)
+    with pytest.raises(ValueError):
+        sqrt_mod_prime_power(9, 3, 2)
+    with pytest.raises(ValueError):
+        sqrt_mod_prime_power(3, 2, 2)

@@ -186,8 +186,10 @@ def test_lower_bound_vs_measured_sup(delta_form, scan_13_2, norm_f_13_2):
 
 def test_sym2_k_sweep_bracket(delta_form):
     """L(sym^2 F, 1) across the sweep stays within [0.1, 10] (desk-scale proxy
-    for the k^(+-eps) bounds).  Weights with Hecke fields of degree > 2 have
-    no exact eigenvectors here and are outside the sweep."""
+    for the k^(+-eps) bounds).  The weights stop at w = 34, the last whose
+    Hecke fields have degree at most 2.  Eigenforms are exact at every weight
+    through 60 as well; the list is bounded by the cost of the Euler product
+    to 20000 primes per form, not by the eigenvectors."""
     from plusforms.hecke import eigenforms_level1
 
     lo, hi = math.inf, 0.0

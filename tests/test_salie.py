@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from plusforms.salie import (
@@ -12,7 +13,7 @@ from plusforms.salie import (
     spectral_average,
 )
 
-from oracles import salie_direct
+from oracles import salie_direct, salie_unit_sum
 
 
 def test_admissibility():
@@ -40,11 +41,45 @@ def test_salie_against_direct_oracle():
         assert mine == pytest.approx(ref, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", ["13/2", "15/2", "17/2", "19/2", "61/2"])
+def test_salie_closed_form_against_unit_sum_grid(k):
+    """Every c < 400 (2^s to 256, p^e with p | nm, Tonelli-Shanks primes
+    p = 1 mod 8, 9, 25, 27, 49, 121, 125, 343) and every (n, m) over the first
+    8 admissible indices: the closed form matches the unit sum to 1e-12, and
+    is an exact 0 wherever the unit sum is below 1e-12."""
+    idx = [n for n in range(1, 40) if admissible(k, n)][:8]
+    grid = np.array(idx)
+    for c in range(1, 400):
+        ref = salie_unit_sum(c, grid[:, None], grid[None, :], Fraction(k))
+        for i, n in enumerate(idx):
+            for j, m in enumerate(idx):
+                h = salie_h_raw(c, n, m, k)
+                assert abs(h - ref[i, j]) < 1e-12, (c, n, m)
+                if abs(ref[i, j]) < 1e-12:
+                    assert h == 0, (c, n, m)
+
+
+def test_salie_closed_form_against_direct_oracle_sparse():
+    """A sparse subset of the grid, including the prime powers, against the
+    40-digit unit sum."""
+    for k in ("13/2", "15/2"):
+        idx = [n for n in range(1, 40) if admissible(k, n)][:8]
+        for c in (8, 9, 25, 27, 49, 64, 73, 97, 121, 125, 256, 343, 360):
+            for n, m in ((idx[0], idx[1]), (idx[2], idx[2]), (idx[3], idx[7])):
+                ref = salie_direct(c, n, m, Fraction(k))
+                h = salie_h_raw(c, n, m, k)
+                assert abs(h - ref) < 1e-12, (k, c, n, m)
+                assert (h == 0) == (abs(ref) < 1e-12), (k, c, n, m)
+
+
 def test_salie_even_c_prefactor_weight():
     # even c carries prefactor weight 1 (the (4|c) symbol vanishes);
-    # odd c, including c = 3 mod 4, carries weight 2 and does contribute
+    # odd c, including c = 3 mod 4, carries weight 2 and does contribute.
+    # H_2(1, 1) vanishes at 13/2 (the 40-digit unit sum is 1e-42): its 2-adic
+    # sum cancels exactly, so c = 4 shows that even c contribute
     assert salie_h_raw(3, 1, 1, "13/2") != 0
-    assert salie_h_raw(2, 1, 1, "13/2") != 0
+    assert salie_h_raw(2, 1, 1, "13/2") == 0
+    assert salie_h_raw(4, 1, 1, "13/2") != 0
 
 
 def test_poincare_delta_limit():
@@ -58,9 +93,11 @@ def test_poincare_delta_limit():
 def test_poincare_reality():
     for m in (1, 4, 5):
         g = poincare_coeff("13/2", m, m, tol=1e-10)
-        # the certified error absorbs any residual imaginary part
+        # H_c(m, m) is real: the imaginary residual of the c-sum is rounding,
+        # kept out of the certified error and below it
         assert g.value.value.sign != 0
         assert g.value.err < 1e-9
+        assert g.imag_residual < g.value.err
 
 
 def test_poincare_truncation_honesty():
