@@ -18,7 +18,9 @@ from plusforms.salie import poincare_coeff, salie_h_raw, spectral_average
 
 print("H_c(1,1) at k = 13/2 for small c:")
 for c in range(1, 7):
-    print(f"  c = {c}: {salie_h_raw(c, 1, 1, '13/2'):+.6f}")
+    h = salie_h_raw(c, 1, 1, "13/2")
+    assert abs(h.imag) < 1e-12, (c, h)
+    print(f"  c = {c}: {h.real:+.6f}")
 
 g = poincare_coeff("13/2", 1, 1, tol=1e-12)
 print()

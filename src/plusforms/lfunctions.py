@@ -202,19 +202,30 @@ def _gauss_nodes(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def _cap_nodes(order: int) -> tuple[list[complex], list[float]]:
+def _cap_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss nodes and weights on the cap of the standard fundamental
     domain below y = 1, on x in [0, 1/2] with weights doubled for the
     reflection x -> -x.  x is outermost so the inner bound sqrt(1 - x^2)
     stays smooth; y outermost would put a square-root singularity at y = 1
     and stall the quadrature."""
-    pts, wts = [], []
     xs, wx = _gauss_nodes(0.0, 0.5, order)
-    for x, wgt in zip(xs, wx):
-        ys, wy = _gauss_nodes(math.sqrt(1.0 - x * x), 1.0, order)
-        pts.extend(x + 1j * ys)
-        wts.extend(2.0 * wgt * wy)
-    return pts, wts
+    ys, wy = _gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, order)
+    return (xs[:, None] + 1j * ys).ravel(), (2.0 * wx[:, None] * wy).ravel()
+
+
+def _domain_nodes(order: int, y_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights) covering the standard fundamental domain: the cap
+    below y = 1, then strips [2^j, 2^(j+1)] up to y_cap, each a tensor grid
+    with y outer and x inner."""
+    edges = [1.0]
+    while edges[-1] < y_cap:
+        edges.append(min(2 * edges[-1], y_cap))
+    ys, wy = _gauss_nodes(np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None], order)
+    xs, wx = _gauss_nodes(-0.5, 0.5, order)
+    cap_pts, cap_wts = _cap_nodes(order)
+    pts = xs + 1j * ys.reshape(-1, 1)
+    wts = wx * wy.reshape(-1, 1)
+    return np.concatenate([cap_pts, pts.ravel()]), np.concatenate([cap_wts, wts.ravel()])
 
 
 def petersson_norm_integral(F, rtol: float = 1e-8) -> CertifiedValue:
@@ -247,10 +258,9 @@ def petersson_norm_integral(F, rtol: float = 1e-8) -> CertifiedValue:
 
     def cap_integral(order: int) -> float:
         zs, wts = _cap_nodes(order)
-        zs = np.array(zs)
         reduced, log_scale = series.eval_reduced(zs)
         abs_sq = np.abs(reduced) ** 2 * np.exp(2.0 * log_scale)
-        return float(np.sum(np.array(wts) * zs.imag ** (w - 2.0) * abs_sq))
+        return float(np.sum(wts * zs.imag ** (w - 2.0) * abs_sq))
 
     c1, c2 = cap_integral(24), cap_integral(36)
     value = strip + c2
@@ -281,25 +291,9 @@ def petersson_gram(evals: list[FormEvaluator], y_cap: float = 64.0) -> tuple[np.
     k = float(evals[0].k)
     n = len(evals)
 
-    def domain_nodes(order: int):
-        """(points, weights) covering the standard fundamental domain: the
-        cap below y = 1, then strips [2^j, 2^(j+1)] up to y_cap."""
-        pts, wts = _cap_nodes(order)
-        lo = 1.0
-        while lo < y_cap:
-            hi = min(2 * lo, y_cap)
-            ys, wy = _gauss_nodes(lo, hi, order)
-            xs, wx = _gauss_nodes(-0.5, 0.5, order)
-            for y, wgy in zip(ys, wy):
-                for x, wgx in zip(xs, wx):
-                    pts.append(complex(x, y))
-                    wts.append(wgx * wgy)
-            lo = hi
-        return np.array(pts), np.array(wts)
-
     def assemble(order: int) -> np.ndarray:
         g = np.zeros((n, n), dtype=complex)
-        zs, wts = domain_nodes(order)
+        zs, wts = _domain_nodes(order, y_cap)
         measure = wts / zs.imag**2
         for label, scale, shift in _PIECES:
             vals = np.stack([ev.eval_frame_complex(label, scale * (zs + shift)) for ev in evals])

@@ -9,7 +9,8 @@ its Fractions are made.
 
 `QExpansion.eval_reduced` is the one place where a truncated series is
 summed at points: whole arrays of points in fixed-size blocks, each point
-shifted by its largest log term so that nothing overflows or underflows.
+shifted by its largest log term so that nothing overflows or underflows,
+with one exponential per distinct y and one per distinct x.
 The frame evaluators, the sup-norm scan, the Petersson quadratures and the
 Bergman kernel's spectral side all evaluate through it.
 
@@ -103,23 +104,31 @@ class QExpansion:
         (reduced, log_scale) arrays of that shape: value = reduced * e^log_scale.
 
         Each point is shifted by its own largest log term, so a value whose
-        terms all underflow float64 (large y) is still found.  Points are
-        summed in blocks of _EVAL_BLOCK, each a (points, terms) matrix.
+        terms all underflow float64 (large y) is still found.  A term is
+        sign * e^(log|a| - 2 pi t y - shift(y)) times e^(2 pi i t x): the real
+        factor is computed once per distinct y and the phase once per distinct
+        x.  The points are cut into tiles of at most _EVAL_BLOCK distinct y by
+        _EVAL_BLOCK distinct x, which bounds both factor tables; within a tile,
+        blocks of _EVAL_BLOCK points gather their (points, terms) products and
+        sum each row.  A tensor grid of points costs about one exp per row and
+        one per column, and every value equals the term-by-term sum bit for bit.
         """
         zs = np.asarray(zs, dtype=complex)
         flat = zs.reshape(-1)
         reduced = np.zeros(flat.shape, dtype=complex)
         log_scale = np.full(flat.shape, NEG_INF)
         t, logs, signs = self._arrays()
-        if t.size:
+        if t.size and flat.size:
             rate, freq = 2.0 * math.pi * t, 2j * math.pi * t
-            for lo in range(0, flat.size, _EVAL_BLOCK):
-                z = flat[lo:lo + _EVAL_BLOCK, None]
-                logterm = logs - rate * z.imag
+            for pts, ys, iy, xs, ix in _tiles(flat):
+                logterm = logs - rate * ys[:, None]
                 m0 = np.max(logterm, axis=1, keepdims=True)
-                terms = signs * np.exp(logterm - m0) * np.exp(freq * z.real)
-                reduced[lo:lo + _EVAL_BLOCK] = np.sum(terms, axis=1)
-                log_scale[lo:lo + _EVAL_BLOCK] = m0[:, 0]
+                real = signs * np.exp(logterm - m0)
+                phase = np.exp(freq * xs[:, None])
+                for lo in range(0, pts.size, _EVAL_BLOCK):
+                    r, x = iy[lo:lo + _EVAL_BLOCK], ix[lo:lo + _EVAL_BLOCK]
+                    reduced[pts[lo:lo + _EVAL_BLOCK]] = np.sum(real[r] * phase[x], axis=1)
+                    log_scale[pts[lo:lo + _EVAL_BLOCK]] = m0[r, 0]
         return reduced.reshape(zs.shape), log_scale.reshape(zs.shape)
 
     def tail_log(self, y: float, growth: float) -> float:
@@ -142,6 +151,40 @@ class QExpansion:
         if ratio >= -1e-9:
             return math.inf
         return first - math.log(-math.expm1(ratio))
+
+
+def _distinct(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of v and the index of each entry among them."""
+    if v.size == 1:
+        return v, np.zeros(1, dtype=np.intp)
+    return np.unique(v, return_inverse=True)
+
+
+def _tiles(flat: np.ndarray):
+    """Cut the points flat into tiles of at most _EVAL_BLOCK distinct y by at
+    most _EVAL_BLOCK distinct x, yielding (indices into flat, the tile's
+    distinct y, each point's index among them, likewise for x).
+
+    A band holds _EVAL_BLOCK consecutive distinct y; the distinct x of each
+    band are numbered in order and cut into runs of _EVAL_BLOCK.  A tensor
+    grid with few columns is one tile per band, and scattered points make
+    about one tile per _EVAL_BLOCK points.
+    """
+    ys, iy = _distinct(flat.imag)
+    xs, ix = _distinct(flat.real)
+    if ys.size <= _EVAL_BLOCK and xs.size <= _EVAL_BLOCK:
+        yield np.arange(flat.size), ys, iy, xs, ix
+        return
+    band = iy // _EVAL_BLOCK
+    pairs, ip = np.unique(band * xs.size + ix, return_inverse=True)
+    pair_band = pairs // xs.size
+    rank = np.arange(pairs.size) - np.searchsorted(pair_band, pair_band)
+    tile = band * (xs.size // _EVAL_BLOCK + 1) + rank[ip] // _EVAL_BLOCK
+    order = np.argsort(tile, kind="stable")
+    for pts in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
+        uy, ry = np.unique(iy[pts], return_inverse=True)
+        ux, rx = np.unique(ix[pts], return_inverse=True)
+        yield pts, ys[uy], ry, xs[ux], rx
 
 
 def zero_expansion(weight, prec: int, width: int = 1, param=Fraction(0)) -> QExpansion:

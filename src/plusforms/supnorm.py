@@ -8,7 +8,8 @@ call per frame for the grid), enumeration of
 
     G_l(4) = { integer 2x2 gamma : det gamma = l, c = 0 mod 4 }
 
-inside hyperbolic balls u(gamma z, w) <= delta, the four counting classes,
+inside hyperbolic balls u(gamma z, w) <= delta (as int64 arrays, by
+`gl_arrays`), the four counting classes,
 Bergman kernel partial sums with the theta multiplier evaluated as a
 quotient, the amplifier weights y_l, and the weight-aspect scaling
 experiment for the spectral average of |fhat_j(1)|^2.
@@ -331,42 +332,77 @@ def _float_to_fraction(x: float) -> Fraction:
 
 def enumerate_gl(l: int, z: complex, delta: float, w: complex | None = None,
                  modc: int = 4) -> list[tuple[int, int, int, int]]:
-    """All gamma in G_l(4) with u(gamma z, w) <= delta (w defaults to z).
-
-    c runs outermost, then d (constrained by |cz+d|^2), then a along the
-    residue class making b = (ad-l)/c integral; borderline memberships
-    |u - delta| < 1e-9 are settled in exact rational arithmetic.
-    """
-    return sorted(mat for mat, _u in iter_gl(l, z, delta, w=w, modc=modc))
+    """All gamma in G_l(4) with u(gamma z, w) <= delta (w defaults to z), as
+    sorted (a, b, c, d) tuples; see gl_arrays for the enumeration."""
+    mats, _u = gl_arrays(l, z, delta, w=w, modc=modc)
+    return sorted(map(tuple, mats.tolist()))
 
 
 def iter_gl(l: int, z: complex, delta: float, w: complex | None = None, modc: int = 4):
-    """Generator version of enumerate_gl, yielding (matrix, u)."""
+    """Generator over the rows of gl_arrays, yielding (matrix tuple, u) in its order."""
+    mats, us = gl_arrays(l, z, delta, w=w, modc=modc)
+    for mat, u in zip(mats.tolist(), us.tolist()):
+        yield tuple(mat), u
+
+
+# candidate (a, d) pairs per block of gl_arrays: bounds its int64 work arrays
+_LATTICE_BLOCK = 1 << 14
+
+
+def gl_arrays(l: int, z: complex, delta: float, w: complex | None = None,
+              modc: int = 4) -> tuple[np.ndarray, np.ndarray]:
+    """All gamma in G_l(4) with u(gamma z, w) <= delta (w defaults to z), as an
+    (n, 4) int64 array of rows (a, b, c, d) and the float u of each row.
+
+    The c = 0 layer comes first: a d = l over the divisors d of l, ascending,
+    sign + then -, each with b ascending in its window.  Then c = modc, -modc,
+    2 modc, -2 modc, ... up to the bound that u <= delta puts on |c|; for each
+    c, every d in the window of |c z + d|^2 and every a in the window of the
+    imaginary part of a z + b - (c z + d) conj(w) are taken as int64 arrays,
+    in blocks of at most _LATTICE_BLOCK pairs, d then a ascending, and kept
+    where c divides a d - l.  u is computed in float64, and the memberships
+    with |u - delta| < 1e-9 are settled in exact rational arithmetic.  An l
+    or delta whose windows reach entries of 2^30 raises ValueError.
+    """
     if w is None:
         w = z
     if l < 1 or delta < 0:
         raise ValueError("need l >= 1 and delta >= 0")
     xz, yz = z.real, z.imag
     xw, yw = w.real, w.imag
-    zq = (_float_to_fraction(xz), _float_to_fraction(yz))
-    wq = (_float_to_fraction(xw), _float_to_fraction(yw))
     r_max = 1.0 + 2.0 * delta + 2.0 * math.sqrt(delta * delta + delta) + 1e-12
     big_r = 4.0 * l * yz * yw * (1.0 + delta)  # |N|^2 bound
-    eps = 1e-9
+    c_bound = math.sqrt(l * r_max / (yw * yz))
+    im_shift = yz * xw - xz * yw
+    im_bound = math.sqrt(big_r)
+    d_bound = c_bound * abs(xz) + math.sqrt(l * yz * r_max / yw) + 1.0
+    a_bound = (im_bound + c_bound * abs(im_shift) + d_bound * yw) / yz + 2.0
+    b_bound = l * (abs(xz) + abs(xw)) + im_bound + 1.0
+    # entries below 2^30 keep a d - l and (a + d)^2 inside int64
+    if not max(l, c_bound, d_bound, a_bound, b_bound) < 2.0**30:
+        raise ValueError(f"l = {l}, delta = {delta}: matrix entries could overflow int64")
 
-    def check(a, b, c, d):
+    zq = (_float_to_fraction(xz), _float_to_fraction(yz))
+    wq = (_float_to_fraction(xw), _float_to_fraction(yw))
+    dq = _float_to_fraction(delta)
+    norm = 4.0 * l * yz * yw
+    eps = 1e-9
+    mats, us = [np.zeros((0, 4), dtype=np.int64)], [np.zeros(0)]
+
+    def take(a, b, c, d):
+        """Keep the rows (a, b, c, d) with u(gamma z, w) <= delta."""
         re = a * xz + b - (c * xz + d) * xw - c * yz * yw
         im = a * yz - c * (yz * xw - xz * yw) + d * yw
-        n2 = re * re + im * im
-        u = n2 / (4.0 * l * yz * yw) - 1.0
-        if u > delta + eps:
-            return None
-        if abs(u - delta) < eps:
-            ue = _u_exact((a, b, c, d), l, zq, wq)
-            if ue > _float_to_fraction(delta):
-                return None
-            u = float(ue)
-        return u
+        u = (re * re + im * im) / norm - 1.0
+        keep = ~(u > delta + eps)
+        for j in np.flatnonzero(keep & (np.abs(u - delta) < eps)).tolist():
+            ue = _u_exact((int(a[j]), int(b[j]), int(c[j]), int(d[j])), l, zq, wq)
+            if ue > dq:
+                keep[j] = False
+            else:
+                u[j] = float(ue)
+        mats.append(np.stack([a, b, c, d], 1)[keep])
+        us.append(u[keep])
 
     # c = 0 layer: a d = l
     for dd in divisors(l):
@@ -381,57 +417,59 @@ def iter_gl(l: int, z: complex, delta: float, w: complex | None = None, modc: in
             # |a xz + b - d xw| <= rad
             blo = math.ceil(d * xw - a * xz - rad - 1e-9)
             bhi = math.floor(d * xw - a * xz + rad + 1e-9)
-            for b in range(blo, bhi + 1):
-                u = check(a, b, 0, d)
-                if u is not None:
-                    yield (a, b, 0, d), u
+            b = np.arange(blo, bhi + 1, dtype=np.int64)
+            take(np.full_like(b, a), b, np.zeros_like(b), np.full_like(b, d))
 
-    c_abs_max = math.floor(math.sqrt(l * r_max / (yw * yz)) + 1e-9)
-    im_shift = yz * xw - xz * yw
-    im_bound = math.sqrt(big_r)
-    for c in range(modc, c_abs_max + 1, modc):
-        for c_sgn in (1, -1):
-            cc = c * c_sgn
-            # |c z + d|^2 in [l yz/(yw r_max), l yz r_max / yw]
-            hi2 = l * yz * r_max / yw - cc * cc * yz * yz
-            if hi2 < 0:
-                continue
-            lo2 = l * yz / (yw * r_max) - cc * cc * yz * yz
-            dhi = math.floor(-cc * xz + math.sqrt(hi2) + 1e-9)
-            dlo = math.ceil(-cc * xz - math.sqrt(hi2) - 1e-9)
-            for d in range(dlo, dhi + 1):
-                t2 = (cc * xz + d) ** 2 + cc * cc * yz * yz
-                if lo2 > 0 and t2 < l * yz / (yw * r_max) - 1e-9:
-                    continue
-                g = math.gcd(abs(cc), abs(d)) if d else abs(cc)
-                if l % g:
-                    continue
-                cg = abs(cc) // g
-                # a d = l mod c: a = (l/g) * inv(d/g) mod (c/g)
-                if cg == 1:
-                    a0, step = 0, 1
-                else:
-                    try:
-                        inv = pow((d // g) % cg, -1, cg)
-                    except ValueError:
-                        continue
-                    a0 = ((l // g) * inv) % cg
-                    step = cg
-                # imag-part window: |a yz - c im_shift + d yw| <= im_bound
-                base = -cc * im_shift + d * yw
-                alo = (-im_bound - base) / yz
-                ahi = (im_bound - base) / yz
-                first = a0 + step * math.ceil((alo - a0) / step - 1e-12)
-                a = first
-                while a <= ahi + 1e-9:
-                    ai = round(a)
-                    num = ai * d - l
-                    if num % cc == 0:
-                        b = num // cc
-                        u = check(ai, b, cc, d)
-                        if u is not None:
-                            yield (ai, b, cc, d), u
-                    a += step
+    for c in range(modc, math.floor(c_bound + 1e-9) + 1, modc):
+        # |c z + d|^2 in [l yz/(yw r_max), l yz r_max / yw]
+        hi2 = l * yz * r_max / yw - c * c * yz * yz
+        if hi2 < 0:
+            continue
+        lo2 = l * yz / (yw * r_max) - c * c * yz * yz
+        # the d window of c, then that of -c, as one array
+        d = [np.arange(math.ceil(-cc * xz - math.sqrt(hi2) - 1e-9),
+                       math.floor(-cc * xz + math.sqrt(hi2) + 1e-9) + 1, dtype=np.int64)
+             for cc in (c, -c)]
+        cc = np.repeat(np.array([c, -c]), [d[0].size, d[1].size])
+        d = np.concatenate(d)
+        if lo2 > 0:
+            t2 = (cc * xz + d) ** 2 + cc * cc * yz * yz
+            keep = ~(t2 < l * yz / (yw * r_max) - 1e-9)
+            cc, d = cc[keep], d[keep]
+        # imag-part window: |a yz - c im_shift + d yw| <= im_bound
+        base = -cc * im_shift + d * yw
+        alo = (-im_bound - base) / yz
+        ahi = (im_bound - base) / yz
+        for i, a in _window_pairs(np.floor(alo).astype(np.int64) - 1,
+                                  np.floor(ahi + 1e-9).astype(np.int64)):
+            ci, di = cc[i], d[i]
+            num = a * di - l
+            keep = num % ci == 0
+            i, a, ci, di, num = i[keep], a[keep], ci[keep], di[keep], num[keep]
+            # the a of (c, d) run over a residue class mod step, from its first
+            # member at or above alo (less 1e-12 steps): the same float test
+            step = abs(ci) // np.gcd(ci, di)
+            a0 = a % step
+            keep = (a - a0) // step >= (alo[i] - a0) / step - 1e-12
+            a, ci, di, num = a[keep], ci[keep], di[keep], num[keep]
+            take(a, num // ci, ci, di)
+
+    return np.concatenate(mats), np.concatenate(us)
+
+
+def _window_pairs(lo: np.ndarray, hi: np.ndarray):
+    """(i, a) int64 arrays running over lo[i] <= a <= hi[i], i then a
+    ascending, in blocks of about _LATTICE_BLOCK pairs (one i at least)."""
+    counts = np.maximum(hi - lo + 1, 0)
+    ends = np.cumsum(counts)
+    i = 0
+    while i < lo.size:
+        start = ends[i] - counts[i]
+        j = max(i + 1, int(np.searchsorted(ends, start + _LATTICE_BLOCK, side="right")))
+        n = counts[i:j]
+        idx = np.repeat(np.arange(i, j), n)
+        yield idx, lo[idx] + np.arange(idx.size) - (ends[idx] - counts[idx] - start)
+        i = j
 
 
 def enumerate_box(l: int, z: complex, delta: float, box: int | None = None,
@@ -509,20 +547,17 @@ class CountRecord:
 
 
 def count_matrices(z: complex, l: int, delta: float, keep_witnesses: bool = True) -> CountRecord:
-    mats = enumerate_gl(l, z, delta)
-    M = len(mats)
-    M_star = M_u = M_p = 0
-    for a, b, c, d in mats:
-        tr2 = (a + d) ** 2
-        if c != 0 and tr2 != 4 * l:
-            M_star += 1
-        if c == 0 and a != d:
-            M_u += 1
-        if tr2 == 4 * l:
-            M_p += 1
+    """The four counts at (z, l, delta), taken on the arrays of gl_arrays;
+    the witnesses are enumerate_gl's sorted list."""
+    mats, _u = gl_arrays(l, z, delta)
+    a, _b, c, d = mats.T
+    parabolic = (a + d) ** 2 == 4 * l
     return CountRecord(
-        z, l, delta, M, M_star, M_u, M_p,
-        mats if keep_witnesses else [],
+        z, l, delta, len(mats),
+        int(np.count_nonzero((c != 0) & ~parabolic)),
+        int(np.count_nonzero((c == 0) & (a != d))),
+        int(np.count_nonzero(parabolic)),
+        sorted(map(tuple, mats.tolist())) if keep_witnesses else [],
     )
 
 
@@ -548,10 +583,15 @@ def theta_multiplier(mat, z: complex) -> complex:
 
     Raises if |Theta(z)| is too small for a stable quotient.
     """
+    return theta_value(apply_matrix(mat, z)) / _theta_denominator(z)
+
+
+def _theta_denominator(z: complex) -> complex:
+    """Theta(z), raising if it is too small for a stable quotient."""
     tz = theta_value(z)
     if abs(tz) < 1e-6:
         raise ArithmeticError("theta quotient unstable: |Theta(z)| < 1e-6")
-    return theta_value(apply_matrix(mat, z)) / tz
+    return tz
 
 
 def bergman_partial(z: complex, w: complex, k, u_cut: float | None = None,
@@ -574,15 +614,14 @@ def bergman_partial(z: complex, w: complex, k, u_cut: float | None = None,
     pref = 3.0 * (kf - 1.0) / (4.0 * math.pi)
     total = 0.0j
     shell = 0.0
-    n_terms = 0
-    for mat, u in iter_gl(1, z, u_cut, w=w):
-        a, b, c, d = mat
-        jt = theta_multiplier(mat, z)
+    mats, us = gl_arrays(1, z, u_cut, w=w)
+    tz = _theta_denominator(z) if len(mats) else None
+    for mat, u in zip(mats.tolist(), us.tolist()):
         gz = apply_matrix(mat, z)
+        jt = theta_value(gz) / tz
         base = (gz - w.conjugate()) / 2j
         term = jt ** (-two_k) * cmath.exp(-kf * cmath.log(base))
         total += term
-        n_terms += 1
         if u > 0.5 * u_cut:
             shell += abs(term)
     err = pref * (shell + 1e-300) * 2.0
@@ -658,7 +697,7 @@ def amplified_rhs(z: complex, k, spec: AmplifierSpec,
     for l in sorted(spec.y):
         yl = abs(spec.y[l])
         s = 0.0
-        for _mat, u in iter_gl(l, z, u_cut):
+        for u in gl_arrays(l, z, u_cut)[1].tolist():
             s += (1.0 + u) ** (-kf / 2.0)
         contrib = pref * yl * s / math.sqrt(l)
         per_l[l] = contrib

@@ -381,3 +381,163 @@ def embedding_reference(x, prec: int = 448):
             return mp.mpf(x.numerator) / x.denominator
         r = _real_roots_reference(x.field.modulus, prec)[x.field.index]
         return mp.fsum(mp.mpf(c.numerator) / c.denominator * r**i for i, c in enumerate(x.coords))
+
+
+def eval_reduced_reference(q, zs):
+    """QExpansion.eval_reduced term by term: every (point, term) pair gets its
+    own real and complex exponential, in blocks of _EVAL_BLOCK points.  The
+    library computes each factor once per distinct y and per distinct x and
+    must agree with this bit for bit."""
+    from plusforms.numerics import NEG_INF
+    from plusforms.qexp import _EVAL_BLOCK
+
+    zs = np.asarray(zs, dtype=complex)
+    flat = zs.reshape(-1)
+    reduced = np.zeros(flat.shape, dtype=complex)
+    log_scale = np.full(flat.shape, NEG_INF)
+    t, logs, signs = q._arrays()
+    if t.size:
+        rate, freq = 2.0 * math.pi * t, 2j * math.pi * t
+        for lo in range(0, flat.size, _EVAL_BLOCK):
+            z = flat[lo:lo + _EVAL_BLOCK, None]
+            logterm = logs - rate * z.imag
+            m0 = np.max(logterm, axis=1, keepdims=True)
+            terms = signs * np.exp(logterm - m0) * np.exp(freq * z.real)
+            reduced[lo:lo + _EVAL_BLOCK] = np.sum(terms, axis=1)
+            log_scale[lo:lo + _EVAL_BLOCK] = m0[:, 0]
+    return reduced.reshape(zs.shape), log_scale.reshape(zs.shape)
+
+
+def iter_gl_reference(l: int, z: complex, delta: float, w: complex | None = None,
+                      modc: int = 4):
+    """The lattice enumerator one matrix at a time, yielding (matrix, u): a
+    Python loop over c, d and the residue class of a mod c/gcd(c, d) found
+    by a modular inverse, with u in float64 and borderline memberships
+    |u - delta| < 1e-9 settled exactly.  The library builds the same
+    candidates as int64 arrays and must match this in order and in u bits."""
+    from plusforms.arith import divisors
+    from plusforms.supnorm import _float_to_fraction, _u_exact
+
+    if w is None:
+        w = z
+    if l < 1 or delta < 0:
+        raise ValueError("need l >= 1 and delta >= 0")
+    xz, yz = z.real, z.imag
+    xw, yw = w.real, w.imag
+    zq = (_float_to_fraction(xz), _float_to_fraction(yz))
+    wq = (_float_to_fraction(xw), _float_to_fraction(yw))
+    r_max = 1.0 + 2.0 * delta + 2.0 * math.sqrt(delta * delta + delta) + 1e-12
+    big_r = 4.0 * l * yz * yw * (1.0 + delta)  # |N|^2 bound
+    eps = 1e-9
+
+    def check(a, b, c, d):
+        re = a * xz + b - (c * xz + d) * xw - c * yz * yw
+        im = a * yz - c * (yz * xw - xz * yw) + d * yw
+        n2 = re * re + im * im
+        u = n2 / (4.0 * l * yz * yw) - 1.0
+        if u > delta + eps:
+            return None
+        if abs(u - delta) < eps:
+            ue = _u_exact((a, b, c, d), l, zq, wq)
+            if ue > _float_to_fraction(delta):
+                return None
+            u = float(ue)
+        return u
+
+    # c = 0 layer: a d = l
+    for dd in divisors(l):
+        for sgn in (1, -1):
+            a = sgn * (l // dd)
+            d = sgn * dd
+            im = a * yz + d * yw
+            rad = big_r - im * im
+            if rad < -1e-12:
+                continue
+            rad = math.sqrt(max(rad, 0.0))
+            # |a xz + b - d xw| <= rad
+            blo = math.ceil(d * xw - a * xz - rad - 1e-9)
+            bhi = math.floor(d * xw - a * xz + rad + 1e-9)
+            for b in range(blo, bhi + 1):
+                u = check(a, b, 0, d)
+                if u is not None:
+                    yield (a, b, 0, d), u
+
+    c_abs_max = math.floor(math.sqrt(l * r_max / (yw * yz)) + 1e-9)
+    im_shift = yz * xw - xz * yw
+    im_bound = math.sqrt(big_r)
+    for c in range(modc, c_abs_max + 1, modc):
+        for c_sgn in (1, -1):
+            cc = c * c_sgn
+            # |c z + d|^2 in [l yz/(yw r_max), l yz r_max / yw]
+            hi2 = l * yz * r_max / yw - cc * cc * yz * yz
+            if hi2 < 0:
+                continue
+            lo2 = l * yz / (yw * r_max) - cc * cc * yz * yz
+            dhi = math.floor(-cc * xz + math.sqrt(hi2) + 1e-9)
+            dlo = math.ceil(-cc * xz - math.sqrt(hi2) - 1e-9)
+            for d in range(dlo, dhi + 1):
+                t2 = (cc * xz + d) ** 2 + cc * cc * yz * yz
+                if lo2 > 0 and t2 < l * yz / (yw * r_max) - 1e-9:
+                    continue
+                g = math.gcd(abs(cc), abs(d)) if d else abs(cc)
+                if l % g:
+                    continue
+                cg = abs(cc) // g
+                # a d = l mod c: a = (l/g) * inv(d/g) mod (c/g)
+                if cg == 1:
+                    a0, step = 0, 1
+                else:
+                    try:
+                        inv = pow((d // g) % cg, -1, cg)
+                    except ValueError:
+                        continue
+                    a0 = ((l // g) * inv) % cg
+                    step = cg
+                # imag-part window: |a yz - c im_shift + d yw| <= im_bound
+                base = -cc * im_shift + d * yw
+                alo = (-im_bound - base) / yz
+                ahi = (im_bound - base) / yz
+                first = a0 + step * math.ceil((alo - a0) / step - 1e-12)
+                a = first
+                while a <= ahi + 1e-9:
+                    ai = round(a)
+                    num = ai * d - l
+                    if num % cc == 0:
+                        b = num // cc
+                        u = check(ai, b, cc, d)
+                        if u is not None:
+                            yield (ai, b, cc, d), u
+                    a += step
+
+
+def cap_nodes_reference(order: int):
+    """Gauss nodes and weights on the cap of the standard domain below y = 1,
+    built point by point: x outer (weights doubled for x -> -x), y inner."""
+    from plusforms.lfunctions import _gauss_nodes
+
+    pts, wts = [], []
+    xs, wx = _gauss_nodes(0.0, 0.5, order)
+    for x, wgt in zip(xs, wx):
+        ys, wy = _gauss_nodes(math.sqrt(1.0 - x * x), 1.0, order)
+        pts.extend(x + 1j * ys)
+        wts.extend(2.0 * wgt * wy)
+    return np.array(pts), np.array(wts)
+
+
+def domain_nodes_reference(order: int, y_cap: float = 64.0):
+    """The cap nodes, then the strips [2^j, 2^(j+1)] up to y_cap, point by
+    point with y outer and x inner."""
+    from plusforms.lfunctions import _gauss_nodes
+
+    pts, wts = (list(v) for v in cap_nodes_reference(order))
+    lo = 1.0
+    while lo < y_cap:
+        hi = min(2 * lo, y_cap)
+        ys, wy = _gauss_nodes(lo, hi, order)
+        xs, wx = _gauss_nodes(-0.5, 0.5, order)
+        for y, wgy in zip(ys, wy):
+            for x, wgx in zip(xs, wx):
+                pts.append(complex(x, y))
+                wts.append(wgx * wgy)
+        lo = hi
+    return np.array(pts), np.array(wts)

@@ -120,6 +120,15 @@ def test_supnorm_cmd():
     assert math.isfinite(row["log_sup"])
 
 
+def test_amplify_cmd():
+    code, text = run_cli(["amplify", "--k", "13/2", "--Lambda", "3", "--format", "json"])
+    assert code == 0
+    rows = json.loads(text)["rows"]
+    assert [r["kind"] for r in rows] == ["M1", "M2"]
+    # each row is ok: the literal amplified inequality at the scan's argmax
+    assert all(r["lhs"] <= r["rhs"] * (1.0 + 1e-6) for r in rows)
+
+
 def test_scaling_cmd():
     code, text = run_cli(["scaling", "--k-range", "13/2:21/2"])
     assert code == 0

@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from plusforms.hecke import eigenforms_level1
 from plusforms.lfunctions import (
+    _cap_nodes,
+    _domain_nodes,
     alpha_recovery,
     central_value,
     coefficient_bound_report,
@@ -19,7 +22,7 @@ from plusforms.lfunctions import (
 )
 from plusforms.supnorm import FormEvaluator
 
-from oracles import central_value_quadrature
+from oracles import cap_nodes_reference, central_value_quadrature, domain_nodes_reference
 
 KNOWN_NORM_DELTA = 1.0353620568043209223e-6  # independent 30-digit quadrature
 
@@ -82,6 +85,19 @@ def test_alpha_recovery(delta_form):
 
 def test_petersson_norm_delta_vs_known(norm_delta):
     assert norm_delta.to_float() == pytest.approx(KNOWN_NORM_DELTA, rel=1e-12)
+
+
+def test_quadrature_nodes_match_pointwise_reference():
+    """The broadcast node builders give the point-by-point nodes and weights,
+    in the same order, bit for bit."""
+    def same(got, ref):
+        return all(g.dtype == r.dtype and g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+    for order in (18, 24, 26, 36):
+        assert same(_cap_nodes(order), cap_nodes_reference(order)), order
+    for order, y_cap in ((18, 64.0), (26, 64.0), (7, 5.0), (5, 1.0)):
+        assert same(_domain_nodes(order, y_cap), domain_nodes_reference(order, y_cap)), order
+    assert np.all(_domain_nodes(18, 64.0)[0].imag > 0)
 
 
 def test_norm_identity_triangle(delta_form, norm_delta):

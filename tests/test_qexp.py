@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    eval_reduced_reference,
     g_v_reference,
     g_w_reference,
     monomial_reference,
@@ -169,6 +170,48 @@ def test_eval_reduced_empty_series():
     reduced, scale = q.eval_reduced(zs)
     assert reduced.shape == scale.shape == zs.shape
     assert np.all(reduced == 0) and np.all(scale == -math.inf)
+
+
+def _same_bits(got, ref) -> bool:
+    return all(g.shape == r.shape and g.dtype == r.dtype and g.tobytes() == r.tobytes()
+               for g, r in zip(got, ref))
+
+
+def _reference_point_sets() -> dict:
+    """The point arrays the library evaluates in bulk: the default scan grid
+    of k = 13/2, the six Gram piece maps of the order-18 and order-26 domain
+    nodes, and the cap nodes at orders 24 and 36."""
+    from plusforms.lfunctions import _PIECES, _cap_nodes, _domain_nodes
+    from plusforms.supnorm import SQRT3_OVER_8
+
+    ys = np.exp(np.linspace(math.log(SQRT3_OVER_8), math.log(12.0 * 6.5 / math.pi), 48))
+    xs = np.linspace(0.0, 1.0, 24, endpoint=False)
+    sets = {"scan grid": xs + 1j * ys[:, None]}
+    for order in (18, 26):
+        zs, _ = _domain_nodes(order, 64.0)
+        for j, (_label, scale, shift) in enumerate(_PIECES):
+            sets[f"Gram order {order} piece {j}"] = scale * (zs + shift)
+    for order in (24, 36):
+        sets[f"cap order {order}"] = _cap_nodes(order)[0]
+    return sets
+
+
+@pytest.mark.parametrize("label", ["I", "W4", "V4"])
+def test_eval_reduced_bits_match_reference(evaluator_13_2, label):
+    """One exp per distinct y and per distinct x gives the term-by-term sums
+    bit for bit, on every bulk point set and on scattered and single points."""
+    q = evaluator_13_2.frames[label].series
+    sets = _reference_point_sets()
+    sets["50 scattered"] = _eval_points(label, 50, 73)
+    sets["one scalar point"] = complex(0.3, 1.1)
+    for name, zs in sets.items():
+        assert _same_bits(q.eval_reduced(zs), eval_reduced_reference(q, zs)), (label, name)
+
+
+def test_eval_reduced_empty_series_matches_reference():
+    q = zero_expansion(Fraction(13, 2), 10)
+    for zs in (_reference_point_sets()["scan grid"], complex(0.1, 1.0), np.zeros(0, complex)):
+        assert _same_bits(q.eval_reduced(zs), eval_reduced_reference(q, zs))
 
 
 # -- monomials and spaces ------------------------------------------------------

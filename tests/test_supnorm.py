@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import iter_gl_reference
 from plusforms.arith import jacobi_symbol
 from plusforms.lfunctions import petersson_gram
 from plusforms.qexp import PrecisionError, space_basis
@@ -24,6 +26,7 @@ from plusforms.supnorm import (
     enumerate_box,
     enumerate_gl,
     eq_sup_terms,
+    gl_arrays,
     iter_gl,
     sl2_reduce,
     supnorm_scan,
@@ -223,6 +226,63 @@ def test_upper_triangular_layer():
     assert sorted(mats) == sorted(direct)
 
 
+def _assert_reference_enumeration(l, z, delta, w=None):
+    """gl_arrays and iter_gl give iter_gl_reference's matrices in its order,
+    with the same u bits."""
+    ref = list(iter_gl_reference(l, z, delta, w=w))
+    mats, us = gl_arrays(l, z, delta, w=w)
+    assert mats.dtype == np.int64 and mats.shape == (len(ref), 4)
+    assert [tuple(m) for m in mats.tolist()] == [m for m, _u in ref]
+    assert [u.hex() for u in us.tolist()] == [u.hex() for _m, u in ref]
+    assert [(m, u.hex()) for m, u in iter_gl(l, z, delta, w=w)] == [(m, u.hex()) for m, u in ref]
+    return ref
+
+
+@pytest.mark.parametrize("z", [1j, 0.3 + 2.5j])
+@pytest.mark.parametrize("delta", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("l", [1, 4, 9, 36, 144])
+def test_gl_arrays_match_reference(l, delta, z):
+    _assert_reference_enumeration(l, z, delta)
+
+
+def test_gl_arrays_match_reference_w_not_z():
+    for l, z, delta, w in ((1, 0.1 + 0.9j, 24.0, 0.3 + 1.2j), (9, 0.2 + 1.5j, 5.0, -0.3 + 0.8j)):
+        assert _assert_reference_enumeration(l, z, delta, w)
+
+
+def test_gl_arrays_borderline_exact(monkeypatch):
+    """delta set to an attained exact u: the membership is settled by
+    _u_exact against delta as a fraction, in both enumerators alike.  The
+    matrix stays in when that fraction is at least its u, else it drops."""
+    import plusforms.supnorm as sn
+
+    calls = []
+    exact = sn._u_exact
+    monkeypatch.setattr(sn, "_u_exact", lambda *args: calls.append(args) or exact(*args))
+    ref = _assert_reference_enumeration(1, 1j, 0.25)
+    assert ((1, 1, 0, 1), 0.25) in ref and calls
+    z = 0.3 + 2.5j
+    zq = (sn._float_to_fraction(z.real), sn._float_to_fraction(z.imag))
+    seen = set()
+    for mat in (m for m in enumerate_gl(9, z, 5.0) if m[2] != 0):
+        ue = exact(mat, 9, zq, zq)
+        kept = sn._float_to_fraction(float(ue)) >= ue
+        if kept in seen:
+            continue
+        seen.add(kept)
+        calls.clear()
+        ref = _assert_reference_enumeration(9, z, float(ue))
+        assert calls and (mat in [m for m, _u in ref]) == kept
+    assert seen == {True, False}
+
+
+def test_gl_arrays_rejects_int64_overflow():
+    with pytest.raises(ValueError):
+        gl_arrays(10**18, 1j, 1.0)
+    with pytest.raises(ValueError):
+        count_matrices(1j, 4, 1e30, keep_witnesses=False)
+
+
 def test_count_monotone_in_delta():
     counts = [count_matrices(1j, 9, dl, keep_witnesses=False).M for dl in (0.1, 1.0, 5.0, 10.0)]
     assert all(x <= y for x, y in zip(counts, counts[1:]))
@@ -257,6 +317,18 @@ def test_theta_quotient_instability_reported():
     assert abs(theta_value(z0)) < 1e-6
     with pytest.raises(ArithmeticError):
         theta_multiplier((1, 1, 0, 1), z0)
+
+
+def test_bergman_partial_matches_per_matrix_theta_quotient():
+    """Theta(z) once per call gives the same sum as the quotient per matrix."""
+    z, w, k = 0.1 + 0.9j, 0.3 + 1.2j, Fraction(13, 2)
+    u_cut = max(24.0, (1.0 / 1e-4) ** (2.0 / 6.5) * 2.0)
+    total = 0.0j
+    for mat, _u in iter_gl_reference(1, z, u_cut, w=w):
+        base = (apply_matrix(mat, z) - w.conjugate()) / 2j
+        total += theta_multiplier(mat, z) ** -13 * cmath.exp(-6.5 * cmath.log(base))
+    value, _err = bergman_partial(z, w, k, tol=1e-4)
+    assert value == 3.0 * 5.5 / (4.0 * math.pi) * total
 
 
 def test_bergman_hermitian_and_diagonal():
