@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .arith import half_integer, is_fundamental_discriminant, kronecker_symbol, primes_up_to
 from .numerics import CertifiedValue, LogScaled, log_abs_fraction, logsumexp
@@ -45,6 +44,24 @@ SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 # ---------------------------------------------------------------------------
 # Approximate functional equation
 # ---------------------------------------------------------------------------
+
+
+def upper_gamma_q(n, x):
+    """Regularized upper incomplete gamma Q(n, x) = Gamma(n, x) / Gamma(n) for
+    an integer order n >= 1 and x > 0, a float or an array of them.
+
+    For integer n it is the finite sum e^-x sum_{j < n} x^j / j!, taken term
+    by term as exp(j log x - x - lgamma(j + 1)); every term is positive, so
+    nothing cancels.
+    """
+    if n != int(n) or n < 1:
+        raise ValueError(f"upper_gamma_q needs an integer order n >= 1, not {n}")
+    x = np.asarray(x, dtype=np.float64)
+    log_x = np.log(x)
+    out = np.zeros_like(x)
+    for j in range(int(n)):
+        out += np.exp(j * log_x - x - math.lgamma(j + 1))
+    return out if out.ndim else float(out)
 
 
 def _twisted_coeffs(F, D: int, n_max: int) -> np.ndarray:
@@ -116,7 +133,7 @@ def _afe_solve(F, D: int, target_err: float = 1e-9) -> tuple[float, int, float]:
     bn = b[1:] / np.sqrt(ns)
 
     def A(x: float) -> float:
-        return float(np.sum(bn * gammaincc(a + 0.5, ns * x / qc)))
+        return float(np.sum(bn * upper_gamma_q(a + 0.5, ns * x / qc)))
 
     a_vals = {}
     for x in xs:
@@ -241,7 +258,7 @@ def petersson_norm_integral(F, rtol: float = 1e-8) -> CertifiedValue:
         cn = float(F.coeff(n))
         if cn != 0.0:
             t = 4.0 * math.pi * n
-            qreg = gammaincc(w - 1, t)
+            qreg = upper_gamma_q(w - 1, t)
             if qreg <= 0:
                 break
             strip_logs.append(

@@ -22,7 +22,10 @@ series, derived from the theta transformation law and the quasi-modularity
 of E_2: Theta is Fricke-invariant and 16 G|W = Theta^4 - 16 G, while
 Theta|V = 2 e(1/8) q^(1/4) sum_{t >= 0} q^(t(t+1)) and 16 G|V is an integer
 series.  So every monomial is an integer series over 16^b in all three
-frames.
+frames.  The monomials of one weight r/2 are built together, from one chain
+of powers of G and one of Theta^(r mod 4) times powers of Theta^4, with one
+product per step and one per monomial; only the finished monomials are
+cached.
 
 Cusp and plus-space conditions are imposed by exact row reduction, giving
 exact rational bases of S_k, M_k^+ and the Kohnen plus space S_k^+.
@@ -310,29 +313,60 @@ def weight_monomials(k) -> list[tuple[int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _monomial_int(a: int, b: int, prec: int, frame: str) -> tuple[tuple[int, ...], int]:
     """Theta^a G^b in frame 'I', 'W4' or 'V4' to index prec, as (integer
     numerators, common denominator).
 
+    The monomial is read from the ladder of its weight, _weight_monomials_int
+    (a + 4 b, prec, frame), which builds every monomial of that weight at once.
     In the V frame index m stands for the exponent m + (a mod 4)/4: the
     factor q^(a/4) of (Theta|V)^a moves floor(a/4) into the index.
     """
+    return _weight_monomials_int(a + 4 * b, prec, frame)[b]
+
+
+@lru_cache(maxsize=None)
+def _weight_monomials_int(r: int, prec: int, frame: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every monomial Theta^(r - 4b) G^b of weight r/2, b = 0..floor(r/4), in
+    frame 'I', 'W4' or 'V4' to index prec, as (integer numerators, common
+    denominator) indexed by b; see _monomial_int.
+
+    One power ladder serves the whole weight: the chain G, G^2, ..., G^B and
+    the chain Theta^(r mod 4) (Theta^4)^j, j = 0..B, each one product per step,
+    then one product per monomial.  The Theta chain is walked once, giving
+    b = B down to 0, and each power of Theta or G is dropped once used, so
+    only the finished monomials are kept.
+    """
     if frame == "I":
-        theta, g, den = intpoly.theta_int(prec), intpoly.sigma_odd_int(prec), 1
+        theta, g = intpoly.theta_int(prec), intpoly.sigma_odd_int(prec)
     elif frame == "W4":
-        theta, g, den = intpoly.theta_int(prec), _g16_frame_w(prec), 16**b
+        theta, g = intpoly.theta_int(prec), _g16_frame_w(prec)
     elif frame == "V4":
-        theta, g, den = _theta_v_core(prec), _g16_frame_v(prec), 16**b
+        theta, g = _theta_v_core(prec), _g16_frame_v(prec)
     else:
         raise ValueError(f"unknown frame {frame!r}")
-    series = intpoly.poly_pow_trunc(list(theta), a, prec)
-    if frame == "V4":
-        series = intpoly.poly_scale_shift(series, 2**a, a // 4, prec)
-    if b:
-        gb = intpoly.poly_pow_trunc(list(g), b, prec)
-        series = intpoly.poly_mul_trunc(series, gb, prec)
-    return tuple(series), den
+    top = r // 4
+    gpow = [None, list(g)]
+    for _ in range(2, top + 1):
+        gpow.append(intpoly.poly_mul_trunc(gpow[-1], gpow[1], prec))
+    theta4 = intpoly.poly_pow_trunc(list(theta), 4, prec) if top else None
+    tpow = intpoly.poly_pow_trunc(list(theta), r % 4, prec)  # [1] for r = 0 mod 4
+    out = [None] * (top + 1)
+    for b in range(top, -1, -1):
+        a = r - 4 * b
+        if b < top:
+            tpow = theta4 if a == 4 else intpoly.poly_mul_trunc(tpow, theta4, prec)
+        if not b:
+            series = tpow
+        elif not a:
+            series = gpow[b]
+        else:
+            series = intpoly.poly_mul_trunc(tpow, gpow[b], prec)
+        gpow[b] = None
+        if frame == "V4":
+            series = intpoly.poly_scale_shift(series, 2**a, a // 4, prec)
+        out[b] = (tuple(series), 16**b if frame != "I" else 1)
+    return tuple(out)
 
 
 def monomial_expansion(a: int, b: int, prec: int, frame: str = "I") -> tuple[QExpansion, complex]:

@@ -357,12 +357,15 @@ def gl_arrays(l: int, z: complex, delta: float, w: complex | None = None,
     The c = 0 layer comes first: a d = l over the divisors d of l, ascending,
     sign + then -, each with b ascending in its window.  Then c = modc, -modc,
     2 modc, -2 modc, ... up to the bound that u <= delta puts on |c|; for each
-    c, every d in the window of |c z + d|^2 and every a in the window of the
-    imaginary part of a z + b - (c z + d) conj(w) are taken as int64 arrays,
-    in blocks of at most _LATTICE_BLOCK pairs, d then a ascending, and kept
-    where c divides a d - l.  u is computed in float64, and the memberships
-    with |u - delta| < 1e-9 are settled in exact rational arithmetic.  An l
-    or delta whose windows reach entries of 2^30 raises ValueError.
+    c, every d in the window of |c z + d|^2 is taken, with the a in the window
+    of the imaginary part of a z + b - (c z + d) conj(w) for which c divides
+    a d - l.  Those a step through one class mod c / gcd(c, d), whose least
+    member depends only on d mod c and comes from a per-c table
+    (_first_solutions).  The (d, a) pairs are int64 arrays in blocks of at
+    most _LATTICE_BLOCK, d then a ascending.  u is computed in float64, and
+    the memberships with |u - delta| < 1e-9 are settled in exact rational
+    arithmetic.  An l or delta whose windows reach entries of 2^30 raises
+    ValueError.
     """
     if w is None:
         w = z
@@ -440,21 +443,34 @@ def gl_arrays(l: int, z: complex, delta: float, w: complex | None = None,
         base = -cc * im_shift + d * yw
         alo = (-im_bound - base) / yz
         ahi = (im_bound - base) / yz
-        for i, a in _window_pairs(np.floor(alo).astype(np.int64) - 1,
-                                  np.floor(ahi + 1e-9).astype(np.int64)):
-            ci, di = cc[i], d[i]
-            num = a * di - l
-            keep = num % ci == 0
-            i, a, ci, di, num = i[keep], a[keep], ci[keep], di[keep], num[keep]
-            # the a of (c, d) run over a residue class mod step, from its first
-            # member at or above alo (less 1e-12 steps): the same float test
-            step = abs(ci) // np.gcd(ci, di)
-            a0 = a % step
-            keep = (a - a0) // step >= (alo[i] - a0) / step - 1e-12
-            a, ci, di, num = a[keep], ci[keep], di[keep], num[keep]
-            take(a, num // ci, ci, di)
+        # the a with c | a d - l form one class mod step = c / gcd(c, d), or
+        # none; its least member a0 >= 0 depends only on d mod c
+        res, inv = np.unique(d % c, return_inverse=True)
+        a0 = _first_solutions(res, c, l)[inv]
+        step = c // np.gcd(c, d)
+        # a = a0 + j step over the window, from the first member at or above
+        # alo (less 1e-12 steps)
+        lo = np.maximum(np.ceil((alo - a0) / step - 1e-12).astype(np.int64),
+                        -((a0 - np.floor(alo).astype(np.int64) + 1) // step))
+        hi = np.where(a0 < 0, lo - 1, (np.floor(ahi + 1e-9).astype(np.int64) - a0) // step)
+        for i, j in _window_pairs(lo, hi):
+            a, ci, di = a0[i] + step[i] * j, cc[i], d[i]
+            take(a, (a * di - l) // ci, ci, di)
 
     return np.concatenate(mats), np.concatenate(us)
+
+
+def _first_solutions(res: np.ndarray, c: int, l: int) -> np.ndarray:
+    """For each residue r in res, the least a in [0, c) with c | a r - l, or -1
+    where there is none; the congruence is tested for every a, in blocks of
+    about _LATTICE_BLOCK (r, a) pairs."""
+    a = np.arange(c, dtype=np.int64)
+    first = np.empty(res.size, dtype=np.int64)
+    rows = max(1, _LATTICE_BLOCK // c)
+    for lo in range(0, res.size, rows):
+        hit = (res[lo:lo + rows, None] * a - l) % c == 0
+        first[lo:lo + rows] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+    return first
 
 
 def _window_pairs(lo: np.ndarray, hi: np.ndarray):

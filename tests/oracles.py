@@ -13,7 +13,10 @@ elimination, Salie sums by direct summation over the units mod 4c (in
 doubles and in 40-digit arithmetic; the library factors them into local
 sums with square roots mod prime powers), and a quadrature-based
 completed-L-value with a different smoothing than the production
-incomplete-gamma sums.
+incomplete-gamma sums, mpmath's incomplete gamma (the library sums the finite
+series of an integer order), and the plus-space monomials one at a time by
+binary powers (the library builds a weight's monomials from shared power
+chains).
 """
 
 from __future__ import annotations
@@ -221,6 +224,43 @@ def monomial_reference(a: int, b: int, prec: int, frame: str):
         q = qexp_mul_reference(q, _generator_power(frame, "g", b, prec))
     phase = theta_v_reference(0)[1] ** a if frame == "V4" else complex(1.0)
     return qexp_sum_reference([(1, q)], prec), phase
+
+
+def monomial_int_reference(a: int, b: int, prec: int, frame: str) -> tuple[tuple[int, ...], int]:
+    """Theta^a G^b in frame 'I', 'W4' or 'V4' to index prec, as (integer
+    numerators, common denominator), one monomial at a time by binary powers
+    of Theta and of G and one product.  The library builds every monomial of
+    a weight together from two shared power chains and must match this.
+
+    In the V frame index m stands for the exponent m + (a mod 4)/4: the
+    factor q^(a/4) of (Theta|V)^a moves floor(a/4) into the index.
+    """
+    from plusforms import intpoly
+    from plusforms.qexp import _g16_frame_v, _g16_frame_w, _theta_v_core
+
+    if frame == "I":
+        theta, g, den = intpoly.theta_int(prec), intpoly.sigma_odd_int(prec), 1
+    elif frame == "W4":
+        theta, g, den = intpoly.theta_int(prec), _g16_frame_w(prec), 16**b
+    elif frame == "V4":
+        theta, g, den = _theta_v_core(prec), _g16_frame_v(prec), 16**b
+    else:
+        raise ValueError(f"unknown frame {frame!r}")
+    series = intpoly.poly_pow_trunc(list(theta), a, prec)
+    if frame == "V4":
+        series = intpoly.poly_scale_shift(series, 2**a, a // 4, prec)
+    if b:
+        gb = intpoly.poly_pow_trunc(list(g), b, prec)
+        series = intpoly.poly_mul_trunc(series, gb, prec)
+    return tuple(series), den
+
+
+def upper_gamma_q_reference(n: int, x: float, dps: int = 40):
+    """Regularized upper incomplete gamma Q(n, x) in dps-digit arithmetic, by
+    mpmath's general routine (the library sums the finite series of an
+    integer order in float64)."""
+    with mp.workdps(dps):
+        return mp.gammainc(n, x, mp.inf, regularized=True)
 
 
 def series_eval_reference(q, z: complex, dps: int = 40):

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
+import plusforms
 from plusforms.cli import main
 
 
@@ -151,3 +153,17 @@ def test_entry_point_runs():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
+
+
+def test_import_does_not_load_scipy():
+    # numpy is the only runtime dependency; scipy alone would double the
+    # cold-start time of every command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plusforms.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, plusforms, plusforms.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -19,12 +19,38 @@ from plusforms.lfunctions import (
     results_table_csv,
     root_number,
     sym2_at_1,
+    upper_gamma_q,
 )
 from plusforms.supnorm import FormEvaluator
 
-from oracles import cap_nodes_reference, central_value_quadrature, domain_nodes_reference
+from oracles import (
+    cap_nodes_reference,
+    central_value_quadrature,
+    domain_nodes_reference,
+    upper_gamma_q_reference,
+)
 
 KNOWN_NORM_DELTA = 1.0353620568043209223e-6  # independent 30-digit quadrature
+
+
+def test_upper_gamma_q_against_mpmath():
+    # every integer order the AFE (w/2) and the Parseval strip (w - 1) use
+    # through w = 62, on x from 1e-3 to 800; below 1e-290 only an absolute
+    # check, since float64 loses relative precision in the subnormal range
+    xs = np.geomspace(1e-3, 800.0, 97)
+    for n in range(1, 62):
+        got = upper_gamma_q(n, xs)
+        assert got.shape == xs.shape
+        for x, q in zip(xs.tolist(), got.tolist()):
+            ref = upper_gamma_q_reference(n, x)
+            if ref > 1e-290:
+                assert abs(q - ref) <= 2e-13 * ref, (n, x)
+            else:
+                assert abs(q - ref) <= 1e-300, (n, x)
+    assert isinstance(upper_gamma_q(3, 2.0), float)
+    assert upper_gamma_q(1, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+    with pytest.raises(ValueError):
+        upper_gamma_q(2.5, 1.0)
 
 
 def test_central_value_against_quadrature_oracle(delta_form):

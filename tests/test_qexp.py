@@ -13,6 +13,7 @@ from oracles import (
     eval_reduced_reference,
     g_v_reference,
     g_w_reference,
+    monomial_int_reference,
     monomial_reference,
     qexp_mul_reference,
     qexp_sum_reference,
@@ -22,6 +23,8 @@ from plusforms.hecke import dim_cusp_level1
 from plusforms.qexp import (
     PrecisionError,
     QExpansion,
+    _monomial_int,
+    _weight_monomials_int,
     cusp_plus_basis,
     monomial_expansion,
     monomial_span,
@@ -344,6 +347,33 @@ def test_monomial_expansion_matches_fraction_oracle(num):
                 ref, ref_phase = _reference_monomial(a, b, prec, frame)
                 _assert_same_expansion(q, ref)
                 assert phase == ref_phase
+
+
+def _check_ladder(k, precs):
+    """Every monomial of weight k from the per-weight ladder equals the
+    one-at-a-time reference, in all three frames, requested cold (one middle
+    monomial first, on an empty cache) and then warm (b descending)."""
+    monos = weight_monomials(k)
+    _weight_monomials_int.cache_clear()
+    for prec in precs:
+        for frame in FRAMES:
+            a, b = monos[len(monos) // 2]
+            assert _monomial_int(a, b, prec, frame) == monomial_int_reference(a, b, prec, frame)
+            for a, b in reversed(monos):
+                assert _monomial_int(a, b, prec, frame) == monomial_int_reference(a, b, prec, frame)
+
+
+@pytest.mark.parametrize("num", range(5, 62, 2))
+def test_monomial_ladder_matches_reference(num):
+    k = Fraction(num, 2)
+    st = sturm_index(k)
+    _check_ladder(k, (st, 9 * (st + 1)))
+
+
+# at prec 1200 every product of the ladder takes the multimodular path
+@pytest.mark.parametrize("kstr", ["21/2", "29/2"])
+def test_monomial_ladder_matches_reference_multimodular(kstr):
+    _check_ladder(Fraction(kstr), (1200,))
 
 
 @pytest.mark.parametrize("kstr", ["13/2", "25/2"])
