@@ -146,10 +146,14 @@ def cmd_shimura_check(args) -> int:
     k = _parse_k(args.k)
     forms = eigenbasis_plus(k, prec=args.prec)
     sign = 1 if int(k - Fraction(1, 2)) % 2 == 0 else -1
+    discs = fundamental_discriminants(args.D_max, sign)
     rows = []
     ok_all = True
     for i, f in enumerate(forms):
-        for D in fundamental_discriminants(args.D_max, sign):
+        if discs:
+            # one pass to the largest index any D needs, not one per D
+            f.coefficients_upto(args.n_max**2 * max(abs(D) for D in discs))
+        for D in discs:
             r = verify_sqrcoeff(f, D, args.n_max)
             rows.append({"k": str(k), "form": i, "D": D, "ok": r["ok"],
                          "first_failure": r["first_failure"]})

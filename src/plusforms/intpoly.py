@@ -1,7 +1,7 @@
 """Dense integer power series with fast exact truncated multiplication.
 
-Series are plain lists of Python ints, index = exponent of q.  A product
-takes one of three exact paths, chosen by operand length alone:
+Series are plain lists of Python ints, index = exponent of q.  A single
+product takes one of three exact paths, chosen by operand length alone:
 
 * short operands: the schoolbook double loop;
 * mid-size operands: Kronecker substitution.  Each coefficient is stored with
@@ -10,24 +10,34 @@ takes one of three exact paths, chosen by operand length alone:
   list) and the slots are read back with the bias removed, so signed series
   need no splitting into positive and negative parts;
 * long operands: multimodular convolution.  Both operands are reduced modulo
-  primes below 2^14, each pair of residue vectors is convolved with a float64
-  real FFT, and the coefficients 0..prec are rebuilt by Garner's CRT on
-  balanced residues, vectorised over the coefficients.
+  primes below 2^14 to balanced residues, one row per prime; the rows of a
+  chunk of primes are convolved by one batched float64 real FFT, and the
+  coefficients 0..prec are rebuilt by Garner's CRT, vectorised over the
+  coefficients.
 
-The multimodular path is exact by construction.  Every coefficient of the
-product obeys |c_n| <= min(la, lb) * max|a| * max|b|, and the primes used
-multiply to more than twice that bound, so the balanced CRT value is c_n
+A chain of products (chain_products) stays in residue space from its inputs
+to its results: a float majorant pass first bounds the bits of every result,
+one prime set serves the whole chain, each chunk of primes walks the chain on
+int16 residue rows with the transforms of reused operands kept, and each
+result is rebuilt by one CRT from the primes its own bound needs.  Memory is
+bounded by _CHUNK_BYTES of transform work per chunk.
+
+Residue arithmetic is exact by construction.  The primes multiply to more
+than twice a bound on every coefficient (|c_n| <= min(la, lb) max|a| max|b|
+for one product, the majorant for a chain), so the balanced CRT value is c_n
 itself.  For a transform of length N = 2^m the prime size is capped so that
 Percival's bound on the error of an FFT convolution (Math. Comp. 72 (2003),
 Theorem 5.1), applied to the residue vectors, stays below 1/2; every rounded
-convolution must moreover lie within 1/4 of an integer, and a product that
-fails this check is recomputed by Kronecker substitution.
+convolution must moreover lie within 1/4 of an integer.  A product that fails
+this check is recomputed by Kronecker substitution, and a chain is walked
+again on integers with poly_mul_trunc.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -43,6 +53,12 @@ _PRIMES = tuple(reversed(primes_up_to((1 << 14) - 1)[1:]))
 _EPS = 2.0**-53
 # rounding error allowed on a convolution value before the product is redone
 _ROUNDING_SLACK = 0.25
+# bytes of transform work per chunk of primes.  One prime's product at
+# transform length size takes two spectra, their product and the inverse
+# transform, about 8 * size bytes each, so a chunk holds _CHUNK_BYTES //
+# (32 * size) primes (at least one) and its work arrays stay near this size
+# at every length
+_CHUNK_BYTES = 1 << 18
 
 
 def poly_mul_trunc(a: list[int], b: list[int], prec: int) -> list[int]:
@@ -164,7 +180,7 @@ def _crt_primes(size: int, la: int, lb: int, bits: int) -> tuple[int, ...] | Non
     return None
 
 
-def _limb_matrix(coeffs: list[int]) -> tuple[np.ndarray, int]:
+def _limb_matrix(coeffs) -> tuple[np.ndarray, int]:
     """The biased coefficients as rows of 16-bit little-endian limbs, and the
     bias they carry."""
     width = 2 * ((_coeff_bits(coeffs) + 16) // 16)  # bytes, with room for the sign
@@ -172,67 +188,143 @@ def _limb_matrix(coeffs: list[int]) -> tuple[np.ndarray, int]:
     return raw.reshape(len(coeffs), width // 2), 1 << (8 * width - 1)
 
 
-def _residues(limbs: np.ndarray, bias: int, p: int) -> np.ndarray:
-    """Balanced residues mod p, in (-p/2, p/2), of the rows of a limb matrix."""
-    weights = np.array([pow(1 << 16, j, p) for j in range(limbs.shape[1])], dtype=np.float64)
-    # every partial sum is an integer below 2^52, so the float sum is exact
-    return _balanced_mod(limbs @ weights - bias % p, p)
+def _residues(limbs: np.ndarray, bias: int, primes: tuple[int, ...]) -> np.ndarray:
+    """Balanced residues, in (-p/2, p/2), of the rows of a limb matrix: one
+    float64 row per prime p of the chunk."""
+    weights = np.array(
+        [[pow(1 << 16, j, p) for p in primes] for j in range(limbs.shape[1])], dtype=np.float64
+    )
+    offsets = np.array([bias % p for p in primes], dtype=np.float64)
+    # every partial sum is an integer below 2^52, so the float sums are exact
+    return _balanced_mod((limbs @ weights - offsets).T, _column(primes))
 
 
-def _balanced_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x mod p in [-(p - 1)/2, (p - 1)/2], exactly, for an odd prime p and
-    integer-valued x below 2^52 in absolute value: x/p is then within 1/(2p)
-    of its true value, which is never within 1/(2p) of a half-integer."""
+def _column(primes: tuple[int, ...]) -> np.ndarray:
+    return np.array(primes, dtype=np.float64)[:, None]
+
+
+def _balanced_mod(x: np.ndarray, p) -> np.ndarray:
+    """x mod p in [-(p - 1)/2, (p - 1)/2], exactly, for odd primes p (a scalar
+    or a column, one per row) and integer-valued x below 2^52 in absolute
+    value: x/p is then within 1/(2p) of its true value, which is never within
+    1/(2p) of a half-integer."""
     return x - p * np.rint(x / p)
 
 
-def _convolve(xa: np.ndarray, xb: np.ndarray, size: int, n: int) -> np.ndarray:
-    """Float convolution of two residue vectors, entries 0..n, by real FFT of
-    the given length (one forward transform when xb is xa)."""
-    fa = np.fft.rfft(xa, size)
-    fb = fa if xb is xa else np.fft.rfft(xb, size)
-    return np.fft.irfft(fa * fb, size)[: n + 1]
+class _RoundingFailure(ArithmeticError):
+    """A residue convolution lay _ROUNDING_SLACK or more from every integer."""
+
+
+class _Term:
+    """One series of a chain run: its values (a majorant vector, or balanced
+    residues as one int16 row per prime of a chunk), the power of two that
+    scales a majorant, and its transform once a product has taken it."""
+
+    __slots__ = ("values", "exp", "spectrum")
+
+    def __init__(self, values: np.ndarray, exp: int = 0):
+        self.values = values
+        self.exp = exp
+        self.spectrum = None
+
+
+def _convolve(x: _Term, y: _Term, size: int, n: int) -> np.ndarray:
+    """Float convolution of the values of two terms (rows of them, for
+    residues), entries 0..n - 1, by real FFTs of the given length.  The
+    transform of y is kept on y for its next product, and a transform kept on
+    x is used (so a square takes one transform)."""
+    if y.spectrum is None:
+        y.spectrum = np.fft.rfft(y.values, size)
+    fx = np.fft.rfft(x.values, size) if x.spectrum is None else x.spectrum
+    return np.fft.irfft(fx * y.spectrum, size)[..., :n]
+
+
+def _chain_residues(walk, inputs, bits: dict, n: int, size: int) -> dict | None:
+    """The chain's series to index n - 1 from balanced residues and CRT, by
+    transforms of length size, for inputs of at most n coefficients and
+    results whose coefficients have at most bits[key] bits; None when there
+    are not enough primes or a convolution fails the rounding check."""
+    primes = _crt_primes(size, n, n, max(bits.values()) + 1)
+    if primes is None:
+        return None
+    # primes each result needs for its sign and bits (a prefix of primes); the
+    # results sit side by side in one residue matrix, fewest primes first,
+    # each filling its rows
+    counts = {key: len(_crt_primes(size, n, n, need + 1)) for key, need in bits.items()}
+    order = sorted(counts, key=counts.get)
+    column = {key: i * n for i, key in enumerate(order)}
+    rows = np.empty((len(primes), len(order) * n), dtype=np.int16)
+    limbs = [_limb_matrix(s) for s in inputs]
+    step = max(1, _CHUNK_BYTES // (32 * size))
+    for lo in range(0, len(primes), step):
+        chunk = primes[lo : lo + step]
+        xs = [_Term(_residues(*m, chunk).astype(np.int16)) for m in limbs]
+        mul = partial(_residue_mul, primes=chunk, size=size, n=n)
+        wanted = [key for key in order if counts[key] > lo]
+        try:
+            for key, x in walk(xs, mul, wanted):
+                k = min(len(chunk), counts[key] - lo)
+                rows[lo : lo + k, column[key] : column[key] + n] = x.values[:k]
+        except _RoundingFailure:
+            return None
+    del limbs, xs  # free the input limbs and kept transforms before the CRT
+    out = {}
+    for count, group in itertools.groupby(order, key=counts.get):
+        # one reconstruction for all the results that need the same primes
+        group = list(group)
+        start = column[group[0]]
+        values = _crt(rows[:count, start : start + len(group) * n], primes[:count])
+        out.update((key, values[i * n : (i + 1) * n]) for i, key in enumerate(group))
+    return out
+
+
+def _residue_mul(x: _Term, y: _Term, primes, size: int, n: int) -> _Term:
+    """x * y to index n - 1 modulo each prime of the chunk, as int16 balanced
+    residues; raises _RoundingFailure when a convolution fails the rounding
+    check."""
+    conv = _convolve(x, y, size, n)
+    rounded = np.rint(conv)
+    if np.abs(conv - rounded).max() >= _ROUNDING_SLACK:
+        raise _RoundingFailure
+    return _Term(_balanced_mod(rounded, _column(primes)).astype(np.int16))
 
 
 def _mul_multimodular(a: list[int], b: list[int], prec: int) -> list[int] | None:
-    """Exact product by multimodular FFT convolution and CRT, or None when a
-    convolution fails the rounding check."""
-    la, lb = len(a), len(b)
-    n = min(prec, la + lb - 2)
-    size = 1 << (la + lb - 2).bit_length()  # power of two >= la + lb - 1
-    primes = _crt_primes(size, la, lb, _product_bits(a, b))
-    if primes is None:
-        return None
-    # the limb matrices of the operands are freed before the reconstruction
-    digits = _garner_digits(a, b, n, size, primes)
-    return None if digits is None else _from_mixed_radix(digits, primes)
+    """Exact product by multimodular FFT convolution and CRT, as a chain of
+    one product, or None when a convolution fails the rounding check."""
+    last = len(a) + len(b) - 2
+    size = 1 << last.bit_length()  # power of two >= la + lb - 1
+    out = _chain_residues(
+        lambda xs, mul, wanted: [(0, mul(xs[0], xs[-1]))],  # the one product
+        [a] if b is a else [a, b], {0: _product_bits(a, b) - 1}, min(prec, last) + 1, size,
+    )
+    return None if out is None else out[0]
 
 
-def _garner_digits(
-    a: list[int], b: list[int], n: int, size: int, primes: tuple[int, ...]
-) -> np.ndarray | None:
-    """Balanced mixed-radix digits of the coefficients 0..n of a*b, one row
-    per prime, or None when a convolution fails the rounding check."""
-    ma, bias_a = _limb_matrix(a)
-    mb, bias_b = (ma, bias_a) if b is a else _limb_matrix(b)
-    digits = np.empty((len(primes), n + 1))
+def _crt(rows: np.ndarray, primes: tuple[int, ...]) -> list[int]:
+    """The integers of least absolute value with the given balanced residues,
+    one row per prime: Garner's mixed-radix digits, vectorised over the
+    columns, then _from_mixed_radix, in blocks of columns whose digits take
+    about _CHUNK_BYTES."""
+    steps = []
     for i, p in enumerate(primes):
-        xa = _residues(ma, bias_a, p)
-        xb = xa if b is a else _residues(mb, bias_b, p)
-        conv = _convolve(xa, xb, size, n)
-        rounded = np.rint(conv)
-        if np.abs(conv - rounded).max() >= _ROUNDING_SLACK:
-            return None
         # radix weights p_0 ... p_(j-1) mod p of the digits found so far
         weights = []
         radix = 1
         for q in primes[:i]:
             weights.append(radix)
             radix = radix * q % p
-        inv = pow(radix, -1, p)
-        done = _balanced_mod(np.array(weights, dtype=np.float64) @ digits[:i], p)
-        digits[i] = _balanced_mod((_balanced_mod(rounded, p) - done) * inv, p)
-    return digits
+        steps.append((p, np.array(weights, dtype=np.float64), pow(radix, -1, p)))
+    width = max(1, _CHUNK_BYTES // (8 * len(primes)))
+    out = []
+    for lo in range(0, rows.shape[1], width):
+        block = rows[:, lo : lo + width]
+        digits = np.empty(block.shape)
+        for i, (p, weights, inv) in enumerate(steps):
+            done = _balanced_mod(weights @ digits[:i], p)
+            digits[i] = _balanced_mod((block[i] - done) * inv, p)
+        out += _from_mixed_radix(digits, primes)
+    return out
 
 
 def _from_mixed_radix(digits: np.ndarray, primes: tuple[int, ...]) -> list[int]:
@@ -284,6 +376,80 @@ def poly_scale_shift(a: list[int], scale: int, shift: int, prec: int) -> list[in
             break
         out[j] = scale * c
     return out
+
+
+# ---------------------------------------------------------------------------
+# Product chains
+# ---------------------------------------------------------------------------
+#
+# A chain is a generator walk(inputs, mul, wanted) that builds series from its
+# input series by products mul(x, y) alone and yields (key, series) for every
+# key in wanted.  chain_products runs it three times over: on float majorants,
+# which bound the bits of every result; on balanced residues modulo enough
+# primes for those bits, each chunk of primes in one batched transform; and
+# only if a rounding check fails, on integers through poly_mul_trunc.
+
+
+def chain_products(walk, inputs, prec: int, keys) -> dict:
+    """The series of a chain walk(inputs, mul, wanted) for every key in keys,
+    exact to index prec, as sequences of prec + 1 ints; the inputs are
+    integer series of prec + 1 coefficients.
+
+    Each key's bits come from chain_bits; the walk then runs on residues
+    modulo primes whose product exceeds twice the largest bound, so every
+    result is the balanced CRT value of its residues (Percival's bound keeps
+    each convolution within 1/2 of the exact one, and every one is checked to
+    lie within 1/4 of an integer).  Each result is rebuilt from only the
+    primes its own bound needs.  If a check fails, the walk runs again on
+    integers through poly_mul_trunc."""
+    bits = chain_bits(walk, inputs, prec, keys)
+    out = _chain_residues(walk, inputs, bits, prec + 1, _transform_size(prec))
+    if out is None:
+        out = dict(walk(inputs, lambda x, y: poly_mul_trunc(x, y, prec), keys))
+    return out
+
+
+def chain_bits(walk, inputs, prec: int, keys) -> dict:
+    """For every key, a bound on the bit length of each coefficient of its
+    series: the chain walked on float majorants of |input|, each product a
+    float convolution plus Percival's bound on its error."""
+    mul = partial(_majorant_mul, size=_transform_size(prec), n=prec + 1)
+    return {key: max(m.exp, 0) for key, m in walk([_majorant(s) for s in inputs], mul, keys)}
+
+
+def _transform_size(prec: int) -> int:
+    """Power of two >= 2 prec + 1: the cyclic length at which a product of two
+    series of prec + 1 terms has no wraparound below index prec + 1."""
+    return 1 << (2 * prec).bit_length()
+
+
+def _majorant(series) -> _Term:
+    """A term (v, e) with |series| <= 2^e v entrywise; see _normalised."""
+    vec = np.abs(np.array(series, dtype=np.float64))
+    # the conversion rounds to nearest, exactly below 2^53: step up the rest
+    return _normalised(np.where(vec < 2.0**53, vec, np.nextafter(vec, np.inf)), 0)
+
+
+def _normalised(vec: np.ndarray, exp: int) -> _Term:
+    """A term (v, e) with 2^e v >= 2^exp vec entrywise and max v in [1/2, 1),
+    or (vec, 0) for a zero vector.  Entries below 2^-900 of the largest are
+    raised to it first, so the power-of-two scaling rounds none of them down."""
+    top = float(vec.max())
+    if top == 0:
+        return _Term(vec)
+    shift = math.frexp(top)[1]
+    return _Term(np.ldexp(np.maximum(vec, top * 2.0**-900), -shift), exp + shift)
+
+
+def _majorant_mul(x: _Term, y: _Term, size: int, n: int) -> _Term:
+    """A majorant of the truncated product of two series from majorants of
+    the factors: the float convolution of the vectors, plus Percival's bound
+    |x|_2 |y|_2 times _fft_error_factor on its error, padded for the rounding
+    of the norms and of the sum itself."""
+    conv = _convolve(x, y, size, n)
+    err = math.sqrt((x.values @ x.values) * (y.values @ y.values)) * _fft_error_factor(size)
+    err = (err + float(conv.max()) * 2.0**-50) * (1 + size * 2.0**-50)
+    return _normalised(conv + err, x.exp + y.exp)
 
 
 # ---------------------------------------------------------------------------

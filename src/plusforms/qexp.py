@@ -24,8 +24,12 @@ Theta|V = 2 e(1/8) q^(1/4) sum_{t >= 0} q^(t(t+1)) and 16 G|V is an integer
 series.  So every monomial is an integer series over 16^b in all three
 frames.  The monomials of one weight r/2 are built together, from one chain
 of powers of G and one of Theta^(r mod 4) times powers of Theta^4, with one
-product per step and one per monomial; only the finished monomials are
-cached.
+product per step and one per monomial.  The chain is written once
+(_walk_ladder) and run by intpoly.chain_products on float majorants, which
+size the primes, then on residues modulo those primes, with one CRT per
+monomial; it runs on integers only if a rounding check fails.  Only the
+finished monomials are cached, one ladder per weight and frame at the
+largest precision built so far, and smaller precisions are its prefixes.
 
 Cusp and plus-space conditions are imposed by exact row reduction, giving
 exact rational bases of S_k, M_k^+ and the Kohnen plus space S_k^+.
@@ -35,9 +39,10 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 import numpy as np
 
@@ -317,56 +322,115 @@ def _monomial_int(a: int, b: int, prec: int, frame: str) -> tuple[tuple[int, ...
     """Theta^a G^b in frame 'I', 'W4' or 'V4' to index prec, as (integer
     numerators, common denominator).
 
-    The monomial is read from the ladder of its weight, _weight_monomials_int
-    (a + 4 b, prec, frame), which builds every monomial of that weight at once.
+    The monomial is read from the ladder of its weight, which holds every
+    monomial of that weight, possibly to a higher precision (see _Ladders).
     In the V frame index m stands for the exponent m + (a mod 4)/4: the
     factor q^(a/4) of (Theta|V)^a moves floor(a/4) into the index.
     """
-    return _weight_monomials_int(a + 4 * b, prec, frame)[b]
+    series, den = _weight_monomials_int(a + 4 * b, prec, frame)[b]
+    return series[: prec + 1], den
 
 
-@lru_cache(maxsize=None)
-def _weight_monomials_int(r: int, prec: int, frame: str) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every monomial Theta^(r - 4b) G^b of weight r/2, b = 0..floor(r/4), in
-    frame 'I', 'W4' or 'V4' to index prec, as (integer numerators, common
-    denominator) indexed by b; see _monomial_int.
+class _Ladders:
+    """The monomial ladders built so far: one per (r, frame), at the largest
+    precision asked for.  A smaller precision is read as a prefix, which is
+    exact: a truncated product is the prefix of a longer one, and the V-frame
+    scale and shift act index by index."""
 
-    One power ladder serves the whole weight: the chain G, G^2, ..., G^B and
-    the chain Theta^(r mod 4) (Theta^4)^j, j = 0..B, each one product per step,
-    then one product per monomial.  The Theta chain is walked once, giving
-    b = B down to 0, and each power of Theta or G is dropped once used, so
-    only the finished monomials are kept.
-    """
+    def __init__(self):
+        self._held: dict[tuple[int, str], tuple[int, tuple]] = {}
+        self._lock = threading.Lock()
+
+    def __call__(self, r: int, prec: int, frame: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Every monomial Theta^(r - 4b) G^b of weight r/2, b = 0..floor(r/4),
+        in frame 'I', 'W4' or 'V4', as (integer numerators, common
+        denominator) indexed by b, to index prec or beyond; built to prec if
+        no ladder is held that far."""
+        key = (r, frame)
+        entry = self._held.get(key)
+        if entry is None or entry[0] < prec:
+            entry = (prec, _build_ladder(r, prec, frame))
+            with self._lock:
+                if key not in self._held or self._held[key][0] < prec:
+                    self._held[key] = entry
+        return entry[1]
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._held.clear()
+
+
+_weight_monomials_int = _Ladders()
+
+
+def _frame_generators(prec: int, frame: str) -> tuple:
+    """(Theta, G) in frame 'I', 'W4' or 'V4' as integer series to index prec:
+    in the Fricke and V frames 16 G, and in the V frame the core of Theta|V."""
     if frame == "I":
-        theta, g = intpoly.theta_int(prec), intpoly.sigma_odd_int(prec)
-    elif frame == "W4":
-        theta, g = intpoly.theta_int(prec), _g16_frame_w(prec)
-    elif frame == "V4":
-        theta, g = _theta_v_core(prec), _g16_frame_v(prec)
-    else:
-        raise ValueError(f"unknown frame {frame!r}")
+        return intpoly.theta_int(prec), intpoly.sigma_odd_int(prec)
+    if frame == "W4":
+        return intpoly.theta_int(prec), _g16_frame_w(prec)
+    if frame == "V4":
+        return _theta_v_core(prec), _g16_frame_v(prec)
+    raise ValueError(f"unknown frame {frame!r}")
+
+
+def _build_ladder(r: int, prec: int, frame: str) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The monomials of weight r/2 to index prec (see _Ladders) from one run of
+    _walk_ladder through intpoly.chain_products: majorants first, then
+    residues and one CRT per monomial, integers only if a rounding check
+    fails."""
+    theta, g = _frame_generators(prec, frame)
     top = r // 4
-    gpow = [None, list(g)]
-    for _ in range(2, top + 1):
-        gpow.append(intpoly.poly_mul_trunc(gpow[-1], gpow[1], prec))
-    theta4 = intpoly.poly_pow_trunc(list(theta), 4, prec) if top else None
-    tpow = intpoly.poly_pow_trunc(list(theta), r % 4, prec)  # [1] for r = 0 mod 4
-    out = [None] * (top + 1)
-    for b in range(top, -1, -1):
-        a = r - 4 * b
-        if b < top:
-            tpow = theta4 if a == 4 else intpoly.poly_mul_trunc(tpow, theta4, prec)
-        if not b:
-            series = tpow
-        elif not a:
-            series = gpow[b]
-        else:
-            series = intpoly.poly_mul_trunc(tpow, gpow[b], prec)
-        gpow[b] = None
+    if r == 0:
+        products = {0: [1]}
+    else:
+        walk = partial(_walk_ladder, r)
+        products = intpoly.chain_products(walk, [theta, g], prec, range(top + 1))
+    out = []
+    for b in range(top + 1):
+        series, a = products[b], r - 4 * b
         if frame == "V4":
             series = intpoly.poly_scale_shift(series, 2**a, a // 4, prec)
-        out[b] = (tuple(series), 16**b if frame != "I" else 1)
+        out.append((tuple(series), 16**b if frame != "I" else 1))
     return tuple(out)
+
+
+def _walk_ladder(r: int, inputs, mul, wanted):
+    """Yield (b, Theta^(r - 4b) G^b) for each b in wanted, b descending, from
+    inputs = (Theta, G) and products mul(x, y) of any kind of series; r >= 1.
+
+    One chain gives G, G^2, ..., G^max(wanted), the other Theta^(r mod 4)
+    (Theta^4)^j from b = floor(r/4) down to min(wanted); each step is one
+    product, and so is each monomial that is not a power of Theta or of G.
+    The right operand of every chain step is G or Theta^4, and of a
+    monomial's product its Theta power, the left operand of the next Theta
+    step; so a product that keeps the transform of its right operand, and
+    uses one kept on its left, transforms G and Theta^4 once and each Theta
+    power once.
+    """
+    theta, g = inputs
+    top, hi, lo = r // 4, max(wanted), min(wanted)
+    gpow = [None, g]
+    for _ in range(2, hi + 1):
+        gpow.append(mul(gpow[-1], g))
+    theta2 = mul(theta, theta) if top or r % 4 >= 2 else None
+    theta4 = mul(theta2, theta2) if top else None
+    # Theta^(r mod 4), None standing for 1
+    tpow = (None, theta, theta2)[r % 4] if r % 4 < 3 else mul(theta2, theta)
+    del theta2  # with any transform kept on it
+    for b in range(top, lo - 1, -1):
+        if b < top:
+            tpow = theta4 if tpow is None else mul(tpow, theta4)
+        if b not in wanted:
+            continue
+        if not b:
+            yield b, tpow
+        elif tpow is None:
+            yield b, gpow[b]
+        else:
+            yield b, mul(gpow[b], tpow)
+        gpow[b] = None
 
 
 def monomial_expansion(a: int, b: int, prec: int, frame: str = "I") -> tuple[QExpansion, complex]:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from oracles import (
     qexp_sum_reference,
     series_eval_reference,
 )
+from plusforms import intpoly, qexp
 from plusforms.hecke import dim_cusp_level1
 from plusforms.qexp import (
     PrecisionError,
@@ -370,10 +372,81 @@ def test_monomial_ladder_matches_reference(num):
     _check_ladder(k, (st, 9 * (st + 1)))
 
 
-# at prec 1200 every product of the ladder takes the multimodular path
+# at prec 1200 the ladder's transforms are 4096 long, so its primes run in
+# chunks of two, and a product of the integer route is multimodular
 @pytest.mark.parametrize("kstr", ["21/2", "29/2"])
 def test_monomial_ladder_matches_reference_multimodular(kstr):
     _check_ladder(Fraction(kstr), (1200,))
+
+
+def _ladder_bit_bounds(r, prec, frame):
+    """chain_bits of the weight-r/2 ladder: per b, the majorant's bound on the
+    bits of the product Theta^(r-4b) G^b before the V-frame scale 2^a."""
+    walk = functools.partial(qexp._walk_ladder, r)
+    generators = qexp._frame_generators(prec, frame)
+    return intpoly.chain_bits(walk, generators, prec, range(r // 4 + 1))
+
+
+@pytest.mark.parametrize("num", range(5, 62, 2))
+def test_ladder_majorant_bounds_every_monomial(num):
+    """The float majorant bounds the bits of every monomial, so the primes it
+    picks suffice; in frame I, where no coefficient cancels, it is tight to 2
+    bits, so a loose bound cannot silently cost primes.  The monomials are
+    checked against the one-at-a-time oracle by the ladder tests above."""
+    k = Fraction(num, 2)
+    st = sturm_index(k)
+    for prec in (st, 9 * (st + 1)):
+        for frame in FRAMES:
+            bounds = _ladder_bit_bounds(num, prec, frame)
+            for a, b in weight_monomials(k):
+                series, _ = _monomial_int(a, b, prec, frame)
+                actual = max(c.bit_length() for c in series)
+                bound = bounds[b] + (a if frame == "V4" and actual else 0)
+                assert bound >= actual, (num, prec, frame, b)
+                if frame == "I":
+                    assert bound <= actual + 2, (num, prec, frame, b)
+
+
+def test_ladder_cache_serves_prefixes():
+    """After prec P, a smaller precision p is served from the ladder held at
+    P: equal to a fresh build at p, with one cache entry per (r, frame)."""
+    _weight_monomials_int.cache_clear()
+    r, big = 29, 400
+    for frame in FRAMES:
+        _weight_monomials_int(r, big, frame)
+    for small in (3, sturm_index(Fraction(r, 2)), 121, big):
+        for frame in FRAMES:
+            fresh = qexp._build_ladder(r, small, frame)
+            for a, b in weight_monomials(Fraction(r, 2)):
+                assert _monomial_int(a, b, small, frame) == fresh[b]
+    held = {key: prec for key, (prec, _) in _weight_monomials_int._held.items()}
+    assert held == {(r, frame): big for frame in FRAMES}
+    _monomial_int(1, 7, big + 1, "I")
+    assert _weight_monomials_int._held[(r, "I")][0] == big + 1
+
+
+def test_ladder_falls_back_to_integer_products(monkeypatch):
+    """With every rounding check failing, the ladder comes from the integer
+    route and still equals the one-at-a-time oracle; with the checks as
+    shipped, frame I makes no integer product at all."""
+    products = []
+    mul = intpoly.poly_mul_trunc
+
+    def spy(a, b, prec):
+        products.append(prec)
+        return mul(a, b, prec)
+
+    monkeypatch.setattr(intpoly, "poly_mul_trunc", spy)
+    r, prec = 21, 1200
+    qexp._build_ladder(r, prec, "I")
+    assert products == []
+    monkeypatch.setattr(intpoly, "_ROUNDING_SLACK", 0.0)
+    for frame in FRAMES:
+        products.clear()
+        ladder = qexp._build_ladder(r, prec, frame)
+        assert products
+        for a, b in weight_monomials(Fraction(r, 2)):
+            assert ladder[b] == monomial_int_reference(a, b, prec, frame)
 
 
 @pytest.mark.parametrize("kstr", ["13/2", "25/2"])
