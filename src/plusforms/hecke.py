@@ -6,7 +6,11 @@ from E4, E6 and the discriminant form, classical T(p), exact eigenforms.
 Eigenvalues are exact at every degree: rational, in Q(sqrt(d)), or y in
 Q[y]/(charpoly) with y sent to one real root (arith.NumberField).  Both
 sides are diagonalised by T(3) on S_{2k-1} and T(9) on S_k^+, whose
-charpolys agree, so a plus form and its partner share one field.
+charpolys agree, so a plus form and its partner share one field.  The T(9)
+matrix, its charpoly and the eigenvectors are computed once per plus space
+and held by it; past the basis precision, an eigenform combines the basis
+rows that the eigenforms of one weight share into one integer row per field
+coordinate, and makes each scalar when it is read.
 
 Half-integral weight: the coefficient action of T(p^2) on the Kohnen plus
 space, simultaneous eigenbases, the pairing lambda(p^2) = Fhat(p) with the
@@ -19,6 +23,8 @@ lambda(m^2) lambda(n^2) = sum_{d|(m,n)} d^(2k-2) lambda(m^2 n^2 / d^4).
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -42,7 +48,6 @@ from .qexp import (
     PrecisionError,
     QExpansion,
     SpaceBasis,
-    _monomial_int,
     combine_int_rows,
     cusp_plus_basis,
     from_int_series,
@@ -200,14 +205,30 @@ def _eigenvectors(mat, cp, name: str) -> list[tuple]:
 
 def _combine(rows, vec, n: int) -> list:
     """Coefficients 0..n-1 of sum_j vec[j] * rows[j] for integer rows and
-    exact scalars: one qexp.combine_int_rows per power-basis coordinate."""
-    field = next((v.field for v in vec if isinstance(v, FieldElement)), None)
-    if field is None:
-        num, den = combine_int_rows(rows, vec, n)
-        return [Fraction(x, den) for x in num]
-    coords = [field.coords(v) for v in vec]
-    parts = [combine_int_rows(rows, [c[i] for c in coords], n) for i in range(field.degree)]
-    return [field([Fraction(num[t], den) for num, den in parts]) for t in range(n)]
+    exact scalars."""
+    number_field, parts = _coordinate_rows(rows, vec, n)
+    return [_scalar(number_field, parts, t) for t in range(n)]
+
+
+def _coordinate_rows(rows, vec, n: int) -> tuple:
+    """sum_j vec[j] * rows[j] on indices 0..n-1, for integer rows and exact
+    scalars, as (number field or None, [(integer numerators, common
+    denominator)] per power-basis coordinate): one qexp.combine_int_rows per
+    coordinate."""
+    number_field = next((v.field for v in vec if isinstance(v, FieldElement)), None)
+    if number_field is None:
+        return None, [combine_int_rows(rows, vec, n)]
+    coords = [number_field.coords(v) for v in vec]
+    return number_field, [combine_int_rows(rows, [c[i] for c in coords], n)
+                          for i in range(number_field.degree)]
+
+
+def _scalar(number_field, parts, t: int):
+    """Coefficient t of the coordinate rows parts (see _coordinate_rows)."""
+    if number_field is None:
+        num, den = parts[0]
+        return Fraction(num[t], den)
+    return number_field([Fraction(num[t], den) for num, den in parts])
 
 
 def hecke_matrix_level1(w: int, p: int) -> list[list[Fraction]]:
@@ -292,7 +313,12 @@ def hecke_matrix_plus(basis: SpaceBasis, p: int) -> list[list[Fraction]]:
 
 @dataclass
 class HalfIntegralForm:
-    """Hecke eigenform in S_k^+(Gamma_0(4)), leading admissible coefficient 1."""
+    """Hecke eigenform in S_k^+(Gamma_0(4)), leading admissible coefficient 1.
+
+    Past the basis precision its coefficients are integer rows, one per
+    power-basis coordinate of its scalars, combined from the basis rows that
+    the eigenforms of its weight share (SpaceBasis.int_rows); a scalar is
+    made when it is first read."""
 
     k: Fraction
     basis: SpaceBasis
@@ -303,41 +329,38 @@ class HalfIntegralForm:
     _coeff_cache: dict = field(default_factory=dict, repr=False)
     _cached_upto: int = -1
     petersson_norm: object = None  # CertifiedValue, filled by callers that need it
+    # (number field or None, coordinate rows) to _cached_upto, see _coordinate_rows
+    _rows: tuple = field(default=(None, ()), repr=False, compare=False)
 
     def coeff(self, n: int):
-        """fhat(n), exact scalar; uses fast integer series for large n."""
+        """fhat(n), exact scalar; read from the integer rows past the basis
+        precision."""
         if n in self._coeff_cache:
             return self._coeff_cache[n]
-        if n <= self.basis.forms[0].prec:
+        if n <= self._cached_upto:
+            val = _scalar(*self._rows, n)
+        elif n <= self.basis.forms[0].prec:
             val = sum(
                 (c * self.basis.forms[i].coeff(n) for i, c in enumerate(self.vector)),
                 start=Fraction(0),
             )
         else:
             self.coefficients_upto(n)
-            val = self._coeff_cache[n]
+            val = _scalar(*self._rows, n)
         self._coeff_cache[n] = val
         return val
 
-    def coefficients_upto(self, n_max: int):
-        """All fhat(0..n_max) in one pass (fast integer-series combination)."""
-        if n_max <= self._cached_upto:
-            return [self._coeff_cache[n] for n in range(n_max + 1)]
-        used = [(mono, v) for mono, v in zip(self.basis.monomials, self._monomial_vector())
-                if v != 0]
-        rows = [_monomial_int(a, b, n_max, "I")[0] for (a, b), _ in used]
-        series = _combine(rows, [v for _, v in used], n_max + 1)
-        for n, v in enumerate(series):
-            self._coeff_cache[n] = v
-        self._cached_upto = n_max
-        return series
-
-    def _monomial_vector(self):
-        acc = None
-        for c, bvec in zip(self.vector, self.basis.vectors):
-            term = [c * bv for bv in bvec]
-            acc = term if acc is None else [a + t for a, t in zip(acc, term)]
-        return acc
+    def coefficients_upto(self, n_max: int) -> Coefficients:
+        """fhat(0..n_max) as a read-only sequence whose scalars are made as
+        they are read.  The basis rows are built to n_max if they are held to
+        less, then combined once per field coordinate."""
+        if n_max > self._cached_upto:
+            rows = self.basis.int_rows("I", n_max)
+            n = len(rows[0][0])
+            vec = [c / den for c, (_, den) in zip(self.vector, rows)]
+            self._rows = _coordinate_rows([row for row, _ in rows], vec, n)
+            self._cached_upto = n - 1
+        return Coefficients(self, n_max + 1)
 
     def eigenvalue(self, l: int):
         """lambda(l) for l an odd square, from the stored prime table and
@@ -393,6 +416,32 @@ class HalfIntegralForm:
         )
 
 
+class Coefficients(Sequence):
+    """fhat(0..n - 1) of a plus-space form, read-only: supports len, index,
+    slice and iteration, and makes each scalar when it is read
+    (HalfIntegralForm.coeff)."""
+
+    def __init__(self, form: HalfIntegralForm, n: int):
+        self._form = form
+        self._len = n
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._form.coeff(n) for n in range(*i.indices(self._len))]
+        n = operator.index(i)
+        if n < 0:
+            n += self._len
+        if not 0 <= n < self._len:
+            raise IndexError("coefficient index out of range")
+        return self._form.coeff(n)
+
+    def __iter__(self):
+        return map(self._form.coeff, range(self._len))
+
+
 PAIRING_PRIMES = (3, 5, 7, 11, 13)
 
 
@@ -410,16 +459,11 @@ def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfI
     target_dim = dim_cusp_level1(w)
     pair_need = (PAIRING_PRIMES[-1] ** 2) * 4 + 1
     basis = cusp_plus_basis(k, max(prec or 0, pair_need), expected_dim=target_dim)
-    d = basis.dimension
-    if d == 0:
+    if basis.dimension == 0:
         return []
-    mat = hecke_matrix_plus(basis, 3)
-    cp = charpoly_exact(mat)
-    pivots = _pivot_indices(basis)
+    cp, systems = basis.cached("eigenforms", lambda: _eigensystems(basis))
     forms = []
-    for lam, vec in _eigenvectors(mat, cp, "T(9)"):
-        lead = min((i for i, c in enumerate(vec) if c != 0), key=lambda i: pivots[i])
-        vec = [v / vec[lead] for v in vec]
+    for lam, vec in systems:
         f = HalfIntegralForm(k=k, basis=basis, vector=vec, charpoly=cp)
         f.eigen_table[3] = lam
         forms.append(f)
@@ -428,6 +472,29 @@ def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfI
         for f in forms:
             f.shimura_partner = _match_partner(f, partners)
     return forms
+
+
+def _t9(basis: SpaceBasis) -> tuple:
+    """(matrix, charpoly) of T(9) on a plus-space basis, computed once per
+    space (SpaceBasis.cached); the basis needs precision 9 max(pivots)."""
+
+    def build():
+        mat = hecke_matrix_plus(basis, 3)
+        return mat, charpoly_exact(mat)
+
+    return basis.cached("T(9)", build)
+
+
+def _eigensystems(basis: SpaceBasis) -> tuple:
+    """(charpoly of T(9), [(lambda(9), vector over basis.forms)] by
+    descending lambda(9)) on a plus-space basis: see eigenbasis_plus."""
+    mat, cp = _t9(basis)
+    pivots = _pivot_indices(basis)
+    systems = []
+    for lam, vec in _eigenvectors(mat, cp, "T(9)"):
+        lead = min((i for i, c in enumerate(vec) if c != 0), key=lambda i: pivots[i])
+        systems.append((lam, [v / vec[lead] for v in vec]))
+    return cp, systems
 
 
 def _match_partner(f: HalfIntegralForm, partners: list[IntegralForm]) -> IntegralForm:
@@ -507,6 +574,6 @@ def shimura_charpolys_match(k) -> bool:
         return False
     if d == 0:
         return True
-    cp_plus = charpoly_exact(hecke_matrix_plus(basis, 3))
+    cp_plus = _t9(basis)[1]
     cp_int = charpoly_exact(hecke_matrix_level1(w, 3))
     return cp_plus == cp_int

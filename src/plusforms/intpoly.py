@@ -15,12 +15,15 @@ product takes one of three exact paths, chosen by operand length alone:
   coefficients 0..prec are rebuilt by Garner's CRT, vectorised over the
   coefficients.
 
-A chain of products (chain_products) stays in residue space from its inputs
-to its results: a float majorant pass first bounds the bits of every result,
-one prime set serves the whole chain, each chunk of primes walks the chain on
-int16 residue rows with the transforms of reused operands kept, and each
-result is rebuilt by one CRT from the primes its own bound needs.  Memory is
-bounded by _CHUNK_BYTES of transform work per chunk.
+A chain of products (chain_products) returns an integer matrix times its
+results, and from transform length _CHAIN_RESIDUE_CUTOFF it stays in residue
+space from its inputs to the rows of that map: a float majorant pass first
+bounds the bits of every row, one prime set serves the whole chain, each
+chunk of primes walks the chain on int16 residue rows with the transforms of
+reused operands kept and applies the map to the residues, and each row is
+rebuilt by one CRT from the primes its own bound needs.  Memory is bounded by
+_CHUNK_BYTES of transform work per chunk.  Shorter chains are walked on
+integers, where the schoolbook and Kronecker products are faster.
 
 Residue arithmetic is exact by construction.  The primes multiply to more
 than twice a bound on every coefficient (|c_n| <= min(la, lb) max|a| max|b|
@@ -30,7 +33,7 @@ Percival's bound on the error of an FFT convolution (Math. Comp. 72 (2003),
 Theorem 5.1), applied to the residue vectors, stays below 1/2; every rounded
 convolution must moreover lie within 1/4 of an integer.  A product that fails
 this check is recomputed by Kronecker substitution, and a chain is walked
-again on integers with poly_mul_trunc.
+again on integers with poly_mul_trunc, its map applied to the integers.
 """
 
 from __future__ import annotations
@@ -43,10 +46,14 @@ import numpy as np
 
 from .arith import primes_up_to
 
-_SCHOOLBOOK_CUTOFF = 160
+# operand length up to which the double loop beats Kronecker substitution
+_SCHOOLBOOK_CUTOFF = 24
 # shorter-operand length from which the multimodular path beats Kronecker
 # substitution on CPython ints
 _MULTIMODULAR_CUTOFF = 1000
+# transform length from which a chain of products runs on residues; shorter
+# chains are walked on integers
+_CHAIN_RESIDUE_CUTOFF = 256
 
 # odd primes below 2^14, largest first
 _PRIMES = tuple(reversed(primes_up_to((1 << 14) - 1)[1:]))
@@ -239,43 +246,62 @@ def _convolve(x: _Term, y: _Term, size: int, n: int) -> np.ndarray:
     return np.fft.irfft(fx * y.spectrum, size)[..., :n]
 
 
-def _chain_residues(walk, inputs, bits: dict, n: int, size: int) -> dict | None:
-    """The chain's series to index n - 1 from balanced residues and CRT, by
-    transforms of length size, for inputs of at most n coefficients and
-    results whose coefficients have at most bits[key] bits; None when there
-    are not enough primes or a convolution fails the rounding check."""
-    primes = _crt_primes(size, n, n, max(bits.values()) + 1)
+def _chain_residues(walk, inputs, n: int, size: int, keys, matrix, shifts, bits) -> list | None:
+    """Rows of the map of chain_products to index n - 1 from balanced
+    residues and CRT, by transforms of length size, for inputs of at most n
+    coefficients and rows whose coefficients have at most bits[i] bits; None
+    when there are not enough primes or a convolution fails the rounding
+    check."""
+    primes = _crt_primes(size, n, n, max(bits) + 1)
     if primes is None:
         return None
-    # primes each result needs for its sign and bits (a prefix of primes); the
-    # results sit side by side in one residue matrix, fewest primes first,
-    # each filling its rows
-    counts = {key: len(_crt_primes(size, n, n, need + 1)) for key, need in bits.items()}
-    order = sorted(counts, key=counts.get)
-    column = {key: i * n for i, key in enumerate(order)}
+    # primes each row needs for its sign and bits (a prefix of primes); the
+    # rows sit side by side in one residue matrix, fewest primes first, each
+    # filling its rows
+    counts = [len(_crt_primes(size, n, n, need + 1)) for need in bits]
+    order = sorted(range(len(matrix)), key=counts.__getitem__)
+    column = {i: pos * n for pos, i in enumerate(order)}
     rows = np.empty((len(primes), len(order) * n), dtype=np.int16)
     limbs = [_limb_matrix(s) for s in inputs]
+    index = {key: j for j, key in enumerate(keys)}
     step = max(1, _CHUNK_BYTES // (32 * size))
     for lo in range(0, len(primes), step):
         chunk = primes[lo : lo + step]
+        live = [i for i in order if counts[i] > lo]
+        # the map modulo each prime of the chunk, balanced: (prime, row, key)
+        coeffs = _balanced_mod(
+            np.array([[[c % p for c in matrix[i]] for i in live] for p in chunk], dtype=np.float64),
+            _column(chunk)[:, :, None],
+        )
+        # the live rows each key enters
+        targets = {key: [pos for pos, i in enumerate(live) if matrix[i][j]]
+                   for j, key in enumerate(keys)}
+        wanted = [key for key in keys if targets[key]]
+        acc = np.zeros((len(chunk), len(live), n))
         xs = [_Term(_residues(*m, chunk).astype(np.int16)) for m in limbs]
         mul = partial(_residue_mul, primes=chunk, size=size, n=n)
-        wanted = [key for key in order if counts[key] > lo]
         try:
-            for key, x in walk(xs, mul, wanted):
-                k = min(len(chunk), counts[key] - lo)
-                rows[lo : lo + k, column[key] : column[key] + n] = x.values[:k]
+            for key, x in walk(xs, mul, wanted) if wanted else ():
+                j = index[key]
+                s = shifts[j]
+                for pos in targets[key]:
+                    # each term is below 2^26, so the float sums stay exact
+                    acc[:, pos, s:] += coeffs[:, pos, j, None] * x.values[:, : max(n - s, 0)]
         except _RoundingFailure:
             return None
+        acc = _balanced_mod(acc, _column(chunk)[:, :, None]).astype(np.int16)
+        for pos, i in enumerate(live):
+            k = min(len(chunk), counts[i] - lo)
+            rows[lo : lo + k, column[i] : column[i] + n] = acc[:k, pos]
     del limbs, xs  # free the input limbs and kept transforms before the CRT
     out = {}
-    for count, group in itertools.groupby(order, key=counts.get):
-        # one reconstruction for all the results that need the same primes
+    for count, group in itertools.groupby(order, key=counts.__getitem__):
+        # one reconstruction for all the rows that need the same primes
         group = list(group)
         start = column[group[0]]
         values = _crt(rows[:count, start : start + len(group) * n], primes[:count])
-        out.update((key, values[i * n : (i + 1) * n]) for i, key in enumerate(group))
-    return out
+        out.update((i, values[pos * n : (pos + 1) * n]) for pos, i in enumerate(group))
+    return [out[i] for i in range(len(matrix))]
 
 
 def _residue_mul(x: _Term, y: _Term, primes, size: int, n: int) -> _Term:
@@ -296,7 +322,8 @@ def _mul_multimodular(a: list[int], b: list[int], prec: int) -> list[int] | None
     size = 1 << last.bit_length()  # power of two >= la + lb - 1
     out = _chain_residues(
         lambda xs, mul, wanted: [(0, mul(xs[0], xs[-1]))],  # the one product
-        [a] if b is a else [a, b], {0: _product_bits(a, b) - 1}, min(prec, last) + 1, size,
+        [a] if b is a else [a, b], min(prec, last) + 1, size,
+        [0], [[1]], [0], [_product_bits(a, b) - 1],
     )
     return None if out is None else out[0]
 
@@ -384,37 +411,98 @@ def poly_scale_shift(a: list[int], scale: int, shift: int, prec: int) -> list[in
 #
 # A chain is a generator walk(inputs, mul, wanted) that builds series from its
 # input series by products mul(x, y) alone and yields (key, series) for every
-# key in wanted.  chain_products runs it three times over: on float majorants,
-# which bound the bits of every result; on balanced residues modulo enough
-# primes for those bits, each chunk of primes in one batched transform; and
-# only if a rounding check fails, on integers through poly_mul_trunc.
+# key in wanted.  chain_products returns an integer matrix times its results.
+# From transform length _CHAIN_RESIDUE_CUTOFF it runs the chain twice: on
+# float majorants, which bound the bits of every row of the map, then on
+# balanced residues modulo enough primes for those bits, each chunk of primes
+# in one batched transform, with the map applied to each chunk's residues.
+# Shorter chains, and a chain whose rounding check fails, run on integers
+# through poly_mul_trunc, with the map applied to the integer results.
 
 
-def chain_products(walk, inputs, prec: int, keys) -> dict:
-    """The series of a chain walk(inputs, mul, wanted) for every key in keys,
-    exact to index prec, as sequences of prec + 1 ints; the inputs are
-    integer series of prec + 1 coefficients.
+def chain_products(walk, inputs, prec: int, keys, matrix, shifts) -> list[list[int]]:
+    """Rows of matrix times the series of a chain walk(inputs, mul, wanted),
+    exact to index prec, as lists of prec + 1 ints; the inputs are integer
+    series of prec + 1 coefficients.
 
-    Each key's bits come from chain_bits; the walk then runs on residues
-    modulo primes whose product exceeds twice the largest bound, so every
-    result is the balanced CRT value of its residues (Percival's bound keeps
-    each convolution within 1/2 of the exact one, and every one is checked to
-    lie within 1/4 of an integer).  Each result is rebuilt from only the
-    primes its own bound needs.  If a check fails, the walk runs again on
-    integers through poly_mul_trunc."""
-    bits = chain_bits(walk, inputs, prec, keys)
-    out = _chain_residues(walk, inputs, bits, prec + 1, _transform_size(prec))
+    Row i is sum_j matrix[i][j] q^shifts[j] S_j, where S_j is the series of
+    keys[j] and matrix holds integers.  On residues, the primes multiply to
+    more than twice chain_bits' bound on every row, so each row is the
+    balanced CRT value of its residues (Percival's bound keeps each
+    convolution within 1/2 of the exact one, and every one is checked to lie
+    within 1/4 of an integer); each row is rebuilt once, from only the primes
+    its own bound needs.  If a check fails, the chain runs again on
+    integers."""
+    keys = list(keys)
+    used = [key for j, key in enumerate(keys) if any(row[j] for row in matrix)]
+    if not used:
+        return [[0] * (prec + 1) for _ in matrix]
+    size = _transform_size(prec)
+    out = None
+    if size >= _CHAIN_RESIDUE_CUTOFF:
+        bits = chain_bits(walk, inputs, prec, keys, matrix, shifts)
+        out = _chain_residues(walk, inputs, prec + 1, size, keys, matrix, shifts, bits)
     if out is None:
-        out = dict(walk(inputs, lambda x, y: poly_mul_trunc(x, y, prec), keys))
+        series = dict(walk(inputs, lambda x, y: poly_mul_trunc(x, y, prec), used))
+        out = [_map_row([series.get(key) for key in keys], row, shifts, prec + 1) for row in matrix]
     return out
 
 
-def chain_bits(walk, inputs, prec: int, keys) -> dict:
-    """For every key, a bound on the bit length of each coefficient of its
-    series: the chain walked on float majorants of |input|, each product a
-    float convolution plus Percival's bound on its error."""
+def chain_bits(walk, inputs, prec: int, keys, matrix=None, shifts=None) -> list[int]:
+    """For every row of the map of chain_products, a bound on the bit length
+    of each coefficient of its series: the chain walked on float majorants of
+    |input|, each product a float convolution plus Percival's bound on its
+    error, then the map applied to the majorants as sum_j |matrix[i][j]| m_j;
+    matrix None is the identity and shifts None is all zero."""
+    keys = list(keys)
+    if matrix is None:
+        matrix = [[int(i == j) for j in range(len(keys))] for i in range(len(keys))]
+    shifts = [0] * len(keys) if shifts is None else shifts
+    used = [key for j, key in enumerate(keys) if any(row[j] for row in matrix)]
     mul = partial(_majorant_mul, size=_transform_size(prec), n=prec + 1)
-    return {key: max(m.exp, 0) for key, m in walk([_majorant(s) for s in inputs], mul, keys)}
+    majorants = dict(walk([_majorant(s) for s in inputs], mul, used)) if used else {}
+    return _map_bits([majorants.get(key) for key in keys], matrix, shifts)
+
+
+def _map_row(series: list, row: list[int], shifts: list[int], n: int) -> list[int]:
+    """sum_j row[j] q^shifts[j] series[j] to index n - 1, on integers."""
+    out = [0] * n
+    for s, c, x in zip(shifts, row, series):
+        if c:
+            for m, y in enumerate(x[: max(n - s, 0)], s):
+                if y:
+                    out[m] += c * y
+    return out
+
+
+def _map_bits(majorants: list, matrix, shifts) -> list[int]:
+    """Per row of matrix, a bound on the bits of every coefficient of
+    sum_j matrix[i][j] q^shifts[j] S_j from majorants 2^e_j v_j of |S_j|.
+
+    A row with one term takes e_j + ceil(log2 |c|).  Otherwise each |c| 2^e_j
+    is rounded up to a float times 2^-E, E the largest of its bit lengths,
+    and the rows' majorants are summed coefficientwise in float64, padded for
+    the rounding of each product and sum and for underflow."""
+    out = []
+    for row in matrix:
+        terms = [(abs(c), majorants[j], s) for j, (c, s) in enumerate(zip(row, shifts)) if c]
+        if not terms:
+            out.append(0)
+            continue
+        if len(terms) == 1:
+            c, m, _ = terms[0]
+            out.append(max(m.exp + (c - 1).bit_length(), 0))
+            continue
+        top = max(c.bit_length() + m.exp for c, m, _ in terms)
+        total = np.zeros(len(terms[0][1].values))
+        for c, m, s in terms:
+            cut = max(c.bit_length() - 53, 0)
+            head = (c >> cut) + (1 if cut else 0)  # c <= head 2^cut
+            factor = max(math.ldexp(head, cut + m.exp - top), 2.0**-1000)
+            total[s:] += factor * m.values[: max(total.size - s, 0)]
+        total = (total + len(terms) * 2.0**-1000) * (1 + len(terms) * 2.0**-50)
+        out.append(max(_normalised(total, top).exp, 0))
+    return out
 
 
 def _transform_size(prec: int) -> int:

@@ -25,14 +25,22 @@ series.  So every monomial is an integer series over 16^b in all three
 frames.  The monomials of one weight r/2 are built together, from one chain
 of powers of G and one of Theta^(r mod 4) times powers of Theta^4, with one
 product per step and one per monomial.  The chain is written once
-(_walk_ladder) and run by intpoly.chain_products on float majorants, which
-size the primes, then on residues modulo those primes, with one CRT per
-monomial; it runs on integers only if a rounding check fails.  Only the
-finished monomials are cached, one ladder per weight and frame at the
-largest precision built so far, and smaller precisions are its prefixes.
+(_walk_ladder) and run by intpoly.chain_products, which ends it with an
+integer map: the frame's scale and shift for the monomials themselves, or
+the combinations that make the forms of a basis, whose denominators 16^b,
+V-frame scale 2^a, shift and phase sign are folded into the map.  Long
+chains run on float majorants, which size the primes, then on residues
+modulo those primes, with the map applied to the residues and one CRT per
+row; short chains run on integers, and so does a chain whose rounding check
+fails.  Results are held per key at the largest precision built so far, and
+smaller precisions are their prefixes: one monomial ladder per weight and
+frame (asked for at the Sturm index and for explicit monomials), and the
+rows of each basis per frame.
 
-Cusp and plus-space conditions are imposed by exact row reduction, giving
-exact rational bases of S_k, M_k^+ and the Kohnen plus space S_k^+.
+Cusp and plus-space conditions are imposed by exact row reduction, once per
+weight and kind, giving exact rational bases of S_k, M_k^+ and the Kohnen
+plus space S_k^+; one object holds each basis's vectors, its forms' rows
+and values derived from them, such as the Hecke matrix of T(9).
 """
 
 from __future__ import annotations
@@ -331,33 +339,45 @@ def _monomial_int(a: int, b: int, prec: int, frame: str) -> tuple[tuple[int, ...
     return series[: prec + 1], den
 
 
-class _Ladders:
+class _Prefixes:
+    """Values built per key at the largest precision asked for so far.  A
+    smaller precision reads the held value as a prefix, which is exact: a
+    truncated product is the prefix of a longer one, and the V-frame scale
+    and shift act index by index.  The check-then-store runs under a lock."""
+
+    def __init__(self, build, held: dict | None = None):
+        self._build = build  # build(key, prec)
+        self._held: dict = {} if held is None else held  # key -> (prec, value)
+        self._lock = threading.Lock()
+
+    def get(self, key, prec: int):
+        entry = self._held.get(key)
+        if entry is None or entry[0] < prec:
+            built = (prec, self._build(key, prec))
+            with self._lock:
+                entry = self._held.get(key)
+                if entry is None or entry[0] < prec:
+                    entry = self._held[key] = built
+        return entry[1]
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._held.clear()
+
+
+class _Ladders(_Prefixes):
     """The monomial ladders built so far: one per (r, frame), at the largest
-    precision asked for.  A smaller precision is read as a prefix, which is
-    exact: a truncated product is the prefix of a longer one, and the V-frame
-    scale and shift act index by index."""
+    precision asked for."""
 
     def __init__(self):
-        self._held: dict[tuple[int, str], tuple[int, tuple]] = {}
-        self._lock = threading.Lock()
+        super().__init__(lambda key, prec: _build_ladder(key[0], prec, key[1]))
 
     def __call__(self, r: int, prec: int, frame: str) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Every monomial Theta^(r - 4b) G^b of weight r/2, b = 0..floor(r/4),
         in frame 'I', 'W4' or 'V4', as (integer numerators, common
         denominator) indexed by b, to index prec or beyond; built to prec if
         no ladder is held that far."""
-        key = (r, frame)
-        entry = self._held.get(key)
-        if entry is None or entry[0] < prec:
-            entry = (prec, _build_ladder(r, prec, frame))
-            with self._lock:
-                if key not in self._held or self._held[key][0] < prec:
-                    self._held[key] = entry
-        return entry[1]
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._held.clear()
+        return self.get((r, frame), prec)
 
 
 _weight_monomials_int = _Ladders()
@@ -375,25 +395,40 @@ def _frame_generators(prec: int, frame: str) -> tuple:
     raise ValueError(f"unknown frame {frame!r}")
 
 
+def _monomial_scales(r: int, frame: str) -> list[tuple[int, int, int]]:
+    """For b = 0..floor(r/4), (scale, shift, den) with Theta^(r - 4b) G^b =
+    scale q^shift P_b / den in the frame, P_b the ladder's product of the
+    frame generators: 2^a, a // 4 and 16^b in the V frame (a = r - 4b), and
+    1, 0 and 16^b in the Fricke frame."""
+    out = []
+    for b in range(r // 4 + 1):
+        a = r - 4 * b
+        if frame == "V4":
+            out.append((2**a, a // 4, 16**b))
+        else:
+            out.append((1, 0, 16**b if frame == "W4" else 1))
+    return out
+
+
+def _ladder_map(r: int, prec: int, frame: str, matrix, shifts) -> list[list[int]]:
+    """matrix times the ladder products P_b of weight r/2 in the frame, each
+    first shifted by shifts[b], to index prec (see intpoly.chain_products)."""
+    if r == 0:  # the one monomial is 1
+        return [[row[0]] + [0] * prec for row in matrix]
+    walk = partial(_walk_ladder, r)
+    return intpoly.chain_products(walk, _frame_generators(prec, frame), prec, range(r // 4 + 1),
+                                  matrix, shifts)
+
+
 def _build_ladder(r: int, prec: int, frame: str) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The monomials of weight r/2 to index prec (see _Ladders) from one run of
-    _walk_ladder through intpoly.chain_products: majorants first, then
-    residues and one CRT per monomial, integers only if a rounding check
-    fails."""
-    theta, g = _frame_generators(prec, frame)
-    top = r // 4
-    if r == 0:
-        products = {0: [1]}
-    else:
-        walk = partial(_walk_ladder, r)
-        products = intpoly.chain_products(walk, [theta, g], prec, range(top + 1))
-    out = []
-    for b in range(top + 1):
-        series, a = products[b], r - 4 * b
-        if frame == "V4":
-            series = intpoly.poly_scale_shift(series, 2**a, a // 4, prec)
-        out.append((tuple(series), 16**b if frame != "I" else 1))
-    return tuple(out)
+    _walk_ladder through intpoly.chain_products, whose map is the V-frame
+    scale and shift (the identity in the other frames)."""
+    scales = _monomial_scales(r, frame)
+    matrix = [[scale if j == b else 0 for j in range(len(scales))]
+              for b, (scale, _, _) in enumerate(scales)]
+    rows = _ladder_map(r, prec, frame, matrix, [shift for _, shift, _ in scales])
+    return tuple((tuple(row), den) for row, (_, _, den) in zip(rows, scales))
 
 
 def _walk_ladder(r: int, inputs, mul, wanted):
@@ -433,6 +468,60 @@ def _walk_ladder(r: int, inputs, mul, wanted):
         gpow[b] = None
 
 
+def _combined_rows(r: int, vectors, prec: int, frame: str) -> tuple:
+    """sum_b v[b] Theta^(r - 4b) G^b in the frame to index prec, for each
+    vector v of rationals, as (integer numerators, common denominator): one
+    ladder chain with the map of _combination_map at its end."""
+    matrix, shifts, dens = _combination_map(r, vectors, frame)
+    rows = _ladder_map(r, prec, frame, matrix, shifts)
+    return tuple((tuple(row), den) for row, den in zip(rows, dens))
+
+
+def _combination_map(r: int, vectors, frame: str) -> tuple[list, list[int], list[int]]:
+    """(matrix, shifts, dens) with sum_b v[b] Theta^(r - 4b) G^b =
+    sum_b matrix[i][b] q^shifts[b] P_b / dens[i] in the frame for the i-th
+    vector v, P_b the ladder's products.
+
+    dens[i] is the lcm of the denominators of the v[b] (-1)^b / 16^b: the
+    frame's 16^b, and in the V frame the phase sign, since the phase e(a/8)
+    of each monomial is (-1)^b e(r/8).  The V-frame scale 2^a joins the
+    integer multiples, and its shift a // 4 is applied before the map."""
+    scales = _monomial_scales(r, frame)
+    matrix, dens = [], []
+    for vec in vectors:
+        coeffs = [Fraction(c) / den for c, (_, _, den) in zip(vec, scales)]
+        if frame == "V4":
+            coeffs = [-c if b % 2 else c for b, c in enumerate(coeffs)]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        matrix.append([int(c * den) * scale for c, (scale, _, _) in zip(coeffs, scales)])
+        dens.append(den)
+    return matrix, [shift for _, shift, _ in scales], dens
+
+
+class _FormRows(_Prefixes):
+    """Fixed combinations of the weight-r/2 monomials, each a vector of
+    rationals over b (see _combined_rows): their integer rows per frame at
+    the largest precision asked for, and values derived from them (cached)."""
+
+    def __init__(self, r: int, vectors, held: dict | None = None):
+        super().__init__(lambda frame, prec: _combined_rows(r, vectors, prec, frame), held)
+        self.vectors = vectors
+        self._values: dict = {}
+
+    def __call__(self, frame: str, prec: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(integer numerators, common denominator) of each combination in
+        frame 'I', 'W4' or 'V4', to index prec or beyond."""
+        return self.get(frame, prec)
+
+    def cached(self, name: str, build):
+        """build(), computed once for these combinations."""
+        if name not in self._values:
+            value = build()
+            with self._lock:
+                self._values.setdefault(name, value)
+        return self._values[name]
+
+
 def monomial_expansion(a: int, b: int, prec: int, frame: str = "I") -> tuple[QExpansion, complex]:
     """Exact expansion of Theta^a G^b in the given frame, with its unit phase."""
     series, den = _monomial_int(a, b, prec, frame)
@@ -449,7 +538,9 @@ class SpaceBasis:
     kind is one of 'full M', 'full S', 'plus M', 'plus S'.  Each basis form
     is stored both as a QExpansion and as an exact coefficient vector over
     the generating monomials Theta^a G^b, which is what makes exact cusp
-    expansions and lazy high-precision coefficients possible.
+    expansions and lazy high-precision coefficients possible.  The forms'
+    integer rows in every frame are held by one _FormRows, which space_basis
+    shares between all the bases of one weight and kind.
     """
 
     weight: Fraction
@@ -458,6 +549,7 @@ class SpaceBasis:
     monomials: list[tuple[int, int]]
     vectors: list[list[Fraction]]
     forms: list[QExpansion]
+    _rows: _FormRows | None = field(default=None, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -471,26 +563,31 @@ class SpaceBasis:
         """n is an allowed plus-space index: (-1)^(k-1/2) n = 0, 1 mod 4."""
         return (self.sign_unit() * n) % 4 in (0, 1)
 
+    def _form_rows(self) -> _FormRows:
+        if self._rows is None:
+            self._rows = _FormRows(int(2 * self.weight), self.vectors)
+        return self._rows
+
+    def int_rows(self, frame: str, prec: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(integer numerators, common denominator) of each basis form in
+        frame 'I', 'W4' or 'V4', to index prec or beyond; built to prec if
+        they are held to less."""
+        return self._form_rows()(frame, prec)
+
     def frame_series(self, i: int, frame: str, prec: int) -> tuple[QExpansion, complex]:
         """Exact expansion of basis form i in frame 'I', 'W4' or 'V4'."""
-        r = int(2 * self.weight)
-        rows, coeffs = [], []
-        for (a, b), c in zip(self.monomials, self.vectors[i]):
-            if c == 0:
-                continue
-            series, den = _monomial_int(a, b, prec, frame)
-            if frame == "V4" and (a - r) % 8:
-                # the phase e^(i a pi/4) of the monomial is -e^(i r pi/4)
-                c = -c
-            rows.append(series)
-            coeffs.append(c / den)
-        if not rows:
-            return zero_expansion(self.weight, prec), complex(1.0)
-        num, den = combine_int_rows(rows, coeffs, prec + 1)
+        row, den = self.int_rows(frame, prec)[i]
         if frame == "V4":
+            r = int(2 * self.weight)
             phase = complex(math.cos(math.pi * r / 4), math.sin(math.pi * r / 4))
-            return from_int_series(self.weight, num, prec, den, param=Fraction(r % 4, 4)), phase
-        return from_int_series(self.weight, num, prec, den), complex(1.0)
+            return from_int_series(self.weight, row, prec, den, param=Fraction(r % 4, 4)), phase
+        return from_int_series(self.weight, row, prec, den), complex(1.0)
+
+    def cached(self, name: str, build):
+        """build(), computed once and shared by every basis that space_basis
+        returns for this weight and kind: for values that do not depend on
+        the precision of the forms, such as a Hecke matrix."""
+        return self._form_rows().cached(name, build)
 
     def to_json(self) -> str:
         payload = {
@@ -532,6 +629,10 @@ def space_basis(k, prec: int, kind: str) -> SpaceBasis:
                 (the V-frame expansion has positive exponents automatically).
       'plus M': a(n) = 0 for all n <= sturm with (-1)^(k-1/2) n = 2, 3 mod 4.
       'plus S': both.
+
+    The reduction runs once per weight and kind (_solve_space); the forms are
+    read from the rows held for that weight and kind, built to prec if they
+    are held to less.
     """
     k = half_integer(k)
     st = sturm_index(k)
@@ -542,9 +643,20 @@ def space_basis(k, prec: int, kind: str) -> SpaceBasis:
         return SpaceBasis(k, kind, st, [], [], [])
     if kind == "full M":
         return monomial_span(k, prec)
-    rows = [_monomial_int(a, b, prec, "I")[0] for a, b in monos]
-    sign = -1 if int(k - HALF) % 2 else 1
+    rows = _spaces.get((k, kind), 0)
+    forms = [from_int_series(k, row, prec, den) for row, den in rows("I", prec)]
+    return SpaceBasis(k, kind, st, monos, rows.vectors, forms, rows)
 
+
+def _solve_space(k: Fraction, kind: str) -> _FormRows:
+    """The subspace `kind` of M_k (see space_basis) from the monomials to the
+    Sturm index: the kernel of the conditions, then its combinations
+    echelonized by their q-expansions, which also gives the forms' frame-I
+    rows to the Sturm index."""
+    st = sturm_index(k)
+    monos = weight_monomials(k)
+    rows = [_monomial_int(a, b, st, "I")[0] for a, b in monos]
+    sign = -1 if int(k - HALF) % 2 else 1
     conditions: list[list] = []
     if kind in ("full S", "plus S"):
         conditions.append([row[0] for row in rows])
@@ -553,39 +665,41 @@ def space_basis(k, prec: int, kind: str) -> SpaceBasis:
         for n in range(1, st + 1):
             if (sign * n) % 4 in (2, 3):
                 conditions.append([row[n] for row in rows])
-
     if conditions:
         _, _, kernel = rref_exact(conditions)
     else:
         kernel = [[Fraction(int(i == j)) for j in range(len(monos))] for i in range(len(monos))]
-
-    vectors = _echelonize(kernel, rows, st)
-    forms = []
-    for vec in vectors:
-        num, den = combine_int_rows(rows, vec, prec + 1)
-        forms.append(from_int_series(k, num, prec, den))
-    return SpaceBasis(k, kind, st, monos, vectors, forms)
+    vectors, held = _echelonize(kernel, rows, st)
+    return _FormRows(int(2 * k), vectors, {"I": (st, held)})
 
 
 def _echelonize(
     kernel: list[list[Fraction]], rows: list[tuple[int, ...]], st: int
-) -> list[list[Fraction]]:
+) -> tuple[list[list[Fraction]], tuple]:
     """Echelonize kernel combinations of the monomial rows by their
-    q-expansions up to the Sturm index."""
+    q-expansions up to the Sturm index: the vectors, and the rows of their
+    forms to there as (integer numerators, common denominator)."""
     if not kernel:
-        return []
+        return [], ()
     ncoe = st + 1
     mat = []
     for vec in kernel:
         num, den = combine_int_rows(rows, vec, ncoe)
         mat.append([Fraction(x, den) for x in num] + list(vec))
     _, red, _ = rref_exact(mat)
-    out = []
+    vectors, held = [], []
     for row in red:
         if all(v == 0 for v in row[:ncoe]):
             continue  # dependent combination: zero form
-        out.append([Fraction(v) for v in row[ncoe:]])
-    return out
+        vec = [Fraction(v) for v in row[ncoe:]]
+        den = math.lcm(*(v.denominator for v in vec))
+        vectors.append(vec)
+        held.append((tuple(int(c * den) for c in row[:ncoe]), den))
+    return vectors, tuple(held)
+
+
+# the spaces solved so far, one per (k, kind); the precision plays no part
+_spaces = _Prefixes(lambda key, _prec: _solve_space(*key))
 
 
 def cusp_plus_basis(k, prec: int | None = None, expected_dim: int | None = None) -> SpaceBasis:

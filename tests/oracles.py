@@ -14,9 +14,10 @@ doubles and in 40-digit arithmetic; the library factors them into local
 sums with square roots mod prime powers), and a quadrature-based
 completed-L-value with a different smoothing than the production
 incomplete-gamma sums, mpmath's incomplete gamma (the library sums the finite
-series of an integer order), and the plus-space monomials one at a time by
+series of an integer order), the plus-space monomials one at a time by
 binary powers (the library builds a weight's monomials from shared power
-chains).
+chains), and basis forms summed from their monomials as Python ints (the
+library combines them in residue space before one CRT per form).
 """
 
 from __future__ import annotations
@@ -253,6 +254,65 @@ def monomial_int_reference(a: int, b: int, prec: int, frame: str) -> tuple[tuple
         gb = intpoly.poly_pow_trunc(list(g), b, prec)
         series = intpoly.poly_mul_trunc(series, gb, prec)
     return tuple(series), den
+
+
+def form_rows_reference(basis, i: int, frame: str, prec: int) -> tuple[list[int], int]:
+    """Basis form i of a SpaceBasis in frame 'I', 'W4' or 'V4' to index prec,
+    as (integer numerators, common denominator): every monomial as Python
+    ints from the library's ladder (_monomial_int), then their sum with the
+    basis vector's coefficients over the lcm of the coefficient
+    denominators.  The library combines the monomials in residue space at
+    the end of one chain, with one CRT per form.
+
+    In the V frame the phase e(a/8) of Theta^a G^b is -e(r/8) when a - r is
+    4 mod 8, so that monomial's coefficient changes sign."""
+    from plusforms.qexp import _monomial_int
+
+    r = int(2 * basis.weight)
+    rows, coeffs = [], []
+    for (a, b), c in zip(basis.monomials, basis.vectors[i]):
+        if c == 0:
+            continue
+        series, den = _monomial_int(a, b, prec, frame)
+        if frame == "V4" and (a - r) % 8:
+            c = -c
+        rows.append(series)
+        coeffs.append(Fraction(c) / den)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    num = [0] * (prec + 1)
+    for row, c in zip(rows, coeffs):
+        mult = int(c * den)
+        for m, y in enumerate(row[: prec + 1]):
+            num[m] += mult * y
+    return num, den
+
+
+def eigenform_coefficients_reference(f, n_max: int) -> list:
+    """fhat(0..n_max) of a HalfIntegralForm: its vector over the monomials
+    (sum_i c_i basis.vectors[i]), every monomial from the library's ladder,
+    and one integer sum over a common denominator per power-basis
+    coordinate of the scalars."""
+    from plusforms.arith import FieldElement
+    from plusforms.qexp import _monomial_int
+
+    mono = [sum((c * v[j] for c, v in zip(f.vector, f.basis.vectors)), start=Fraction(0))
+            for j in range(len(f.basis.monomials))]
+    number_field = next((v.field for v in mono if isinstance(v, FieldElement)), None)
+    degree = 1 if number_field is None else number_field.degree
+    coords = [(v,) if number_field is None else number_field.coords(v) for v in mono]
+    rows = [_monomial_int(a, b, n_max, "I")[0] for a, b in f.basis.monomials]
+    parts = []
+    for t in range(degree):
+        den = math.lcm(*(c[t].denominator for c in coords))
+        num = [0] * (n_max + 1)
+        for row, c in zip(rows, coords):
+            mult = int(c[t] * den)
+            for m, y in enumerate(row[: n_max + 1]):
+                num[m] += mult * y
+        parts.append((num, den))
+    if number_field is None:
+        return [Fraction(x, parts[0][1]) for x in parts[0][0]]
+    return [number_field([Fraction(num[n], den) for num, den in parts]) for n in range(n_max + 1)]
 
 
 def upper_gamma_q_reference(n: int, x: float, dps: int = 40):

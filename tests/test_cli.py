@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import plusforms
 from plusforms.cli import main
 
@@ -167,3 +169,20 @@ def test_import_does_not_load_scipy():
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("args, name", [
+    (["basis", "--k", "13/2", "--format", "json"], "basis_13_2.json"),
+    (["eigen", "--k", "13/2"], "eigen_13_2.txt"),
+    (["eigen", "--k", "61/2"], "eigen_61_2.txt"),
+    (["shimura-check", "--k", "13/2", "--D-max", "24", "--n-max", "30"], "shimura_check_13_2.txt"),
+])
+def test_readme_commands_match_golden_output(args, name):
+    """README commands print exactly the bytes recorded in tests/golden."""
+    code, text = run_cli(args)
+    assert code == 0
+    with open(os.path.join(GOLDEN, name), encoding="utf-8", newline="") as fh:
+        assert text == fh.read()

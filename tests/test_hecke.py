@@ -264,3 +264,31 @@ def test_exact_identities_through_61_2():
                 assert verify_sqrcoeff(f, D, 6)["ok"]
             for m, n in ((3, 3), (3, 5), (9, 3), (5, 5)):
                 assert multiplicativity_check(f, m, n)["ok"]
+
+
+@pytest.mark.parametrize("kstr, n_max", [("13/2", 2500), ("29/2", 2500), ("37/2", 800)])
+def test_coefficients_from_shared_rows(kstr, n_max):
+    """Eigenform coefficients combined from the basis rows the eigenforms of
+    a weight share equal the monomials summed per field coordinate as Python
+    ints; the sequence returned makes its scalars on read and behaves as a
+    read-only list.  A second call of eigenbasis_plus reuses the eigenvectors and the
+    basis rows held for the weight."""
+    from oracles import eigenform_coefficients_reference
+
+    forms = eigenbasis_plus(kstr)
+    for f in forms:
+        ref = eigenform_coefficients_reference(f, n_max)
+        seq = f.coefficients_upto(n_max)
+        assert len(f._coeff_cache) < 200  # nothing made in advance
+        assert len(seq) == n_max + 1
+        assert seq[7] == ref[7] and seq[-1] == ref[-1] and seq[n_max - 3] == ref[n_max - 3]
+        assert seq[5:400:7] == ref[5:400:7] and seq[-5:] == ref[-5:]
+        assert list(seq) == ref
+        assert [f.coeff(n) for n in range(0, n_max + 1, 97)] == ref[::97]
+        with pytest.raises(IndexError):
+            seq[n_max + 1]
+        with pytest.raises(TypeError):
+            seq[3] = 0
+    again = eigenbasis_plus(kstr)
+    assert all(g.vector is f.vector for f, g in zip(forms, again))
+    assert again[0].basis.int_rows("I", n_max) is forms[0].basis.int_rows("I", n_max)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     eval_reduced_reference,
+    form_rows_reference,
     g_v_reference,
     g_w_reference,
     monomial_int_reference,
@@ -471,3 +472,171 @@ def test_frame_series_matches_fraction_oracle(kstr, kind):
                 assert phase == pytest.approx(sign * ref_phase, abs=1e-15)
                 if frame == "I" and prec == 200:
                     _assert_same_expansion(basis.forms[i], expected)
+
+
+# -- plus-space and cusp bases held once per weight and kind -------------------
+
+KINDS = ("plus S", "full S")
+
+
+def _as_lists(rows):
+    return [(list(row), den) for row, den in rows]
+
+
+def _check_rows_against_route(k, precs):
+    """The forms of every basis at weight k, built in every frame at every
+    precision as one chain with the combination map at its end, equal the
+    monomials summed as Python ints, rows and denominators alike; and the
+    combined majorant bounds the bits of every row."""
+    r = int(2 * k)
+    for kind in KINDS:
+        basis = space_basis(k, sturm_index(k), kind)
+        for frame in FRAMES:
+            for prec in precs:
+                rows = qexp._combined_rows(r, basis.vectors, prec, frame)
+                assert _as_lists(rows) == [
+                    form_rows_reference(basis, i, frame, prec) for i in range(basis.dimension)
+                ], (kind, frame, prec)
+                matrix, shifts, _ = qexp._combination_map(r, basis.vectors, frame)
+                bounds = intpoly.chain_bits(functools.partial(qexp._walk_ladder, r),
+                                            qexp._frame_generators(prec, frame), prec,
+                                            range(r // 4 + 1), matrix, shifts)
+                for bound, (row, _) in zip(bounds, rows):
+                    assert bound >= max(c.bit_length() for c in row), (kind, frame, prec)
+
+
+@pytest.mark.parametrize("num", range(5, 62, 2))
+def test_basis_rows_match_monomial_route(num):
+    k = Fraction(num, 2)
+    st = sturm_index(k)
+    # the Sturm-index rows come from the echelon form of the reduction
+    qexp._spaces.cache_clear()
+    for kind in KINDS:
+        basis = space_basis(k, st, kind)
+        held = basis._form_rows()("I", st)
+        assert _as_lists(held) == [form_rows_reference(basis, i, "I", st)
+                                   for i in range(basis.dimension)]
+    _check_rows_against_route(k, (677, 9 * (st + 1), st))
+
+
+@pytest.mark.parametrize("kstr", ["21/2", "29/2"])
+def test_basis_rows_match_monomial_route_multimodular(kstr):
+    _check_rows_against_route(Fraction(kstr), (5400,))
+    _weight_monomials_int.cache_clear()
+
+
+def test_held_space_serves_every_precision(monkeypatch):
+    """space_basis reduces once per weight and kind; it then serves P, a
+    smaller p (a prefix) and a larger p (rebuilt and held), every frame equal
+    to a fresh build."""
+    reductions = []
+    rref = qexp.rref_exact
+
+    def counted(rows):
+        reductions.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(qexp, "rref_exact", counted)
+    qexp._spaces.cache_clear()
+    k = Fraction(29, 2)
+    r = int(2 * k)
+    for kind in KINDS:
+        for prec in (400, 121, 700):
+            basis = space_basis(k, prec, kind)
+            fresh = qexp._combined_rows(r, basis.vectors, prec, "I")
+            assert [f.coeffs for f in basis.forms] == [
+                qexp.from_int_series(k, row, prec, den).coeffs for row, den in fresh]
+            for frame in FRAMES:
+                fresh = qexp._combined_rows(r, basis.vectors, prec, frame)
+                for i, (row, den) in enumerate(fresh):
+                    q, _ = basis.frame_series(i, frame, prec)
+                    assert q.coeffs == qexp.from_int_series(k, row, prec, den).coeffs
+        # the kernel of the conditions, then the echelon form: nothing after
+        assert len(reductions) == 2
+        held = basis._form_rows()._held
+        assert {frame: prec for frame, (prec, _) in held.items()} == dict.fromkeys(FRAMES, 700)
+        reductions.clear()
+
+
+def test_combined_rows_fall_back_to_integer_products(monkeypatch):
+    """With every rounding check failing, the combined rows come from the
+    integer route and still equal the monomials summed as Python ints; with
+    the checks as shipped, frame I makes no integer product at all (the
+    Fricke frame's G is built with two)."""
+    products = []
+    mul = intpoly.poly_mul_trunc
+
+    def spy(a, b, prec):
+        products.append(prec)
+        return mul(a, b, prec)
+
+    monkeypatch.setattr(intpoly, "poly_mul_trunc", spy)
+    k, prec = Fraction(25, 2), 700
+    basis = space_basis(k, sturm_index(k), "full S")
+    for slack in (intpoly._ROUNDING_SLACK, 0.0):
+        monkeypatch.setattr(intpoly, "_ROUNDING_SLACK", slack)
+        for frame in FRAMES:
+            products.clear()
+            rows = qexp._combined_rows(25, basis.vectors, prec, frame)
+            assert bool(products) == (slack == 0.0 or frame == "W4"), (frame, slack)
+            assert _as_lists(rows) == [form_rows_reference(basis, i, frame, prec)
+                                       for i in range(basis.dimension)]
+
+
+def test_short_chains_walk_on_integers(monkeypatch):
+    """Below the transform length _CHAIN_RESIDUE_CUTOFF a ladder is walked
+    on integers, from it on residues; both sides give the one-at-a-time
+    monomials."""
+    residue_runs = []
+    run = intpoly._chain_residues
+
+    def spy(*args):
+        residue_runs.append(args[3])  # the transform length
+        return run(*args)
+
+    monkeypatch.setattr(intpoly, "_chain_residues", spy)
+    cutoff = intpoly._CHAIN_RESIDUE_CUTOFF
+    r = 29
+    for prec in (cutoff // 4 - 1, cutoff // 4):
+        size = intpoly._transform_size(prec)
+        for frame in FRAMES:
+            residue_runs.clear()
+            ladder = qexp._build_ladder(r, prec, frame)
+            assert residue_runs == ([] if size < cutoff else [size]), (prec, frame)
+            for a, b in weight_monomials(Fraction(r, 2)):
+                assert ladder[b] == monomial_int_reference(a, b, prec, frame)
+    assert intpoly._transform_size(cutoff // 4 - 1) < cutoff <= intpoly._transform_size(cutoff // 4)
+
+
+def test_space_basis_from_threads():
+    """Four threads asking for bases at mixed precisions, on empty caches, get
+    the forms of a sequential build."""
+    import sys
+    import threading
+
+    jobs = [(kstr, prec, kind) for kstr in ("21/2", "25/2") for kind in KINDS
+            for prec in (60, 300, 150, 700)]
+    expected = {job: [f.coeffs for f in space_basis(*job).forms] for job in jobs}
+    qexp._spaces.cache_clear()
+    _weight_monomials_int.cache_clear()
+    got, errors = {}, []
+
+    def work(offset):
+        try:
+            for job in jobs[offset:] + jobs[:offset]:
+                got[job, offset] = [f.coeffs for f in space_basis(*job).forms]
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(4 * t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert all(got[job, t] == expected[job] for job in jobs for t in range(0, 16, 4))
