@@ -39,6 +39,8 @@ def _series(rng, length, bits, signed):
     [
         (SCHOOL, SCHOOL, "_mul_schoolbook"),
         (SCHOOL, SCHOOL + 1, "_mul_kronecker"),
+        # well inside the Kronecker range, between the two crossovers
+        (160, 161, "_mul_kronecker"),
         (MULTI - 1, MULTI + 40, "_mul_kronecker"),
         (MULTI, MULTI + 40, "_mul_multimodular"),
     ],
@@ -52,7 +54,8 @@ def test_product_on_each_side_of_crossovers(paths, la, lb, path, signed):
     assert paths == [path]
 
 
-@pytest.mark.parametrize("length", [SCHOOL, MULTI - 1, MULTI + 3])
+# 160 lies well inside the Kronecker range
+@pytest.mark.parametrize("length", [SCHOOL, 160, MULTI - 1, MULTI + 3])
 def test_square_of_same_list(length, monkeypatch):
     convolve = intpoly._convolve
     squares = []
@@ -84,7 +87,7 @@ def test_prec_shorter_than_both_operands(paths):
     assert paths == ["_mul_multimodular"]
 
 
-@pytest.mark.parametrize("length", [SCHOOL + 40, MULTI])
+@pytest.mark.parametrize("length", [SCHOOL + 40, 200, MULTI])
 def test_zero_operand(length):
     rng = random.Random(3)
     a = _series(rng, length, 20, signed=True)
