@@ -2,6 +2,10 @@
 
 Level-1 integral weight: Victor Miller echelon bases of S_w(SL(2,Z)) built
 from E4, E6 and the discriminant form, classical T(p), exact eigenforms.
+The monomials Delta^i E4^alpha E6^beta of a weight are one product chain
+(_walk_miller) run by intpoly.chain_products, whose integer map is the
+echelon step; the rows are held per weight at the largest precision asked
+for (qexp._Prefixes), and T(p) acts on them as integers.
 
 Eigenvalues are exact at every degree: rational, in Q(sqrt(d)), or y in
 Q[y]/(charpoly) with y sent to one real root (arith.NumberField).  Both
@@ -27,7 +31,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import partial
 
 from . import intpoly
 from .arith import (
@@ -48,6 +52,7 @@ from .qexp import (
     PrecisionError,
     QExpansion,
     SpaceBasis,
+    _Prefixes,
     combine_int_rows,
     cusp_plus_basis,
     from_int_series,
@@ -66,43 +71,89 @@ def dim_cusp_level1(w: int) -> int:
     return w // 12 - (1 if w % 12 == 2 else 0)
 
 
-@lru_cache(maxsize=None)
-def _miller_int(w: int, prec: int) -> tuple[tuple[int, ...], ...]:
+def _miller_shape(w: int) -> tuple[int, int, int]:
+    """(d, alpha, beta): the Miller monomials of S_w are Delta^i
+    E4^(alpha + 3(d - i)) E6^beta, i = 1..d, with d = dim S_w."""
     d = dim_cusp_level1(w)
-    if d == 0:
-        return ()
-    e4 = list(intpoly.eisenstein_int(4, prec))
-    e6 = list(intpoly.eisenstein_int(6, prec))
-    delta = list(intpoly.delta_int(prec))
-    rows = []
-    for i in range(1, d + 1):
-        rem = w - 12 * i
-        if rem % 4 == 0:
-            alpha, beta = rem // 4, 0
-        else:
-            alpha, beta = (rem - 6) // 4, 1
-        series = intpoly.poly_pow_trunc(delta, i, prec)
-        if alpha:
-            series = intpoly.poly_mul_trunc(series, intpoly.poly_pow_trunc(e4, alpha, prec), prec)
-        if beta:
-            series = intpoly.poly_mul_trunc(series, e6, prec)
-        rows.append(series)
-    # echelonize to leading terms q^1, ..., q^d: row i is q^(i+1) + ..., and
-    # no other row touches its pivot, so every pivot is 1 and every step integer
+    rem = w - 12 * d  # 0, 4, 6, 8, 10 or 14
+    beta = rem % 4 // 2
+    return d, (rem - 6 * beta) // 4, beta
+
+
+def _miller_inputs(w: int, prec: int) -> list:
+    """The inputs of _walk_miller to index prec: the core of eta^3, then E4
+    if the weight uses it, then E6 if it does."""
+    d, alpha, beta = _miller_shape(w)
+    inputs = [intpoly.eta3_int(prec)]
+    if alpha or d > 1:
+        inputs.append(intpoly.eisenstein_int(4, prec))
+    if beta:
+        inputs.append(intpoly.eisenstein_int(6, prec))
+    return inputs
+
+
+def _walk_miller(w: int, inputs, mul, wanted):
+    """Yield (i, (Delta/q)^i E4^(alpha + 3(d - i)) E6^beta) for each i in
+    wanted, i descending, from the inputs of _miller_inputs and products
+    mul(x, y) of any kind of series (see _miller_shape).
+
+    Delta/q = (q^(-1/8) eta^3)^8 comes from three squarings.  One chain gives
+    its powers up to max(wanted), the other E6^beta E4^alpha (E4^3)^(d - i)
+    from i = d down to min(wanted); each step is one product, and so is each
+    monomial, shaped like qexp._walk_ladder so that each operand is
+    transformed once."""
+    d, alpha, beta = _miller_shape(w)
+    eta3, *eisenstein = inputs
+    e4 = eisenstein[0] if alpha or d > 1 else None
+    core = mul(eta3, eta3)
+    core = mul(core, core)
+    core = mul(core, core)
+    cpow = [None, core]
+    for _ in range(2, max(wanted) + 1):
+        cpow.append(mul(cpow[-1], core))
+    epart = eisenstein[-1] if beta else None  # None standing for 1
+    for _ in range(alpha):
+        epart = e4 if epart is None else mul(epart, e4)
+    e12 = mul(mul(e4, e4), e4) if d > min(wanted) else None
+    for i in range(d, min(wanted) - 1, -1):
+        if i < d:
+            epart = e12 if epart is None else mul(epart, e12)
+        if i in wanted:
+            yield i, cpow[i] if epart is None else mul(cpow[i], epart)
+        cpow[i] = None
+
+
+def _miller_rows(w: int, prec: int) -> tuple[tuple[int, ...], ...]:
+    """The Miller echelon rows of S_w to index prec: row i is q^(i+1) + ...
+    and no other row touches its pivot.  The echelon step is found on the
+    monomials to index d, where every pivot is 1 and every step integer,
+    and applied as the map of one chain_products run."""
+    d = dim_cusp_level1(w)
+    keys = range(1, d + 1)
+    walk = partial(_walk_miller, w)
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    low = intpoly.chain_products(walk, _miller_inputs(w, d), d, keys, identity, keys)
+    rows = [row + unit for row, unit in zip(low, identity)]  # the map beside each row
     for i in range(d):
         assert rows[i][i + 1] == 1
         for j in range(d):
             f = rows[j][i + 1]
             if j != i and f:
                 rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
-    return tuple(tuple(row) for row in rows)
+    matrix = [row[d + 1 :] for row in rows]
+    out = intpoly.chain_products(walk, _miller_inputs(w, prec), prec, keys, matrix, keys)
+    return tuple(tuple(row) for row in out)
+
+
+# the Miller rows built so far, one per weight
+_miller = _Prefixes(_miller_rows)
 
 
 def miller_basis(w: int, prec: int) -> list[QExpansion]:
     """Echelon basis of S_w(SL(2,Z)) with integer coefficients, leading q^i."""
-    if w < 12 or w % 2:
+    if dim_cusp_level1(w) == 0:
         return []
-    return [from_int_series(Fraction(w), list(row), prec) for row in _miller_int(w, prec)]
+    return [from_int_series(Fraction(w), row, prec) for row in _miller.get(w, prec)]
 
 
 def hecke_integral(F: QExpansion, w: int, p: int) -> QExpansion:
@@ -165,9 +216,8 @@ def eigenforms_level1(w: int, prec: int) -> list[IntegralForm]:
     if d == 0:
         return []
     need = max(prec, 2 * d + 2)
-    basis = _miller_int(w, need)
-    mat = hecke_matrix_level1(w, 3)
-    cp = charpoly_exact(mat)
+    basis = _miller.get(w, need)
+    mat, cp = _t3.get(w, 0)
     out = []
     for _, vec in _eigenvectors(mat, cp, "T(3)"):
         # arithmetic normalization: coefficient at q^1 equals vec[0]
@@ -232,17 +282,24 @@ def _scalar(number_field, parts, t: int):
 
 
 def hecke_matrix_level1(w: int, p: int) -> list[list[Fraction]]:
-    """Exact matrix of T(p) on the Miller echelon basis of S_w."""
+    """Exact matrix of T(p) on the Miller echelon basis of S_w: column i
+    holds a(pn) + p^(w-1) a(n/p) at n = 1..d for basis row i, its coordinates
+    on the echelon basis."""
     d = dim_cusp_level1(w)
     if d == 0:
         return []
-    prec = p * d + 1
-    basis = miller_basis(w, prec)
-    mat = []
-    for i in range(d):
-        tf = hecke_integral(basis[i], w, p)
-        mat.append([tf.coeff(j) for j in range(1, d + 1)])
-    return [[mat[i][j] for i in range(d)] for j in range(d)]  # columns are images
+    pw = p ** (w - 1)
+    rows = _miller.get(w, p * d)
+    return [[Fraction(row[p * n] + (pw * row[n // p] if n % p == 0 else 0)) for row in rows]
+            for n in range(1, d + 1)]
+
+
+def _with_charpoly(mat) -> tuple:
+    return mat, charpoly_exact(mat)
+
+
+# (matrix, charpoly) of T(3) on S_w, one per weight; the precision plays no part
+_t3 = _Prefixes(lambda w, _prec: _with_charpoly(hecke_matrix_level1(w, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +534,7 @@ def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfI
 def _t9(basis: SpaceBasis) -> tuple:
     """(matrix, charpoly) of T(9) on a plus-space basis, computed once per
     space (SpaceBasis.cached); the basis needs precision 9 max(pivots)."""
-
-    def build():
-        mat = hecke_matrix_plus(basis, 3)
-        return mat, charpoly_exact(mat)
-
-    return basis.cached("T(9)", build)
+    return basis.cached("T(9)", lambda: _with_charpoly(hecke_matrix_plus(basis, 3)))
 
 
 def _eigensystems(basis: SpaceBasis) -> tuple:
@@ -575,5 +627,4 @@ def shimura_charpolys_match(k) -> bool:
     if d == 0:
         return True
     cp_plus = _t9(basis)[1]
-    cp_int = charpoly_exact(hecke_matrix_level1(w, 3))
-    return cp_plus == cp_int
+    return cp_plus == _t3.get(w, 0)[1]

@@ -1,39 +1,36 @@
 """Dense integer power series with fast exact truncated multiplication.
 
-Series are plain lists of Python ints, index = exponent of q.  A single
-product takes one of three exact paths, chosen by operand length alone:
+Series are plain lists of Python ints, index = exponent of q.  Every product
+of the package is a step of a chain (chain_products): a walk that builds
+series from its inputs by products alone, ended by an integer matrix applied
+to its results.  From transform length _CHAIN_RESIDUE_CUTOFF a chain stays
+in residue space from its inputs to the rows of that map: a float majorant
+pass first bounds the bits of every row, one prime set serves the whole
+chain, each chunk of primes walks the chain on int16 residue rows with the
+transforms of reused operands kept and applies the map to the residues, and
+each row is rebuilt by one CRT (Garner's, vectorised over the coefficients)
+from the primes its own bound needs.  Memory is bounded by _CHUNK_BYTES of
+transform work per chunk.
+
+Shorter chains, and a chain whose rounding check fails, are walked on
+integers with poly_mul_trunc, which takes one of two exact paths, chosen by
+operand length alone:
 
 * short operands: the schoolbook double loop;
-* mid-size operands: Kronecker substitution.  Each coefficient is stored with
+* longer operands: Kronecker substitution.  Each coefficient is stored with
   a bias of half a slot in a fixed number of bytes, the two packed integers
   are multiplied once by CPython (one squaring when both operands are the same
   list) and the slots are read back with the bias removed, so signed series
-  need no splitting into positive and negative parts;
-* long operands: multimodular convolution.  Both operands are reduced modulo
-  primes below 2^14 to balanced residues, one row per prime; the rows of a
-  chunk of primes are convolved by one batched float64 real FFT, and the
-  coefficients 0..prec are rebuilt by Garner's CRT, vectorised over the
-  coefficients.
-
-A chain of products (chain_products) returns an integer matrix times its
-results, and from transform length _CHAIN_RESIDUE_CUTOFF it stays in residue
-space from its inputs to the rows of that map: a float majorant pass first
-bounds the bits of every row, one prime set serves the whole chain, each
-chunk of primes walks the chain on int16 residue rows with the transforms of
-reused operands kept and applies the map to the residues, and each row is
-rebuilt by one CRT from the primes its own bound needs.  Memory is bounded by
-_CHUNK_BYTES of transform work per chunk.  Shorter chains are walked on
-integers, where the schoolbook and Kronecker products are faster.
+  need no splitting into positive and negative parts.
 
 Residue arithmetic is exact by construction.  The primes multiply to more
-than twice a bound on every coefficient (|c_n| <= min(la, lb) max|a| max|b|
-for one product, the majorant for a chain), so the balanced CRT value is c_n
-itself.  For a transform of length N = 2^m the prime size is capped so that
-Percival's bound on the error of an FFT convolution (Math. Comp. 72 (2003),
-Theorem 5.1), applied to the residue vectors, stays below 1/2; every rounded
-convolution must moreover lie within 1/4 of an integer.  A product that fails
-this check is recomputed by Kronecker substitution, and a chain is walked
-again on integers with poly_mul_trunc, its map applied to the integers.
+than twice the majorant's bound on every coefficient, so the balanced CRT
+value is the coefficient itself.  For a transform of length N = 2^m the
+prime size is capped so that Percival's bound on the error of an FFT
+convolution (Math. Comp. 72 (2003), Theorem 5.1), applied to the residue
+vectors, stays below 1/2; every rounded convolution must moreover lie within
+1/4 of an integer.  A chain with a convolution that fails this check is
+walked again on integers, its map applied to the integers.
 """
 
 from __future__ import annotations
@@ -48,9 +45,6 @@ from .arith import primes_up_to
 
 # operand length up to which the double loop beats Kronecker substitution
 _SCHOOLBOOK_CUTOFF = 24
-# shorter-operand length from which the multimodular path beats Kronecker
-# substitution on CPython ints
-_MULTIMODULAR_CUTOFF = 1000
 # transform length from which a chain of products runs on residues; shorter
 # chains are walked on integers
 _CHAIN_RESIDUE_CUTOFF = 256
@@ -79,10 +73,6 @@ def poly_mul_trunc(a: list[int], b: list[int], prec: int) -> list[int]:
     b = a if square else b[:lb]
     if la * lb <= _SCHOOLBOOK_CUTOFF * _SCHOOLBOOK_CUTOFF:
         return _mul_schoolbook(a, b, prec)
-    if min(la, lb) >= _MULTIMODULAR_CUTOFF:
-        out = _mul_multimodular(a, b, prec)
-        if out is not None:
-            return out
     return _mul_kronecker(a, b, prec)
 
 
@@ -146,7 +136,7 @@ def _unpack(value: int, width: int, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Multimodular convolution
+# Residue arithmetic
 # ---------------------------------------------------------------------------
 
 
@@ -315,19 +305,6 @@ def _residue_mul(x: _Term, y: _Term, primes, size: int, n: int) -> _Term:
     return _Term(_balanced_mod(rounded, _column(primes)).astype(np.int16))
 
 
-def _mul_multimodular(a: list[int], b: list[int], prec: int) -> list[int] | None:
-    """Exact product by multimodular FFT convolution and CRT, as a chain of
-    one product, or None when a convolution fails the rounding check."""
-    last = len(a) + len(b) - 2
-    size = 1 << last.bit_length()  # power of two >= la + lb - 1
-    out = _chain_residues(
-        lambda xs, mul, wanted: [(0, mul(xs[0], xs[-1]))],  # the one product
-        [a] if b is a else [a, b], min(prec, last) + 1, size,
-        [0], [[1]], [0], [_product_bits(a, b) - 1],
-    )
-    return None if out is None else out[0]
-
-
 def _crt(rows: np.ndarray, primes: tuple[int, ...]) -> list[int]:
     """The integers of least absolute value with the given balanced residues,
     one row per prime: Garner's mixed-radix digits, vectorised over the
@@ -379,32 +356,6 @@ def _from_mixed_radix(digits: np.ndarray, primes: tuple[int, ...]) -> list[int]:
     ]
 
 
-def poly_pow_trunc(a: list[int], e: int, prec: int) -> list[int]:
-    """a(q)^e truncated, by binary powering."""
-    if e == 0:
-        return [1]
-    result = None
-    base = a[: prec + 1]
-    while e:
-        if e & 1:
-            result = base[:] if result is None else poly_mul_trunc(result, base, prec)
-        e >>= 1
-        if e:
-            base = poly_mul_trunc(base, base, prec)
-    return result
-
-
-def poly_scale_shift(a: list[int], scale: int, shift: int, prec: int) -> list[int]:
-    """scale * q^shift * a(q), truncated."""
-    out = [0] * min(prec + 1, shift + len(a))
-    for i, c in enumerate(a):
-        j = i + shift
-        if j > prec:
-            break
-        out[j] = scale * c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Product chains
 # ---------------------------------------------------------------------------
@@ -423,7 +374,7 @@ def poly_scale_shift(a: list[int], scale: int, shift: int, prec: int) -> list[in
 def chain_products(walk, inputs, prec: int, keys, matrix, shifts) -> list[list[int]]:
     """Rows of matrix times the series of a chain walk(inputs, mul, wanted),
     exact to index prec, as lists of prec + 1 ints; the inputs are integer
-    series of prec + 1 coefficients.
+    series of at most prec + 1 coefficients.
 
     Row i is sum_j matrix[i][j] q^shifts[j] S_j, where S_j is the series of
     keys[j] and matrix holds integers.  On residues, the primes multiply to
@@ -448,16 +399,12 @@ def chain_products(walk, inputs, prec: int, keys, matrix, shifts) -> list[list[i
     return out
 
 
-def chain_bits(walk, inputs, prec: int, keys, matrix=None, shifts=None) -> list[int]:
+def chain_bits(walk, inputs, prec: int, keys, matrix, shifts) -> list[int]:
     """For every row of the map of chain_products, a bound on the bit length
     of each coefficient of its series: the chain walked on float majorants of
     |input|, each product a float convolution plus Percival's bound on its
-    error, then the map applied to the majorants as sum_j |matrix[i][j]| m_j;
-    matrix None is the identity and shifts None is all zero."""
+    error, then the map applied to the majorants as sum_j |matrix[i][j]| m_j."""
     keys = list(keys)
-    if matrix is None:
-        matrix = [[int(i == j) for j in range(len(keys))] for i in range(len(keys))]
-    shifts = [0] * len(keys) if shifts is None else shifts
     used = [key for j, key in enumerate(keys) if any(row[j] for row in matrix)]
     mul = partial(_majorant_mul, size=_transform_size(prec), n=prec + 1)
     majorants = dict(walk([_majorant(s) for s in inputs], mul, used)) if used else {}
@@ -512,10 +459,15 @@ def _transform_size(prec: int) -> int:
 
 
 def _majorant(series) -> _Term:
-    """A term (v, e) with |series| <= 2^e v entrywise; see _normalised."""
+    """A term (v, e) with |series| <= 2^e v entrywise; see _normalised.
+    Coefficients of more than 1000 bits are first cut to |c| / 2^cut + 1,
+    cut leaving 1000 bits, so that they convert to floats."""
+    cut = max(_coeff_bits(series) - 1000, 0)
+    if cut:
+        series = [(abs(c) >> cut) + 1 for c in series]
     vec = np.abs(np.array(series, dtype=np.float64))
     # the conversion rounds to nearest, exactly below 2^53: step up the rest
-    return _normalised(np.where(vec < 2.0**53, vec, np.nextafter(vec, np.inf)), 0)
+    return _normalised(np.where(vec < 2.0**53, vec, np.nextafter(vec, np.inf)), cut)
 
 
 def _normalised(vec: np.ndarray, exp: int) -> _Term:
@@ -575,16 +527,6 @@ def eta3_int(prec: int) -> list[int]:
         out[j * (j + 1) // 2] = (-1) ** j * (2 * j + 1)
         j += 1
     return out
-
-
-@lru_cache(maxsize=8)
-def delta_int(prec: int) -> tuple[int, ...]:
-    """Ramanujan tau coefficients: Delta = q prod (1-q^n)^24 up to index prec."""
-    e3 = eta3_int(prec)
-    e6 = poly_mul_trunc(e3, e3, prec)
-    e12 = poly_mul_trunc(e6, e6, prec)
-    e24 = poly_mul_trunc(e12, e12, prec)
-    return tuple(poly_scale_shift(e24, 1, 1, prec))
 
 
 @lru_cache(maxsize=32)

@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -348,13 +347,6 @@ def petersson_norm_f(form, method: str = "quadrature", prec: int = 700) -> Certi
 # ---------------------------------------------------------------------------
 # The coefficient-to-central-value identity and reports
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class NormData:
-    norm_F: CertifiedValue
-    l_sym2_1: CertifiedValue
-    norm_f: CertifiedValue
 
 
 def norm_identity_rhs(w: int, sym2: CertifiedValue) -> LogScaled:

@@ -12,7 +12,8 @@ def rref_exact(rows: list[list]) -> tuple[int, list[list[Fraction]], list[list[F
     Returns (rank, reduced rows in echelon form with unit pivots, kernel
     basis).  The elimination itself runs on integer rows obtained by clearing
     denominators, with the Bareiss exact-division step keeping entry growth
-    polynomial; the echelon rows are rescaled back to Fractions at the end.
+    polynomial.  The back substitution also runs on integer rows, one
+    denominator per row, and Fractions are made only for the rows returned.
     """
     if not rows:
         return 0, [], []
@@ -48,16 +49,18 @@ def rref_exact(rows: list[list]) -> tuple[int, list[list[Fraction]], list[list[F
             break
     rank = r
 
-    reduced = [[Fraction(x) for x in mat[i]] for i in range(rank)]
-    # back substitution to fully reduced echelon form with unit pivots
+    # back substitution to fully reduced echelon form with unit pivots, on
+    # integer rows: row i stands for nums[i] / nums[i][pivots[i]]
+    nums = mat[:rank]
     for i in range(rank - 1, -1, -1):
-        c = pivots[i]
-        pv = reduced[i][c]
-        reduced[i] = [x / pv for x in reduced[i]]
-        for i2 in range(i):
-            f = reduced[i2][c]
-            if f != 0:
-                reduced[i2] = [a - f * b for a, b in zip(reduced[i2], reduced[i])]
+        for i2 in range(i + 1, rank):
+            f = nums[i][pivots[i2]]
+            if f:
+                pv = nums[i2][pivots[i2]]
+                nums[i] = [pv * a - f * b for a, b in zip(nums[i], nums[i2])]
+        g = gcd(*nums[i])
+        nums[i] = [a // g for a in nums[i]]
+    reduced = [[Fraction(a, row[c]) for a in row] for row, c in zip(nums, pivots)]
 
     free_cols = [c for c in range(ncols) if c not in pivots]
     kernel = []

@@ -19,23 +19,23 @@ is the standard theta series (weight 1/2) and G = sum_{n odd} sigma_1(n) q^n
 is a weight-2 holomorphic form on Gamma_0(4).  Expansions at the cusps 0 and
 1/2 are exact as well.  Both generators have explicit Fricke and V-frame
 series, derived from the theta transformation law and the quasi-modularity
-of E_2: Theta is Fricke-invariant and 16 G|W = Theta^4 - 16 G, while
-Theta|V = 2 e(1/8) q^(1/4) sum_{t >= 0} q^(t(t+1)) and 16 G|V is an integer
-series.  So every monomial is an integer series over 16^b in all three
+of E_2: Theta is Fricke-invariant and 16 G|W = Theta^4 - 16 G = Theta(-q)^4,
+while Theta|V = 2 e(1/8) q^(1/4) sum_{t >= 0} q^(t(t+1)) and 16 G|V is an
+integer series.  So every monomial is an integer series over 16^b in all three
 frames.  The monomials of one weight r/2 are built together, from one chain
 of powers of G and one of Theta^(r mod 4) times powers of Theta^4, with one
 product per step and one per monomial.  The chain is written once
 (_walk_ladder) and run by intpoly.chain_products, which ends it with an
-integer map: the frame's scale and shift for the monomials themselves, or
-the combinations that make the forms of a basis, whose denominators 16^b,
-V-frame scale 2^a, shift and phase sign are folded into the map.  Long
-chains run on float majorants, which size the primes, then on residues
-modulo those primes, with the map applied to the residues and one CRT per
-row; short chains run on integers, and so does a chain whose rounding check
-fails.  Results are held per key at the largest precision built so far, and
-smaller precisions are their prefixes: one monomial ladder per weight and
-frame (asked for at the Sturm index and for explicit monomials), and the
-rows of each basis per frame.
+integer map: the combinations that make the forms of a basis, whose
+denominators 16^b, V-frame scale 2^a, shift and phase sign are folded into
+the map.  A monomial is the identity combination of its weight, so the
+monomials are the basis of the full space M_k.  Long chains run on float
+majorants, which size the primes, then on residues modulo those primes, with
+the map applied to the residues and one CRT per row; short chains run on
+integers, and so does a chain whose rounding check fails.  One store
+(_spaces) holds every basis, once per weight and kind, with its rows per
+frame at the largest precision built so far; smaller precisions are their
+prefixes.
 
 Cusp and plus-space conditions are imposed by exact row reduction, once per
 weight and kind, giving exact rational bases of S_k, M_k^+ and the Kohnen
@@ -264,9 +264,13 @@ def weight2_generator(prec: int) -> QExpansion:
 
 
 def _g16_frame_w(prec: int) -> list[int]:
-    """16 G|W = Theta^4 - 16 G."""
-    th4 = intpoly.poly_pow_trunc(list(intpoly.theta_int(prec)), 4, prec)
-    return [t - 16 * g for t, g in zip(th4, intpoly.sigma_odd_int(prec))]
+    """16 G|W = Theta^4 - 16 G = Theta(-q)^4: (-1)^n r_4(n) at q^n, with
+    r_4(0) = 1 and r_4(n) = 8 sigma(n) - 32 sigma(n/4)."""
+    sig = sigma1_table(prec)
+    return [1] + [
+        (-1) ** n * (8 * sig[n] - (32 * sig[n // 4] if n % 4 == 0 else 0))
+        for n in range(1, prec + 1)
+    ]
 
 
 def _g16_frame_v(prec: int) -> list[int]:
@@ -330,12 +334,16 @@ def _monomial_int(a: int, b: int, prec: int, frame: str) -> tuple[tuple[int, ...
     """Theta^a G^b in frame 'I', 'W4' or 'V4' to index prec, as (integer
     numerators, common denominator).
 
-    The monomial is read from the ladder of its weight, which holds every
-    monomial of that weight, possibly to a higher precision (see _Ladders).
-    In the V frame index m stands for the exponent m + (a mod 4)/4: the
-    factor q^(a/4) of (Theta|V)^a moves floor(a/4) into the index.
+    The monomial is read from the rows of the full space M_k held in
+    _spaces (the identity combinations of its weight), possibly to a higher
+    precision.  In the V frame index m stands for the exponent
+    m + (a mod 4)/4: the factor q^(a/4) of (Theta|V)^a moves floor(a/4) into
+    the index, and the phase sign (-1)^b that those rows carry (see
+    _combination_map) is undone, leaving the phase e(a/8).
     """
-    series, den = _weight_monomials_int(a + 4 * b, prec, frame)[b]
+    series, den = _spaces.get((Fraction(a + 4 * b, 2), "full M"), 0)(frame, prec)[b]
+    if frame == "V4" and b % 2:
+        return tuple(-c for c in series[: prec + 1]), den
     return series[: prec + 1], den
 
 
@@ -365,24 +373,6 @@ class _Prefixes:
             self._held.clear()
 
 
-class _Ladders(_Prefixes):
-    """The monomial ladders built so far: one per (r, frame), at the largest
-    precision asked for."""
-
-    def __init__(self):
-        super().__init__(lambda key, prec: _build_ladder(key[0], prec, key[1]))
-
-    def __call__(self, r: int, prec: int, frame: str) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Every monomial Theta^(r - 4b) G^b of weight r/2, b = 0..floor(r/4),
-        in frame 'I', 'W4' or 'V4', as (integer numerators, common
-        denominator) indexed by b, to index prec or beyond; built to prec if
-        no ladder is held that far."""
-        return self.get((r, frame), prec)
-
-
-_weight_monomials_int = _Ladders()
-
-
 def _frame_generators(prec: int, frame: str) -> tuple:
     """(Theta, G) in frame 'I', 'W4' or 'V4' as integer series to index prec:
     in the Fricke and V frames 16 G, and in the V frame the core of Theta|V."""
@@ -393,42 +383,6 @@ def _frame_generators(prec: int, frame: str) -> tuple:
     if frame == "V4":
         return _theta_v_core(prec), _g16_frame_v(prec)
     raise ValueError(f"unknown frame {frame!r}")
-
-
-def _monomial_scales(r: int, frame: str) -> list[tuple[int, int, int]]:
-    """For b = 0..floor(r/4), (scale, shift, den) with Theta^(r - 4b) G^b =
-    scale q^shift P_b / den in the frame, P_b the ladder's product of the
-    frame generators: 2^a, a // 4 and 16^b in the V frame (a = r - 4b), and
-    1, 0 and 16^b in the Fricke frame."""
-    out = []
-    for b in range(r // 4 + 1):
-        a = r - 4 * b
-        if frame == "V4":
-            out.append((2**a, a // 4, 16**b))
-        else:
-            out.append((1, 0, 16**b if frame == "W4" else 1))
-    return out
-
-
-def _ladder_map(r: int, prec: int, frame: str, matrix, shifts) -> list[list[int]]:
-    """matrix times the ladder products P_b of weight r/2 in the frame, each
-    first shifted by shifts[b], to index prec (see intpoly.chain_products)."""
-    if r == 0:  # the one monomial is 1
-        return [[row[0]] + [0] * prec for row in matrix]
-    walk = partial(_walk_ladder, r)
-    return intpoly.chain_products(walk, _frame_generators(prec, frame), prec, range(r // 4 + 1),
-                                  matrix, shifts)
-
-
-def _build_ladder(r: int, prec: int, frame: str) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """The monomials of weight r/2 to index prec (see _Ladders) from one run of
-    _walk_ladder through intpoly.chain_products, whose map is the V-frame
-    scale and shift (the identity in the other frames)."""
-    scales = _monomial_scales(r, frame)
-    matrix = [[scale if j == b else 0 for j in range(len(scales))]
-              for b, (scale, _, _) in enumerate(scales)]
-    rows = _ladder_map(r, prec, frame, matrix, [shift for _, shift, _ in scales])
-    return tuple((tuple(row), den) for row, (_, _, den) in zip(rows, scales))
 
 
 def _walk_ladder(r: int, inputs, mul, wanted):
@@ -472,30 +426,38 @@ def _combined_rows(r: int, vectors, prec: int, frame: str) -> tuple:
     """sum_b v[b] Theta^(r - 4b) G^b in the frame to index prec, for each
     vector v of rationals, as (integer numerators, common denominator): one
     ladder chain with the map of _combination_map at its end."""
+    generators = _frame_generators(prec, frame)
     matrix, shifts, dens = _combination_map(r, vectors, frame)
-    rows = _ladder_map(r, prec, frame, matrix, shifts)
+    if r == 0:  # the one monomial is 1
+        rows = [[row[0]] + [0] * prec for row in matrix]
+    else:
+        rows = intpoly.chain_products(partial(_walk_ladder, r), generators, prec,
+                                      range(r // 4 + 1), matrix, shifts)
     return tuple((tuple(row), den) for row, den in zip(rows, dens))
 
 
 def _combination_map(r: int, vectors, frame: str) -> tuple[list, list[int], list[int]]:
     """(matrix, shifts, dens) with sum_b v[b] Theta^(r - 4b) G^b =
     sum_b matrix[i][b] q^shifts[b] P_b / dens[i] in the frame for the i-th
-    vector v, P_b the ladder's products.
+    vector v, P_b the ladder's product of the frame generators (in the
+    Fricke and V frames 16 G, and in the V frame the core of Theta|V).
 
     dens[i] is the lcm of the denominators of the v[b] (-1)^b / 16^b: the
     frame's 16^b, and in the V frame the phase sign, since the phase e(a/8)
-    of each monomial is (-1)^b e(r/8).  The V-frame scale 2^a joins the
-    integer multiples, and its shift a // 4 is applied before the map."""
-    scales = _monomial_scales(r, frame)
+    of each monomial is (-1)^b e(r/8).  The V-frame scale 2^a (a = r - 4b)
+    joins the integer multiples, and its shift a // 4 is applied before the
+    map."""
+    unit = {"I": 1, "W4": 16, "V4": -16}[frame]  # v[b] is divided by unit^b
+    bs = range(r // 4 + 1)
+    scales = [2 ** (r - 4 * b) if frame == "V4" else 1 for b in bs]
+    shifts = [(r - 4 * b) // 4 if frame == "V4" else 0 for b in bs]
     matrix, dens = [], []
     for vec in vectors:
-        coeffs = [Fraction(c) / den for c, (_, _, den) in zip(vec, scales)]
-        if frame == "V4":
-            coeffs = [-c if b % 2 else c for b, c in enumerate(coeffs)]
+        coeffs = [Fraction(c) / unit**b for b, c in enumerate(vec)]
         den = math.lcm(*(c.denominator for c in coeffs))
-        matrix.append([int(c * den) * scale for c, (scale, _, _) in zip(coeffs, scales)])
+        matrix.append([int(c * den) * scale for c, scale in zip(coeffs, scales)])
         dens.append(den)
-    return matrix, [shift for _, shift, _ in scales], dens
+    return matrix, shifts, dens
 
 
 class _FormRows(_Prefixes):
@@ -549,7 +511,7 @@ class SpaceBasis:
     monomials: list[tuple[int, int]]
     vectors: list[list[Fraction]]
     forms: list[QExpansion]
-    _rows: _FormRows | None = field(default=None, repr=False, compare=False)
+    _rows: _FormRows = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -563,16 +525,11 @@ class SpaceBasis:
         """n is an allowed plus-space index: (-1)^(k-1/2) n = 0, 1 mod 4."""
         return (self.sign_unit() * n) % 4 in (0, 1)
 
-    def _form_rows(self) -> _FormRows:
-        if self._rows is None:
-            self._rows = _FormRows(int(2 * self.weight), self.vectors)
-        return self._rows
-
     def int_rows(self, frame: str, prec: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         """(integer numerators, common denominator) of each basis form in
         frame 'I', 'W4' or 'V4', to index prec or beyond; built to prec if
         they are held to less."""
-        return self._form_rows()(frame, prec)
+        return self._rows(frame, prec)
 
     def frame_series(self, i: int, frame: str, prec: int) -> tuple[QExpansion, complex]:
         """Exact expansion of basis form i in frame 'I', 'W4' or 'V4'."""
@@ -587,7 +544,7 @@ class SpaceBasis:
         """build(), computed once and shared by every basis that space_basis
         returns for this weight and kind: for values that do not depend on
         the precision of the forms, such as a Hecke matrix."""
-        return self._form_rows().cached(name, build)
+        return self._rows.cached(name, build)
 
     def to_json(self) -> str:
         payload = {
@@ -607,17 +564,7 @@ class SpaceBasis:
 
 def monomial_span(k, prec: int) -> SpaceBasis:
     """Span of the weight-k monomials: the full space M_k(Gamma_0(4))."""
-    k = half_integer(k)
-    monos = weight_monomials(k)
-    forms = []
-    vectors = []
-    for idx, (a, b) in enumerate(monos):
-        q, _ = monomial_expansion(a, b, prec, "I")
-        forms.append(q)
-        vec = [Fraction(0)] * len(monos)
-        vec[idx] = Fraction(1)
-        vectors.append(vec)
-    return SpaceBasis(k, "full M", sturm_index(k), monos, vectors, forms)
+    return _held_basis(half_integer(k), "full M", prec)
 
 
 def space_basis(k, prec: int, kind: str) -> SpaceBasis:
@@ -638,24 +585,31 @@ def space_basis(k, prec: int, kind: str) -> SpaceBasis:
     st = sturm_index(k)
     if prec < st:
         raise PrecisionError(f"precision {prec} below the Sturm index {st}")
-    monos = weight_monomials(k)
-    if not monos:
-        return SpaceBasis(k, kind, st, [], [], [])
-    if kind == "full M":
-        return monomial_span(k, prec)
+    if not weight_monomials(k):
+        return SpaceBasis(k, kind, st, [], [], [], _FormRows(int(2 * k), []))
+    return _held_basis(k, kind, prec)
+
+
+def _held_basis(k: Fraction, kind: str, prec: int) -> SpaceBasis:
+    """The basis of kind at weight k from the rows held in _spaces, its forms
+    to index prec."""
     rows = _spaces.get((k, kind), 0)
     forms = [from_int_series(k, row, prec, den) for row, den in rows("I", prec)]
-    return SpaceBasis(k, kind, st, monos, rows.vectors, forms, rows)
+    return SpaceBasis(k, kind, sturm_index(k), weight_monomials(k), rows.vectors, forms, rows)
 
 
 def _solve_space(k: Fraction, kind: str) -> _FormRows:
     """The subspace `kind` of M_k (see space_basis) from the monomials to the
     Sturm index: the kernel of the conditions, then its combinations
     echelonized by their q-expansions, which also gives the forms' frame-I
-    rows to the Sturm index."""
-    st = sturm_index(k)
+    rows to the Sturm index.  The full space 'full M' has the identity
+    combinations, which are the monomials themselves, and no reduction."""
     monos = weight_monomials(k)
-    rows = [_monomial_int(a, b, st, "I")[0] for a, b in monos]
+    identity = [[Fraction(int(i == j)) for j in range(len(monos))] for i in range(len(monos))]
+    if kind == "full M":
+        return _FormRows(int(2 * k), identity)
+    st = sturm_index(k)
+    rows = [row[: st + 1] for row, _ in _spaces.get((k, "full M"), 0)("I", st)]
     sign = -1 if int(k - HALF) % 2 else 1
     conditions: list[list] = []
     if kind in ("full S", "plus S"):
@@ -665,10 +619,7 @@ def _solve_space(k: Fraction, kind: str) -> _FormRows:
         for n in range(1, st + 1):
             if (sign * n) % 4 in (2, 3):
                 conditions.append([row[n] for row in rows])
-    if conditions:
-        _, _, kernel = rref_exact(conditions)
-    else:
-        kernel = [[Fraction(int(i == j)) for j in range(len(monos))] for i in range(len(monos))]
+    kernel = rref_exact(conditions)[2] if conditions else identity
     vectors, held = _echelonize(kernel, rows, st)
     return _FormRows(int(2 * k), vectors, {"I": (st, held)})
 
@@ -698,7 +649,8 @@ def _echelonize(
     return vectors, tuple(held)
 
 
-# the spaces solved so far, one per (k, kind); the precision plays no part
+# the spaces solved so far, one per (k, kind), 'full M' holding the
+# monomials; the precision plays no part
 _spaces = _Prefixes(lambda key, _prec: _solve_space(*key))
 
 

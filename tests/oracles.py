@@ -9,9 +9,11 @@ parameter bookkeeping (the library works on integer numerators over a
 common denominator), the frame generators written out coefficient by
 coefficient, 40-digit term-by-term series values (the library sums float64
 terms in blocks, shifted by the largest one), naive fraction Gaussian
-elimination, Salie sums by direct summation over the units mod 4c (in
-doubles and in 40-digit arithmetic; the library factors them into local
-sums with square roots mod prime powers), and a quadrature-based
+elimination and Gauss-Jordan reduction (the library back-substitutes on
+integer rows, one denominator per row), Salie sums by direct summation over
+the units mod 4c (in doubles and in 40-digit arithmetic; the library
+factors them into local sums with square roots mod prime powers), and a
+quadrature-based
 completed-L-value with a different smoothing than the production
 incomplete-gamma sums, mpmath's incomplete gamma (the library sums the finite
 series of an integer order), the plus-space monomials one at a time by
@@ -247,13 +249,26 @@ def monomial_int_reference(a: int, b: int, prec: int, frame: str) -> tuple[tuple
         theta, g, den = _theta_v_core(prec), _g16_frame_v(prec), 16**b
     else:
         raise ValueError(f"unknown frame {frame!r}")
-    series = intpoly.poly_pow_trunc(list(theta), a, prec)
-    if frame == "V4":
-        series = intpoly.poly_scale_shift(series, 2**a, a // 4, prec)
+    series = _binary_power(theta, a, prec)
+    if frame == "V4":  # times 2^a q^(a // 4)
+        series = ([0] * (a // 4) + [2**a * c for c in series])[: prec + 1]
     if b:
-        gb = intpoly.poly_pow_trunc(list(g), b, prec)
-        series = intpoly.poly_mul_trunc(series, gb, prec)
+        series = intpoly.poly_mul_trunc(series, _binary_power(g, b, prec), prec)
     return tuple(series), den
+
+
+def _binary_power(a, e: int, prec: int) -> list[int]:
+    """a^e truncated to index prec, by binary powering with single products."""
+    from plusforms import intpoly
+
+    result, base = [1], list(a[: prec + 1])
+    while e:
+        if e & 1:
+            result = intpoly.poly_mul_trunc(result, base, prec)
+        e >>= 1
+        if e:
+            base = intpoly.poly_mul_trunc(base, base, prec)
+    return result
 
 
 def form_rows_reference(basis, i: int, frame: str, prec: int) -> tuple[list[int], int]:
@@ -338,11 +353,12 @@ def series_eval_reference(q, z: complex, dps: int = 40):
         return total
 
 
-def naive_rank(rows) -> int:
-    """Rank by plain fraction Gaussian elimination."""
+def gauss_jordan_reference(rows) -> list[list[Fraction]]:
+    """The nonzero rows of the reduced echelon form, with unit pivots, by
+    plain fraction Gauss-Jordan elimination."""
     rows = [[Fraction(x) for x in r] for r in rows]
     if not rows:
-        return 0
+        return []
     rank = 0
     ncols = len(rows[0])
     for c in range(ncols):
@@ -351,12 +367,18 @@ def naive_rank(rows) -> int:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pv = rows[rank][c]
+        rows[rank] = [a / pv for a in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][c] != 0:
-                f = rows[i][c] / pv
+                f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return rows[:rank]
+
+
+def naive_rank(rows) -> int:
+    """Rank by plain fraction Gaussian elimination."""
+    return len(gauss_jordan_reference(rows))
 
 
 def salie_unit_sum(c: int, n, m, k: Fraction):

@@ -179,6 +179,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     (["eigen", "--k", "13/2"], "eigen_13_2.txt"),
     (["eigen", "--k", "61/2"], "eigen_61_2.txt"),
     (["shimura-check", "--k", "13/2", "--D-max", "24", "--n-max", "30"], "shimura_check_13_2.txt"),
+    (["kz", "--k", "13/2", "--D", "1,5,8,12,13,17"], "kz_13_2.txt"),
 ])
 def test_readme_commands_match_golden_output(args, name):
     """README commands print exactly the bytes recorded in tests/golden."""

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from plusforms.arith import FieldElement, fundamental_discriminants, primes_up_to
+from plusforms import intpoly
 from plusforms.hecke import (
     IntegralForm,
     _eigenvectors,
-    _miller_int,
+    _miller,
+    _miller_shape,
     dim_cusp_level1,
     eigenbasis_plus,
     eigenforms_level1,
@@ -23,7 +25,7 @@ from plusforms.hecke import (
 from plusforms.linalg import charpoly_exact
 from plusforms.qexp import PrecisionError, cusp_plus_basis
 
-from oracles import delta_by_eisenstein, embedding_reference
+from oracles import delta_by_eisenstein, embedding_reference, series_mul_reference
 
 
 # -- Miller basis --------------------------------------------------------------
@@ -47,6 +49,75 @@ def test_miller_w24_echelon():
     assert len(basis) == 2
     assert basis[0].coeff(1) == 1 and basis[0].coeff(2) == 0
     assert basis[1].coeff(1) == 0 and basis[1].coeff(2) == 1
+
+
+def _miller_reference(w, prec, powers):
+    """The Miller echelon rows of S_w to index prec: each monomial
+    Delta^i E4^alpha E6^beta by single double-loop products of powers built
+    the same way (memoized in powers), then echelonized."""
+
+    def power(name, e):
+        if (name, e) not in powers:
+            if e == 1:
+                base = {"E4": intpoly.eisenstein_int(4, prec),
+                        "E6": intpoly.eisenstein_int(6, prec)}.get(name)
+                if name == "Delta":
+                    e3 = intpoly.eta3_int(prec)
+                    e6 = series_mul_reference(e3, e3, prec)
+                    e12 = series_mul_reference(e6, e6, prec)
+                    base = [0] + series_mul_reference(e12, e12, prec)[:prec]
+                powers[name, e] = list(base)
+            else:
+                powers[name, e] = series_mul_reference(power(name, e - 1), power(name, 1), prec)
+        return powers[name, e]
+
+    d, alpha, beta = _miller_shape(w)
+    rows = []
+    for i in range(1, d + 1):
+        row = power("Delta", i)
+        for name, e in (("E4", alpha + 3 * (d - i)), ("E6", beta)):
+            if e:
+                row = series_mul_reference(row, power(name, e), prec)
+        rows.append(row)
+    for i in range(d):
+        for j in range(d):
+            if j != i and rows[j][i + 1]:
+                f = rows[j][i + 1]
+                rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
+    return [tuple(row) for row in rows]
+
+
+def test_miller_rows_match_one_at_a_time_products(monkeypatch):
+    """At prec 700, a residue-route precision, every Miller basis w <= 60
+    equals the one-at-a-time double-loop products echelonized; a smaller
+    precision is then served as a prefix of the rows held at 700."""
+    runs = []
+    residues = intpoly._chain_residues
+
+    def spy(*args):
+        runs.append(args[3])  # the transform length
+        return residues(*args)
+
+    monkeypatch.setattr(intpoly, "_chain_residues", spy)
+    prec, powers = 700, {}
+    _miller.cache_clear()
+    for w in range(12, 62, 2):
+        rows = _miller.get(w, prec)
+        assert [row[: prec + 1] for row in rows] == _miller_reference(w, prec, powers), w
+        basis = miller_basis(w, 64)
+        assert [[f.coeff(n) for n in range(65)] for f in basis] == [list(row[:65]) for row in rows]
+        assert _miller._held[w][0] == prec
+    assert runs and set(runs) == {intpoly._transform_size(prec)}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hecke_matrix_level1_matches_qexpansion_route(p):
+    """T(p) on the held integer rows equals hecke_integral applied to the
+    Miller basis as QExpansions, for every w <= 60."""
+    for w in range(12, 62, 2):
+        d = dim_cusp_level1(w)
+        images = [hecke_integral(f, w, p) for f in miller_basis(w, p * d + 1)]
+        assert hecke_matrix_level1(w, p) == [[t.coeff(n) for t in images] for n in range(1, d + 1)]
 
 
 def test_dimension_formula():
@@ -217,7 +288,7 @@ def test_multiplicativity_quadratic_field():
 
 def test_miller_rows_are_integer_echelon():
     for w in range(12, 62, 2):
-        rows = _miller_int(w, 200)
+        rows = _miller.get(w, 200)
         assert len(rows) == dim_cusp_level1(w)
         for i, row in enumerate(rows):
             assert all(type(a) is int for a in row)

@@ -1,23 +1,26 @@
-"""The exact series engine: schoolbook, Kronecker and multimodular products
-against the plain double loop, on each side of every length crossover."""
+"""The exact series engine: schoolbook and Kronecker products, and chains of
+products on residues, against the plain double loop, on each side of every
+length crossover."""
 
 import random
 
 import pytest
 
-from plusforms import intpoly
+from plusforms import hecke, intpoly
 
 from oracles import series_mul_reference
 
 SCHOOL = intpoly._SCHOOLBOOK_CUTOFF
-MULTI = intpoly._MULTIMODULAR_CUTOFF
+# operands this long make a one-product chain whose transforms run in chunks
+# of two primes
+LONG = 1000
 
 
 @pytest.fixture
 def paths(monkeypatch):
-    """Names of the product paths taken, in call order."""
+    """Names of the integer product paths taken, in call order."""
     taken = []
-    for name in ("_mul_schoolbook", "_mul_kronecker", "_mul_multimodular"):
+    for name in ("_mul_schoolbook", "_mul_kronecker"):
         inner = getattr(intpoly, name)
 
         def spy(*args, _inner=inner, _name=name):
@@ -28,9 +31,35 @@ def paths(monkeypatch):
     return taken
 
 
+@pytest.fixture
+def residue_runs(monkeypatch):
+    """Per residue pass of a chain, whether it returned rows."""
+    runs = []
+    inner = intpoly._chain_residues
+
+    def spy(*args):
+        out = inner(*args)
+        runs.append(out is not None)
+        return out
+
+    monkeypatch.setattr(intpoly, "_chain_residues", spy)
+    return runs
+
+
 def _series(rng, length, bits, signed):
     lo = -(1 << bits) + 1 if signed else 0
     return [rng.randint(lo, (1 << bits) - 1) for _ in range(length)]
+
+
+def _one_product(a, b, prec):
+    """a * b to index prec as a chain of one product (a square when b is a)."""
+    inputs = [a[: prec + 1]] if b is a else [a[: prec + 1], b[: prec + 1]]
+    walk = lambda xs, mul, wanted: [(0, mul(xs[0], xs[-1]))]  # noqa: E731
+    return intpoly.chain_products(walk, inputs, prec, [0], [[1]], [0])[0]
+
+
+def _padded(series, prec):
+    return series + [0] * (prec + 1 - len(series))
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -39,10 +68,9 @@ def _series(rng, length, bits, signed):
     [
         (SCHOOL, SCHOOL, "_mul_schoolbook"),
         (SCHOOL, SCHOOL + 1, "_mul_kronecker"),
-        # well inside the Kronecker range, between the two crossovers
+        # Kronecker substitution serves every longer operand
         (160, 161, "_mul_kronecker"),
-        (MULTI - 1, MULTI + 40, "_mul_kronecker"),
-        (MULTI, MULTI + 40, "_mul_multimodular"),
+        (999, 1040, "_mul_kronecker"),
     ],
 )
 def test_product_on_each_side_of_crossovers(paths, la, lb, path, signed):
@@ -54,8 +82,26 @@ def test_product_on_each_side_of_crossovers(paths, la, lb, path, signed):
     assert paths == [path]
 
 
-# 160 lies well inside the Kronecker range
-@pytest.mark.parametrize("length", [SCHOOL, 160, MULTI - 1, MULTI + 3])
+@pytest.mark.parametrize("signed", [False, True])
+@pytest.mark.parametrize("la, lb", [(31, 32), (32, 32), (LONG, LONG + 40)])
+def test_one_product_chain_on_each_side_of_residue_cutoff(paths, residue_runs, la, lb, signed):
+    """A chain of one product runs on integers below the transform length
+    _CHAIN_RESIDUE_CUTOFF (here prec 63) and on residues from it, making no
+    integer product there."""
+    rng = random.Random(la * 7 + lb + signed)
+    a = _series(rng, la, 40, signed)
+    b = _series(rng, lb, 25, signed)
+    prec = la + lb
+    assert _one_product(a, b, prec) == _padded(series_mul_reference(a, b, prec), prec)
+    on_residues = intpoly._transform_size(prec) >= intpoly._CHAIN_RESIDUE_CUTOFF
+    assert on_residues == (prec >= 64)
+    assert residue_runs == ([True] if on_residues else [])
+    assert paths == ([] if on_residues else ["_mul_kronecker"])
+
+
+# 160 lies well inside the Kronecker range, and a one-product chain of any of
+# the last three lengths runs on residues
+@pytest.mark.parametrize("length", [SCHOOL, 160, 999, 1003])
 def test_square_of_same_list(length, monkeypatch):
     convolve = intpoly._convolve
     squares = []
@@ -68,44 +114,58 @@ def test_square_of_same_list(length, monkeypatch):
     rng = random.Random(length)
     a = _series(rng, length, 60, signed=True)
     prec = 2 * length
-    assert intpoly.poly_mul_trunc(a, a, prec) == series_mul_reference(a, a, prec)
-    # the multimodular path transforms each residue vector once
-    assert all(squares) and bool(squares) == (length >= MULTI)
-    assert intpoly.poly_pow_trunc(a, 3, prec) == series_mul_reference(
-        series_mul_reference(a, a, prec), a, prec
-    )
+    square = series_mul_reference(a, a, prec)
+    assert intpoly.poly_mul_trunc(a, a, prec) == square
+    assert squares == []
+    assert _one_product(a, a, prec) == _padded(square, prec)
+    # the majorant and each residue chunk transform the one operand once
+    on_residues = intpoly._transform_size(prec) >= intpoly._CHAIN_RESIDUE_CUTOFF
+    assert all(squares) and bool(squares) == on_residues == (length > SCHOOL)
+    cube = intpoly.chain_products(
+        lambda xs, mul, wanted: [(0, mul(mul(xs[0], xs[0]), xs[0]))], [a], prec, [0], [[1]], [0]
+    )[0]
+    assert cube == _padded(series_mul_reference(square, a, prec), prec)
 
 
-def test_prec_shorter_than_both_operands(paths):
+def test_prec_shorter_than_both_operands(paths, residue_runs):
     rng = random.Random(11)
-    a = _series(rng, MULTI + 500, 30, signed=True)
-    b = _series(rng, MULTI + 300, 30, signed=False)
-    prec = MULTI + 100
+    a = _series(rng, LONG + 500, 30, signed=True)
+    b = _series(rng, LONG + 300, 30, signed=False)
+    prec = LONG + 100
+    expected = series_mul_reference(a[: prec + 1], b[: prec + 1], prec)
     out = intpoly.poly_mul_trunc(a, b, prec)
     assert len(out) == prec + 1
-    assert out == series_mul_reference(a[: prec + 1], b[: prec + 1], prec)
-    assert paths == ["_mul_multimodular"]
+    assert out == expected
+    assert paths == ["_mul_kronecker"]
+    assert _one_product(a, b, prec) == expected
+    assert residue_runs == [True] and paths == ["_mul_kronecker"]
 
 
-@pytest.mark.parametrize("length", [SCHOOL + 40, 200, MULTI])
+@pytest.mark.parametrize("length", [SCHOOL + 40, 200, LONG])
 def test_zero_operand(length):
     rng = random.Random(3)
     a = _series(rng, length, 20, signed=True)
     zero = [0] * length
     assert intpoly.poly_mul_trunc(a, zero, 2 * length) == [0] * (2 * length - 1)
     assert intpoly.poly_mul_trunc(zero, zero, length) == [0] * (length + 1)
+    assert _one_product(a, zero, 2 * length) == [0] * (2 * length + 1)
+    assert _one_product(zero, zero, length) == [0] * (length + 1)
 
 
-def test_huge_coefficients_need_many_primes(paths):
+def test_huge_coefficients_need_many_primes(paths, residue_runs):
+    """Inputs of 2000 bits and more, past float range, get a majorant all the
+    same, and the one product runs on residues modulo enough primes."""
     rng = random.Random(2000)
-    a = _series(rng, MULTI, 2000, signed=True)
-    b = _series(rng, MULTI, 2100, signed=True)
-    prec = MULTI + 50
-    size = 1 << (2 * MULTI - 2).bit_length()
-    primes = intpoly._crt_primes(size, MULTI, MULTI, intpoly._product_bits(a, b))
+    a = _series(rng, LONG, 2000, signed=True)
+    b = _series(rng, LONG, 2100, signed=True)
+    prec = LONG + 50
+    walk = lambda xs, mul, wanted: [(0, mul(xs[0], xs[1]))]  # noqa: E731
+    bits = intpoly.chain_bits(walk, [a, b], prec, [0], [[1]], [0])
+    size = intpoly._transform_size(prec)
+    primes = intpoly._crt_primes(size, prec + 1, prec + 1, bits[0] + 1)
     assert len(primes) > 250
-    assert intpoly.poly_mul_trunc(a, b, prec) == series_mul_reference(a, b, prec)
-    assert paths == ["_mul_multimodular"]
+    assert _one_product(a, b, prec) == series_mul_reference(a, b, prec)
+    assert residue_runs == [True] and paths == []
 
 
 @pytest.mark.parametrize("exp", range(10, 25))
@@ -121,17 +181,23 @@ def test_chosen_primes_keep_fft_error_below_half(exp):
     assert modulus > 1 << 400
 
 
-def test_delta_above_crossover_matches_eta_powers():
-    prec = MULTI + 100
+def test_delta_above_crossover_matches_eta_powers(residue_runs):
+    """The w = 12 Miller row, Delta = q (q^(-1/8) eta^3)^8, built on residues,
+    equals the eta powers multiplied by the plain double loop."""
+    prec = LONG + 100
     e3 = intpoly.eta3_int(prec)
     e6 = series_mul_reference(e3, e3, prec)
     e12 = series_mul_reference(e6, e6, prec)
     e24 = series_mul_reference(e12, e12, prec)
-    assert list(intpoly.delta_int(prec)) == [0] + e24[:prec]
-    assert intpoly.delta_int(prec)[1:5] == (1, -24, 252, -1472)
+    (delta,) = hecke._miller_rows(12, prec)
+    assert list(delta) == [0] + e24[:prec]
+    assert delta[1:5] == (1, -24, 252, -1472)
+    assert residue_runs == [True]
 
 
 def test_failed_rounding_check_falls_back_to_exact_product(paths, monkeypatch):
+    """The first residue convolution (the second transform pass, after the
+    majorant's) fails the 1/4 check, so the chain runs again on integers."""
     convolve = intpoly._convolve
     calls = []
 
@@ -144,9 +210,9 @@ def test_failed_rounding_check_falls_back_to_exact_product(paths, monkeypatch):
 
     monkeypatch.setattr(intpoly, "_convolve", perturbed)
     rng = random.Random(5)
-    a = _series(rng, MULTI + 10, 50, signed=True)
-    b = _series(rng, MULTI + 20, 50, signed=True)
-    prec = 2 * MULTI
-    assert intpoly.poly_mul_trunc(a, b, prec) == series_mul_reference(a, b, prec)
-    assert paths == ["_mul_multimodular", "_mul_kronecker"]
+    a = _series(rng, LONG + 10, 50, signed=True)
+    b = _series(rng, LONG + 20, 50, signed=True)
+    prec = 2 * LONG
+    assert _one_product(a, b, prec) == series_mul_reference(a, b, prec)
+    assert paths == ["_mul_kronecker"]
     assert len(calls) == 2

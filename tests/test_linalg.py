@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from plusforms.linalg import charpoly_exact, rref_exact
 
-from oracles import naive_rank
+from oracles import gauss_jordan_reference, naive_rank
 
 
 def test_identity_matrix():
@@ -32,6 +32,26 @@ def test_random_rank_against_naive_oracle():
         for vec in kernel:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+def test_reduced_rows_match_gauss_jordan_oracle():
+    """The reduced echelon rows equal plain Fraction Gauss-Jordan on the
+    random matrices above, and on rank-deficient ones (products of random
+    5 x 3 and 3 x 8 factors, with a zero and a repeated row)."""
+    rng = random.Random(13)
+    for _ in range(40):
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(8)]
+            for _ in range(5)
+        ]
+        assert rref_exact(rows)[1] == gauss_jordan_reference(rows)
+    for _ in range(20):
+        left = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(3)] for _ in range(5)]
+        right = [[rng.randint(-5, 5) for _ in range(8)] for _ in range(3)]
+        rows = [[sum(a * right[t][j] for t, a in enumerate(row)) for j in range(8)] for row in left]
+        rows += [[0] * 8, rows[0]]
+        rank, red, _ = rref_exact(rows)
+        assert red == gauss_jordan_reference(rows) and rank == len(red)
 
 
 def test_charpoly_small():

@@ -27,7 +27,6 @@ from plusforms.qexp import (
     PrecisionError,
     QExpansion,
     _monomial_int,
-    _weight_monomials_int,
     cusp_plus_basis,
     monomial_expansion,
     monomial_span,
@@ -353,11 +352,12 @@ def test_monomial_expansion_matches_fraction_oracle(num):
 
 
 def _check_ladder(k, precs):
-    """Every monomial of weight k from the per-weight ladder equals the
-    one-at-a-time reference, in all three frames, requested cold (one middle
-    monomial first, on an empty cache) and then warm (b descending)."""
+    """Every monomial of weight k, read from the rows of the full space held
+    in qexp._spaces (one ladder chain per frame), equals the one-at-a-time
+    reference, in all three frames, requested cold (one middle monomial
+    first, on an empty store) and then warm (b descending)."""
     monos = weight_monomials(k)
-    _weight_monomials_int.cache_clear()
+    qexp._spaces.cache_clear()
     for prec in precs:
         for frame in FRAMES:
             a, b = monos[len(monos) // 2]
@@ -380,12 +380,19 @@ def test_monomial_ladder_matches_reference_multimodular(kstr):
     _check_ladder(Fraction(kstr), (1200,))
 
 
+def _identity(r):
+    """The identity combinations of the weight-r/2 monomials."""
+    return [[Fraction(int(i == j)) for j in range(r // 4 + 1)] for i in range(r // 4 + 1)]
+
+
 def _ladder_bit_bounds(r, prec, frame):
-    """chain_bits of the weight-r/2 ladder: per b, the majorant's bound on the
-    bits of the product Theta^(r-4b) G^b before the V-frame scale 2^a."""
+    """chain_bits of the rows of the full space of weight r/2, the ladder
+    with the identity combinations' map at its end: per b, the majorant's
+    bound on the bits of the integer numerators of Theta^(r-4b) G^b."""
+    matrix, shifts, _ = qexp._combination_map(r, _identity(r), frame)
     walk = functools.partial(qexp._walk_ladder, r)
     generators = qexp._frame_generators(prec, frame)
-    return intpoly.chain_bits(walk, generators, prec, range(r // 4 + 1))
+    return intpoly.chain_bits(walk, generators, prec, range(r // 4 + 1), matrix, shifts)
 
 
 @pytest.mark.parametrize("num", range(5, 62, 2))
@@ -402,28 +409,33 @@ def test_ladder_majorant_bounds_every_monomial(num):
             for a, b in weight_monomials(k):
                 series, _ = _monomial_int(a, b, prec, frame)
                 actual = max(c.bit_length() for c in series)
-                bound = bounds[b] + (a if frame == "V4" and actual else 0)
+                bound = bounds[b]
                 assert bound >= actual, (num, prec, frame, b)
                 if frame == "I":
                     assert bound <= actual + 2, (num, prec, frame, b)
 
 
 def test_ladder_cache_serves_prefixes():
-    """After prec P, a smaller precision p is served from the ladder held at
-    P: equal to a fresh build at p, with one cache entry per (r, frame)."""
-    _weight_monomials_int.cache_clear()
+    """After prec P, a smaller precision p is served from the rows of the
+    full space held at P: equal to a fresh build at p, with the V-frame phase
+    sign of odd b undone, and one store entry, its rows held per frame."""
+    qexp._spaces.cache_clear()
     r, big = 29, 400
+    k = Fraction(r, 2)
     for frame in FRAMES:
-        _weight_monomials_int(r, big, frame)
-    for small in (3, sturm_index(Fraction(r, 2)), 121, big):
+        _monomial_int(1, 7, big, frame)
+    for small in (3, sturm_index(k), 121, big):
         for frame in FRAMES:
-            fresh = qexp._build_ladder(r, small, frame)
-            for a, b in weight_monomials(Fraction(r, 2)):
-                assert _monomial_int(a, b, small, frame) == fresh[b]
-    held = {key: prec for key, (prec, _) in _weight_monomials_int._held.items()}
-    assert held == {(r, frame): big for frame in FRAMES}
+            fresh = qexp._combined_rows(r, _identity(r), small, frame)
+            for a, b in weight_monomials(k):
+                row, den = fresh[b]
+                sign = -1 if frame == "V4" and b % 2 else 1
+                assert _monomial_int(a, b, small, frame) == (tuple(sign * c for c in row), den)
+    assert list(qexp._spaces._held) == [(k, "full M")]
+    held = qexp._spaces.get((k, "full M"), 0)._held
+    assert {frame: prec for frame, (prec, _) in held.items()} == dict.fromkeys(FRAMES, big)
     _monomial_int(1, 7, big + 1, "I")
-    assert _weight_monomials_int._held[(r, "I")][0] == big + 1
+    assert held["I"][0] == big + 1
 
 
 def test_ladder_falls_back_to_integer_products(monkeypatch):
@@ -439,15 +451,19 @@ def test_ladder_falls_back_to_integer_products(monkeypatch):
 
     monkeypatch.setattr(intpoly, "poly_mul_trunc", spy)
     r, prec = 21, 1200
-    qexp._build_ladder(r, prec, "I")
+    monos = weight_monomials(Fraction(r, 2))
+    qexp._spaces.cache_clear()
+    _monomial_int(*monos[0], prec, "I")
     assert products == []
     monkeypatch.setattr(intpoly, "_ROUNDING_SLACK", 0.0)
     for frame in FRAMES:
+        qexp._spaces.cache_clear()
         products.clear()
-        ladder = qexp._build_ladder(r, prec, frame)
+        ladder = [_monomial_int(a, b, prec, frame) for a, b in monos]
         assert products
-        for a, b in weight_monomials(Fraction(r, 2)):
-            assert ladder[b] == monomial_int_reference(a, b, prec, frame)
+        for (a, b), got in zip(monos, ladder):
+            assert got == monomial_int_reference(a, b, prec, frame)
+    qexp._spaces.cache_clear()
 
 
 @pytest.mark.parametrize("kstr", ["13/2", "25/2"])
@@ -513,7 +529,7 @@ def test_basis_rows_match_monomial_route(num):
     qexp._spaces.cache_clear()
     for kind in KINDS:
         basis = space_basis(k, st, kind)
-        held = basis._form_rows()("I", st)
+        held = basis._rows("I", st)
         assert _as_lists(held) == [form_rows_reference(basis, i, "I", st)
                                    for i in range(basis.dimension)]
     _check_rows_against_route(k, (677, 9 * (st + 1), st))
@@ -522,7 +538,7 @@ def test_basis_rows_match_monomial_route(num):
 @pytest.mark.parametrize("kstr", ["21/2", "29/2"])
 def test_basis_rows_match_monomial_route_multimodular(kstr):
     _check_rows_against_route(Fraction(kstr), (5400,))
-    _weight_monomials_int.cache_clear()
+    qexp._spaces.cache_clear()
 
 
 def test_held_space_serves_every_precision(monkeypatch):
@@ -553,7 +569,7 @@ def test_held_space_serves_every_precision(monkeypatch):
                     assert q.coeffs == qexp.from_int_series(k, row, prec, den).coeffs
         # the kernel of the conditions, then the echelon form: nothing after
         assert len(reductions) == 2
-        held = basis._form_rows()._held
+        held = basis._rows._held
         assert {frame: prec for frame, (prec, _) in held.items()} == dict.fromkeys(FRAMES, 700)
         reductions.clear()
 
@@ -561,8 +577,7 @@ def test_held_space_serves_every_precision(monkeypatch):
 def test_combined_rows_fall_back_to_integer_products(monkeypatch):
     """With every rounding check failing, the combined rows come from the
     integer route and still equal the monomials summed as Python ints; with
-    the checks as shipped, frame I makes no integer product at all (the
-    Fricke frame's G is built with two)."""
+    the checks as shipped, no frame makes an integer product at all."""
     products = []
     mul = intpoly.poly_mul_trunc
 
@@ -578,7 +593,7 @@ def test_combined_rows_fall_back_to_integer_products(monkeypatch):
         for frame in FRAMES:
             products.clear()
             rows = qexp._combined_rows(25, basis.vectors, prec, frame)
-            assert bool(products) == (slack == 0.0 or frame == "W4"), (frame, slack)
+            assert bool(products) == (slack == 0.0), (frame, slack)
             assert _as_lists(rows) == [form_rows_reference(basis, i, frame, prec)
                                        for i in range(basis.dimension)]
 
@@ -600,11 +615,13 @@ def test_short_chains_walk_on_integers(monkeypatch):
     for prec in (cutoff // 4 - 1, cutoff // 4):
         size = intpoly._transform_size(prec)
         for frame in FRAMES:
+            qexp._spaces.cache_clear()
             residue_runs.clear()
-            ladder = qexp._build_ladder(r, prec, frame)
+            monos = weight_monomials(Fraction(r, 2))
+            ladder = [_monomial_int(a, b, prec, frame) for a, b in monos]
             assert residue_runs == ([] if size < cutoff else [size]), (prec, frame)
-            for a, b in weight_monomials(Fraction(r, 2)):
-                assert ladder[b] == monomial_int_reference(a, b, prec, frame)
+            for (a, b), got in zip(monos, ladder):
+                assert got == monomial_int_reference(a, b, prec, frame)
     assert intpoly._transform_size(cutoff // 4 - 1) < cutoff <= intpoly._transform_size(cutoff // 4)
 
 
@@ -618,7 +635,6 @@ def test_space_basis_from_threads():
             for prec in (60, 300, 150, 700)]
     expected = {job: [f.coeffs for f in space_basis(*job).forms] for job in jobs}
     qexp._spaces.cache_clear()
-    _weight_monomials_int.cache_clear()
     got, errors = {}, []
 
     def work(offset):
