@@ -64,11 +64,13 @@ def upper_gamma_q(n, x):
 
 
 def _twisted_coeffs(F, D: int, n_max: int) -> np.ndarray:
-    """b(n) = chi_D(n) Fhat(n) / n^((w-1)/2) for n = 1..n_max."""
+    """b(n) = chi_D(n) Fhat(n) / n^((w-1)/2) for n = 1..n_max.  D is
+    fundamental, so chi_D has period |D| and is read from one period."""
     a = (F.weight - 1) / 2.0
+    chi_d = [kronecker_symbol(D, r) for r in range(abs(D))]
     out = np.zeros(n_max + 1)
     for n in range(1, n_max + 1):
-        chi = kronecker_symbol(D, n)
+        chi = chi_d[n % abs(D)]
         if chi == 0:
             continue
         out[n] = chi * float(F.coeff(n)) / n**a
@@ -302,8 +304,11 @@ def petersson_gram(evals: list[FormEvaluator], y_cap: float = 64.0) -> tuple[np.
     The domain is the union of six translates gamma_i F_SL2; on each the
     invariant integrand is evaluated through the frame seeing gamma_i's
     cusp:  (Im w)^k f fbar at the identity and V frames, (Im w / 4)^k at the
-    four Fricke translates (w+j)/4, j = 0..3.
+    four Fricke translates (w+j)/4, j = 0..3.  No evaluators give a 0 x 0
+    matrix with error 0.
     """
+    if not evals:
+        return np.zeros((0, 0)), 0.0
     k = float(evals[0].k)
     n = len(evals)
 

@@ -115,9 +115,12 @@ class QExpansion:
         self._eval_arrays = ((ms + float(self.param)) / self.width, logs, signs)
         return self._eval_arrays
 
-    def eval_reduced(self, zs) -> tuple[np.ndarray, np.ndarray]:
+    def eval_reduced(self, zs, upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Series values at zs, a point or an array of points of any shape, as
         (reduced, log_scale) arrays of that shape: value = reduced * e^log_scale.
+        With upto, only the terms of index m <= upto are summed (a prefix of
+        the sorted term arrays, with the same factor tables and tiles), and
+        the values are those of the series truncated there, bit for bit.
 
         Each point is shifted by its own largest log term, so a value whose
         terms all underflow float64 (large y) is still found.  A term is
@@ -134,6 +137,9 @@ class QExpansion:
         reduced = np.zeros(flat.shape, dtype=complex)
         log_scale = np.full(flat.shape, NEG_INF)
         t, logs, signs = self._arrays()
+        if upto is not None:
+            n = np.searchsorted(t, (upto + float(self.param)) / self.width, side="right")
+            t, logs, signs = t[:n], logs[:n], signs[:n]
         if t.size and flat.size:
             rate, freq = 2.0 * math.pi * t, 2j * math.pi * t
             for pts, ys, iy, xs, ix in _tiles(flat):

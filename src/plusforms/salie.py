@@ -200,6 +200,14 @@ def poincare_coeff(k, m: int, n: int, tol: float = 1e-10, c_cap: int = 10**6) ->
     the edge of the small-argument Bessel regime and grows until the
     certified tail drops below tol (absolute, on g).
     """
+    return _poincare_sum(k, m, n, c_cap)(tol)
+
+
+def _poincare_sum(k, m: int, n: int, c_cap: int = 10**6):
+    """The c-sum of g_{k,m}(n) as one running sum: the returned function
+    certifies it to an absolute tol, as poincare_coeff does.  A tighter tol
+    adds only the c past the last c_max, in the same order, so each result
+    equals poincare_coeff at that tol bit for bit."""
     k = half_integer(k)
     kf = float(k)
     if not admissible(k, n) or not admissible(k, m):
@@ -210,41 +218,45 @@ def poincare_coeff(k, m: int, n: int, tol: float = 1e-10, c_cap: int = 10**6) ->
         math.log(math.pi) + 0.5 * math.log(2.0) + (kf - 1.0) / 2.0 * (math.log(n) - math.log(m))
     )
     # start where the small-argument bound applies: k-1 >= 2 (x1/c)^2
-    c_regime = max(1, math.ceil(x1 / math.sqrt((kf - 1.0) / 2.0)))
-    c_max = c_regime
-    while True:
-        tail_log = _bessel_tail_log(kf, x1, c_max + 1) + pref_log + math.log(2.0 / 3.0)
-        if tail_log < math.log(tol):
-            break
-        if c_max > c_cap:
-            raise RuntimeError(
-                f"poincare_coeff: cannot certify tail below {tol} within c <= {c_cap}"
-            )
-        c_max = max(c_max + 8, int(c_max * 1.3))
-    total = 0.0j
-    bessel_err_logs = []
-    for c in range(1, c_max + 1):
-        h = salie_h(SalieParams(c, n, m, k))
-        if h == 0:
-            continue
-        j = bessel_j_half(k - 1, x1 / c)
-        if j.value.logm < -700.0:
-            # far-underflow terms are inside the certified tail already
-            continue
-        total += h * j.value.to_float()
-        if j.err_log > NEG_INF:
-            bessel_err_logs.append(j.err_log + math.log(2.0))
-    series = sign * math.pi * math.sqrt(2.0) * (n / m) ** ((kf - 1.0) / 2.0) * total
-    value = (2.0 / 3.0) * ((1.0 if m == n else 0.0) + series.real)
-    imag = (2.0 / 3.0) * series.imag
-    err_logs = [tail_log]
-    if bessel_err_logs:
-        err_logs.append(pref_log + math.log(2.0 / 3.0) + logsumexp(bessel_err_logs))
-    err_log = logsumexp(err_logs)
-    return PoincareCoeff(
-        k, m, n, CertifiedValue(LogScaled.from_float(value), err_log), c_max,
-        math.exp(tail_log), abs(imag),
-    )
+    c_max = max(1, math.ceil(x1 / math.sqrt((kf - 1.0) / 2.0)))
+    c_done, total, bessel_err_logs = 0, 0.0j, []
+
+    def certify(tol: float) -> PoincareCoeff:
+        nonlocal c_max, c_done, total
+        while True:
+            tail_log = _bessel_tail_log(kf, x1, c_max + 1) + pref_log + math.log(2.0 / 3.0)
+            if tail_log < math.log(tol):
+                break
+            if c_max > c_cap:
+                raise RuntimeError(
+                    f"poincare_coeff: cannot certify tail below {tol} within c <= {c_cap}"
+                )
+            c_max = max(c_max + 8, int(c_max * 1.3))
+        for c in range(c_done + 1, c_max + 1):
+            h = salie_h(SalieParams(c, n, m, k))
+            if h == 0:
+                continue
+            j = bessel_j_half(k - 1, x1 / c)
+            if j.value.logm < -700.0:
+                # far-underflow terms are inside the certified tail already
+                continue
+            total += h * j.value.to_float()
+            if j.err_log > NEG_INF:
+                bessel_err_logs.append(j.err_log + math.log(2.0))
+        c_done = c_max
+        series = sign * math.pi * math.sqrt(2.0) * (n / m) ** ((kf - 1.0) / 2.0) * total
+        value = (2.0 / 3.0) * ((1.0 if m == n else 0.0) + series.real)
+        imag = (2.0 / 3.0) * series.imag
+        err_logs = [tail_log]
+        if bessel_err_logs:
+            err_logs.append(pref_log + math.log(2.0 / 3.0) + logsumexp(bessel_err_logs))
+        err_log = logsumexp(err_logs)
+        return PoincareCoeff(
+            k, m, n, CertifiedValue(LogScaled.from_float(value), err_log), c_max,
+            math.exp(tail_log), abs(imag),
+        )
+
+    return certify
 
 
 def spectral_average(k, m: int, rel_tol: float = 1e-8) -> CertifiedValue:
@@ -253,15 +265,17 @@ def spectral_average(k, m: int, rel_tol: float = 1e-8) -> CertifiedValue:
         6 (4 pi m)^(k-1) / Gamma(k-1) * g_{k,m}(m).
 
     Log-scaled.  Because g_{k,m}(m) can be small through cancellation, the
-    truncation runs twice: a first pass estimates |g|, a second pass certifies
-    the absolute tail below rel_tol * |g| / 2.
+    c-sum is certified in two steps of one running sum: to 1e-7 absolute,
+    which estimates |g|, then, extended past that c_max only where needed,
+    to an absolute tail below rel_tol * |g| / 2.
     """
     k = half_integer(k)
     kf = float(k)
-    g = poincare_coeff(k, m, m, tol=1e-7)
+    certify = _poincare_sum(k, m, m)
+    g = certify(1e-7)
     gv = abs(g.value.to_float())
     if gv > 0 and 1e-7 > 0.5 * rel_tol * gv:
-        g = poincare_coeff(k, m, m, tol=max(0.5 * rel_tol * gv, 1e-15))
+        g = certify(max(0.5 * rel_tol * gv, 1e-15))
     pref_log = (
         math.log(6.0)
         + (kf - 1.0) * math.log(4.0 * math.pi * m)

@@ -67,8 +67,9 @@ class FormEvaluator:
     """Evaluates y^(k/2) |(f|ki)(z)| in each frame, overflow-safe.
 
     log_norm shifts every value (use -log sqrt<f,f> for an L2-normalised
-    form).  Truncation is guarded: evaluation demands stored precision at
-    least 3x the peak index k*width/(4 pi y) plus 40 sqrt(k).
+    form).  Truncation is guarded: at points of least height y, evaluation
+    sums exactly the terms up to index 3x the peak index k*width/(4 pi y)
+    plus 40 sqrt(k), and eval_frame demands that many be stored.
     """
 
     k: Fraction
@@ -133,20 +134,26 @@ class FormEvaluator:
         peak = kf * width / (4.0 * math.pi * y)
         return math.ceil(3.0 * peak + 40.0 * math.sqrt(kf))
 
+    def _eval_guarded(self, label: str, z, check: bool):
+        """eval_reduced of the frame's series at z, summed up to the index the
+        guard asks for at the lowest point of z (all stored terms if fewer);
+        with check, fewer raise PrecisionError."""
+        series = self.frames[label].series
+        y_min = float(np.min(np.imag(z)))
+        need = self.required_precision(label, y_min)
+        if check and series.prec < need:
+            raise PrecisionError(
+                f"frame {label} at y={y_min:.4g} needs coefficient index {need},"
+                f" stored {series.prec}"
+            )
+        return series.eval_reduced(z, upto=need)
+
     def eval_frame(self, label: str, z, check: bool = True) -> LogScaled:
         """y^(k/2) |(f|ki)(z)| as a LogScaled value.  For an array of points
         its sign and logm are arrays of the same shape."""
         fs = self.frames[label]
         y = np.imag(z)
-        if check:
-            y_min = float(np.min(y))
-            need = self.required_precision(label, y_min)
-            if fs.series.prec < need:
-                raise PrecisionError(
-                    f"frame {label} at y={y_min:.4g} needs coefficient index {need},"
-                    f" stored {fs.series.prec}"
-                )
-        reduced, m0 = fs.series.eval_reduced(z)
+        reduced, m0 = self._eval_guarded(label, z, check)
         r = np.hypot(reduced.real, reduced.imag)
         shift = 0.5 * float(self.k) * np.log(y) + fs.log_scale + self.log_norm
         with np.errstate(divide="ignore"):
@@ -160,7 +167,7 @@ class FormEvaluator:
         """Raw series value (f|ki)(z) (no y-power), for kernel work; an array
         of the shape of z for an array of points."""
         fs = self.frames[label]
-        reduced, logf = fs.series.eval_reduced(z)
+        reduced, logf = self._eval_guarded(label, z, check=False)
         return reduced * np.exp(logf + fs.log_scale + self.log_norm)
 
     # -- evaluation anywhere on the upper half plane -------------------------
@@ -364,13 +371,15 @@ def gl_arrays(l: int, z: complex, delta: float, w: complex | None = None,
     (_first_solutions).  The (d, a) pairs are int64 arrays in blocks of at
     most _LATTICE_BLOCK, d then a ascending.  u is computed in float64, and
     the memberships with |u - delta| < 1e-9 are settled in exact rational
-    arithmetic.  An l or delta whose windows reach entries of 2^30 raises
-    ValueError.
+    arithmetic.  A z or w off the upper half-plane, or an l or delta whose
+    windows reach entries of 2^30, raises ValueError.
     """
     if w is None:
         w = z
     if l < 1 or delta < 0:
         raise ValueError("need l >= 1 and delta >= 0")
+    if not (z.imag > 0 and w.imag > 0):
+        raise ValueError("z and w must lie in the upper half-plane")
     xz, yz = z.real, z.imag
     xw, yw = w.real, w.imag
     r_max = 1.0 + 2.0 * delta + 2.0 * math.sqrt(delta * delta + delta) + 1e-12

@@ -18,8 +18,9 @@ completed-L-value with a different smoothing than the production
 incomplete-gamma sums, mpmath's incomplete gamma (the library sums the finite
 series of an integer order), the plus-space monomials one at a time by
 binary powers (the library builds a weight's monomials from shared power
-chains), and basis forms summed from their monomials as Python ints (the
-library combines them in residue space before one CRT per form).
+chains), basis forms summed from their monomials as Python ints (the
+library combines them in residue space before one CRT per form), and the
+spectral average as two fresh c-sums (the library extends one running sum).
 """
 
 from __future__ import annotations
@@ -663,3 +664,28 @@ def domain_nodes_reference(order: int, y_cap: float = 64.0):
                 wts.append(wgx * wgy)
         lo = hi
     return np.array(pts), np.array(wts)
+
+
+def spectral_average_two_pass(k, m: int, rel_tol: float = 1e-8):
+    """spectral_average as two fresh c-sums: poincare_coeff at 1e-7 to
+    estimate |g|, then, where that is too loose, again from c = 1 at the
+    tighter tol.  The library extends one running sum past the first c_max
+    and must agree with this bit for bit."""
+    from plusforms.arith import half_integer
+    from plusforms.numerics import NEG_INF, CertifiedValue, LogScaled, gamma_half
+    from plusforms.salie import poincare_coeff
+
+    k = half_integer(k)
+    kf = float(k)
+    g = poincare_coeff(k, m, m, tol=1e-7)
+    gv = abs(g.value.to_float())
+    if gv > 0 and 1e-7 > 0.5 * rel_tol * gv:
+        g = poincare_coeff(k, m, m, tol=max(0.5 * rel_tol * gv, 1e-15))
+    pref_log = (
+        math.log(6.0)
+        + (kf - 1.0) * math.log(4.0 * math.pi * m)
+        - gamma_half(k - 1).value.logm
+    )
+    val = g.value.value * LogScaled.exp_of(pref_log)
+    err_log = g.value.err_log + pref_log if g.value.err_log > NEG_INF else NEG_INF
+    return CertifiedValue(val, err_log)

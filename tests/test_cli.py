@@ -34,6 +34,21 @@ def test_basis_empty_space_exits_zero(tmp_path):
     assert payload["meta"]["dim"] == 0
 
 
+@pytest.mark.parametrize("k", ["5/2", "7/2"])
+def test_kernel_check_empty_cusp_space_prints_empty_table(k):
+    code, text = run_cli(["kernel-check", "--k", k])
+    assert code == 0
+    assert text == f"# check=kernel-spectral-vs-group-sum; k={k}\nempty\n"
+
+
+@pytest.mark.parametrize("z", ["0.3-2i", "0.3"])
+def test_counts_rejects_point_off_upper_half_plane(z):
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", "--z", z, "--L", "4"])
+    assert str(exc.value.code).startswith("usage error: z must lie in the upper half-plane")
+    assert run_cli(["counts", "--z", z, "--L", "4"]) == (1, "")
+
+
 def test_basis_csv_13_2():
     code, text = run_cli(["basis", "--k", "13/2"])
     assert code == 0
@@ -180,6 +195,10 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
     (["eigen", "--k", "61/2"], "eigen_61_2.txt"),
     (["shimura-check", "--k", "13/2", "--D-max", "24", "--n-max", "30"], "shimura_check_13_2.txt"),
     (["kz", "--k", "13/2", "--D", "1,5,8,12,13,17"], "kz_13_2.txt"),
+    (["supnorm", "--k", "13/2"], "supnorm_13_2.txt"),
+    (["counts", "--z", "0.3+2i", "--L", "81", "--delta-grid", "0.1,1,10"], "counts_L81.txt"),
+    (["kernel-check", "--k", "13/2"], "kernel_check_13_2.txt"),
+    (["amplify", "--k", "13/2", "--Lambda", "3"], "amplify_13_2.txt"),
 ])
 def test_readme_commands_match_golden_output(args, name):
     """README commands print exactly the bytes recorded in tests/golden."""

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from plusforms.arith import fundamental_discriminants, kronecker_symbol
 from plusforms.hecke import eigenforms_level1
 from plusforms.lfunctions import (
     _cap_nodes,
     _domain_nodes,
+    _twisted_coeffs,
     alpha_recovery,
     central_value,
     coefficient_bound_report,
@@ -80,6 +82,29 @@ def test_root_number_solved(delta_form):
 def test_central_value_rejects_non_fundamental(delta_form):
     with pytest.raises(ValueError):
         central_value(delta_form, 9)
+
+
+def test_twisted_coeffs_read_chi_from_one_period():
+    """chi_D read from one period of |D| equals kronecker_symbol(D, n) for
+    every fundamental |D| <= 400 and n <= 3|D| (weight 1 makes b(n) = chi_D(n)
+    for coefficients 1)."""
+
+    class Ones:
+        weight = 1
+
+        @staticmethod
+        def coeff(n):
+            return Fraction(1)
+
+    for D in fundamental_discriminants(400, 1) + fundamental_discriminants(400, -1):
+        b = _twisted_coeffs(Ones, D, 3 * abs(D))
+        assert b.tolist() == [0.0] + [float(kronecker_symbol(D, n))
+                                      for n in range(1, 3 * abs(D) + 1)], D
+
+
+def test_gram_of_no_forms_is_empty():
+    gram, err = petersson_gram([])
+    assert gram.shape == (0, 0) and err == 0.0
 
 
 def test_b1_is_one(delta_form):

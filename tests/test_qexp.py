@@ -213,6 +213,21 @@ def test_eval_reduced_bits_match_reference(evaluator_13_2, label):
         assert _same_bits(q.eval_reduced(zs), eval_reduced_reference(q, zs)), (label, name)
 
 
+@pytest.mark.parametrize("label", ["I", "W4", "V4"])
+def test_eval_reduced_upto_matches_truncated_reference(evaluator_13_2, label):
+    """Summing the terms up to index n gives the term-by-term sums of the
+    series truncated at n bit for bit: n below the first term, inside the
+    series, at its precision and beyond, on every bulk point set."""
+    q = evaluator_13_2.frames[label].series
+    first = min(q.coeffs)
+    for n in (first - 1, first, 110, q.prec // 2, q.prec, q.prec + 40):
+        cut = QExpansion(q.weight, q.width, q.param, q.prec,
+                         {m: c for m, c in q.coeffs.items() if m <= n})
+        for name, zs in _reference_point_sets().items():
+            assert _same_bits(q.eval_reduced(zs, upto=n), eval_reduced_reference(cut, zs)), \
+                (label, n, name)
+
+
 def test_eval_reduced_empty_series_matches_reference():
     q = zero_expansion(Fraction(13, 2), 10)
     for zs in (_reference_point_sets()["scan grid"], complex(0.1, 1.0), np.zeros(0, complex)):

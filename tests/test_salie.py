@@ -11,9 +11,10 @@ from plusforms.salie import (
     salie_h,
     salie_h_raw,
     spectral_average,
+    _poincare_sum,
 )
 
-from oracles import salie_direct, salie_unit_sum
+from oracles import salie_direct, salie_unit_sum, spectral_average_two_pass
 
 
 def test_admissibility():
@@ -143,6 +144,33 @@ def test_norm_consistency_across_m(eigenform_13_2):
         m += 1
     mid = sorted(values)[len(values) // 2]
     assert all(abs(v - mid) / mid < 1e-5 for v in values)
+
+
+def _certified_bits(cv) -> tuple:
+    return cv.value.sign, float(cv.value.logm).hex(), float(cv.err_log).hex()
+
+
+def _poincare_bits(g) -> tuple:
+    return (g.k, g.m, g.n, g.c_max, _certified_bits(g.value), g.tail_bound.hex(),
+            g.imag_residual.hex())
+
+
+@pytest.mark.parametrize("k", ["13/2", "21/2", "29/2"])
+def test_spectral_average_one_running_sum_matches_two_pass_oracle(k):
+    """Extending one c-sum past its first c_max gives the two fresh sums of
+    the two-pass oracle bit for bit, value and error, and each step of the
+    running sum is poincare_coeff at its tol."""
+    ms = [m for m in range(1, 22) if admissible(k, m)]
+    assert len(ms) == 11
+    for m in ms:
+        for rel_tol in (1e-7, 1e-8):
+            got = spectral_average(k, m, rel_tol=rel_tol)
+            assert _certified_bits(got) == _certified_bits(
+                spectral_average_two_pass(k, m, rel_tol=rel_tol)), (m, rel_tol)
+        certify = _poincare_sum(k, m, m)
+        for tol in (1e-7, 1e-9):
+            assert _poincare_bits(certify(tol)) == _poincare_bits(
+                poincare_coeff(k, m, m, tol=tol)), (m, tol)
 
 
 def test_bessel_correction_factor_large_k():

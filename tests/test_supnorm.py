@@ -9,7 +9,7 @@ import pytest
 from oracles import iter_gl_reference
 from plusforms.arith import jacobi_symbol
 from plusforms.lfunctions import petersson_gram
-from plusforms.qexp import PrecisionError, space_basis
+from plusforms.qexp import PrecisionError, QExpansion, space_basis
 from plusforms.supnorm import (
     SQRT3_OVER_8,
     AmplifierSpec,
@@ -151,6 +151,64 @@ def test_eval_truncation_honesty(eigenform_13_2):
             assert moved <= allowed + 1e-12 * v2.to_float()
 
 
+# every weight 13/2..61/2 with a plus form: S_15/2^+ is 0, as S_14(SL2(Z)) is
+_GUARD_WEIGHTS = [f"{num}/2" for num in range(13, 62, 2) if num != 15]
+
+
+@pytest.mark.parametrize("k", _GUARD_WEIGHTS)
+def test_guarded_truncation_matches_full_series(k):
+    """Summing only the terms the precision guard asks for moves no frame
+    value by more than 1e-13 of the largest value in its point set: the scan
+    grid in every frame (y^(k/2)|f|, as the scan reads it) and the six Gram
+    pieces at both quadrature orders (raw values, as the Gram matrix reads
+    them)."""
+    from plusforms.hecke import eigenbasis_plus
+    from plusforms.lfunctions import _PIECES, _domain_nodes
+
+    f = eigenbasis_plus(k, prec=900)[0]
+    f.coefficients_upto(900)
+    ev = FormEvaluator.from_plus_form(f, 900)
+    kf = float(ev.k)
+    ys = np.exp(np.linspace(math.log(SQRT3_OVER_8), math.log(12.0 * kf / math.pi), 48))
+    grid = np.linspace(0.0, 1.0, 24, endpoint=False) + 1j * ys[:, None]
+    for label in ("I", "W4", "V4"):
+        got = ev.eval_frame(label, grid, check=False)
+        reduced, m0 = ev.frames[label].series.eval_reduced(grid)
+        with np.errstate(divide="ignore"):
+            full = m0 + np.log(np.abs(reduced)) + 0.5 * kf * np.log(grid.imag)
+        full += ev.frames[label].log_scale
+        top = np.max(full)
+        assert np.max(np.abs(np.exp(got.logm - top) - np.exp(full - top))) <= 1e-13, (k, label)
+    for order in (18, 26):
+        zs, _ = _domain_nodes(order, 64.0)
+        for label, scale, shift in _PIECES:
+            pts = scale * (zs + shift)
+            got = ev.eval_frame_complex(label, pts)
+            reduced, logf = ev.frames[label].series.eval_reduced(pts)
+            full = reduced * np.exp(logf + ev.frames[label].log_scale)
+            assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full)), (k, order, shift)
+
+
+def test_guarded_truncation_within_tail_bound(evaluator_13_2):
+    """The terms the guard drops move no value by more than the tail bound of
+    the series cut at the guard index."""
+    ev = evaluator_13_2
+    rng = random.Random(34)
+    for _ in range(6):
+        z = complex(rng.uniform(0, 1), rng.uniform(0.3, 2.0))
+        for label in ("I", "W4", "V4"):
+            fs = ev.frames[label]
+            need = ev.required_precision(label, z.imag)
+            assert need < fs.series.prec
+            cut = QExpansion(fs.series.weight, fs.series.width, fs.series.param, need,
+                             {m: c for m, c in fs.series.coeffs.items() if m <= need})
+            reduced, m0 = fs.series.eval_reduced(z)
+            full = abs(complex(reduced)) * math.exp(m0 + 0.5 * 6.5 * math.log(z.imag) + fs.log_scale)
+            moved = abs(ev.eval_frame(label, z).to_float() - full)
+            tail = cut.tail_log(z.imag, 6.5 / 2 + 1.0)
+            assert moved <= math.exp(tail + 0.5 * 6.5 * math.log(z.imag) + fs.log_scale) + 1e-12 * full
+
+
 def test_zero_form_evaluates_to_zero():
     basis = space_basis("13/2", 60, "plus S")
     ev = FormEvaluator.from_basis_element(basis, 0, 60)
@@ -206,6 +264,12 @@ def test_d_gamma_identity_random():
 def test_enumerate_identity_ball():
     mats = enumerate_gl(1, 1j, 0.0)
     assert mats == [(-1, 0, 0, -1), (1, 0, 0, 1)]
+
+
+def test_gl_arrays_reject_points_off_the_upper_half_plane():
+    for z, w in ((0.3 - 2j, None), (0.3 + 0j, None), (0.3 + 2j, 0.1 - 1j), (0.3 + 2j, 0.5 + 0j)):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            gl_arrays(1, z, 1.0, w=w)
 
 
 def test_enumerate_box_oracle_small():
