@@ -12,14 +12,16 @@ Q[y]/(charpoly) with y sent to one real root (arith.NumberField).  Both
 sides are diagonalised by T(3) on S_{2k-1} and T(9) on S_k^+, whose
 charpolys agree, so a plus form and its partner share one field.  The T(9)
 matrix, its charpoly and the eigenvectors are computed once per plus space
-and held by it; past the basis precision, an eigenform combines the basis
-rows that the eigenforms of one weight share into one integer row per field
-coordinate, and makes each scalar when it is read.
+and held by it; an eigenform combines the basis rows that the eigenforms of
+one weight share into one integer row per field coordinate, and makes each
+scalar when it is read.
 
 Half-integral weight: the coefficient action of T(p^2) on the Kohnen plus
-space, simultaneous eigenbases, the pairing lambda(p^2) = Fhat(p) with the
-integral partner, exact verification of the square-index coefficient
-relation fhat(n^2 |D|) = fhat(|D|) sum_{d|n} mu(d) (D|d) d^(k-3/2) Fhat(n/d),
+space as one integer kernel on the held basis rows (a T(p^2) matrix is
+checked to the Sturm index), simultaneous eigenbases, the pairing
+lambda(p^2) = Fhat(p) with the integral partner, exact verification of
+the square-index coefficient relation
+fhat(n^2 |D|) = fhat(|D|) sum_{d|n} mu(d) (D|d) d^(k-3/2) Fhat(n/d),
 and the eigenvalue multiplicativity
 lambda(m^2) lambda(n^2) = sum_{d|(m,n)} d^(2k-2) lambda(m^2 n^2 / d^4).
 """
@@ -56,7 +58,6 @@ from .qexp import (
     combine_int_rows,
     cusp_plus_basis,
     from_int_series,
-    sturm_index,
 )
 
 # ---------------------------------------------------------------------------
@@ -307,79 +308,89 @@ _t3 = _Prefixes(lambda w, _prec: _with_charpoly(hecke_matrix_level1(w, 3)))
 # ---------------------------------------------------------------------------
 
 
+def _t_p2(k, p: int):
+    """The integer kernel of the Kohnen plus-space T(p^2) at weight k >= 3/2:
+    image(r, n) = r[p^2 n] + ((-1)^(k-1/2) n | p) p^(k-3/2) r[n]
+    + p^(2k-2) r[n/p^2] for a row r of integer numerators, the image over the
+    row's own denominator.  Raises ValueError unless p is an odd prime."""
+    k = half_integer(k)
+    if p < 3 or factorize(p) != ((p, 1),) or k < Fraction(3, 2):
+        raise ValueError(f"plus-space T(p^2) needs an odd prime p and k >= 3/2,"
+                         f" got p={p!r}, k={k}")
+    sign = -1 if int(k - HALF) % 2 else 1
+    mid, top, pp = p ** int(k - Fraction(3, 2)), p ** int(2 * k - 2), p * p
+
+    def image(row, n: int) -> int:
+        v = row[pp * n]
+        chi = kronecker_symbol(sign * n, p)
+        if chi:
+            v += chi * mid * row[n]
+        if n % pp == 0:
+            v += top * row[n // pp]
+        return v
+
+    return image
+
+
 def hecke_plus(f: QExpansion, k, p: int) -> QExpansion:
     """Kohnen plus-space T(p^2), p odd prime, at the coefficient level:
 
-    a(n) -> a(p^2 n) + ((-1)^(k-1/2) n | p) p^(k-3/2) a(n) + p^(2k-2) a(n/p^2).
+    a(n) -> a(p^2 n) + ((-1)^(k-1/2) n | p) p^(k-3/2) a(n) + p^(2k-2) a(n/p^2),
+
+    computed by _t_p2 on the numerators of f over their common denominator.
     """
-    k = half_integer(k)
-    if p == 2 or p % 2 == 0:
-        raise ValueError("plus-space T(p^2) implemented for odd p only")
-    sign = -1 if int(k - HALF) % 2 else 1
-    e_mid = int(k - Fraction(3, 2))
-    e_top = int(2 * k - 2)
+    image = _t_p2(k, p)
     out_prec = f.prec // (p * p)
     if out_prec < 1 and not f.is_zero():
         raise PrecisionError(f"T({p}^2) needs input precision >= {p * p}")
-    coeffs: dict[int, Fraction] = {}
-    for n in range(0, out_prec + 1):
-        v = f.coeff(p * p * n)
-        chi = kronecker_symbol(sign * n, p)
-        if chi:
-            v = v + chi * Fraction(p) ** e_mid * f.coeff(n)
-        if n % (p * p) == 0:
-            v = v + Fraction(p) ** e_top * f.coeff(n // (p * p))
-        if v != 0:
-            coeffs[n] = v
-    return QExpansion(f.weight, f.width, f.param, out_prec, coeffs)
-
-
-def _pivot_indices(basis: SpaceBasis) -> list[int]:
-    pivots = []
-    for q in basis.forms:
-        lead = min(m for m, v in q.coeffs.items() if v != 0)
-        pivots.append(lead)
-    return pivots
+    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
+    row = [0] * (f.prec + 1)
+    for m, c in f.coeffs.items():
+        row[m] = c.numerator * (den // c.denominator)
+    return from_int_series(f.weight, [image(row, n) for n in range(out_prec + 1)], out_prec,
+                           den, f.width, f.param)
 
 
 def hecke_matrix_plus(basis: SpaceBasis, p: int) -> list[list[Fraction]]:
-    """Exact matrix of T(p^2) on an echelonized plus-space basis."""
-    d = basis.dimension
-    pivots = _pivot_indices(basis)
-    need = p * p * max(pivots)
-    if basis.forms[0].prec < need:
-        raise PrecisionError(f"T({p}^2) matrix needs basis precision >= {need}")
+    """Exact matrix of T(p^2) on an echelonized plus-space basis ([] on the
+    zero space): column i is the image of basis form i at the pivots, by
+    _t_p2 on the basis rows read to p^2 (sturm + 1) (SpaceBasis.int_rows).
+    At every other index up to the Sturm index the image must be the
+    combination those coordinates give, checked on integers cross-multiplied
+    by the rows' denominators; else RuntimeError."""
+    image = _t_p2(basis.weight, p)
+    if not basis.dimension:
+        return []
+    st, pivots = basis.sturm, basis.pivots()
+    rows = basis.int_rows("I", p * p * (st + 1))
+    lcm = math.lcm(*(den for _, den in rows))
+    scaled = [[c * (lcm // den) for c in row[: st + 1]] for row, den in rows]
     cols = []
-    for i in range(d):
-        tf = hecke_plus(basis.forms[i], basis.weight, p)
-        coords = [tf.coeff(piv) for piv in pivots]
-        # consistency: the image must be the found combination
-        residual_idx = [
-            n for n in range(0, min(tf.prec, basis.sturm) + 1) if n not in pivots
-        ]
-        for n in residual_idx:
-            expect = sum(coords[j] * basis.forms[j].coeff(n) for j in range(d))
-            if expect != tf.coeff(n):
+    for row, den in rows:
+        t = [image(row, n) for n in range(st + 1)]
+        coords = [t[piv] for piv in pivots]
+        for n in range(st + 1):
+            if n not in pivots and t[n] * lcm != sum(c * s[n] for c, s in zip(coords, scaled)):
                 raise RuntimeError(
                     f"T({p}^2) image leaves the plus space at index {n}: "
                     "basis or operator is wrong"
                 )
-        cols.append(coords)
-    return [[cols[i][j] for i in range(d)] for j in range(d)]
+        cols.append([Fraction(c, den) for c in coords])
+    return [list(col) for col in zip(*cols)]
 
 
 @dataclass
 class HalfIntegralForm:
     """Hecke eigenform in S_k^+(Gamma_0(4)), leading admissible coefficient 1.
 
-    Past the basis precision its coefficients are integer rows, one per
-    power-basis coordinate of its scalars, combined from the basis rows that
-    the eigenforms of its weight share (SpaceBasis.int_rows); a scalar is
-    made when it is first read."""
+    Its coefficients are integer rows, one per power-basis coordinate of its
+    scalars, combined from the basis rows that the eigenforms of its weight
+    share (SpaceBasis.int_rows) as far as those are held; a scalar is made
+    when it is first read."""
 
     k: Fraction
     basis: SpaceBasis
-    vector: list  # scalars over basis.forms
+    vector: list  # scalars over the basis forms
     charpoly: list[Fraction]
     shimura_partner: IntegralForm | None = None
     eigen_table: dict = field(default_factory=dict)  # p -> lambda(p^2), scalars
@@ -390,22 +401,18 @@ class HalfIntegralForm:
     _rows: tuple = field(default=(None, ()), repr=False, compare=False)
 
     def coeff(self, n: int):
-        """fhat(n), exact scalar; read from the integer rows past the basis
-        precision."""
-        if n in self._coeff_cache:
-            return self._coeff_cache[n]
-        if n <= self._cached_upto:
-            val = _scalar(*self._rows, n)
-        elif n <= self.basis.forms[0].prec:
-            val = sum(
-                (c * self.basis.forms[i].coeff(n) for i, c in enumerate(self.vector)),
-                start=Fraction(0),
-            )
-        else:
-            self.coefficients_upto(n)
-            val = _scalar(*self._rows, n)
-        self._coeff_cache[n] = val
-        return val
+        """fhat(n), exact scalar, read from the coordinate rows (built to n
+        if they reach less)."""
+        if n not in self._coeff_cache:
+            if n > self._cached_upto:
+                self.coefficients_upto(n)
+            self._coeff_cache[n] = _scalar(*self._rows, n)
+        return self._coeff_cache[n]
+
+    def _lead_index(self) -> int:
+        """n0, the least pivot of the basis where this form's vector is
+        nonzero: its first nonzero coefficient, fhat(n0) = 1."""
+        return min(piv for piv, c in zip(self.basis.pivots(), self.vector) if c != 0)
 
     def coefficients_upto(self, n_max: int) -> Coefficients:
         """fhat(0..n_max) as a read-only sequence whose scalars are made as
@@ -444,22 +451,14 @@ class HalfIntegralForm:
         return cur
 
     def _extract_eigenvalue(self, p: int):
-        """lambda(p^2) read off from the coefficient action at the pivot."""
-        pivots = _pivot_indices(self.basis)
-        n0 = min(
-            piv for piv, c in zip(pivots, self.vector) if c != 0
-        )
-        sign = self.basis.sign_unit()
-        e_mid = int(self.k - Fraction(3, 2))
-        e_top = int(2 * self.k - 2)
-        c0 = self.coeff(n0)
-        v = self.coeff(p * p * n0)
-        chi = kronecker_symbol(sign * n0, p)
-        if chi:
-            v = v + chi * Fraction(p) ** e_mid * c0
-        if n0 % (p * p) == 0:
-            v = v + Fraction(p) ** e_top * self.coeff(n0 // (p * p))
-        return v / c0
+        """lambda(p^2) read off from the coefficient action at n0: _t_p2 on
+        each coordinate row, over fhat(n0)."""
+        n0 = self._lead_index()
+        image = _t_p2(self.k, p)
+        self.coefficients_upto(p * p * n0)
+        number_field, parts = self._rows
+        value = _scalar(number_field, [((image(num, n0),), den) for num, den in parts], 0)
+        return value / self.coeff(n0)
 
     def normalized_eigenvalue(self, m: int) -> LogScaled:
         """A(m) = lambda(m) m^(-(k-1)/2) as a log-scaled real."""
@@ -503,19 +502,21 @@ PAIRING_PRIMES = (3, 5, 7, 11, 13)
 
 
 def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfIntegralForm]:
-    """Simultaneous T(p^2) eigenbasis of S_k^+, paired with level-1 partners.
+    """Simultaneous T(p^2) eigenbasis of S_k^+, paired with level-1 partners;
+    the basis rows are built to prec if given.
 
     Eigen-systems are separated by T(9): its exact charpoly must be
     squarefree, else this aborts.  Forms come by descending lambda(9), with
     exact scalars at every degree (lambda(9) = y in Q[y]/(charpoly) from
     degree 3 on).  Pairing matches lambda(p^2) with Fhat(p) exactly for the
-    first five odd primes.
+    first five odd primes; lambda(p^2) is read at p^2 n0 (see
+    HalfIntegralForm._lead_index), so the rows are built once, to 13^2 times
+    the largest n0, before any is read.
     """
     k = half_integer(k)
     w = int(2 * k - 1)
     target_dim = dim_cusp_level1(w)
-    pair_need = (PAIRING_PRIMES[-1] ** 2) * 4 + 1
-    basis = cusp_plus_basis(k, max(prec or 0, pair_need), expected_dim=target_dim)
+    basis = cusp_plus_basis(k, prec, expected_dim=target_dim)
     if basis.dimension == 0:
         return []
     cp, systems = basis.cached("eigenforms", lambda: _eigensystems(basis))
@@ -525,6 +526,7 @@ def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfI
         f.eigen_table[3] = lam
         forms.append(f)
     if pair:
+        basis.int_rows("I", PAIRING_PRIMES[-1] ** 2 * max(f._lead_index() for f in forms))
         partners = eigenforms_level1(w, prec=64)
         for f in forms:
             f.shimura_partner = _match_partner(f, partners)
@@ -533,15 +535,15 @@ def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfI
 
 def _t9(basis: SpaceBasis) -> tuple:
     """(matrix, charpoly) of T(9) on a plus-space basis, computed once per
-    space (SpaceBasis.cached); the basis needs precision 9 max(pivots)."""
+    space (SpaceBasis.cached); the rows are read to 9 (sturm + 1)."""
     return basis.cached("T(9)", lambda: _with_charpoly(hecke_matrix_plus(basis, 3)))
 
 
 def _eigensystems(basis: SpaceBasis) -> tuple:
-    """(charpoly of T(9), [(lambda(9), vector over basis.forms)] by
+    """(charpoly of T(9), [(lambda(9), vector over the basis forms)] by
     descending lambda(9)) on a plus-space basis: see eigenbasis_plus."""
     mat, cp = _t9(basis)
-    pivots = _pivot_indices(basis)
+    pivots = basis.pivots()
     systems = []
     for lam, vec in _eigenvectors(mat, cp, "T(9)"):
         lead = min((i for i, c in enumerate(vec) if c != 0), key=lambda i: pivots[i])
@@ -621,7 +623,7 @@ def shimura_charpolys_match(k) -> bool:
     k = half_integer(k)
     w = int(2 * k - 1)
     d = dim_cusp_level1(w)
-    basis = cusp_plus_basis(k, prec=9 * (sturm_index(k) + 1))
+    basis = cusp_plus_basis(k)
     if basis.dimension != d:
         return False
     if d == 0:

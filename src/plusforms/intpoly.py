@@ -46,8 +46,8 @@ from .arith import primes_up_to
 # operand length up to which the double loop beats Kronecker substitution
 _SCHOOLBOOK_CUTOFF = 24
 # transform length from which a chain of products runs on residues; shorter
-# chains are walked on integers
-_CHAIN_RESIDUE_CUTOFF = 256
+# chains (to index 127, such as the Miller rows at 64) are faster on integers
+_CHAIN_RESIDUE_CUTOFF = 512
 
 # odd primes below 2^14, largest first
 _PRIMES = tuple(reversed(primes_up_to((1 << 14) - 1)[1:]))

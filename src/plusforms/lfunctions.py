@@ -340,7 +340,7 @@ def petersson_norm_f(form, method: str = "quadrature", prec: int = 700) -> Certi
         basis = form.basis
         if basis.dimension != 1:
             raise ValueError("spectral norm route needs a one-dimensional space")
-        m = min(mm for mm, v in basis.forms[0].coeffs.items() if v != 0)
+        m = basis.pivots()[0]
         sa = spectral_average(form.k, m, rel_tol=1e-8)
         num = LogScaled.from_float(float(form.coeff(m)) ** 2)
         val = num / sa.value

@@ -50,7 +50,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -504,11 +504,12 @@ class SpaceBasis:
     """Exact basis of a space of forms at one weight.
 
     kind is one of 'full M', 'full S', 'plus M', 'plus S'.  Each basis form
-    is stored both as a QExpansion and as an exact coefficient vector over
-    the generating monomials Theta^a G^b, which is what makes exact cusp
-    expansions and lazy high-precision coefficients possible.  The forms'
-    integer rows in every frame are held by one _FormRows, which space_basis
-    shares between all the bases of one weight and kind.
+    is an exact coefficient vector over the generating monomials Theta^a
+    G^b, which is what makes exact cusp expansions and lazy high-precision
+    coefficients possible.  The forms' integer rows in every frame are held
+    by one _FormRows, which space_basis shares between all the bases of one
+    weight and kind; the forms as QExpansions to index prec are made from
+    those rows when they are first read.
     """
 
     weight: Fraction
@@ -516,12 +517,25 @@ class SpaceBasis:
     sturm: int
     monomials: list[tuple[int, int]]
     vectors: list[list[Fraction]]
-    forms: list[QExpansion]
+    prec: int  # the precision of forms
     _rows: _FormRows = field(repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
-        return len(self.forms)
+        return len(self.vectors)
+
+    @cached_property
+    def forms(self) -> list[QExpansion]:
+        """The basis forms to index prec, echelonized: form i is 1 at the
+        pivot i and 0 at every other pivot."""
+        return [from_int_series(self.weight, row, self.prec, den)
+                for row, den in self.int_rows("I", self.prec)]
+
+    def pivots(self) -> tuple[int, ...]:
+        """The first nonzero index of each basis form, at most the Sturm
+        index; computed once per space (cached)."""
+        return self.cached("pivots", lambda: tuple(
+            next(m for m, c in enumerate(row) if c) for row, _ in self.int_rows("I", self.sturm)))
 
     def sign_unit(self) -> int:
         """(-1)^(k - 1/2): the plus-space parity of this weight."""
@@ -585,23 +599,23 @@ def space_basis(k, prec: int, kind: str) -> SpaceBasis:
 
     The reduction runs once per weight and kind (_solve_space); the forms are
     read from the rows held for that weight and kind, built to prec if they
-    are held to less.
+    are held to less, and made into QExpansions when first read.
     """
     k = half_integer(k)
     st = sturm_index(k)
     if prec < st:
         raise PrecisionError(f"precision {prec} below the Sturm index {st}")
     if not weight_monomials(k):
-        return SpaceBasis(k, kind, st, [], [], [], _FormRows(int(2 * k), []))
+        return SpaceBasis(k, kind, st, [], [], prec, _FormRows(int(2 * k), []))
     return _held_basis(k, kind, prec)
 
 
 def _held_basis(k: Fraction, kind: str, prec: int) -> SpaceBasis:
-    """The basis of kind at weight k from the rows held in _spaces, its forms
-    to index prec."""
+    """The basis of kind at weight k from the rows held in _spaces, its rows
+    built to index prec if they are held to less."""
     rows = _spaces.get((k, kind), 0)
-    forms = [from_int_series(k, row, prec, den) for row, den in rows("I", prec)]
-    return SpaceBasis(k, kind, sturm_index(k), weight_monomials(k), rows.vectors, forms, rows)
+    rows("I", prec)
+    return SpaceBasis(k, kind, sturm_index(k), weight_monomials(k), rows.vectors, prec, rows)
 
 
 def _solve_space(k: Fraction, kind: str) -> _FormRows:

@@ -77,46 +77,27 @@ class FormEvaluator:
     log_norm: float = 0.0
 
     @staticmethod
-    def from_plus_form(form, prec: int | None = None) -> "FormEvaluator":
+    def from_plus_form(form, prec: int = 677) -> "FormEvaluator":
         """Build the three frame expansions of a plus-space eigenform from
-        its coefficients (exact transfer: the Fricke frame sees fhat(4m), the
-        V frame sees fhat(m) on m = (-1)^(k-1/2) mod 4 with alternating signs
-        folded into the rational series)."""
+        its coefficients to index prec, by default 677 = 4 * 13^2 + 1
+        whatever precision the basis rows are held to (exact transfer: the
+        Fricke frame sees fhat(4m), the V frame sees fhat(m) on
+        m = (-1)^(k-1/2) mod 4 with alternating signs folded into the
+        rational series)."""
         k = form.k
-        basis_prec = form.basis.forms[0].prec
-        prec = basis_prec if prec is None else prec
-        if prec > basis_prec:
-            coeffs = form.coefficients_upto(prec)
-        else:
-            coeffs = [form.coeff(n) for n in range(prec + 1)]
-        sign = form.basis.sign_unit()
+        coeffs = form.coefficients_upto(prec)
         log_half_pow = (0.5 - float(k)) * math.log(2.0)
-
-        series_i = QExpansion(
-            k, 1, Fraction(0), prec,
-            {n: c for n, c in enumerate(coeffs) if c != 0},
-        )
-        w_prec = prec // 4
-        series_w = QExpansion(
-            k, 1, Fraction(0), w_prec,
-            {m: coeffs[4 * m] for m in range(w_prec + 1) if coeffs[4 * m] != 0},
-        )
-        a0 = 1 if sign == 1 else 3
-        v_prec = (prec - a0) // 4
-        coeffs_v = {}
-        for mp in range(v_prec + 1):
-            c = coeffs[4 * mp + a0]
-            if c != 0:
-                coeffs_v[mp] = c * (-1) ** mp
-        series_v = QExpansion(k, 1, Fraction(a0, 4), v_prec, coeffs_v)
-        return FormEvaluator(
-            k,
-            {
-                "I": FrameSeries(series_i, 0.0),
-                "W4": FrameSeries(series_w, log_half_pow),
-                "V4": FrameSeries(series_v, log_half_pow),
-            },
-        )
+        a0 = 1 if form.basis.sign_unit() == 1 else 3
+        w_prec, v_prec = prec // 4, (prec - a0) // 4
+        series = {
+            "I": QExpansion(k, 1, Fraction(0), prec, {n: c for n, c in enumerate(coeffs) if c}),
+            "W4": QExpansion(k, 1, Fraction(0), w_prec,
+                             {m: c for m in range(w_prec + 1) if (c := coeffs[4 * m])}),
+            "V4": QExpansion(k, 1, Fraction(a0, 4), v_prec, {
+                m: c * (-1) ** m for m in range(v_prec + 1) if (c := coeffs[4 * m + a0])}),
+        }
+        return FormEvaluator(k, {label: FrameSeries(q, 0.0 if label == "I" else log_half_pow)
+                                 for label, q in series.items()})
 
     @staticmethod
     def from_basis_element(basis: SpaceBasis, i: int, prec: int) -> "FormEvaluator":
@@ -189,9 +170,9 @@ class FormEvaluator:
         return self.eval_frame("W4", (w + j) / 4.0)
 
 
-def eval_at_cusp(form, frame: str | CuspFrame, z: complex,
-                 prec: int | None = None) -> LogScaled:
-    """y^(k/2) |(f|ki)(z)| for a plus-space eigenform in the given frame.
+def eval_at_cusp(form, frame: str | CuspFrame, z: complex, prec: int = 677) -> LogScaled:
+    """y^(k/2) |(f|ki)(z)| for a plus-space eigenform in the given frame,
+    from its coefficients to index prec (FormEvaluator.from_plus_form).
 
     Convenience wrapper over FormEvaluator for one-off evaluations; build the
     evaluator directly when evaluating many points.

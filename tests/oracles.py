@@ -19,8 +19,10 @@ incomplete-gamma sums, mpmath's incomplete gamma (the library sums the finite
 series of an integer order), the plus-space monomials one at a time by
 binary powers (the library builds a weight's monomials from shared power
 chains), basis forms summed from their monomials as Python ints (the
-library combines them in residue space before one CRT per form), and the
-spectral average as two fresh c-sums (the library extends one running sum).
+library combines them in residue space before one CRT per form), the
+spectral average as two fresh c-sums (the library extends one running sum),
+and the plus-space T(p^2) matrix from Fraction q-expansions checked
+coefficient by coefficient (the library reads the integer basis rows).
 """
 
 from __future__ import annotations
@@ -329,6 +331,78 @@ def eigenform_coefficients_reference(f, n_max: int) -> list:
     if number_field is None:
         return [Fraction(x, parts[0][1]) for x in parts[0][0]]
     return [number_field([Fraction(num[n], den) for num, den in parts]) for n in range(n_max + 1)]
+
+
+def hecke_plus_reference(f, k, p: int):
+    """Kohnen plus-space T(p^2), p odd prime, at the coefficient level, on a
+    QExpansion of Fractions coefficient by coefficient:
+
+    a(n) -> a(p^2 n) + ((-1)^(k-1/2) n | p) p^(k-3/2) a(n) + p^(2k-2) a(n/p^2).
+    """
+    from plusforms.arith import half_integer, kronecker_symbol
+    from plusforms.qexp import HALF, PrecisionError, QExpansion
+
+    k = half_integer(k)
+    if p == 2 or p % 2 == 0:
+        raise ValueError("plus-space T(p^2) implemented for odd p only")
+    sign = -1 if int(k - HALF) % 2 else 1
+    e_mid = int(k - Fraction(3, 2))
+    e_top = int(2 * k - 2)
+    out_prec = f.prec // (p * p)
+    if out_prec < 1 and not f.is_zero():
+        raise PrecisionError(f"T({p}^2) needs input precision >= {p * p}")
+    coeffs: dict[int, Fraction] = {}
+    for n in range(0, out_prec + 1):
+        v = f.coeff(p * p * n)
+        chi = kronecker_symbol(sign * n, p)
+        if chi:
+            v = v + chi * Fraction(p) ** e_mid * f.coeff(n)
+        if n % (p * p) == 0:
+            v = v + Fraction(p) ** e_top * f.coeff(n // (p * p))
+        if v != 0:
+            coeffs[n] = v
+    return QExpansion(f.weight, f.width, f.param, out_prec, coeffs)
+
+
+def _pivot_indices_reference(basis) -> list[int]:
+    pivots = []
+    for q in basis.forms:
+        lead = min(m for m, v in q.coeffs.items() if v != 0)
+        pivots.append(lead)
+    return pivots
+
+
+def hecke_matrix_plus_reference(basis, p: int) -> list[list[Fraction]]:
+    """Exact matrix of T(p^2) on an echelonized plus-space basis, from the
+    basis forms as QExpansions of Fractions: hecke_plus_reference of each
+    form, its coordinates at the pivots, and the residual check against the
+    basis forms index by index up to the Sturm index (or less, when the
+    forms are too short for that).  The library works on the forms' integer
+    rows and checks on integers."""
+    from plusforms.qexp import PrecisionError
+
+    d = basis.dimension
+    pivots = _pivot_indices_reference(basis)
+    need = p * p * max(pivots)
+    if basis.forms[0].prec < need:
+        raise PrecisionError(f"T({p}^2) matrix needs basis precision >= {need}")
+    cols = []
+    for i in range(d):
+        tf = hecke_plus_reference(basis.forms[i], basis.weight, p)
+        coords = [tf.coeff(piv) for piv in pivots]
+        # consistency: the image must be the found combination
+        residual_idx = [
+            n for n in range(0, min(tf.prec, basis.sturm) + 1) if n not in pivots
+        ]
+        for n in residual_idx:
+            expect = sum(coords[j] * basis.forms[j].coeff(n) for j in range(d))
+            if expect != tf.coeff(n):
+                raise RuntimeError(
+                    f"T({p}^2) image leaves the plus space at index {n}: "
+                    "basis or operator is wrong"
+                )
+        cols.append(coords)
+    return [[cols[i][j] for i in range(d)] for j in range(d)]
 
 
 def upper_gamma_q_reference(n: int, x: float, dps: int = 40):

@@ -23,9 +23,14 @@ from plusforms.hecke import (
     verify_sqrcoeff,
 )
 from plusforms.linalg import charpoly_exact
-from plusforms.qexp import PrecisionError, cusp_plus_basis
+from plusforms.qexp import PrecisionError, cusp_plus_basis, sturm_index
 
-from oracles import delta_by_eisenstein, embedding_reference, series_mul_reference
+from oracles import (
+    delta_by_eisenstein,
+    embedding_reference,
+    hecke_matrix_plus_reference,
+    series_mul_reference,
+)
 
 
 # -- Miller basis --------------------------------------------------------------
@@ -197,6 +202,97 @@ def test_hecke_plus_zero_and_character_term():
     t = hecke_plus(f, "13/2", 3)
     n = 12  # 3 | 12, 9 does not divide 12
     assert t.coeff(n) == f.coeff(9 * n)  # only the a(p^2 n) term survives
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hecke_matrix_plus_matches_fraction_oracle(p):
+    """The T(p^2) matrix on the integer rows equals the Fraction route (each
+    form's q-expansion through hecke_plus_reference, coordinates and a
+    residual check coefficient by coefficient) at every weight 5/2..61/2;
+    on the zero space it is []."""
+    for num in range(5, 62, 2):
+        k = Fraction(num, 2)
+        basis = cusp_plus_basis(k, p * p * (sturm_index(k) + 1))
+        if basis.dimension == 0:
+            assert hecke_matrix_plus(basis, p) == []
+        else:
+            assert hecke_matrix_plus(basis, p) == hecke_matrix_plus_reference(basis, p), k
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 9, 15, -3, 0])
+def test_hecke_plus_rejects_p_that_is_not_an_odd_prime(p):
+    basis = cusp_plus_basis("13/2")
+    with pytest.raises(ValueError, match="odd prime"):
+        hecke_matrix_plus(basis, p)
+    with pytest.raises(ValueError, match="odd prime"):
+        hecke_plus(cusp_plus_basis("13/2", 300).forms[0], "13/2", p)
+    with pytest.raises(ValueError, match="odd prime"):
+        hecke_matrix_plus(cusp_plus_basis("5/2"), p)
+
+
+def test_hecke_matrix_plus_of_zero_space_is_empty():
+    assert hecke_matrix_plus(cusp_plus_basis("5/2"), 3) == []
+    assert hecke_matrix_plus(cusp_plus_basis("7/2", 400), 5) == []
+
+
+@pytest.mark.parametrize("kstr, p", [("13/2", 3), ("13/2", 5), ("25/2", 3), ("25/2", 5)])
+def test_hecke_matrix_plus_checks_to_the_sturm_index(kstr, p):
+    """One integer changed in a held basis row at p^2 n, for n <= sturm not a
+    pivot, moves the image at n off the plus space: RuntimeError, also from
+    a basis asked for at a precision too short to hold p^2 n."""
+    basis = cusp_plus_basis(kstr, 40)
+    st, pivots = basis.sturm, basis.pivots()
+    assert hecke_matrix_plus(basis, p) == hecke_matrix_plus_reference(
+        cusp_plus_basis(kstr, p * p * (st + 1)), p)
+    n = max(m for m in range(1, st + 1) if m not in pivots)
+    held = basis._rows._held
+    entry = held["I"]
+    prec, rows = entry
+    assert prec >= p * p * (st + 1)
+    row, den = rows[-1]
+    bad = list(row)
+    bad[p * p * n] += 1
+    held["I"] = (prec, rows[:-1] + ((tuple(bad), den),))
+    try:
+        with pytest.raises(RuntimeError, match=f"index {n}:"):
+            hecke_matrix_plus(basis, p)
+    finally:
+        held["I"] = entry
+    assert hecke_matrix_plus(basis, p) == hecke_matrix_plus_reference(
+        cusp_plus_basis(kstr, p * p * (st + 1)), p)
+
+
+# the weights up to 39/2 with a Hecke eigenbasis of dimension 1 or 2
+PAIRING_WEIGHTS = [Fraction(num, 2) for num in range(5, 40, 2)
+                   if dim_cusp_level1(num - 1) in (1, 2)]
+
+
+def test_pairing_walks_at_most_two_rows_past_the_sturm_index(monkeypatch):
+    """On empty caches, shimura_charpolys_match and then eigenbasis_plus walk
+    the frame-I rows of a weight once to the Sturm index (the monomials),
+    once to 9 (sturm + 1) for T(9), and once more, to 13^2 n0, only where
+    that reaches further (n0 the form's least pivot with a nonzero
+    coordinate)."""
+    from plusforms import qexp
+
+    builds = []
+    combined = qexp._combined_rows
+
+    def spy(r, vectors, prec, frame):
+        if frame == "I":
+            builds.append(prec)
+        return combined(r, vectors, prec, frame)
+
+    monkeypatch.setattr(qexp, "_combined_rows", spy)
+    assert len(PAIRING_WEIGHTS) == 12
+    for k in PAIRING_WEIGHTS:
+        qexp._spaces.cache_clear()
+        builds.clear()
+        assert shimura_charpolys_match(k)
+        forms = eigenbasis_plus(k)
+        st = sturm_index(k)
+        pair = 13 * 13 * max(f._lead_index() for f in forms)
+        assert builds == [st, 9 * (st + 1)] + ([pair] if pair > 9 * (st + 1) else []), k
 
 
 def test_eigenbasis_pairing_13_2(eigenform_13_2):

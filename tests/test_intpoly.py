@@ -83,10 +83,10 @@ def test_product_on_each_side_of_crossovers(paths, la, lb, path, signed):
 
 
 @pytest.mark.parametrize("signed", [False, True])
-@pytest.mark.parametrize("la, lb", [(31, 32), (32, 32), (LONG, LONG + 40)])
+@pytest.mark.parametrize("la, lb", [(31, 32), (32, 32), (63, 64), (64, 64), (LONG, LONG + 40)])
 def test_one_product_chain_on_each_side_of_residue_cutoff(paths, residue_runs, la, lb, signed):
     """A chain of one product runs on integers below the transform length
-    _CHAIN_RESIDUE_CUTOFF (here prec 63) and on residues from it, making no
+    _CHAIN_RESIDUE_CUTOFF (here prec 127) and on residues from it, making no
     integer product there."""
     rng = random.Random(la * 7 + lb + signed)
     a = _series(rng, la, 40, signed)
@@ -94,7 +94,7 @@ def test_one_product_chain_on_each_side_of_residue_cutoff(paths, residue_runs, l
     prec = la + lb
     assert _one_product(a, b, prec) == _padded(series_mul_reference(a, b, prec), prec)
     on_residues = intpoly._transform_size(prec) >= intpoly._CHAIN_RESIDUE_CUTOFF
-    assert on_residues == (prec >= 64)
+    assert on_residues == (prec >= 128)
     assert residue_runs == ([True] if on_residues else [])
     assert paths == ([] if on_residues else ["_mul_kronecker"])
 

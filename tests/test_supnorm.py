@@ -570,6 +570,22 @@ def test_eval_at_cusp_wrapper(eigenform_13_2):
     assert v2.sign != 0
 
 
+@pytest.mark.parametrize("kstr", ["13/2", "17/2"])
+def test_eval_at_cusp_default_precision_is_677(kstr):
+    """Without prec the evaluator holds the coefficients to index 677,
+    however far the basis rows are built; at y = 0.02 frame I needs index
+    180, past the rows the eigenbasis holds at 13/2."""
+    from plusforms.hecke import eigenbasis_plus
+    from plusforms.supnorm import eval_at_cusp
+
+    f = eigenbasis_plus(kstr)[0]
+    assert FormEvaluator.from_plus_form(f).frames["I"].series.prec == 677
+    for label, z in (("I", complex(0.1, 0.02)), ("W4", complex(-0.2, 0.05)),
+                     ("V4", complex(0.4, 0.05))):
+        got, want = eval_at_cusp(f, label, z), eval_at_cusp(f, label, z, prec=677)
+        assert (got.sign, got.logm) == (want.sign, want.logm)
+
+
 def test_per_form_sup_report():
     """Observational per-form sup growth against the reference slopes."""
     from plusforms.supnorm import per_form_sup_report
