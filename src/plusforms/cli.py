@@ -40,6 +40,7 @@ from .supnorm import (
     bergman_spectral,
     count_matrices,
     eq_sup_terms,
+    plus_form_precision,
     scaling_experiment,
     supnorm_scan,
 )
@@ -208,7 +209,7 @@ def cmd_kz(args) -> int:
 
 def cmd_supnorm(args) -> int:
     k = _parse_k(args.k)
-    prec = args.prec or 900
+    prec = args.prec or plus_form_precision(k)
     forms = eigenbasis_plus(k, prec=prec)
     rows = []
     for i, f in enumerate(forms):
@@ -267,7 +268,7 @@ def cmd_kernel_check(args) -> int:
 def cmd_amplify(args) -> int:
     k = _parse_k(args.k)
     lam = args.Lambda
-    prec = args.prec or 900
+    prec = args.prec or plus_form_precision(k)
     forms = eigenbasis_plus(k, prec=prec)
     rows = []
     ok_all = True

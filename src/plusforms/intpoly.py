@@ -3,14 +3,14 @@
 Series are plain lists of Python ints, index = exponent of q.  Every product
 of the package is a step of a chain (chain_products): a walk that builds
 series from its inputs by products alone, ended by an integer matrix applied
-to its results.  From transform length _CHAIN_RESIDUE_CUTOFF a chain stays
-in residue space from its inputs to the rows of that map: a float majorant
-pass first bounds the bits of every row, one prime set serves the whole
-chain, each chunk of primes walks the chain on int16 residue rows with the
-transforms of reused operands kept and applies the map to the residues, and
-each row is rebuilt by one CRT (Garner's, vectorised over the coefficients)
-from the primes its own bound needs.  Memory is bounded by _CHUNK_BYTES of
-transform work per chunk.
+to its results.  From precision _CHAIN_RESIDUE_PREC a chain stays in residue
+space from its inputs to the rows of that map: a float majorant pass first
+bounds the bits of every row, one prime list serves the whole chain, each
+chunk of primes walks the chain on int32 residue rows with the transforms of
+reused operands kept and applies the map to the residues, and each row is
+rebuilt by one CRT (Garner's, vectorised over the coefficients) from the
+primes its own bound needs.  Memory is bounded by _CHUNK_BYTES of transform
+work per chunk.
 
 Shorter chains, and a chain whose rounding check fails, are walked on
 integers with poly_mul_trunc, which takes one of two exact paths, chosen by
@@ -25,12 +25,14 @@ operand length alone:
 
 Residue arithmetic is exact by construction.  The primes multiply to more
 than twice the majorant's bound on every coefficient, so the balanced CRT
-value is the coefficient itself.  For a transform of length N = 2^m the
-prime size is capped so that Percival's bound on the error of an FFT
-convolution (Math. Comp. 72 (2003), Theorem 5.1), applied to the residue
-vectors, stays below 1/2; every rounded convolution must moreover lie within
-1/4 of an integer.  A chain with a convolution that fails this check is
-walked again on integers, its map applied to the integers.
+value is the coefficient itself.  Transforms have length 2^m or 3 2^m, the
+shorter that holds the product.  The primes lie below the largest power of
+two at which Percival's bound on the error of an FFT convolution (Math.
+Comp. 72 (2003), Theorem 5.1), applied to the residue vectors, stays below
+1/2; they are sieved on first use, in windows just below that cap.  Every
+rounded convolution must moreover lie within 1/4 of an integer.  A chain
+with a convolution that fails this check is walked again on integers, its
+map applied to the integers.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ from .arith import primes_up_to
 
 # operand length up to which the double loop beats Kronecker substitution
 _SCHOOLBOOK_CUTOFF = 24
-# transform length from which a chain of products runs on residues; shorter
-# chains (to index 127, such as the Miller rows at 64) are faster on integers
-_CHAIN_RESIDUE_CUTOFF = 512
+# precision from which a chain of products runs on residues; shorter chains
+# (to index 127, such as the Miller rows at 64) are faster on integers
+_CHAIN_RESIDUE_PREC = 128
 
-# odd primes below 2^14, largest first
-_PRIMES = tuple(reversed(primes_up_to((1 << 14) - 1)[1:]))
+# per prime cap, (lo, primes): every odd prime in [lo, cap), largest first
+_SIEVED: dict[int, tuple[int, tuple[int, ...]]] = {}
 _EPS = 2.0**-53
 # rounding error allowed on a convolution value before the product is redone
 _ROUNDING_SLACK = 0.25
@@ -141,13 +143,20 @@ def _unpack(value: int, width: int, n: int) -> list[int]:
 
 
 def _fft_error_factor(size: int) -> float:
-    """Percival's relative error factor for an FFT convolution of length size.
+    """Percival's relative error factor for an FFT convolution of length size,
+    2^m or 3 2^m.
 
     The convolution of x and y computed in float64 differs from the exact one
-    by less than |x|_2 |y|_2 times this factor.  One level is added to log2(size)
-    for the pass that packs a real transform into a complex one, and the
-    twiddle factors are taken accurate to one unit in the last place."""
-    levels = size.bit_length()  # log2(size) + 1 for a power of two
+    by less than |x|_2 |y|_2 times this factor.  A length 2^m takes m radix-2
+    levels.  A length 3 2^m takes m of them and one radix-3 stage, counted as
+    two levels: each of its outputs x0 + w x1 + w^2 x2 takes two twiddle
+    products and two additions, the rounding of two radix-2 levels, and it
+    scales the norm by sqrt(3), less than the factor 2 of two levels.  One
+    level is added for the pass that packs a real transform into a complex
+    one, and the twiddle factors are taken accurate to one unit in the last
+    place."""
+    # m + 1 for 2^m, m + 3 for 3 2^m
+    levels = size.bit_length() + (size & (size - 1) != 0)
     beta = _EPS
     return math.expm1(
         3 * levels * math.log1p(_EPS)
@@ -162,19 +171,60 @@ def _fft_error_bound(size: int, la: int, lb: int, p: int) -> float:
     return math.sqrt(la * lb) * h * h * _fft_error_factor(size)
 
 
+def _prime_cap(size: int, la: int, lb: int) -> int:
+    """The largest power of two 2^c at which the FFT error bound at this
+    length is below 1/2.  Every odd prime p < 2^c has (p - 1)/2 < 2^(c - 1),
+    so its bound is below 1/2 too."""
+    cap = 2
+    while _fft_error_bound(size, la, lb, 2 * cap) < 0.5:
+        cap *= 2
+    return cap
+
+
 def _crt_primes(size: int, la: int, lb: int, bits: int) -> tuple[int, ...] | None:
-    """Largest primes below 2^14 whose FFT error bound at this length is below
-    1/2 and whose product exceeds 2^bits; None if there are not enough."""
+    """Largest odd primes below _prime_cap whose product exceeds 2^bits, as a
+    prefix of one list per cap; None if there are not enough.
+
+    With p < 2^c and h = (p - 1)/2, the error bound below 1/2 gives
+    sqrt(la lb) h^2 < 2^49 (the factor exceeds 14 eps), so the convolution
+    values, below min(la, lb) h^2, and the CRT's (block - done) inv, below
+    p^2, stay below 2^52, and p stays below 2^26.  The count of primes is
+    capped so that the CRT's weights @ digits, below count p h < count
+    2^(2c - 1), stays below 2^52 too."""
+    cap = _prime_cap(size, la, lb)
+    most = (1 << 52) // (cap * cap // 2)
     chosen = []
     modulus = 1
-    for p in _PRIMES:
-        if not chosen and _fft_error_bound(size, la, lb, p) >= 0.5:
-            continue
+    for p in _primes_below(cap):
+        if len(chosen) == most:
+            return None
         chosen.append(p)
         modulus *= p
         if modulus.bit_length() > bits:
             return tuple(chosen)
     return None
+
+
+def _primes_below(cap: int):
+    """The odd primes below cap, largest first: those held for cap, then
+    windows sieved further down, the first 4096 numbers wide and each later
+    one as wide as all before it, added to the held ones as they are found."""
+    lo, held = _SIEVED.get(cap, (cap, ()))
+    yield from held
+    while lo > 3:
+        start = max(3, lo - max(cap - lo, 1 << 12))
+        window = _sieve_window(start, lo)
+        lo, held = start, held + window
+        _SIEVED[cap] = (lo, held)
+        yield from window
+
+
+def _sieve_window(lo: int, hi: int) -> tuple[int, ...]:
+    """The primes in [lo, hi), largest first, for lo >= 3."""
+    composite = np.zeros(hi - lo, dtype=bool)
+    for q in primes_up_to(math.isqrt(hi - 1)):
+        composite[max(q * q, -(-lo // q) * q) - lo :: q] = True
+    return tuple(int(p) + lo for p in np.flatnonzero(~composite)[::-1])
 
 
 def _limb_matrix(coeffs) -> tuple[np.ndarray, int]:
@@ -192,7 +242,8 @@ def _residues(limbs: np.ndarray, bias: int, primes: tuple[int, ...]) -> np.ndarr
         [[pow(1 << 16, j, p) for p in primes] for j in range(limbs.shape[1])], dtype=np.float64
     )
     offsets = np.array([bias % p for p in primes], dtype=np.float64)
-    # every partial sum is an integer below 2^52, so the float sums are exact
+    # every partial sum is an integer below limbs 2^16 p, which _chain_residues
+    # keeps below 2^52, so the float sums are exact
     return _balanced_mod((limbs @ weights - offsets).T, _column(primes))
 
 
@@ -214,7 +265,7 @@ class _RoundingFailure(ArithmeticError):
 
 class _Term:
     """One series of a chain run: its values (a majorant vector, or balanced
-    residues as one int16 row per prime of a chunk), the power of two that
+    residues as one int32 row per prime of a chunk), the power of two that
     scales a majorant, and its transform once a product has taken it."""
 
     __slots__ = ("values", "exp", "spectrum")
@@ -240,10 +291,17 @@ def _chain_residues(walk, inputs, n: int, size: int, keys, matrix, shifts, bits)
     """Rows of the map of chain_products to index n - 1 from balanced
     residues and CRT, by transforms of length size, for inputs of at most n
     coefficients and rows whose coefficients have at most bits[i] bits; None
-    when there are not enough primes or a convolution fails the rounding
+    when there are not enough primes, the float sums of the inputs' residues
+    or of the map could leave 2^52, or a convolution fails the rounding
     check."""
     primes = _crt_primes(size, n, n, max(bits) + 1)
     if primes is None:
+        return None
+    limbs = [_limb_matrix(s) for s in inputs]
+    # the map adds at most one term of at most h^2 per key to each sum, and
+    # _residues one below 2^16 p per limb: both sums must stay below 2^52
+    p, h = primes[0], primes[0] // 2
+    if len(keys) * h * h >= 1 << 52 or max(m.shape[1] for m, _ in limbs) * p << 16 >= 1 << 52:
         return None
     # primes each row needs for its sign and bits (a prefix of primes); the
     # rows sit side by side in one residue matrix, fewest primes first, each
@@ -251,8 +309,7 @@ def _chain_residues(walk, inputs, n: int, size: int, keys, matrix, shifts, bits)
     counts = [len(_crt_primes(size, n, n, need + 1)) for need in bits]
     order = sorted(range(len(matrix)), key=counts.__getitem__)
     column = {i: pos * n for pos, i in enumerate(order)}
-    rows = np.empty((len(primes), len(order) * n), dtype=np.int16)
-    limbs = [_limb_matrix(s) for s in inputs]
+    rows = np.empty((len(primes), len(order) * n), dtype=np.int32)
     index = {key: j for j, key in enumerate(keys)}
     step = max(1, _CHUNK_BYTES // (32 * size))
     for lo in range(0, len(primes), step):
@@ -268,18 +325,19 @@ def _chain_residues(walk, inputs, n: int, size: int, keys, matrix, shifts, bits)
                    for j, key in enumerate(keys)}
         wanted = [key for key in keys if targets[key]]
         acc = np.zeros((len(chunk), len(live), n))
-        xs = [_Term(_residues(*m, chunk).astype(np.int16)) for m in limbs]
+        xs = [_Term(_residues(*m, chunk).astype(np.int32)) for m in limbs]
         mul = partial(_residue_mul, primes=chunk, size=size, n=n)
         try:
             for key, x in walk(xs, mul, wanted) if wanted else ():
                 j = index[key]
                 s = shifts[j]
                 for pos in targets[key]:
-                    # each term is below 2^26, so the float sums stay exact
+                    # each term is at most h^2 and len(keys) h^2 < 2^52, so
+                    # the float sums stay exact
                     acc[:, pos, s:] += coeffs[:, pos, j, None] * x.values[:, : max(n - s, 0)]
         except _RoundingFailure:
             return None
-        acc = _balanced_mod(acc, _column(chunk)[:, :, None]).astype(np.int16)
+        acc = _balanced_mod(acc, _column(chunk)[:, :, None]).astype(np.int32)
         for pos, i in enumerate(live):
             k = min(len(chunk), counts[i] - lo)
             rows[lo : lo + k, column[i] : column[i] + n] = acc[:k, pos]
@@ -295,14 +353,14 @@ def _chain_residues(walk, inputs, n: int, size: int, keys, matrix, shifts, bits)
 
 
 def _residue_mul(x: _Term, y: _Term, primes, size: int, n: int) -> _Term:
-    """x * y to index n - 1 modulo each prime of the chunk, as int16 balanced
+    """x * y to index n - 1 modulo each prime of the chunk, as int32 balanced
     residues; raises _RoundingFailure when a convolution fails the rounding
     check."""
     conv = _convolve(x, y, size, n)
     rounded = np.rint(conv)
     if np.abs(conv - rounded).max() >= _ROUNDING_SLACK:
         raise _RoundingFailure
-    return _Term(_balanced_mod(rounded, _column(primes)).astype(np.int16))
+    return _Term(_balanced_mod(rounded, _column(primes)).astype(np.int32))
 
 
 def _crt(rows: np.ndarray, primes: tuple[int, ...]) -> list[int]:
@@ -325,6 +383,8 @@ def _crt(rows: np.ndarray, primes: tuple[int, ...]) -> list[int]:
         block = rows[:, lo : lo + width]
         digits = np.empty(block.shape)
         for i, (p, weights, inv) in enumerate(steps):
+            # weights @ digits and (block - done) inv stay below 2^52, as
+            # _crt_primes bounds the primes and their count
             done = _balanced_mod(weights @ digits[:i], p)
             digits[i] = _balanced_mod((block[i] - done) * inv, p)
         out += _from_mixed_radix(digits, primes)
@@ -336,7 +396,9 @@ def _from_mixed_radix(digits: np.ndarray, primes: tuple[int, ...]) -> list[int]:
 
     Horner's rule runs on 32-bit limbs modulo 2^(32 L), one row per limb; the
     balanced value is below 2^(32 L - 1) in absolute value, so the limbs are its
-    two's complement."""
+    two's complement.  Each limb, with the carry it takes, stays below 2^33 in
+    absolute value, and each q below 2^26 (see _crt_primes), so the int64
+    products stay below 2^59."""
     nlimbs = (math.prod(primes).bit_length() + 31) // 32
     acc = np.zeros((nlimbs, digits.shape[1]), dtype=np.int64)
     for q, v in zip(reversed(primes), digits[::-1]):
@@ -363,7 +425,7 @@ def _from_mixed_radix(digits: np.ndarray, primes: tuple[int, ...]) -> list[int]:
 # A chain is a generator walk(inputs, mul, wanted) that builds series from its
 # input series by products mul(x, y) alone and yields (key, series) for every
 # key in wanted.  chain_products returns an integer matrix times its results.
-# From transform length _CHAIN_RESIDUE_CUTOFF it runs the chain twice: on
+# From precision _CHAIN_RESIDUE_PREC it runs the chain twice: on
 # float majorants, which bound the bits of every row of the map, then on
 # balanced residues modulo enough primes for those bits, each chunk of primes
 # in one batched transform, with the map applied to each chunk's residues.
@@ -388,11 +450,11 @@ def chain_products(walk, inputs, prec: int, keys, matrix, shifts) -> list[list[i
     used = [key for j, key in enumerate(keys) if any(row[j] for row in matrix)]
     if not used:
         return [[0] * (prec + 1) for _ in matrix]
-    size = _transform_size(prec)
     out = None
-    if size >= _CHAIN_RESIDUE_CUTOFF:
+    if prec >= _CHAIN_RESIDUE_PREC:
         bits = chain_bits(walk, inputs, prec, keys, matrix, shifts)
-        out = _chain_residues(walk, inputs, prec + 1, size, keys, matrix, shifts, bits)
+        out = _chain_residues(walk, inputs, prec + 1, _transform_size(prec), keys, matrix,
+                              shifts, bits)
     if out is None:
         series = dict(walk(inputs, lambda x, y: poly_mul_trunc(x, y, prec), used))
         out = [_map_row([series.get(key) for key in keys], row, shifts, prec + 1) for row in matrix]
@@ -453,9 +515,11 @@ def _map_bits(majorants: list, matrix, shifts) -> list[int]:
 
 
 def _transform_size(prec: int) -> int:
-    """Power of two >= 2 prec + 1: the cyclic length at which a product of two
-    series of prec + 1 terms has no wraparound below index prec + 1."""
-    return 1 << (2 * prec).bit_length()
+    """The least 2^m or 3 2^m >= 2 prec + 1: the cyclic length at which a
+    product of two series of prec + 1 terms has no wraparound below index
+    prec + 1."""
+    power = 1 << (2 * prec).bit_length()  # the least 2^m > 2 prec
+    return 3 * power // 4 if 3 * power // 4 > 2 * prec else power
 
 
 def _majorant(series) -> _Term:

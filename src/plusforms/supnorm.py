@@ -62,6 +62,25 @@ class FrameSeries:
     log_scale: float  # |actual series| = |stored series| * e^log_scale
 
 
+def _guard_index(k, width: int, y: float) -> int:
+    """The last index the truncation guard sums at height y: 3x the peak
+    index k*width/(4 pi y) plus 40 sqrt(k)."""
+    kf = float(k)
+    peak = kf * width / (4.0 * math.pi * y)
+    return math.ceil(3.0 * peak + 40.0 * math.sqrt(kf))
+
+
+def plus_form_precision(k) -> int:
+    """The default coefficient precision of a plus form scanned down to
+    y = sqrt(3)/8: 900, or from 49/2 on the least precision at which all three
+    frames of FormEvaluator.from_plus_form store the index the guard asks for
+    there (the Fricke frame keeps prec // 4 terms, the V frame
+    (prec - a0) // 4)."""
+    k = half_integer(k)
+    a0 = 3 if int(k - HALF) % 2 else 1
+    return max(900, 4 * _guard_index(k, 1, SQRT3_OVER_8) + a0)
+
+
 @dataclass
 class FormEvaluator:
     """Evaluates y^(k/2) |(f|ki)(z)| in each frame, overflow-safe.
@@ -109,11 +128,7 @@ class FormEvaluator:
         return FormEvaluator(basis.weight, frames)
 
     def required_precision(self, label: str, y: float) -> int:
-        kf = float(self.k)
-        fs = self.frames[label]
-        width = fs.series.width
-        peak = kf * width / (4.0 * math.pi * y)
-        return math.ceil(3.0 * peak + 40.0 * math.sqrt(kf))
+        return _guard_index(self.k, self.frames[label].series.width, y)
 
     def _eval_guarded(self, label: str, z, check: bool):
         """eval_reduced of the frame's series at z, summed up to the index the
@@ -818,9 +833,10 @@ def scaling_experiment(k_list, rel_tol: float = 1e-8) -> dict:
     return {"slope": float(slope), "intercept": float(intercept), "rows": rows}
 
 
-def per_form_sup_report(k_list, prec: int = 900) -> dict:
+def per_form_sup_report(k_list, prec: int | None = None) -> dict:
     """Observational: fits log max_j sup y^(k/2)|f_j(z)| (L2-normalised forms)
     against log k, for comparison with the 3/7 and 1/4 reference slopes.
+    Each weight's forms are taken to prec, by default plus_form_precision(k).
 
     Heavier than the spectral route (needs eigenforms, scans and quadrature
     norms per weight), so meant for short sweeps.
@@ -834,11 +850,12 @@ def per_form_sup_report(k_list, prec: int = 900) -> dict:
         if dim_cusp_level1(int(2 * k - 1)) == 0:
             continue
         best = None
-        for f in eigenbasis_plus(k, prec=prec):
-            f.coefficients_upto(prec)
-            ev = FormEvaluator.from_plus_form(f, prec)
+        kprec = prec or plus_form_precision(k)
+        for f in eigenbasis_plus(k, prec=kprec):
+            f.coefficients_upto(kprec)
+            ev = FormEvaluator.from_plus_form(f, kprec)
             res = supnorm_scan(ev, nx=16, ny=32, refine_rounds=2)
-            nf = petersson_norm_f(f, "quadrature", prec=prec)
+            nf = petersson_norm_f(f, "quadrature", prec=kprec)
             log_sup = res.sup.logm - 0.5 * nf.value.logm
             if best is None or log_sup > best:
                 best = log_sup

@@ -148,6 +148,16 @@ def test_amplify_cmd():
     assert all(r["lhs"] <= r["rhs"] * (1.0 + 1e-6) for r in rows)
 
 
+@pytest.mark.parametrize("command", ["supnorm", "amplify"])
+def test_default_precision_covers_weight_49_2(command):
+    """At 49/2, 900 coefficients leave the Fricke and V frames one term short
+    of the guard at y = sqrt(3)/8; the default precision covers all four
+    forms."""
+    code, text = run_cli([command, "--k", "49/2", "--format", "json"])
+    assert code == 0
+    assert {row["form"] for row in json.loads(text)["rows"]} == set(range(4))
+
+
 def test_scaling_cmd():
     code, text = run_cli(["scaling", "--k-range", "13/2:21/2"])
     assert code == 0

@@ -2,11 +2,14 @@
 products on residues, against the plain double loop, on each side of every
 length crossover."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from plusforms import hecke, intpoly
+from plusforms.arith import primes_up_to
 
 from oracles import series_mul_reference
 
@@ -85,15 +88,15 @@ def test_product_on_each_side_of_crossovers(paths, la, lb, path, signed):
 @pytest.mark.parametrize("signed", [False, True])
 @pytest.mark.parametrize("la, lb", [(31, 32), (32, 32), (63, 64), (64, 64), (LONG, LONG + 40)])
 def test_one_product_chain_on_each_side_of_residue_cutoff(paths, residue_runs, la, lb, signed):
-    """A chain of one product runs on integers below the transform length
-    _CHAIN_RESIDUE_CUTOFF (here prec 127) and on residues from it, making no
-    integer product there."""
+    """A chain of one product runs on integers below the precision
+    _CHAIN_RESIDUE_PREC (128) and on residues from it, making no integer
+    product there."""
     rng = random.Random(la * 7 + lb + signed)
     a = _series(rng, la, 40, signed)
     b = _series(rng, lb, 25, signed)
     prec = la + lb
     assert _one_product(a, b, prec) == _padded(series_mul_reference(a, b, prec), prec)
-    on_residues = intpoly._transform_size(prec) >= intpoly._CHAIN_RESIDUE_CUTOFF
+    on_residues = prec >= intpoly._CHAIN_RESIDUE_PREC
     assert on_residues == (prec >= 128)
     assert residue_runs == ([True] if on_residues else [])
     assert paths == ([] if on_residues else ["_mul_kronecker"])
@@ -119,7 +122,7 @@ def test_square_of_same_list(length, monkeypatch):
     assert squares == []
     assert _one_product(a, a, prec) == _padded(square, prec)
     # the majorant and each residue chunk transform the one operand once
-    on_residues = intpoly._transform_size(prec) >= intpoly._CHAIN_RESIDUE_CUTOFF
+    on_residues = prec >= intpoly._CHAIN_RESIDUE_PREC
     assert all(squares) and bool(squares) == on_residues == (length > SCHOOL)
     cube = intpoly.chain_products(
         lambda xs, mul, wanted: [(0, mul(mul(xs[0], xs[0]), xs[0]))], [a], prec, [0], [[1]], [0]
@@ -154,7 +157,8 @@ def test_zero_operand(length):
 
 def test_huge_coefficients_need_many_primes(paths, residue_runs):
     """Inputs of 2000 bits and more, past float range, get a majorant all the
-    same, and the one product runs on residues modulo enough primes."""
+    same, and the one product runs on residues modulo primes whose product
+    exceeds twice the bound."""
     rng = random.Random(2000)
     a = _series(rng, LONG, 2000, signed=True)
     b = _series(rng, LONG, 2100, signed=True)
@@ -163,22 +167,107 @@ def test_huge_coefficients_need_many_primes(paths, residue_runs):
     bits = intpoly.chain_bits(walk, [a, b], prec, [0], [[1]], [0])
     size = intpoly._transform_size(prec)
     primes = intpoly._crt_primes(size, prec + 1, prec + 1, bits[0] + 1)
-    assert len(primes) > 250
+    assert math.prod(primes) > 1 << (bits[0] + 1)
     assert _one_product(a, b, prec) == series_mul_reference(a, b, prec)
     assert residue_runs == [True] and paths == []
 
 
 @pytest.mark.parametrize("exp", range(10, 25))
 def test_chosen_primes_keep_fft_error_below_half(exp):
-    size = 1 << exp
-    la = lb = size // 2
-    primes = intpoly._crt_primes(size, la, lb, 400)
-    assert primes is not None and all(p < 1 << 14 for p in primes)
-    assert intpoly._fft_error_bound(size, la, lb, primes[0]) < 0.5
-    modulus = 1
-    for p in primes:
-        modulus *= p
-    assert modulus > 1 << 400
+    """At the lengths 2^exp and 3 2^(exp - 1), the chosen primes keep
+    Percival's bound below 1/2 and meet every exactness premise of the
+    residue engine that depends on the primes alone; together they exceed
+    2^400."""
+    for size in (1 << exp, 3 << (exp - 1)):
+        la = lb = size // 2
+        primes = intpoly._crt_primes(size, la, lb, 400)
+        assert primes is not None
+        p, h = primes[0], primes[0] // 2
+        assert intpoly._fft_error_bound(size, la, lb, p) < 0.5
+        assert min(la, lb) * h * h < 1 << 52  # the convolution values
+        assert len(primes) * p * h < 1 << 52  # the CRT's weights @ digits
+        assert 2 * h * p < 1 << 52  # the CRT's (block - done) inv
+        assert (1 << 33) * p < 1 << 63  # the int64 limbs of _from_mixed_radix times q
+        assert math.prod(primes) > 1 << 400
+
+
+@pytest.mark.parametrize("signs", ["equal", "random"])
+@pytest.mark.parametrize("size", sorted(f << e for e in range(7, 16) for f in (1, 3)
+                                         if 384 <= f << e <= 49152))
+def test_worst_case_residues_round_to_exact_convolution(size, signs):
+    """Operands of the most coefficients a length holds, every entry
+    +-(p - 1)/2 with p the largest prime chosen there: the float convolution
+    lies within _fft_error_bound of the exact one and rounds to it."""
+    n = (size + 1) // 2
+    assert intpoly._transform_size(n - 1) == size
+    p = intpoly._crt_primes(size, n, n, 1)[0]
+    h = (p - 1) // 2
+    rng = random.Random(size)
+    x, y = ([h if signs == "equal" or rng.random() < 0.5 else -h for _ in range(n)]
+            for _ in range(2))
+    exact = np.array(intpoly.poly_mul_trunc(x, y, n - 1))
+    conv = intpoly._convolve(intpoly._Term(np.array(x)), intpoly._Term(np.array(y)), size, n)
+    assert np.abs(conv - exact).max() < intpoly._fft_error_bound(size, n, n, p)
+    assert np.array_equal(np.rint(conv), exact)
+
+
+def _two_steps(xs, mul, wanted):
+    ab = mul(xs[0], xs[1])
+    yield "ab", ab
+    yield "abc", mul(ab, xs[2])
+
+
+# 2 prec + 1 = 3 2^m - 1, the longest product a length 3 2^m holds, and
+# 3 2^m + 1, the shortest that takes the next length 2^(m + 2)
+@pytest.mark.parametrize("prec, size", [(191, 384), (192, 512), (383, 768), (384, 1024),
+                                        (1535, 3072), (1536, 4096)])
+def test_chains_at_radix_three_boundaries_match_integer_route(residue_runs, prec, size):
+    """One-product and two-step chains at each side of a length 3 2^m run on
+    residues and equal the products on integers."""
+    assert intpoly._transform_size(prec) == size
+    rng = random.Random(prec)
+    a, b, c = (_series(rng, prec + 1, bits, signed=True) for bits in (60, 45, 30))
+    ab = intpoly.poly_mul_trunc(a, b, prec)
+    abc = intpoly.poly_mul_trunc(ab, c, prec)
+    assert _one_product(a, b, prec) == ab
+    # rows ab and 3 ab - 2 q abc
+    rows = intpoly.chain_products(_two_steps, [a, b, c], prec, ["ab", "abc"],
+                                  [[1, 0], [3, -2]], [0, 1])
+    assert rows == [ab, [3 * u - 2 * v for u, v in zip(ab, [0] + abc[:prec])]]
+    assert residue_runs == [True, True]
+
+
+def test_primes_of_each_row_are_a_prefix_of_one_list(monkeypatch):
+    """Sieved from nothing, in windows extended on demand, the primes chosen
+    for any bits are the least prefix of one list, the odd primes below the
+    cap, largest first; _chain_residues gives each row such a prefix."""
+    monkeypatch.setattr(intpoly, "_SIEVED", {})
+    size = 12288
+    n = (size + 1) // 2
+    cap = intpoly._prime_cap(size, n, n)
+    below = tuple(reversed(primes_up_to(cap - 1)[1:]))
+    chosen = {bits: intpoly._crt_primes(size, n, n, bits)
+              for bits in (1, 17, 18, 300, 20000, 5000, 2)}
+    full = chosen[20000]
+    assert intpoly._SIEVED[cap][0] < cap - (1 << 12)  # more than the first window
+    for bits, primes in chosen.items():
+        assert primes == below[: len(primes)] == full[: len(primes)]
+        assert math.prod(primes) >= 1 << bits > math.prod(primes[:-1])
+
+
+def test_too_many_keys_for_exact_sums_walk_on_integers(residue_runs):
+    """A map with so many keys that the float sums of the map could leave
+    2^52 sends the chain to integers, exactly."""
+    prec = 200
+    size = intpoly._transform_size(prec)
+    h = intpoly._crt_primes(size, prec + 1, prec + 1, 1)[0] // 2
+    keys = range((1 << 52) // (h * h) + 1)
+    row = [5] + [0] * (len(keys) - 1)
+    a = _series(random.Random(7), prec + 1, 30, signed=True)
+    walk = lambda xs, mul, wanted: [(0, mul(xs[0], xs[0]))]  # noqa: E731
+    (out,) = intpoly.chain_products(walk, [a], prec, keys, [row], [0] * len(keys))
+    assert out == [5 * c for c in intpoly.poly_mul_trunc(a, a, prec)]
+    assert residue_runs == [False]
 
 
 def test_delta_above_crossover_matches_eta_powers(residue_runs):

@@ -614,8 +614,8 @@ def test_combined_rows_fall_back_to_integer_products(monkeypatch):
 
 
 def test_short_chains_walk_on_integers(monkeypatch):
-    """Below the transform length _CHAIN_RESIDUE_CUTOFF a ladder is walked
-    on integers, from it on residues; both sides give the one-at-a-time
+    """Below the precision _CHAIN_RESIDUE_PREC a ladder is walked on
+    integers, from it on residues; both sides give the one-at-a-time
     monomials."""
     residue_runs = []
     run = intpoly._chain_residues
@@ -625,19 +625,19 @@ def test_short_chains_walk_on_integers(monkeypatch):
         return run(*args)
 
     monkeypatch.setattr(intpoly, "_chain_residues", spy)
-    cutoff = intpoly._CHAIN_RESIDUE_CUTOFF
+    cutoff = intpoly._CHAIN_RESIDUE_PREC
     r = 29
-    for prec in (cutoff // 4 - 1, cutoff // 4):
+    for prec in (cutoff - 1, cutoff):
         size = intpoly._transform_size(prec)
         for frame in FRAMES:
             qexp._spaces.cache_clear()
             residue_runs.clear()
             monos = weight_monomials(Fraction(r, 2))
             ladder = [_monomial_int(a, b, prec, frame) for a, b in monos]
-            assert residue_runs == ([] if size < cutoff else [size]), (prec, frame)
+            assert residue_runs == ([] if prec < cutoff else [size]), (prec, frame)
             for (a, b), got in zip(monos, ladder):
                 assert got == monomial_int_reference(a, b, prec, frame)
-    assert intpoly._transform_size(cutoff // 4 - 1) < cutoff <= intpoly._transform_size(cutoff // 4)
+    assert cutoff == 128
 
 
 def test_space_basis_from_threads():

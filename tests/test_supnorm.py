@@ -28,6 +28,7 @@ from plusforms.supnorm import (
     eq_sup_terms,
     gl_arrays,
     iter_gl,
+    plus_form_precision,
     sl2_reduce,
     supnorm_scan,
     theta_multiplier,
@@ -584,6 +585,28 @@ def test_eval_at_cusp_default_precision_is_677(kstr):
                      ("V4", complex(0.4, 0.05))):
         got, want = eval_at_cusp(f, label, z), eval_at_cusp(f, label, z, prec=677)
         assert (got.sign, got.logm) == (want.sign, want.logm)
+
+
+def test_plus_form_precision_meets_every_frame_guard():
+    """At every weight 5/2..61/2 the default precision is 900 or the least
+    at which the three frames of from_plus_form store the index the guard
+    asks for at y = sqrt(3)/8; it rises above 900 from 49/2 on."""
+    from types import SimpleNamespace
+
+    def frames_at(k, prec):
+        sign = -1 if int(k - Fraction(1, 2)) % 2 else 1
+        form = SimpleNamespace(k=k, coefficients_upto=lambda n: [0] * (n + 1),
+                               basis=SimpleNamespace(sign_unit=lambda: sign))
+        ev = FormEvaluator.from_plus_form(form, prec)
+        return all(ev.frames[label].series.prec >= ev.required_precision(label, SQRT3_OVER_8)
+                   for label in ("I", "W4", "V4"))
+
+    for num in range(5, 63, 2):
+        k = Fraction(num, 2)
+        prec = plus_form_precision(k)
+        assert frames_at(k, prec)
+        assert (prec > 900) == (num >= 49)
+        assert prec == 900 or not frames_at(k, prec - 1)
 
 
 def test_per_form_sup_report():
