@@ -83,12 +83,14 @@ def sigma1(n: int) -> int:
     return s
 
 
-def sigma1_table(n_max: int) -> list[int]:
-    """sigma1(n) for 0 <= n <= n_max (index 0 unused, set to 0), by sieve."""
+def sigma_table(power: int, n_max: int) -> list[int]:
+    """sigma_power(n) = sum_{d | n} d^power for 0 <= n <= n_max (index 0
+    unused, set to 0), by sieve."""
     table = [0] * (n_max + 1)
     for d in range(1, n_max + 1):
+        dp = d**power
         for m in range(d, n_max + 1, d):
-            table[m] += d
+            table[m] += dp
     return table
 
 

@@ -21,7 +21,6 @@ from .arith import fundamental_discriminants, half_integer
 from .hecke import (
     dim_cusp_level1,
     eigenbasis_plus,
-    eigenforms_level1,
     verify_sqrcoeff,
 )
 from .lfunctions import (
@@ -169,17 +168,13 @@ def cmd_kz(args) -> int:
     tol = args.tol if args.tol else 1e-3
     d_list = [int(t) for t in args.D.split(",")]
     forms = eigenbasis_plus(k, prec=args.prec)
-    w = int(2 * k - 1)
-    partners = eigenforms_level1(w, prec=max(4000, args.primes))
     rows = []
     ok_all = True
     for f in forms:
         if not isinstance(f.eigenvalue(9), Fraction):
             continue  # rational systems only on the command line
-        F = next(
-            P for P in partners
-            if all(P.coeff(p) == f.shimura_partner.coeff(p) for p in (2, 3, 5))
-        )
+        F = f.shimura_partner
+        F.coefficients_upto(max(4000, args.primes))
         f.coefficients_upto(max(d_list) + 1)
         norm_f = petersson_norm_f(f, "quadrature", prec=args.prec or 700)
         norm_F = petersson_norm_integral(F)

@@ -12,9 +12,10 @@ Q[y]/(charpoly) with y sent to one real root (arith.NumberField).  Both
 sides are diagonalised by T(3) on S_{2k-1} and T(9) on S_k^+, whose
 charpolys agree, so a plus form and its partner share one field.  The T(9)
 matrix, its charpoly and the eigenvectors are computed once per plus space
-and held by it; an eigenform combines the basis rows that the eigenforms of
-one weight share into one integer row per field coordinate, and makes each
-scalar when it is read.
+and held by it.  An eigenform on either side keeps its coefficients one way
+(_RowForm): it combines the basis rows that the eigenforms of its weight
+share (the Miller rows, or the plus-space basis rows) into one integer row
+per field coordinate, and makes each scalar when it is read.
 
 Half-integral weight: the coefficient action of T(p^2) on the Kohnen plus
 space as one integer kernel on the held basis rows (a T(p^2) matrix is
@@ -173,35 +174,85 @@ def hecke_integral(F: QExpansion, w: int, p: int) -> QExpansion:
     return QExpansion(F.weight, F.width, F.param, out_prec, coeffs)
 
 
+class _RowForm:
+    """An eigenform sum_j vector[j] * (basis row j), held as one integer row
+    per power-basis coordinate of its scalars, combined from the basis rows
+    as far as those are held; a scalar is made when it is first read.  A
+    subclass (a dataclass with a field vector) gives _basis_rows(n), the
+    (integer row, denominator) of each basis form to index n or beyond."""
+
+    def __post_init__(self):
+        self._coeff_cache: dict = {}  # n -> coefficient, made on first read
+        self._cached_upto = -1  # the index the coordinate rows reach
+        self._rows: tuple = (None, ())  # (number field or None, [(numerators, denominator)])
+
+    def coeff(self, n: int):
+        """Coefficient n, exact scalar, read from the coordinate rows (built
+        to n if they reach less)."""
+        if n > self._cached_upto:
+            self.coefficients_upto(n)
+        if n not in self._coeff_cache:
+            self._coeff_cache[n] = _scalar(*self._rows, n)
+        return self._coeff_cache[n]
+
+    def coefficients_upto(self, n_max: int) -> Coefficients:
+        """Coefficients 0..n_max as a read-only sequence whose scalars are
+        made as they are read.  The basis rows are built to n_max if they are
+        held to less, then combined once per field coordinate
+        (qexp.combine_int_rows)."""
+        if n_max > self._cached_upto:
+            rows = self._basis_rows(n_max)
+            ints, n = [row for row, _ in rows], len(rows[0][0])
+            vec = [c / den for c, (_, den) in zip(self.vector, rows)]
+            number_field = next((v.field for v in vec if isinstance(v, FieldElement)), None)
+            coords = [(v,) if number_field is None else number_field.coords(v) for v in vec]
+            self._rows = number_field, [combine_int_rows(ints, [c[i] for c in coords], n)
+                                        for i in range(len(coords[0]))]
+            self._cached_upto = n - 1
+        return Coefficients(self, n_max + 1)
+
+
+def _power_recursion(lam, pw, e: int):
+    """x_e from x_0 = 1, x_1 = lam and x_(j+1) = lam x_j - pw x_(j-1): a
+    Hecke eigenvalue at p^e on level 1 (lam = Fhat(p), pw = p^(w-1)), or at
+    p^(2e) on the plus space (lam = lambda(p^2), pw = p^(2k-2))."""
+    prev, cur = Fraction(1), lam
+    for _ in range(e - 1):
+        prev, cur = cur, lam * cur - pw * prev
+    return cur
+
+
 @dataclass
-class IntegralForm:
-    """Arithmetically normalised Hecke eigenform on SL(2,Z), Fhat(1) = 1."""
+class IntegralForm(_RowForm):
+    """Arithmetically normalised Hecke eigenform on SL(2,Z), Fhat(1) = 1,
+    held as coordinate rows over the Miller basis of its weight (_RowForm)."""
 
     weight: int
-    coeffs: list  # exact scalars, index = n, up to precision
+    vector: list  # scalars over the Miller basis rows
     charpoly: list[Fraction]  # of T(3) on the ambient space
+
+    def _basis_rows(self, n: int) -> list:
+        # cut at n: a partner read to 64 combines no more, though the store
+        # may hold the Miller rows to 10^5 for another caller
+        return [(row[: n + 1], 1) for row in _miller.get(self.weight, n)]
 
     @property
     def precision(self) -> int:
-        return len(self.coeffs) - 1
+        """The index the coordinate rows reach: the largest n_max asked of
+        coefficients_upto."""
+        return self._cached_upto
 
     def coeff(self, n: int):
-        """Fhat(n); extends multiplicatively past the stored range."""
-        if n <= self.precision:
-            return self.coeffs[n]
+        """Fhat(n); extends multiplicatively past the rows, which it does not
+        build further."""
+        if n <= self._cached_upto:
+            return super().coeff(n)
         value = Fraction(1)
         for p, e in factorize(n):
-            value = value * self._prime_power(p, e)
+            if p > self._cached_upto:
+                raise PrecisionError(f"need Fhat({p}) beyond stored precision")
+            value = value * _power_recursion(super().coeff(p), Fraction(p) ** (self.weight - 1), e)
         return value
-
-    def _prime_power(self, p: int, e: int):
-        if p > self.precision:
-            raise PrecisionError(f"need Fhat({p}) beyond stored precision")
-        prev, cur = Fraction(1), self.coeffs[p]
-        pw = Fraction(p) ** (self.weight - 1)
-        for _ in range(e - 1):
-            prev, cur = cur, self.coeffs[p] * cur - pw * prev
-        return cur
 
     def eigenvalue(self, p: int):
         return self.coeff(p)
@@ -212,20 +263,20 @@ class IntegralForm:
 
 def eigenforms_level1(w: int, prec: int) -> list[IntegralForm]:
     """Hecke eigenforms of S_w(SL(2,Z)), exact at every degree, by descending
-    T(3) eigenvalue; Fhat(3) = y when the Hecke field has degree 3 or more."""
+    T(3) eigenvalue, their rows combined to prec at least; Fhat(3) = y when
+    the Hecke field has degree 3 or more."""
     d = dim_cusp_level1(w)
     if d == 0:
         return []
-    need = max(prec, 2 * d + 2)
-    basis = _miller.get(w, need)
     mat, cp = _t3.get(w, 0)
     out = []
     for _, vec in _eigenvectors(mat, cp, "T(3)"):
         # arithmetic normalization: coefficient at q^1 equals vec[0]
         if vec[0] == 0:
             raise RuntimeError("eigenvector has vanishing leading coefficient")
-        vec = [v / vec[0] for v in vec]
-        out.append(IntegralForm(w, _combine(basis, vec, need + 1), cp))
+        F = IntegralForm(w, [v / vec[0] for v in vec], cp)
+        F.coefficients_upto(max(prec, 2 * d + 2))
+        out.append(F)
     return out
 
 
@@ -254,28 +305,8 @@ def _eigenvectors(mat, cp, name: str) -> list[tuple]:
     return out
 
 
-def _combine(rows, vec, n: int) -> list:
-    """Coefficients 0..n-1 of sum_j vec[j] * rows[j] for integer rows and
-    exact scalars."""
-    number_field, parts = _coordinate_rows(rows, vec, n)
-    return [_scalar(number_field, parts, t) for t in range(n)]
-
-
-def _coordinate_rows(rows, vec, n: int) -> tuple:
-    """sum_j vec[j] * rows[j] on indices 0..n-1, for integer rows and exact
-    scalars, as (number field or None, [(integer numerators, common
-    denominator)] per power-basis coordinate): one qexp.combine_int_rows per
-    coordinate."""
-    number_field = next((v.field for v in vec if isinstance(v, FieldElement)), None)
-    if number_field is None:
-        return None, [combine_int_rows(rows, vec, n)]
-    coords = [number_field.coords(v) for v in vec]
-    return number_field, [combine_int_rows(rows, [c[i] for c in coords], n)
-                          for i in range(number_field.degree)]
-
-
 def _scalar(number_field, parts, t: int):
-    """Coefficient t of the coordinate rows parts (see _coordinate_rows)."""
+    """Coefficient t of the coordinate rows parts (see _RowForm._rows)."""
     if number_field is None:
         num, den = parts[0]
         return Fraction(num[t], den)
@@ -380,13 +411,11 @@ def hecke_matrix_plus(basis: SpaceBasis, p: int) -> list[list[Fraction]]:
 
 
 @dataclass
-class HalfIntegralForm:
-    """Hecke eigenform in S_k^+(Gamma_0(4)), leading admissible coefficient 1.
-
-    Its coefficients are integer rows, one per power-basis coordinate of its
-    scalars, combined from the basis rows that the eigenforms of its weight
-    share (SpaceBasis.int_rows) as far as those are held; a scalar is made
-    when it is first read."""
+class HalfIntegralForm(_RowForm):
+    """Hecke eigenform in S_k^+(Gamma_0(4)), leading admissible coefficient 1,
+    held as coordinate rows over the plus-space basis rows that the
+    eigenforms of its weight share (SpaceBasis.int_rows, see _RowForm);
+    coeff(n) builds the rows to n if they reach less."""
 
     k: Fraction
     basis: SpaceBasis
@@ -394,37 +423,15 @@ class HalfIntegralForm:
     charpoly: list[Fraction]
     shimura_partner: IntegralForm | None = None
     eigen_table: dict = field(default_factory=dict)  # p -> lambda(p^2), scalars
-    _coeff_cache: dict = field(default_factory=dict, repr=False)
-    _cached_upto: int = -1
     petersson_norm: object = None  # CertifiedValue, filled by callers that need it
-    # (number field or None, coordinate rows) to _cached_upto, see _coordinate_rows
-    _rows: tuple = field(default=(None, ()), repr=False, compare=False)
 
-    def coeff(self, n: int):
-        """fhat(n), exact scalar, read from the coordinate rows (built to n
-        if they reach less)."""
-        if n not in self._coeff_cache:
-            if n > self._cached_upto:
-                self.coefficients_upto(n)
-            self._coeff_cache[n] = _scalar(*self._rows, n)
-        return self._coeff_cache[n]
+    def _basis_rows(self, n: int) -> tuple:
+        return self.basis.int_rows("I", n)
 
     def _lead_index(self) -> int:
         """n0, the least pivot of the basis where this form's vector is
         nonzero: its first nonzero coefficient, fhat(n0) = 1."""
         return min(piv for piv, c in zip(self.basis.pivots(), self.vector) if c != 0)
-
-    def coefficients_upto(self, n_max: int) -> Coefficients:
-        """fhat(0..n_max) as a read-only sequence whose scalars are made as
-        they are read.  The basis rows are built to n_max if they are held to
-        less, then combined once per field coordinate."""
-        if n_max > self._cached_upto:
-            rows = self.basis.int_rows("I", n_max)
-            n = len(rows[0][0])
-            vec = [c / den for c, (_, den) in zip(self.vector, rows)]
-            self._rows = _coordinate_rows([row for row, _ in rows], vec, n)
-            self._cached_upto = n - 1
-        return Coefficients(self, n_max + 1)
 
     def eigenvalue(self, l: int):
         """lambda(l) for l an odd square, from the stored prime table and
@@ -437,18 +444,11 @@ class HalfIntegralForm:
             raise ValueError("eigenvalues live on odd squares")
         value = Fraction(1)
         for p, e in factorize(root):
-            value = value * self._prime_power_lambda(p, e)
+            if p not in self.eigen_table:
+                self.eigen_table[p] = self._extract_eigenvalue(p)
+            value = value * _power_recursion(self.eigen_table[p],
+                                             Fraction(p) ** int(2 * self.k - 2), e)
         return value
-
-    def _prime_power_lambda(self, p: int, e: int):
-        if p not in self.eigen_table:
-            self.eigen_table[p] = self._extract_eigenvalue(p)
-        lam = self.eigen_table[p]
-        prev, cur = Fraction(1), lam
-        pw = Fraction(p) ** int(2 * self.k - 2)
-        for _ in range(e - 1):
-            prev, cur = cur, lam * cur - pw * prev
-        return cur
 
     def _extract_eigenvalue(self, p: int):
         """lambda(p^2) read off from the coefficient action at n0: _t_p2 on
@@ -473,11 +473,11 @@ class HalfIntegralForm:
 
 
 class Coefficients(Sequence):
-    """fhat(0..n - 1) of a plus-space form, read-only: supports len, index,
-    slice and iteration, and makes each scalar when it is read
-    (HalfIntegralForm.coeff)."""
+    """Coefficients 0..n - 1 of an eigenform on either side (_RowForm),
+    read-only: supports len, index, slice and iteration, and makes each
+    scalar when it is read (form.coeff)."""
 
-    def __init__(self, form: HalfIntegralForm, n: int):
+    def __init__(self, form: _RowForm, n: int):
         self._form = form
         self._len = n
 
@@ -575,7 +575,7 @@ def verify_sqrcoeff(f: HalfIntegralForm, D: int, n_max: int) -> dict:
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     if sign * D <= 0:
-        raise ValueError(f"discriminant sign must satisfy (-1)^(k-1/2) D > 0")
+        raise ValueError("discriminant sign must satisfy (-1)^(k-1/2) D > 0")
     F = f.shimura_partner
     if F is None:
         raise ValueError("form has no Shimura partner attached")

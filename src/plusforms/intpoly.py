@@ -43,7 +43,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .arith import primes_up_to
+from .arith import primes_up_to, sigma_table
 
 # operand length up to which the double loop beats Kronecker substitution
 _SCHOOLBOOK_CUTOFF = 24
@@ -576,11 +576,7 @@ def theta_int(prec: int) -> tuple[int, ...]:
 @lru_cache(maxsize=64)
 def sigma_odd_int(prec: int) -> tuple[int, ...]:
     """sum over odd n >= 1 of sigma1(n) q^n, the weight-2 generator."""
-    out = [0] * (prec + 1)
-    for d in range(1, prec + 1, 2):
-        for m in range(d, prec + 1, 2 * d):
-            out[m] += d
-    return tuple(out)
+    return tuple(s if n % 2 else 0 for n, s in enumerate(sigma_table(1, prec)))
 
 
 def eta3_int(prec: int) -> list[int]:
@@ -595,18 +591,9 @@ def eta3_int(prec: int) -> list[int]:
 
 @lru_cache(maxsize=32)
 def eisenstein_int(weight: int, prec: int) -> tuple[int, ...]:
-    """Normalized E4 or E6 times its denominator: returns integer series of
-    240*sigma3 / -504*sigma5 style, i.e. E_w itself (constant term 1)."""
-    if weight == 4:
-        mult, power = 240, 3
-    elif weight == 6:
-        mult, power = -504, 5
-    else:
+    """E4 = 1 + 240 sum sigma3(n) q^n or E6 = 1 - 504 sum sigma5(n) q^n,
+    coefficients up to prec."""
+    if weight not in (4, 6):
         raise ValueError("only E4 and E6 are provided")
-    out = [0] * (prec + 1)
-    out[0] = 1
-    for d in range(1, prec + 1):
-        dp = d**power
-        for m in range(d, prec + 1, d):
-            out[m] += mult * dp
-    return tuple(out)
+    mult = 240 if weight == 4 else -504
+    return (1,) + tuple(mult * s for s in sigma_table(weight - 1, prec)[1:])

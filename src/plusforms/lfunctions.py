@@ -368,8 +368,11 @@ def kohnen_zagier_check(f, F, D: int, norm_f: CertifiedValue,
         |fhat(|D|)|^2 / <f,f> = Gamma(k-1/2)/pi^(k-1/2) |D|^(k-1)
                                  L(F,(D|.),1/2) / <F,F>.
 
-    Returns {'skipped': True} when fhat(|D|) = 0.
+    Returns {'skipped': True} when fhat(|D|) = 0; raises ValueError unless
+    (-1)^(k-1/2) D > 0, the sign for which the identity holds.
     """
+    if f.basis.sign_unit() * D <= 0:
+        raise ValueError("discriminant sign must satisfy (-1)^(k-1/2) D > 0")
     k = float(f.k)
     c = f.coeff(abs(D))
     if float(c) == 0.0:

@@ -55,7 +55,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import intpoly
-from .arith import half_integer, sigma1_table
+from .arith import half_integer, sigma_table
 from .linalg import rref_exact
 from .numerics import NEG_INF, log_abs_fraction
 
@@ -272,7 +272,7 @@ def weight2_generator(prec: int) -> QExpansion:
 def _g16_frame_w(prec: int) -> list[int]:
     """16 G|W = Theta^4 - 16 G = Theta(-q)^4: (-1)^n r_4(n) at q^n, with
     r_4(0) = 1 and r_4(n) = 8 sigma(n) - 32 sigma(n/4)."""
-    sig = sigma1_table(prec)
+    sig = sigma_table(1, prec)
     return [1] + [
         (-1) ** n * (8 * sig[n] - (32 * sig[n // 4] if n % 4 == 0 else 0))
         for n in range(1, prec + 1)
@@ -281,7 +281,7 @@ def _g16_frame_w(prec: int) -> list[int]:
 
 def _g16_frame_v(prec: int) -> list[int]:
     """16 G|V: -1 at q^0, -8 sigma(n) for odd n, 48 sigma(n/2) - 24 sigma(n) for even n."""
-    sig = sigma1_table(prec)
+    sig = sigma_table(1, prec)
     return [-1] + [
         -8 * sig[n] if n % 2 else 48 * sig[n // 2] - 24 * sig[n] for n in range(1, prec + 1)
     ]

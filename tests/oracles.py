@@ -21,8 +21,11 @@ binary powers (the library builds a weight's monomials from shared power
 chains), basis forms summed from their monomials as Python ints (the
 library combines them in residue space before one CRT per form), the
 spectral average as two fresh c-sums (the library extends one running sum),
-and the plus-space T(p^2) matrix from Fraction q-expansions checked
-coefficient by coefficient (the library reads the integer basis rows).
+the plus-space T(p^2) matrix from Fraction q-expansions checked
+coefficient by coefficient (the library reads the integer basis rows), and
+level-1 eigenform coefficients summed from the Miller rows index by index in
+exact scalars (the library combines integer rows once per field coordinate
+and makes each scalar on read).
 """
 
 from __future__ import annotations
@@ -331,6 +334,16 @@ def eigenform_coefficients_reference(f, n_max: int) -> list:
     if number_field is None:
         return [Fraction(x, parts[0][1]) for x in parts[0][0]]
     return [number_field([Fraction(num[n], den) for num, den in parts]) for n in range(n_max + 1)]
+
+
+def level1_coefficients_reference(F, n_max: int) -> list:
+    """Fhat(0..n_max) of an IntegralForm: sum_j vector[j] * (Miller row j)
+    at each index, every product and sum in exact scalar arithmetic."""
+    from plusforms.hecke import _miller
+
+    rows = _miller.get(F.weight, n_max)
+    return [sum((c * row[n] for c, row in zip(F.vector, rows)), start=Fraction(0))
+            for n in range(n_max + 1)]
 
 
 def hecke_plus_reference(f, k, p: int):

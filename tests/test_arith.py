@@ -15,6 +15,7 @@ from plusforms.arith import (
     moebius,
     primes_up_to,
     sigma1,
+    sigma_table,
     sqrt_mod_prime_power,
     squarefree_part,
 )
@@ -49,6 +50,13 @@ def test_divisor_functions():
     assert sigma1(9) == 13
     assert moebius(30) == -1 and moebius(12) == 0
     assert squarefree_part(72) == 2 and squarefree_part(-45) == -5
+
+
+def test_sigma_table_against_divisor_sums():
+    for power in range(6):
+        table = sigma_table(power, 200)
+        assert table == [0] + [sum(d**power for d in divisors(n)) for n in range(1, 201)]
+    assert sigma_table(1, 0) == [0]
 
 
 def test_fundamental_discriminants():

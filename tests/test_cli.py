@@ -174,6 +174,15 @@ def test_kz_cmd_small():
     assert len(lines) == 4
 
 
+def test_kz_rejects_discriminant_of_wrong_sign(capsys):
+    """At 13/2 the identity holds for D > 0 only: D = -4 is a named failure,
+    not a skipped row."""
+    code, _ = run_cli(["kz", "--k", "13/2", "--D", "-4"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED check: kz: ValueError: discriminant sign must satisfy")
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "plusforms.cli", "basis", "--k", "5/2"],

@@ -181,6 +181,48 @@ def test_deligne_bound():
                 assert F.deligne_ok(p)
 
 
+@pytest.mark.parametrize("w, degree", [(12, 1), (24, 2), (36, 3)])
+def test_level1_coefficients_match_eager_combination(w, degree):
+    """Level-1 eigenform coefficients read from the coordinate rows equal
+    sum_j vector[j] * (Miller row j) summed index by index in exact scalars,
+    at Hecke field degrees 1, 2 and 3.  Past the rows a coefficient extends
+    multiplicatively, and a prime beyond them raises PrecisionError."""
+    from oracles import level1_coefficients_reference
+
+    forms = eigenforms_level1(w, 300)
+    assert len(forms) == degree
+    for F in forms:
+        assert F.precision == 300
+        a2 = F.coeff(2)
+        assert (degree == 1) == isinstance(a2, Fraction)
+        assert degree == 1 or a2.field.degree == degree
+        ref = level1_coefficients_reference(F, 300)
+        assert list(F.coefficients_upto(300)) == ref
+        p = next(q for q in primes_up_to(2 * F.precision + 2) if q > F.precision)
+        two = 2 ** F.precision.bit_length()  # the least power of 2 past the rows
+        assert F.coeff(3 * two) == F.coeff(3) * (
+            F.coeff(2) * F.coeff(two // 2) - Fraction(2) ** (w - 1) * F.coeff(two // 4))
+        with pytest.raises(PrecisionError):
+            F.coeff(p)
+        with pytest.raises(PrecisionError):
+            F.coeff(2 * p)
+
+
+@pytest.mark.parametrize("kstr", ["13/2", "25/2"])
+def test_grown_partner_equals_level1_form(kstr):
+    """The partner that the pairing attaches, grown with coefficients_upto,
+    equals at every index the level-1 eigenform with the same eigenvalues
+    built to that precision."""
+    w = int(2 * Fraction(kstr) - 1)
+    level1 = eigenforms_level1(w, 2000)
+    for f in eigenbasis_plus(kstr):
+        F = f.shimura_partner
+        grown = F.coefficients_upto(2000)
+        assert F.precision == 2000
+        G = next(G for G in level1 if all(G.coeff(p) == f.eigenvalue(p * p) for p in (3, 5, 7)))
+        assert list(grown) == list(G.coefficients_upto(2000))
+
+
 # -- plus-space Hecke ----------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from plusforms import hecke, intpoly
-from plusforms.arith import primes_up_to
+from plusforms.arith import divisors, primes_up_to
 
 from oracles import series_mul_reference
 
@@ -305,3 +305,17 @@ def test_failed_rounding_check_falls_back_to_exact_product(paths, monkeypatch):
     assert _one_product(a, b, prec) == series_mul_reference(a, b, prec)
     assert paths == ["_mul_kronecker"]
     assert len(calls) == 2
+
+
+def test_generators_from_divisor_sums():
+    """The weight-2 generator is sigma1 on odd indices; E4 and E6 are
+    1 + 240 sigma3 and 1 - 504 sigma5."""
+    assert intpoly.sigma_odd_int(60) == tuple(
+        sum(divisors(n)) if n % 2 else 0 for n in range(61))
+    assert intpoly.eisenstein_int(4, 5) == (1, 240, 2160, 6720, 17520, 30240)
+    assert intpoly.eisenstein_int(6, 5) == (1, -504, -16632, -122976, -532728, -1575504)
+    for w, mult in ((4, 240), (6, -504)):
+        assert intpoly.eisenstein_int(w, 60) == (1,) + tuple(
+            mult * sum(d ** (w - 1) for d in divisors(n)) for n in range(1, 61))
+    with pytest.raises(ValueError):
+        intpoly.eisenstein_int(8, 5)

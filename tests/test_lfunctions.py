@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from plusforms.arith import fundamental_discriminants, kronecker_symbol
-from plusforms.hecke import eigenforms_level1
+from plusforms.hecke import eigenbasis_plus, eigenforms_level1
 from plusforms.lfunctions import (
     _cap_nodes,
     _domain_nodes,
@@ -181,6 +181,16 @@ def test_kohnen_zagier_discrepancies(eigenform_13_2, delta_form, norm_f_13_2, no
         r = kohnen_zagier_check(eigenform_13_2, delta_form, D, norm_f_13_2, norm_delta, lv)
         assert not r.get("skipped")
         assert r["discrepancy"] < 1e-3
+
+
+@pytest.mark.parametrize("kstr, D", [("13/2", -3), ("13/2", -4), ("13/2", -8),
+                                     ("19/2", 1), ("19/2", 5)])
+def test_kohnen_zagier_rejects_discriminant_of_wrong_sign(kstr, D):
+    """The identity holds only for (-1)^(k-1/2) D > 0; any other D is an
+    error, not a skipped row."""
+    f = eigenbasis_plus(kstr)[0]
+    with pytest.raises(ValueError, match=r"discriminant sign must satisfy \(-1\)\^\(k-1/2\) D > 0"):
+        kohnen_zagier_check(f, f.shimura_partner, D, None, None, None)
 
 
 def test_kohnen_zagier_skips_zero_coefficient(eigenform_13_2, delta_form, norm_f_13_2, norm_delta):
