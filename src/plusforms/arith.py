@@ -75,14 +75,6 @@ def moebius(n: int) -> int:
     return mu
 
 
-def sigma1(n: int) -> int:
-    """Sum of positive divisors of n."""
-    s = 1
-    for p, e in factorize(n):
-        s *= (p ** (e + 1) - 1) // (p - 1)
-    return s
-
-
 def sigma_table(power: int, n_max: int) -> list[int]:
     """sigma_power(n) = sum_{d | n} d^power for 0 <= n <= n_max (index 0
     unused, set to 0), by sieve."""

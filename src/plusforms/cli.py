@@ -374,6 +374,11 @@ def main(argv=None) -> int:
     p.add_argument("--k-range", required=True, dest="k_range", help="e.g. 13/2:61/2")
     p.set_defaults(func=cmd_scaling)
 
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value like -3,-4 for an option: join --D to its value
+    while "--D" in argv[:-1]:
+        i = argv.index("--D")
+        argv[i : i + 2] = [f"--D={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         return args.func(args)

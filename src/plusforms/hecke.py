@@ -10,12 +10,13 @@ for (qexp._Prefixes), and T(p) acts on them as integers.
 Eigenvalues are exact at every degree: rational, in Q(sqrt(d)), or y in
 Q[y]/(charpoly) with y sent to one real root (arith.NumberField).  Both
 sides are diagonalised by T(3) on S_{2k-1} and T(9) on S_k^+, whose
-charpolys agree, so a plus form and its partner share one field.  The T(9)
-matrix, its charpoly and the eigenvectors are computed once per plus space
-and held by it.  An eigenform on either side keeps its coefficients one way
-(_RowForm): it combines the basis rows that the eigenforms of its weight
-share (the Miller rows, or the plus-space basis rows) into one integer row
-per field coordinate, and makes each scalar when it is read.
+charpolys agree, so a plus form and its partner share one field.  Both
+matrices are integer rows over one denominator (1 for T(3)); the T(9)
+matrix, its charpoly and the eigenvectors are held once per plus space.
+An eigenform on either side keeps its coefficients one way (_RowForm): it
+combines the basis rows that the eigenforms of its weight share (the
+Miller rows, or the plus-space basis rows) into one integer row per field
+coordinate, and makes each scalar when it is read.
 
 Half-integral weight: the coefficient action of T(p^2) on the Kohnen plus
 space as one integer kernel on the held basis rows (a T(p^2) matrix is
@@ -268,7 +269,7 @@ def eigenforms_level1(w: int, prec: int) -> list[IntegralForm]:
     d = dim_cusp_level1(w)
     if d == 0:
         return []
-    mat, cp = _t3.get(w, 0)
+    mat, _, cp = _t3.get(w, 0)
     out = []
     for _, vec in _eigenvectors(mat, cp, "T(3)"):
         # arithmetic normalization: coefficient at q^1 equals vec[0]
@@ -280,11 +281,12 @@ def eigenforms_level1(w: int, prec: int) -> list[IntegralForm]:
     return out
 
 
-def _eigenvectors(mat, cp, name: str) -> list[tuple]:
-    """(lambda, eigenvector) for each root lambda of the charpoly cp of mat,
-    by descending lambda; cp must be squarefree (the operator separates the
-    eigenforms) with only real roots.  The vector is a nonzero column of
-    q(mat), q = cp / (x - lambda), since (mat - lambda) q(mat) = cp(mat) = 0."""
+def _eigenvectors(mat, cp, name: str, den: int = 1) -> list[tuple]:
+    """(lambda, eigenvector) for each root lambda of the charpoly cp of
+    M = mat / den, by descending lambda; cp must be squarefree (the operator
+    separates the eigenforms) with only real roots.  The vector is a nonzero
+    column of q(M), q = cp / (x - lambda), since (M - lambda) q(M) = cp(M) =
+    0, by Horner on the integer matrix mat: den^(d-1) q(M)."""
     if not is_squarefree_poly(cp):
         raise RuntimeError(f"{name} does not separate; refinement not implemented "
                            "for the desk-scale weights this package targets")
@@ -294,7 +296,8 @@ def _eigenvectors(mat, cp, name: str) -> list[tuple]:
         q = [Fraction(1)]  # q_(d-1), ..., q_0 by synthetic division
         for c in cp[-2:0:-1]:
             q.append(c + lam * q[-1])
-        for j in range(d):  # column j by Horner: vec <- mat vec + q_i e_j
+        q = [c * den**s for s, c in enumerate(q)]
+        for j in range(d):  # column j by Horner: vec <- mat vec + q_s den^s e_j
             vec = [Fraction(int(i == j)) for i in range(d)]
             for c in q[1:]:
                 vec = [sum((a * v for a, v in zip(row, vec)), start=c if i == j else Fraction(0))
@@ -313,24 +316,27 @@ def _scalar(number_field, parts, t: int):
     return number_field([Fraction(num[t], den) for num, den in parts])
 
 
-def hecke_matrix_level1(w: int, p: int) -> list[list[Fraction]]:
-    """Exact matrix of T(p) on the Miller echelon basis of S_w: column i
+def hecke_matrix_level1(w: int, p: int) -> list[list[int]]:
+    """Integer matrix of T(p) on the Miller echelon basis of S_w: column i
     holds a(pn) + p^(w-1) a(n/p) at n = 1..d for basis row i, its coordinates
-    on the echelon basis."""
+    on the echelon basis, whose rows are integral with unit pivots."""
     d = dim_cusp_level1(w)
     if d == 0:
         return []
     pw = p ** (w - 1)
     rows = _miller.get(w, p * d)
-    return [[Fraction(row[p * n] + (pw * row[n // p] if n % p == 0 else 0)) for row in rows]
+    return [[row[p * n] + (pw * row[n // p] if n % p == 0 else 0) for row in rows]
             for n in range(1, d + 1)]
 
 
-def _with_charpoly(mat) -> tuple:
-    return mat, charpoly_exact(mat)
+def _with_charpoly(mat: list[list[int]], den: int = 1) -> tuple:
+    """(mat, den, charpoly of mat / den): c_i of mat's over den^(n - i)."""
+    cp = charpoly_exact(mat)
+    return mat, den, [c if den == 1 else Fraction(c, den ** (len(mat) - i))
+                      for i, c in enumerate(cp)]
 
 
-# (matrix, charpoly) of T(3) on S_w, one per weight; the precision plays no part
+# (matrix, 1, charpoly) of T(3) on S_w, one per weight; the precision plays no part
 _t3 = _Prefixes(lambda w, _prec: _with_charpoly(hecke_matrix_level1(w, 3)))
 
 
@@ -382,16 +388,17 @@ def hecke_plus(f: QExpansion, k, p: int) -> QExpansion:
                            den, f.width, f.param)
 
 
-def hecke_matrix_plus(basis: SpaceBasis, p: int) -> list[list[Fraction]]:
-    """Exact matrix of T(p^2) on an echelonized plus-space basis ([] on the
-    zero space): column i is the image of basis form i at the pivots, by
-    _t_p2 on the basis rows read to p^2 (sturm + 1) (SpaceBasis.int_rows).
+def hecke_matrix_plus(basis: SpaceBasis, p: int) -> tuple[list[list[int]], int]:
+    """Exact matrix of T(p^2) on an echelonized plus-space basis as an integer
+    matrix over one reduced denominator (([], 1) on the zero space): column
+    i is the image of basis form i at the pivots, by _t_p2 on the basis rows
+    read to p^2 (sturm + 1) (SpaceBasis.int_rows).
     At every other index up to the Sturm index the image must be the
     combination those coordinates give, checked on integers cross-multiplied
     by the rows' denominators; else RuntimeError."""
     image = _t_p2(basis.weight, p)
     if not basis.dimension:
-        return []
+        return [], 1
     st, pivots = basis.sturm, basis.pivots()
     rows = basis.int_rows("I", p * p * (st + 1))
     lcm = math.lcm(*(den for _, den in rows))
@@ -406,8 +413,9 @@ def hecke_matrix_plus(basis: SpaceBasis, p: int) -> list[list[Fraction]]:
                     f"T({p}^2) image leaves the plus space at index {n}: "
                     "basis or operator is wrong"
                 )
-        cols.append([Fraction(c, den) for c in coords])
-    return [list(col) for col in zip(*cols)]
+        cols.append([c * (lcm // den) for c in coords])
+    g = math.gcd(lcm, *(c for col in cols for c in col))
+    return [[c // g for c in row] for row in zip(*cols)], lcm // g
 
 
 @dataclass
@@ -534,18 +542,18 @@ def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfI
 
 
 def _t9(basis: SpaceBasis) -> tuple:
-    """(matrix, charpoly) of T(9) on a plus-space basis, computed once per
-    space (SpaceBasis.cached); the rows are read to 9 (sturm + 1)."""
-    return basis.cached("T(9)", lambda: _with_charpoly(hecke_matrix_plus(basis, 3)))
+    """(integer matrix, denominator, charpoly) of T(9) on a plus-space basis,
+    once per space (SpaceBasis.cached); the rows are read to 9 (sturm + 1)."""
+    return basis.cached("T(9)", lambda: _with_charpoly(*hecke_matrix_plus(basis, 3)))
 
 
 def _eigensystems(basis: SpaceBasis) -> tuple:
     """(charpoly of T(9), [(lambda(9), vector over the basis forms)] by
     descending lambda(9)) on a plus-space basis: see eigenbasis_plus."""
-    mat, cp = _t9(basis)
+    mat, den, cp = _t9(basis)
     pivots = basis.pivots()
     systems = []
-    for lam, vec in _eigenvectors(mat, cp, "T(9)"):
+    for lam, vec in _eigenvectors(mat, cp, "T(9)", den):
         lead = min((i for i, c in enumerate(vec) if c != 0), key=lambda i: pivots[i])
         systems.append((lam, [v / vec[lead] for v in vec]))
     return cp, systems
@@ -628,5 +636,4 @@ def shimura_charpolys_match(k) -> bool:
         return False
     if d == 0:
         return True
-    cp_plus = _t9(basis)[1]
-    return cp_plus == _t3.get(w, 0)[1]
+    return _t9(basis)[2] == _t3.get(w, 0)[2]

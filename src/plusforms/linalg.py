@@ -1,26 +1,33 @@
-"""Exact linear algebra over Q: fraction-free row reduction and char polys."""
+"""Exact linear algebra on integer rows over one denominator: fraction-free
+row reduction and characteristic polynomials.  A rational matrix comes as
+integer rows, each scaled by its lcm denominator (which changes none of
+rank, kernel or reduced form), or as one integer matrix over a denominator
+the caller keeps."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 
-def rref_exact(rows: list[list]) -> tuple[int, list[list[Fraction]], list[list[Fraction]]]:
-    """Fraction-free (Bareiss-style) reduction of a rational matrix.
+def rref_exact(rows: list[list[int]]) -> tuple[int, list[list[int]], list[list[int]]]:
+    """Fraction-free (Bareiss-style) reduction of an integer matrix.
 
-    Returns (rank, reduced rows in echelon form with unit pivots, kernel
-    basis).  The elimination itself runs on integer rows obtained by clearing
-    denominators, with the Bareiss exact-division step keeping entry growth
-    polynomial.  The back substitution also runs on integer rows, one
-    denominator per row, and Fractions are made only for the rows returned.
+    Returns (rank, reduced rows, kernel basis), all integer rows.  Reduced
+    row i stands for row / row[pivot_i], its first nonzero entry: the rows
+    are primitive with positive pivots, so each is the row of the reduced
+    echelon form (unit pivots) times its lcm denominator.  The Bareiss
+    exact-division step keeps entry growth polynomial, and the back
+    substitution also runs on integer rows.
     """
     if not rows:
         return 0, [], []
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("rref_exact needs a rectangular input")
-    mat = [_clear_denominators([Fraction(x) for x in row]) for row in rows]
+    if not all(isinstance(x, int) for row in rows for x in row):  # '//' floors a Fraction
+        raise TypeError("rref_exact needs integer entries")
+    mat = [list(row) for row in rows]
 
     pivots: list[int] = []
     prev_pivot = 1
@@ -49,8 +56,8 @@ def rref_exact(rows: list[list]) -> tuple[int, list[list[Fraction]], list[list[F
             break
     rank = r
 
-    # back substitution to fully reduced echelon form with unit pivots, on
-    # integer rows: row i stands for nums[i] / nums[i][pivots[i]]
+    # back substitution to fully reduced echelon form: row i stands for
+    # nums[i] / nums[i][pivots[i]]
     nums = mat[:rank]
     for i in range(rank - 1, -1, -1):
         for i2 in range(i + 1, rank):
@@ -58,53 +65,39 @@ def rref_exact(rows: list[list]) -> tuple[int, list[list[Fraction]], list[list[F
             if f:
                 pv = nums[i2][pivots[i2]]
                 nums[i] = [pv * a - f * b for a, b in zip(nums[i], nums[i2])]
-        g = gcd(*nums[i])
+        g = gcd(*nums[i]) * (1 if nums[i][pivots[i]] > 0 else -1)
         nums[i] = [a // g for a in nums[i]]
-    reduced = [[Fraction(a, row[c]) for a in row] for row, c in zip(nums, pivots)]
 
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    # one kernel vector per free column, lead there, lead the lcm of the pivots
+    lead = lcm(*(row[c] for row, c in zip(nums, pivots)))
     kernel = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -reduced[i][fc]
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[fc] = lead
+        for row, pc in zip(nums, pivots):
+            vec[pc] = -row[fc] * (lead // row[pc])
         kernel.append(vec)
-    return rank, reduced, kernel
+    return rank, nums, kernel
 
 
-def _clear_denominators(row: list[Fraction]) -> list[int]:
-    den = 1
-    for x in row:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return [int(x * den) for x in row]
+def charpoly_exact(matrix: list[list[int]]) -> list[int]:
+    """Characteristic polynomial det(xI - M) of an integer matrix via
+    Faddeev-LeVerrier.
 
-
-def charpoly_exact(matrix: list[list[Fraction]]) -> list[Fraction]:
-    """Characteristic polynomial det(xI - M) via Faddeev-LeVerrier.
-
-    Returns coefficients [c_0, ..., c_n] with c_n = 1, exact rationals.
+    Returns integer coefficients [c_0, ..., c_n] with c_n = 1.  Every c_k is
+    an integer, so each division of a trace by k is exact.
     """
     n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    mk = ident
+    if not all(isinstance(x, int) for row in matrix for x in row):
+        raise TypeError("charpoly_exact needs integer entries")
+    coeffs = [0] * n + [1]
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = _mat_mul(m, mk)
-        ck = -_trace(mk) / k
+        cols = list(zip(*mk))
+        mk = [[sum(map(mul, row, col)) for col in cols] for row in matrix]
+        ck = -sum(mk[i][i] for i in range(n)) // k
         coeffs[n - k] = ck
         if k < n:
-            mk = [[mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                mk[i][i] += ck
     return coeffs
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    p = len(b[0])
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(p)] for i in range(n)]
-
-
-def _trace(m):
-    return sum(m[i][i] for i in range(len(m)))

@@ -37,10 +37,11 @@ integers, and so does a chain whose rounding check fails.  One store
 frame at the largest precision built so far; smaller precisions are their
 prefixes.
 
-Cusp and plus-space conditions are imposed by exact row reduction, once per
-weight and kind, giving exact rational bases of S_k, M_k^+ and the Kohnen
-plus space S_k^+; one object holds each basis's vectors, its forms' rows
-and values derived from them, such as the Hecke matrix of T(9).
+Cusp and plus-space conditions are imposed by exact row reduction on
+integer rows, once per weight and kind, giving exact bases of S_k, M_k^+
+and the Kohnen plus space S_k^+; one object holds each basis's vectors
+(integer numerators over one denominator per vector), its forms' rows and
+values derived from them, such as the Hecke matrix of T(9).
 """
 
 from __future__ import annotations
@@ -430,8 +431,8 @@ def _walk_ladder(r: int, inputs, mul, wanted):
 
 def _combined_rows(r: int, vectors, prec: int, frame: str) -> tuple:
     """sum_b v[b] Theta^(r - 4b) G^b in the frame to index prec, for each
-    vector v of rationals, as (integer numerators, common denominator): one
-    ladder chain with the map of _combination_map at its end."""
+    vector v, as (integer numerators, common denominator): one ladder chain
+    with the map of _combination_map at its end."""
     generators = _frame_generators(prec, frame)
     matrix, shifts, dens = _combination_map(r, vectors, frame)
     if r == 0:  # the one monomial is 1
@@ -445,30 +446,33 @@ def _combined_rows(r: int, vectors, prec: int, frame: str) -> tuple:
 def _combination_map(r: int, vectors, frame: str) -> tuple[list, list[int], list[int]]:
     """(matrix, shifts, dens) with sum_b v[b] Theta^(r - 4b) G^b =
     sum_b matrix[i][b] q^shifts[b] P_b / dens[i] in the frame for the i-th
-    vector v, P_b the ladder's product of the frame generators (in the
-    Fricke and V frames 16 G, and in the V frame the core of Theta|V).
+    vector (numerators, den), v = numerators / den, P_b the ladder's product
+    of the frame generators (in the Fricke and V frames 16 G, and in the V
+    frame the core of Theta|V).
 
-    dens[i] is the lcm of the denominators of the v[b] (-1)^b / 16^b: the
-    frame's 16^b, and in the V frame the phase sign, since the phase e(a/8)
-    of each monomial is (-1)^b e(r/8).  The V-frame scale 2^a (a = r - 4b)
-    joins the integer multiples, and its shift a // 4 is applied before the
-    map."""
+    dens[i] is the lcm of the reduced denominators of the v[b] (-1)^b / 16^b:
+    the frame's 16^b, and in the V frame the phase sign, since the phase
+    e(a/8) of each monomial is (-1)^b e(r/8).  The V-frame scale 2^a
+    (a = r - 4b) joins the integer multiples, and its shift a // 4 is applied
+    before the map."""
     unit = {"I": 1, "W4": 16, "V4": -16}[frame]  # v[b] is divided by unit^b
-    bs = range(r // 4 + 1)
+    top = r // 4
+    bs = range(top + 1)
     scales = [2 ** (r - 4 * b) if frame == "V4" else 1 for b in bs]
     shifts = [(r - 4 * b) // 4 if frame == "V4" else 0 for b in bs]
     matrix, dens = [], []
-    for vec in vectors:
-        coeffs = [Fraction(c) / unit**b for b, c in enumerate(vec)]
-        den = math.lcm(*(c.denominator for c in coeffs))
-        matrix.append([int(c * den) * scale for c, scale in zip(coeffs, scales)])
-        dens.append(den)
+    for nums, den in vectors:
+        full = den * unit**top  # v[b] / unit^b = scaled[b] / full
+        scaled = [c * unit ** (top - b) for b, c in enumerate(nums)]
+        g = math.gcd(full, *scaled) * (1 if full > 0 else -1)  # full / g > 0
+        matrix.append([c // g * scale for c, scale in zip(scaled, scales)])
+        dens.append(full // g)
     return matrix, shifts, dens
 
 
 class _FormRows(_Prefixes):
-    """Fixed combinations of the weight-r/2 monomials, each a vector of
-    rationals over b (see _combined_rows): their integer rows per frame at
+    """Fixed combinations of the weight-r/2 monomials, each a vector over b
+    as (integer numerators, denominator): their integer rows per frame at
     the largest precision asked for, and values derived from them (cached)."""
 
     def __init__(self, r: int, vectors, held: dict | None = None):
@@ -505,8 +509,8 @@ class SpaceBasis:
 
     kind is one of 'full M', 'full S', 'plus M', 'plus S'.  Each basis form
     is an exact coefficient vector over the generating monomials Theta^a
-    G^b, which is what makes exact cusp expansions and lazy high-precision
-    coefficients possible.  The forms' integer rows in every frame are held
+    G^b, integer numerators over one denominator, which is what makes exact
+    cusp expansions and lazy high-precision coefficients possible.  The forms' integer rows in every frame are held
     by one _FormRows, which space_basis shares between all the bases of one
     weight and kind; the forms as QExpansions to index prec are made from
     those rows when they are first read.
@@ -516,7 +520,7 @@ class SpaceBasis:
     kind: str
     sturm: int
     monomials: list[tuple[int, int]]
-    vectors: list[list[Fraction]]
+    vectors: list[tuple[list[int], int]]  # (numerators, denominator) per form
     prec: int  # the precision of forms
     _rows: _FormRows = field(repr=False, compare=False)
 
@@ -622,50 +626,45 @@ def _solve_space(k: Fraction, kind: str) -> _FormRows:
     """The subspace `kind` of M_k (see space_basis) from the monomials to the
     Sturm index: the kernel of the conditions, then its combinations
     echelonized by their q-expansions, which also gives the forms' frame-I
-    rows to the Sturm index.  The full space 'full M' has the identity
+    rows to the Sturm index, all on integer rows.  The full space 'full M' has the identity
     combinations, which are the monomials themselves, and no reduction."""
     monos = weight_monomials(k)
-    identity = [[Fraction(int(i == j)) for j in range(len(monos))] for i in range(len(monos))]
+    r, bmax = monos[0][0], monos[-1][1]  # Theta^r and G^bmax Theta^(r - 4 bmax)
+    identity = [[int(i == j) for j in range(len(monos))] for i in range(len(monos))]
     if kind == "full M":
-        return _FormRows(int(2 * k), identity)
+        return _FormRows(r, [(row, 1) for row in identity])
     st = sturm_index(k)
     rows = [row[: st + 1] for row, _ in _spaces.get((k, "full M"), 0)("I", st)]
-    sign = -1 if int(k - HALF) % 2 else 1
-    conditions: list[list] = []
+    sign = -1 if (r - 1) // 2 % 2 else 1  # (-1)^(k - 1/2)
+    conditions: list[list[int]] = []
     if kind in ("full S", "plus S"):
         conditions.append([row[0] for row in rows])
-        conditions.append([Fraction(1, 16**b) for (_, b) in monos])  # Fricke constant
+        conditions.append([16 ** (bmax - b) for (_, b) in monos])  # Fricke constant
     if kind in ("plus M", "plus S"):
         for n in range(1, st + 1):
             if (sign * n) % 4 in (2, 3):
                 conditions.append([row[n] for row in rows])
     kernel = rref_exact(conditions)[2] if conditions else identity
     vectors, held = _echelonize(kernel, rows, st)
-    return _FormRows(int(2 * k), vectors, {"I": (st, held)})
+    return _FormRows(r, vectors, {"I": (st, held)})
 
 
 def _echelonize(
-    kernel: list[list[Fraction]], rows: list[tuple[int, ...]], st: int
-) -> tuple[list[list[Fraction]], tuple]:
-    """Echelonize kernel combinations of the monomial rows by their
+    kernel: list[list[int]], rows: list[tuple[int, ...]], st: int
+) -> tuple[list[tuple[list[int], int]], tuple]:
+    """Echelonize integer kernel combinations of the monomial rows by their
     q-expansions up to the Sturm index: the vectors, and the rows of their
-    forms to there as (integer numerators, common denominator)."""
-    if not kernel:
-        return [], ()
+    forms to there, each as (integer numerators, lcm denominator)."""
     ncoe = st + 1
-    mat = []
-    for vec in kernel:
-        num, den = combine_int_rows(rows, vec, ncoe)
-        mat.append([Fraction(x, den) for x in num] + list(vec))
-    _, red, _ = rref_exact(mat)
+    mat = [combine_int_rows(rows, vec, ncoe)[0] + vec for vec in kernel]
     vectors, held = [], []
-    for row in red:
-        if all(v == 0 for v in row[:ncoe]):
+    for row in rref_exact(mat)[1]:
+        if not any(row[:ncoe]):
             continue  # dependent combination: zero form
-        vec = [Fraction(v) for v in row[ncoe:]]
-        den = math.lcm(*(v.denominator for v in vec))
-        vectors.append(vec)
-        held.append((tuple(int(c * den) for c in row[:ncoe]), den))
+        pivot = next(c for c in row if c)  # the row stands for row / pivot
+        g = math.gcd(pivot, *row[ncoe:])
+        vectors.append(([c // g for c in row[ncoe:]], pivot // g))
+        held.append((tuple(c // g for c in row[:ncoe]), pivot // g))
     return vectors, tuple(held)
 
 

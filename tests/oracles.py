@@ -10,10 +10,11 @@ common denominator), the frame generators written out coefficient by
 coefficient, 40-digit term-by-term series values (the library sums float64
 terms in blocks, shifted by the largest one), naive fraction Gaussian
 elimination and Gauss-Jordan reduction (the library back-substitutes on
-integer rows, one denominator per row), Salie sums by direct summation over
-the units mod 4c (in doubles and in 40-digit arithmetic; the library
-factors them into local sums with square roots mod prime powers), and a
-quadrature-based
+integer rows, one denominator per row), the Faddeev-LeVerrier charpoly in
+Fractions (the library divides integer traces exactly), Salie sums by
+direct summation over the units mod 4c (in doubles and in 40-digit
+arithmetic; the library factors them into local sums with square roots mod
+prime powers), and a quadrature-based
 completed-L-value with a different smoothing than the production
 incomplete-gamma sums, mpmath's incomplete gamma (the library sums the finite
 series of an integer order), the plus-space monomials one at a time by
@@ -291,7 +292,7 @@ def form_rows_reference(basis, i: int, frame: str, prec: int) -> tuple[list[int]
 
     r = int(2 * basis.weight)
     rows, coeffs = [], []
-    for (a, b), c in zip(basis.monomials, basis.vectors[i]):
+    for (a, b), c in zip(basis.monomials, rational_vector(basis.vectors[i])):
         if c == 0:
             continue
         series, den = _monomial_int(a, b, prec, frame)
@@ -308,6 +309,21 @@ def form_rows_reference(basis, i: int, frame: str, prec: int) -> tuple[list[int]
     return num, den
 
 
+def integer_row(row) -> list[int]:
+    """A row of rationals times the lcm of its denominators, as ints: the
+    input format of the library's exact linear algebra.  Scaling a row
+    changes none of rank, kernel or reduced form."""
+    den = math.lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * den) for x in row]
+
+
+def rational_vector(vector) -> list[Fraction]:
+    """A basis vector of a SpaceBasis, held as (integer numerators,
+    denominator), as Fractions."""
+    nums, den = vector
+    return [Fraction(c, den) for c in nums]
+
+
 def eigenform_coefficients_reference(f, n_max: int) -> list:
     """fhat(0..n_max) of a HalfIntegralForm: its vector over the monomials
     (sum_i c_i basis.vectors[i]), every monomial from the library's ladder,
@@ -316,7 +332,8 @@ def eigenform_coefficients_reference(f, n_max: int) -> list:
     from plusforms.arith import FieldElement
     from plusforms.qexp import _monomial_int
 
-    mono = [sum((c * v[j] for c, v in zip(f.vector, f.basis.vectors)), start=Fraction(0))
+    vectors = [rational_vector(v) for v in f.basis.vectors]
+    mono = [sum((c * v[j] for c, v in zip(f.vector, vectors)), start=Fraction(0))
             for j in range(len(f.basis.monomials))]
     number_field = next((v.field for v in mono if isinstance(v, FieldElement)), None)
     degree = 1 if number_field is None else number_field.degree
@@ -467,6 +484,38 @@ def gauss_jordan_reference(rows) -> list[list[Fraction]]:
 def naive_rank(rows) -> int:
     """Rank by plain fraction Gaussian elimination."""
     return len(gauss_jordan_reference(rows))
+
+
+def charpoly_reference(matrix: list[list[Fraction]]) -> list[Fraction]:
+    """Characteristic polynomial det(xI - M) via Faddeev-LeVerrier.
+
+    Returns coefficients [c_0, ..., c_n] with c_n = 1, exact rationals.
+    The library runs the same recursion on integer matrices with exact
+    integer division.
+    """
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] for row in matrix]
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    ident = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    mk = ident
+    for k in range(1, n + 1):
+        mk = _mat_mul(m, mk)
+        ck = -_trace(mk) / k
+        coeffs[n - k] = ck
+        if k < n:
+            mk = [[mk[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
+    return coeffs
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    p = len(b[0])
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(p)] for i in range(n)]
+
+
+def _trace(m):
+    return sum(m[i][i] for i in range(len(m)))
 
 
 def salie_unit_sum(c: int, n, m, k: Fraction):

@@ -14,7 +14,6 @@ from plusforms.arith import (
     kronecker_symbol,
     moebius,
     primes_up_to,
-    sigma1,
     sigma_table,
     sqrt_mod_prime_power,
     squarefree_part,
@@ -47,7 +46,6 @@ def test_kronecker_extensions():
 
 def test_divisor_functions():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert sigma1(9) == 13
     assert moebius(30) == -1 and moebius(12) == 0
     assert squarefree_part(72) == 2 and squarefree_part(-45) == -5
 

@@ -174,6 +174,17 @@ def test_kz_cmd_small():
     assert len(lines) == 4
 
 
+def test_kz_takes_negative_discriminants_after_a_space():
+    """At 19/2 the discriminants are negative: a comma list that starts with
+    a minus sign parses after a space as after '=', one row per D."""
+    args = ["kz", "--k", "19/2", "--primes", "20000"]
+    code, text = run_cli(args + ["--D", "-3,-4,-7,-8"])
+    assert code == 0
+    rows = text.splitlines()[2:]
+    assert [row.split(",")[1] for row in rows] == ["-3", "-4", "-7", "-8"]
+    assert run_cli(args + ["--D=-3,-4,-7,-8"]) == (0, text)
+
+
 def test_kz_rejects_discriminant_of_wrong_sign(capsys):
     """At 13/2 the identity holds for D > 0 only: D = -4 is a named failure,
     not a skipped row."""

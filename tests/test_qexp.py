@@ -15,10 +15,12 @@ from oracles import (
     form_rows_reference,
     g_v_reference,
     g_w_reference,
+    integer_row,
     monomial_int_reference,
     monomial_reference,
     qexp_mul_reference,
     qexp_sum_reference,
+    rational_vector,
     series_eval_reference,
 )
 from plusforms import intpoly, qexp
@@ -124,7 +126,7 @@ def test_rank_two_at_weight_two():
     from plusforms.linalg import rref_exact
 
     rows = [[f.coeff(n) for n in range(10)] for f in basis.forms]
-    rank, _, _ = rref_exact(rows)
+    rank, _, _ = rref_exact([integer_row(row) for row in rows])
     assert rank == 2
 
 
@@ -396,8 +398,9 @@ def test_monomial_ladder_matches_reference_multimodular(kstr):
 
 
 def _identity(r):
-    """The identity combinations of the weight-r/2 monomials."""
-    return [[Fraction(int(i == j)) for j in range(r // 4 + 1)] for i in range(r // 4 + 1)]
+    """The identity combinations of the weight-r/2 monomials, as (integer
+    numerators, denominator)."""
+    return [([int(i == j) for j in range(r // 4 + 1)], 1) for i in range(r // 4 + 1)]
 
 
 def _ladder_bit_bounds(r, prec, frame):
@@ -491,7 +494,7 @@ def test_frame_series_matches_fraction_oracle(kstr, kind):
         for prec in (basis.sturm, 200):
             for frame in FRAMES:
                 terms = []
-                for (a, b), c in zip(basis.monomials, basis.vectors[i]):
+                for (a, b), c in zip(basis.monomials, rational_vector(basis.vectors[i])):
                     if c != 0:
                         ref, ref_phase = _reference_monomial(a, b, prec, frame)
                         # V frame: the phase e^(i a pi/4) is +-e^(i r pi/4)
