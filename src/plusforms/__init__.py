@@ -13,25 +13,18 @@ from .numerics import (
     bessel_j_half,
     gamma_half,
     s_sum,
-    unit_power,
 )
 from .qexp import (
     QExpansion,
     SpaceBasis,
     cusp_plus_basis,
-    monomial_span,
     space_basis,
-    theta_series,
-    weight2_generator,
 )
 from .hecke import (
     HalfIntegralForm,
     IntegralForm,
     eigenbasis_plus,
     eigenforms_level1,
-    hecke_integral,
-    hecke_plus,
-    miller_basis,
     multiplicativity_check,
     verify_sqrcoeff,
 )
@@ -45,7 +38,6 @@ from .lfunctions import (
 )
 from .supnorm import (
     CountRecord,
-    CuspFrame,
     FormEvaluator,
     amplified_rhs,
     amplifier_build,

@@ -133,18 +133,11 @@ def squarefree_part(n: int) -> int:
     return sign * d
 
 
-def jacobi_symbol(a: int, n: int, extended: bool = False) -> int:
-    """Jacobi symbol (a|n) for odd positive n; Kronecker symbol if extended.
-
-    The extended (Kronecker) convention defines (a|2) = 0, 1, -1 for a even,
-    a = +-1 mod 8, a = +-3 mod 8, handles n <= 0 via (a|-1) = sign conventions,
-    and (a|0) = 1 iff a = +-1.
-    """
-    if not extended:
-        if n <= 0 or n % 2 == 0:
-            raise ValueError("jacobi_symbol needs odd positive n (use extended=True)")
-        return _jacobi_core(a, n)
-    return _kronecker(a, n)
+def jacobi_symbol(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd positive n."""
+    if n <= 0 or n % 2 == 0:
+        raise ValueError("jacobi_symbol needs odd positive n (kronecker_symbol takes any n)")
+    return _jacobi_core(a, n)
 
 
 def _jacobi_core(a: int, n: int) -> int:
@@ -162,7 +155,9 @@ def _jacobi_core(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def _kronecker(a: int, n: int) -> int:
+def kronecker_symbol(a: int, n: int) -> int:
+    """Kronecker symbol (a|n): (a|2) = 0, 1, -1 for a even, a = +-1 mod 8,
+    a = +-3 mod 8; (a|-1) = -1 for a < 0, else 1; (a|0) = 1 iff a = +-1."""
     if n == 0:
         return 1 if a in (1, -1) else 0
     sign = 1
@@ -180,10 +175,6 @@ def _kronecker(a: int, n: int) -> int:
         if e % 2 and abs(a) % 8 in (3, 5):
             sign = -sign
     return sign * _jacobi_core(a, n)
-
-
-def kronecker_symbol(a: int, n: int) -> int:
-    return jacobi_symbol(a, n, extended=True)
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -224,6 +215,17 @@ def half_integer(value) -> Fraction:
     if k.denominator > 2:
         raise ValueError(f"not a half-integer: {value!r}")
     return k
+
+
+def plus_sign(k) -> int:
+    """(-1)^(k-1/2), the parity of the Kohnen plus space at the half-integral
+    weight k."""
+    return -1 if int(half_integer(k) - Fraction(1, 2)) % 2 else 1
+
+
+def admissible(k, n: int) -> bool:
+    """n is an index of the plus space at weight k: (-1)^(k-1/2) n = 0, 1 mod 4."""
+    return plus_sign(k) * n % 4 in (0, 1)
 
 
 # ---------------------------------------------------------------------------

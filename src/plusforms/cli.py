@@ -17,7 +17,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .arith import fundamental_discriminants, half_integer
+from .arith import fundamental_discriminants, half_integer, plus_sign
 from .hecke import (
     dim_cusp_level1,
     eigenbasis_plus,
@@ -145,8 +145,7 @@ def cmd_eigen(args) -> int:
 def cmd_shimura_check(args) -> int:
     k = _parse_k(args.k)
     forms = eigenbasis_plus(k, prec=args.prec)
-    sign = 1 if int(k - Fraction(1, 2)) % 2 == 0 else -1
-    discs = fundamental_discriminants(args.D_max, sign)
+    discs = fundamental_discriminants(args.D_max, plus_sign(k))
     rows = []
     ok_all = True
     for i, f in enumerate(forms):
@@ -175,7 +174,7 @@ def cmd_kz(args) -> int:
             continue  # rational systems only on the command line
         F = f.shimura_partner
         F.coefficients_upto(max(4000, args.primes))
-        f.coefficients_upto(max(d_list) + 1)
+        f.coefficients_upto(max(abs(D) for D in d_list) + 1)
         norm_f = petersson_norm_f(f, "quadrature", prec=args.prec or 700)
         norm_F = petersson_norm_integral(F)
         s2 = sym2_at_1(F, prime_limit=args.primes)
@@ -321,11 +320,13 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k=True):
+    def common(p, k=True, tol=False):
+        """--out and --format; --k and --prec unless k is False; --tol if tol."""
         if k:
             p.add_argument("--k", required=True, help="half-integral weight, e.g. 13/2")
-        p.add_argument("--prec", type=int, default=None, help="coefficient precision override")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+            p.add_argument("--prec", type=int, default=None, help="coefficient precision override")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -344,7 +345,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_shimura_check)
 
     p = sub.add_parser("kz", help="coefficient-square vs central-value identity")
-    common(p)
+    common(p, tol=True)
     p.add_argument("--D", default="1,5", help="comma-separated fundamental discriminants")
     p.add_argument("--primes", type=int, default=100000, help="Euler product cutoff")
     p.set_defaults(func=cmd_kz)
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_counts)
 
     p = sub.add_parser("kernel-check", help="kernel: spectral vs group-sum sides")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=cmd_kernel_check)
 
     p = sub.add_parser("amplify", help="amplified pointwise inequality at the scan argmax")

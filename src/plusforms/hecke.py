@@ -47,20 +47,12 @@ from .arith import (
     is_squarefree_poly,
     kronecker_symbol,
     moebius,
+    plus_sign,
     real_roots,
 )
 from .linalg import charpoly_exact
 from .numerics import LogScaled, log_abs_fraction
-from .qexp import (
-    HALF,
-    PrecisionError,
-    QExpansion,
-    SpaceBasis,
-    _Prefixes,
-    combine_int_rows,
-    cusp_plus_basis,
-    from_int_series,
-)
+from .qexp import PrecisionError, SpaceBasis, _Prefixes, combine_int_rows, cusp_plus_basis
 
 # ---------------------------------------------------------------------------
 # Level-1 integral weight
@@ -152,29 +144,6 @@ def _miller_rows(w: int, prec: int) -> tuple[tuple[int, ...], ...]:
 _miller = _Prefixes(_miller_rows)
 
 
-def miller_basis(w: int, prec: int) -> list[QExpansion]:
-    """Echelon basis of S_w(SL(2,Z)) with integer coefficients, leading q^i."""
-    if dim_cusp_level1(w) == 0:
-        return []
-    return [from_int_series(Fraction(w), row, prec) for row in _miller.get(w, prec)]
-
-
-def hecke_integral(F: QExpansion, w: int, p: int) -> QExpansion:
-    """Classical T(p) on level 1: a(n) -> a(pn) + p^(w-1) a(n/p)."""
-    out_prec = F.prec // p
-    if out_prec < 1 and not F.is_zero():
-        raise PrecisionError(f"T({p}) needs input precision >= {p}")
-    coeffs: dict[int, Fraction] = {}
-    pw = Fraction(p) ** (w - 1)
-    for n in range(0, out_prec + 1):
-        v = F.coeff(p * n)
-        if n % p == 0:
-            v = v + pw * F.coeff(n // p)
-        if v != 0:
-            coeffs[n] = v
-    return QExpansion(F.weight, F.width, F.param, out_prec, coeffs)
-
-
 class _RowForm:
     """An eigenform sum_j vector[j] * (basis row j), held as one integer row
     per power-basis coordinate of its scalars, combined from the basis rows
@@ -257,9 +226,6 @@ class IntegralForm(_RowForm):
 
     def eigenvalue(self, p: int):
         return self.coeff(p)
-
-    def deligne_ok(self, p: int, tol: float = 1e-12) -> bool:
-        return abs(float(self.coeff(p))) <= 2.0 * p ** ((self.weight - 1) / 2.0) * (1 + tol)
 
 
 def eigenforms_level1(w: int, prec: int) -> list[IntegralForm]:
@@ -354,7 +320,7 @@ def _t_p2(k, p: int):
     if p < 3 or factorize(p) != ((p, 1),) or k < Fraction(3, 2):
         raise ValueError(f"plus-space T(p^2) needs an odd prime p and k >= 3/2,"
                          f" got p={p!r}, k={k}")
-    sign = -1 if int(k - HALF) % 2 else 1
+    sign = plus_sign(k)
     mid, top, pp = p ** int(k - Fraction(3, 2)), p ** int(2 * k - 2), p * p
 
     def image(row, n: int) -> int:
@@ -367,25 +333,6 @@ def _t_p2(k, p: int):
         return v
 
     return image
-
-
-def hecke_plus(f: QExpansion, k, p: int) -> QExpansion:
-    """Kohnen plus-space T(p^2), p odd prime, at the coefficient level:
-
-    a(n) -> a(p^2 n) + ((-1)^(k-1/2) n | p) p^(k-3/2) a(n) + p^(2k-2) a(n/p^2),
-
-    computed by _t_p2 on the numerators of f over their common denominator.
-    """
-    image = _t_p2(k, p)
-    out_prec = f.prec // (p * p)
-    if out_prec < 1 and not f.is_zero():
-        raise PrecisionError(f"T({p}^2) needs input precision >= {p * p}")
-    den = math.lcm(*(c.denominator for c in f.coeffs.values()))
-    row = [0] * (f.prec + 1)
-    for m, c in f.coeffs.items():
-        row[m] = c.numerator * (den // c.denominator)
-    return from_int_series(f.weight, [image(row, n) for n in range(out_prec + 1)], out_prec,
-                           den, f.width, f.param)
 
 
 def hecke_matrix_plus(basis: SpaceBasis, p: int) -> tuple[list[list[int]], int]:
@@ -509,7 +456,7 @@ class Coefficients(Sequence):
 PAIRING_PRIMES = (3, 5, 7, 11, 13)
 
 
-def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfIntegralForm]:
+def eigenbasis_plus(k, prec: int | None = None) -> list[HalfIntegralForm]:
     """Simultaneous T(p^2) eigenbasis of S_k^+, paired with level-1 partners;
     the basis rows are built to prec if given.
 
@@ -533,11 +480,10 @@ def eigenbasis_plus(k, prec: int | None = None, pair: bool = True) -> list[HalfI
         f = HalfIntegralForm(k=k, basis=basis, vector=vec, charpoly=cp)
         f.eigen_table[3] = lam
         forms.append(f)
-    if pair:
-        basis.int_rows("I", PAIRING_PRIMES[-1] ** 2 * max(f._lead_index() for f in forms))
-        partners = eigenforms_level1(w, prec=64)
-        for f in forms:
-            f.shimura_partner = _match_partner(f, partners)
+    basis.int_rows("I", PAIRING_PRIMES[-1] ** 2 * max(f._lead_index() for f in forms))
+    partners = eigenforms_level1(w, prec=64)
+    for f in forms:
+        f.shimura_partner = _match_partner(f, partners)
     return forms
 
 
@@ -579,10 +525,9 @@ def verify_sqrcoeff(f: HalfIntegralForm, D: int, n_max: int) -> dict:
     Returns {'ok': bool, 'first_failure': n or None, 'checked': count}.
     """
     k = f.k
-    sign = f.basis.sign_unit()
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
-    if sign * D <= 0:
+    if plus_sign(k) * D <= 0:
         raise ValueError("discriminant sign must satisfy (-1)^(k-1/2) D > 0")
     F = f.shimura_partner
     if F is None:

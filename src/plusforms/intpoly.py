@@ -575,7 +575,10 @@ def theta_int(prec: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def sigma_odd_int(prec: int) -> tuple[int, ...]:
-    """sum over odd n >= 1 of sigma1(n) q^n, the weight-2 generator."""
+    """G = sum over odd n >= 1 of sigma1(n) q^n, the weight-2 generator of
+    M_*(Gamma_0(4)) beside Theta.  It equals (-E_2(z) + 3 E_2(2z) - 2 E_2(4z))/24;
+    its holomorphy at the cusps is explicit from its Fricke and V-frame
+    series (qexp._g16_frame_w, qexp._g16_frame_v)."""
     return tuple(s if n % 2 else 0 for n, s in enumerate(sigma_table(1, prec)))
 
 

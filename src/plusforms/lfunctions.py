@@ -25,19 +25,15 @@ FormEvaluator.eval_frame_complex for the Gram matrix).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 
 import numpy as np
 
-from .arith import half_integer, is_fundamental_discriminant, kronecker_symbol, primes_up_to
+from .arith import is_fundamental_discriminant, kronecker_symbol, plus_sign, primes_up_to
 from .numerics import CertifiedValue, LogScaled, log_abs_fraction, logsumexp
 from .qexp import QExpansion
 from .salie import spectral_average
 from .supnorm import FormEvaluator
-
-SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +198,6 @@ def sym2_at_1(F, prime_limit: int = 10**5) -> CertifiedValue:
     return CertifiedValue(value, value.logm + math.log(tail))
 
 
-def alpha_recovery(F, p: int) -> tuple[complex, complex]:
-    """alpha_p, conj(alpha_p) with sum Fhat(p) and product p^(w-1)."""
-    ap = float(F.coeff(p))
-    disc = ap * ap - 4.0 * p ** (F.weight - 1)
-    s = complex(disc) ** 0.5
-    return (ap + s) / 2.0, (ap - s) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # Petersson norms
 # ---------------------------------------------------------------------------
@@ -350,7 +338,7 @@ def petersson_norm_f(form, method: str = "quadrature", prec: int = 700) -> Certi
 
 
 # ---------------------------------------------------------------------------
-# The coefficient-to-central-value identity and reports
+# The coefficient-to-central-value identity
 # ---------------------------------------------------------------------------
 
 
@@ -371,7 +359,7 @@ def kohnen_zagier_check(f, F, D: int, norm_f: CertifiedValue,
     Returns {'skipped': True} when fhat(|D|) = 0; raises ValueError unless
     (-1)^(k-1/2) D > 0, the sign for which the identity holds.
     """
-    if f.basis.sign_unit() * D <= 0:
+    if plus_sign(f.k) * D <= 0:
         raise ValueError("discriminant sign must satisfy (-1)^(k-1/2) D > 0")
     k = float(f.k)
     c = f.coeff(abs(D))
@@ -394,100 +382,3 @@ def kohnen_zagier_check(f, F, D: int, norm_f: CertifiedValue,
         "rhs_log": rhs_log,
         "discrepancy": abs(lhs_log - rhs_log),
     }
-
-
-def coefficient_bound_report(f, alpha_beta=(1.0 / 3.0, 1.0 / 3.0),
-                             d_limit: int = 200) -> dict:
-    """Observed growth of |fhat(|D|)| against the reference envelope
-
-        (4 pi)^(k/2) / Gamma(k)^(1/2) * |D|^((k-1)/2),
-
-    fitted over fundamental |D| <= d_limit; observational only."""
-    k = float(f.k)
-    sign = f.basis.sign_unit()
-    f.coefficients_upto(d_limit)
-    base_log = 0.5 * (k * math.log(4.0 * math.pi) - math.lgamma(k))
-    xs, ys = [], []
-    for m in range(1, d_limit + 1):
-        D = sign * m
-        if not is_fundamental_discriminant(D):
-            continue
-        c = f.coeff(m)
-        if float(c) == 0.0:
-            continue
-        ratio_log = log_abs_fraction(c) - base_log - (k - 1.0) / 2.0 * math.log(m)
-        xs.append(math.log(m))
-        ys.append(2.0 * ratio_log)  # squared-envelope exponent
-    slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
-    alpha, beta = alpha_beta
-    return {
-        "beta_observed": float(slope),
-        "beta_reference": beta,
-        "intercept": float(intercept),
-        "points": len(xs),
-    }
-
-
-def coefficient_growth_k_sweep(k_list, m: int = 1, prec: int = 700) -> dict:
-    """Observed growth in k of |fhat(m)| Gamma(k)^(1/2) / (4 pi)^(k/2) for
-    L2-normalised eigenforms, at a fixed index m; observational."""
-    from .hecke import dim_cusp_level1, eigenbasis_plus
-
-    xs, ys = [], []
-    for k in k_list:
-        k = half_integer(k)
-        kf = float(k)
-        if dim_cusp_level1(int(2 * k - 1)) == 0:
-            continue
-        for f in eigenbasis_plus(k, prec=prec):
-            if not f.basis.admissible(m) or float(f.coeff(m)) == 0.0:
-                continue
-            nf = petersson_norm_f(f, "quadrature", prec=prec)
-            ratio_log = (
-                log_abs_fraction(f.coeff(m))
-                - 0.5 * nf.value.logm
-                + 0.5 * math.lgamma(kf)
-                - 0.5 * kf * math.log(4.0 * math.pi)
-                - (kf - 1.0) / 2.0 * math.log(m)
-            )
-            xs.append(math.log(kf))
-            ys.append(2.0 * ratio_log)
-    if len(xs) < 2:
-        return {"alpha_observed": float("nan"), "points": len(xs)}
-    slope = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
-    return {"alpha_observed": slope, "points": len(xs)}
-
-
-def lower_bound_rhs(F, D: int, k, l_value: CertifiedValue | None = None) -> LogScaled:
-    """k^(1/4) L(F,(D|.),1/2)^(1/2) |D|^(-1/2), log-scaled."""
-    kf = float(half_integer(k))
-    lv = l_value if l_value is not None else central_value(F, D)
-    if lv.value.sign <= 0:
-        return LogScaled.zero()
-    return LogScaled.exp_of(
-        0.25 * math.log(kf) + 0.5 * lv.value.logm - 0.5 * math.log(abs(D))
-    )
-
-
-def results_table_csv(rows: list[dict]) -> str:
-    """CSV with the columns k, D, L_central, L_err, sym2, norm_F, norm_f,
-    kz_discrepancy (comma separated, '.' decimal, header always present)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["k", "D", "L_central", "L_err", "sym2", "norm_F", "norm_f", "kz_discrepancy"]
-    )
-    for r in rows:
-        writer.writerow(
-            [
-                r["k"],
-                r["D"],
-                repr(r["L_central"]),
-                repr(r["L_err"]),
-                repr(r["sym2"]),
-                repr(r["norm_F"]),
-                repr(r["norm_f"]),
-                repr(r["kz_discrepancy"]),
-            ]
-        )
-    return buf.getvalue()

@@ -2,9 +2,8 @@
 
 Log-domain scalars (sign + log magnitude), certified values carrying a
 truncation-error bound, half-integer order Bessel J by closed forms and
-normalized downward recurrence, half-integer Gamma, the exponential sum
-S(alpha, beta, kappa) = sum_{m+kappa>0} (m+kappa)^alpha e^(-beta(m+kappa)),
-and branch-fixed unit powers (+-1)^k.
+normalized downward recurrence, half-integer Gamma, and the exponential sum
+S(alpha, beta, kappa) = sum_{m+kappa>0} (m+kappa)^alpha e^(-beta(m+kappa)).
 """
 
 from __future__ import annotations
@@ -14,19 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import half_integer
-from .arith import jacobi_symbol  # re-exported: part of this module's surface
-
-__all__ = [
-    "LogScaled",
-    "CertifiedValue",
-    "bessel_j_half",
-    "gamma_half",
-    "s_sum",
-    "check_bessel_smallarg",
-    "unit_power",
-    "jacobi_symbol",
-    "log_abs_fraction",
-]
 
 NEG_INF = float("-inf")
 LN2 = math.log(2.0)
@@ -172,14 +158,6 @@ class LogScaled:
         if self.sign == 0:
             return "LogScaled(0)"
         return f"LogScaled({'+' if self.sign > 0 else '-'}exp({self.logm:.6g}))"
-
-    @staticmethod
-    def sum(items: list["LogScaled"]) -> "LogScaled":
-        pos = [v.logm for v in items if v.sign > 0]
-        neg = [v.logm for v in items if v.sign < 0]
-        p = LogScaled(1, logsumexp(pos)) if pos else LogScaled.zero()
-        n = LogScaled(1, logsumexp(neg)) if neg else LogScaled.zero()
-        return p - n
 
 
 @dataclass(frozen=True)
@@ -340,38 +318,6 @@ def _miller_downward(n: int, x: float) -> LogScaled:
     return LogScaled(sign, logm)
 
 
-def check_bessel_smallarg(rho_grid, x_grid, constant: float = 2.0) -> dict:
-    """Max of |J_rho(x)| * Gamma(rho+1) / (x/2)^rho over a grid with rho >= 2x^2.
-
-    Every grid point must satisfy the precondition; the report asserts the
-    ratio stays below `constant` and records the maximum.
-    """
-    worst = NEG_INF
-    worst_at = None
-    checked = 0
-    for rho in rho_grid:
-        rr = float(rho)
-        for x in x_grid:
-            if rr < 2.0 * x * x:
-                raise ValueError(f"grid point rho={rr}, x={x} violates rho >= 2x^2")
-            j = bessel_j_half(rho, x)
-            if j.value.sign == 0:
-                continue
-            log_ratio = j.value.logm + math.lgamma(rr + 1.0) - rr * math.log(x / 2.0)
-            checked += 1
-            if log_ratio > worst:
-                worst = log_ratio
-                worst_at = (rr, x)
-    max_ratio = math.exp(worst) if worst > NEG_INF else 0.0
-    return {
-        "max_ratio": max_ratio,
-        "at": worst_at,
-        "points": checked,
-        "bound": constant,
-        "ok": max_ratio <= constant,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Gamma at half-integers
 # ---------------------------------------------------------------------------
@@ -451,18 +397,3 @@ def s_sum_upper_bound_log(alpha: float, beta: float) -> float:
     a = (-alpha - 1) * math.log(beta) + math.lgamma(alpha + 1.0)
     b = -alpha * math.log(beta) + alpha * math.log(alpha) - alpha
     return logsumexp([a, b])
-
-
-# ---------------------------------------------------------------------------
-# Branch-fixed powers of units
-# ---------------------------------------------------------------------------
-
-
-def unit_power(s: int, k) -> complex:
-    """(+-1)^k on the principal branch: arg(-1) = +pi, so (-1)^k = e^(i pi k)."""
-    if s == 1:
-        return 1.0 + 0.0j
-    if s == -1:
-        kf = float(half_integer(k)) if not isinstance(k, float) else k
-        return complex(math.cos(math.pi * kf), math.sin(math.pi * kf))
-    raise ValueError("unit_power expects s in {-1, +1}")

@@ -56,7 +56,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import intpoly
-from .arith import half_integer, sigma_table
+from .arith import admissible, half_integer, sigma_table
 from .linalg import rref_exact
 from .numerics import NEG_INF, log_abs_fraction
 
@@ -97,9 +97,6 @@ class QExpansion:
         if m > self.prec:
             raise PrecisionError(f"coefficient {m} beyond stored precision {self.prec}")
         return self.coeffs.get(m, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.coeffs.values())
 
     # -- evaluation ---------------------------------------------------------
 
@@ -154,27 +151,6 @@ class QExpansion:
                     log_scale[pts[lo:lo + _EVAL_BLOCK]] = m0[r, 0]
         return reduced.reshape(zs.shape), log_scale.reshape(zs.shape)
 
-    def tail_log(self, y: float, growth: float) -> float:
-        """log bound on the dropped tail, assuming |a(m)| <= C (m+1)^growth.
-
-        C is fitted from the stored coefficients; the tail past the stored
-        precision is summed by the geometric bound.
-        """
-        if not self.coeffs:
-            return NEG_INF
-        c_log = max(
-            log_abs_fraction(v) - growth * math.log(m + 1)
-            for m, v in self.coeffs.items()
-            if v != 0
-        )
-        rate = 2.0 * math.pi * y / self.width
-        m1 = self.prec + 1
-        first = c_log + growth * math.log(m1 + 1) - rate * (m1 + float(self.param))
-        ratio = growth * math.log1p(1.0 / (m1 + 1)) - rate
-        if ratio >= -1e-9:
-            return math.inf
-        return first - math.log(-math.expm1(ratio))
-
 
 def _distinct(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values of v and the index of each entry among them."""
@@ -210,10 +186,6 @@ def _tiles(flat: np.ndarray):
         yield pts, ys[uy], ry, xs[ux], rx
 
 
-def zero_expansion(weight, prec: int, width: int = 1, param=Fraction(0)) -> QExpansion:
-    return QExpansion(Fraction(weight), width, Fraction(param), prec, {})
-
-
 def from_int_series(weight, series, prec: int, den: int = 1, width: int = 1,
                     param=Fraction(0)) -> QExpansion:
     coeffs = {
@@ -246,29 +218,6 @@ def combine_int_rows(rows, coeffs, n: int) -> tuple[list[int], int]:
 # Generators and their cusp expansions
 # ---------------------------------------------------------------------------
 
-HALF = Fraction(1, 2)
-# Theta|V = V_PHASE * 2 q^(1/4) sum_{t >= 0} q^(t(t+1)), V_PHASE = e^(i pi/4)
-_V_PHASE = complex(math.cos(math.pi / 4), math.sin(math.pi / 4))
-
-
-def theta_series(prec: int) -> QExpansion:
-    """Theta(z) = sum_{n in Z} e(n^2 z): weight 1/2, width 1, parameter 0."""
-    if prec < 0:
-        raise ValueError("precision must be >= 0")
-    return from_int_series(HALF, list(intpoly.theta_int(prec)), prec)
-
-
-def weight2_generator(prec: int) -> QExpansion:
-    """G(z) = sum_{n >= 1 odd} sigma_1(n) q^n, weight 2 on Gamma_0(4).
-
-    Equals (-E_2(z) + 3E_2(2z) - 2E_2(4z))/24; holomorphy at the cusps is
-    explicit from the frame expansions below.  Verified numerically against
-    the weight-2 transformation law in the test suite.
-    """
-    if prec < 1:
-        raise ValueError("precision must be >= 1")
-    return from_int_series(Fraction(2), list(intpoly.sigma_odd_int(prec)), prec)
-
 
 def _g16_frame_w(prec: int) -> list[int]:
     """16 G|W = Theta^4 - 16 G = Theta(-q)^4: (-1)^n r_4(n) at q^n, with
@@ -298,20 +247,6 @@ def _theta_v_core(prec: int) -> list[int]:
     return out
 
 
-def weight2_generator_frame_w(prec: int) -> QExpansion:
-    """G under the Fricke frame: Theta^4/16 - G, exact."""
-    return from_int_series(Fraction(2), _g16_frame_w(prec), prec, den=16)
-
-
-def weight2_generator_frame_v(prec: int) -> QExpansion:
-    """G under the V-frame: (E_2(z) - 3E_2(2z) + E_2(z + 1/2)/2) / 24, exact.
-
-    Coefficients: -1/16 at q^0; -sigma(n)/2 for odd n; 3 sigma(n/2) - 3
-    sigma(n)/2 for even n.
-    """
-    return from_int_series(Fraction(2), _g16_frame_v(prec), prec, den=16)
-
-
 # ---------------------------------------------------------------------------
 # Monomial spans and cusp/plus bases
 # ---------------------------------------------------------------------------
@@ -335,23 +270,6 @@ def weight_monomials(k) -> list[tuple[int, int]]:
         out.append((a, b))
         b += 1
     return out
-
-
-def _monomial_int(a: int, b: int, prec: int, frame: str) -> tuple[tuple[int, ...], int]:
-    """Theta^a G^b in frame 'I', 'W4' or 'V4' to index prec, as (integer
-    numerators, common denominator).
-
-    The monomial is read from the rows of the full space M_k held in
-    _spaces (the identity combinations of its weight), possibly to a higher
-    precision.  In the V frame index m stands for the exponent
-    m + (a mod 4)/4: the factor q^(a/4) of (Theta|V)^a moves floor(a/4) into
-    the index, and the phase sign (-1)^b that those rows carry (see
-    _combination_map) is undone, leaving the phase e(a/8).
-    """
-    series, den = _spaces.get((Fraction(a + 4 * b, 2), "full M"), 0)(frame, prec)[b]
-    if frame == "V4" and b % 2:
-        return tuple(-c for c in series[: prec + 1]), den
-    return series[: prec + 1], den
 
 
 class _Prefixes:
@@ -494,15 +412,6 @@ class _FormRows(_Prefixes):
         return self._values[name]
 
 
-def monomial_expansion(a: int, b: int, prec: int, frame: str = "I") -> tuple[QExpansion, complex]:
-    """Exact expansion of Theta^a G^b in the given frame, with its unit phase."""
-    series, den = _monomial_int(a, b, prec, frame)
-    weight = Fraction(a, 2) + 2 * b
-    if frame == "V4":
-        return from_int_series(weight, series, prec, den, param=Fraction(a % 4, 4)), _V_PHASE**a
-    return from_int_series(weight, series, prec, den), complex(1.0)
-
-
 @dataclass
 class SpaceBasis:
     """Exact basis of a space of forms at one weight.
@@ -541,14 +450,6 @@ class SpaceBasis:
         return self.cached("pivots", lambda: tuple(
             next(m for m, c in enumerate(row) if c) for row, _ in self.int_rows("I", self.sturm)))
 
-    def sign_unit(self) -> int:
-        """(-1)^(k - 1/2): the plus-space parity of this weight."""
-        return -1 if int(self.weight - HALF) % 2 else 1
-
-    def admissible(self, n: int) -> bool:
-        """n is an allowed plus-space index: (-1)^(k-1/2) n = 0, 1 mod 4."""
-        return (self.sign_unit() * n) % 4 in (0, 1)
-
     def int_rows(self, frame: str, prec: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         """(integer numerators, common denominator) of each basis form in
         frame 'I', 'W4' or 'V4', to index prec or beyond; built to prec if
@@ -584,11 +485,6 @@ class SpaceBasis:
             ],
         }
         return json.dumps(payload, indent=1)
-
-
-def monomial_span(k, prec: int) -> SpaceBasis:
-    """Span of the weight-k monomials: the full space M_k(Gamma_0(4))."""
-    return _held_basis(half_integer(k), "full M", prec)
 
 
 def space_basis(k, prec: int, kind: str) -> SpaceBasis:
@@ -635,14 +531,13 @@ def _solve_space(k: Fraction, kind: str) -> _FormRows:
         return _FormRows(r, [(row, 1) for row in identity])
     st = sturm_index(k)
     rows = [row[: st + 1] for row, _ in _spaces.get((k, "full M"), 0)("I", st)]
-    sign = -1 if (r - 1) // 2 % 2 else 1  # (-1)^(k - 1/2)
     conditions: list[list[int]] = []
     if kind in ("full S", "plus S"):
         conditions.append([row[0] for row in rows])
         conditions.append([16 ** (bmax - b) for (_, b) in monos])  # Fricke constant
     if kind in ("plus M", "plus S"):
         for n in range(1, st + 1):
-            if (sign * n) % 4 in (2, 3):
+            if not admissible(k, n):
                 conditions.append([row[n] for row in rows])
     kernel = rref_exact(conditions)[2] if conditions else identity
     vectors, held = _echelonize(kernel, rows, st)

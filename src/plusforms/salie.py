@@ -26,7 +26,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, half_integer, jacobi_symbol, sqrt_mod_prime_power
+from .arith import (
+    admissible,
+    factorize,
+    half_integer,
+    jacobi_symbol,
+    plus_sign,
+    sqrt_mod_prime_power,
+)
 from .numerics import (
     NEG_INF,
     CertifiedValue,
@@ -37,15 +44,6 @@ from .numerics import (
 )
 
 HALF = Fraction(1, 2)
-
-
-def _sign_unit(k: Fraction) -> int:
-    return -1 if int(k - HALF) % 2 else 1
-
-
-def admissible(k, n: int) -> bool:
-    """(-1)^(k-1/2) n = 0, 1 mod 4."""
-    return (_sign_unit(half_integer(k)) * n) % 4 in (0, 1)
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,7 @@ def salie_h(p: SalieParams) -> complex:
     factor and any odd factor with p | A B are summed over their local units
     in exact cyclotomic integers.  A vanishing local factor, hence H_c, is an exact 0.
     """
-    c, n, m, sgn = p.c, p.n, p.m, _sign_unit(half_integer(p.k))
+    c, n, m, sgn = p.c, p.n, p.m, plus_sign(p.k)
     s = (c & -c).bit_length() - 1
     r = c >> s
     q2 = 4 << s

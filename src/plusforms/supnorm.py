@@ -24,36 +24,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import half_integer, divisors, primes_up_to
+from .arith import admissible, divisors, half_integer, plus_sign, primes_up_to
 from .numerics import LogScaled
-from .qexp import HALF, PrecisionError, QExpansion, SpaceBasis
+from .qexp import PrecisionError, QExpansion, SpaceBasis
 from .salie import spectral_average, bessel_correction_factor
 
 SQRT3_OVER_8 = math.sqrt(3.0) / 8.0
 
 FRAME_LABELS = ("I", "W4", "V4")
-
-
-@dataclass(frozen=True)
-class CuspFrame:
-    """One of the three evaluation frames, with the target cusp's data."""
-
-    label: str
-    cusp: str
-    width: int
-    parameter: Fraction
-
-    @staticmethod
-    def for_weight(label: str, k) -> "CuspFrame":
-        k = half_integer(k)
-        sign = -1 if int(k - HALF) % 2 else 1
-        if label == "I":
-            return CuspFrame("I", "infinity", 1, Fraction(0))
-        if label == "W4":
-            return CuspFrame("W4", "0", 4, Fraction(0))
-        if label == "V4":
-            return CuspFrame("V4", "1/2", 1, Fraction(1, 2) - Fraction(sign, 4))
-        raise ValueError(f"unknown frame {label!r}")
 
 
 @dataclass
@@ -77,23 +55,20 @@ def plus_form_precision(k) -> int:
     there (the Fricke frame keeps prec // 4 terms, the V frame
     (prec - a0) // 4)."""
     k = half_integer(k)
-    a0 = 3 if int(k - HALF) % 2 else 1
-    return max(900, 4 * _guard_index(k, 1, SQRT3_OVER_8) + a0)
+    return max(900, 4 * _guard_index(k, 1, SQRT3_OVER_8) + 2 - plus_sign(k))
 
 
 @dataclass
 class FormEvaluator:
     """Evaluates y^(k/2) |(f|ki)(z)| in each frame, overflow-safe.
 
-    log_norm shifts every value (use -log sqrt<f,f> for an L2-normalised
-    form).  Truncation is guarded: at points of least height y, evaluation
-    sums exactly the terms up to index 3x the peak index k*width/(4 pi y)
-    plus 40 sqrt(k), and eval_frame demands that many be stored.
+    Truncation is guarded: at points of least height y, evaluation sums
+    exactly the terms up to index 3x the peak index k*width/(4 pi y) plus
+    40 sqrt(k), and eval_frame demands that many be stored.
     """
 
     k: Fraction
     frames: dict[str, FrameSeries]
-    log_norm: float = 0.0
 
     @staticmethod
     def from_plus_form(form, prec: int = 677) -> "FormEvaluator":
@@ -106,7 +81,7 @@ class FormEvaluator:
         k = form.k
         coeffs = form.coefficients_upto(prec)
         log_half_pow = (0.5 - float(k)) * math.log(2.0)
-        a0 = 1 if form.basis.sign_unit() == 1 else 3
+        a0 = 2 - plus_sign(k)  # m = (-1)^(k-1/2) mod 4 is 1 or 3
         w_prec, v_prec = prec // 4, (prec - a0) // 4
         series = {
             "I": QExpansion(k, 1, Fraction(0), prec, {n: c for n, c in enumerate(coeffs) if c}),
@@ -151,7 +126,7 @@ class FormEvaluator:
         y = np.imag(z)
         reduced, m0 = self._eval_guarded(label, z, check)
         r = np.hypot(reduced.real, reduced.imag)
-        shift = 0.5 * float(self.k) * np.log(y) + fs.log_scale + self.log_norm
+        shift = 0.5 * float(self.k) * np.log(y) + fs.log_scale
         with np.errstate(divide="ignore"):
             logm = m0 + np.log(r) + shift
         sign = np.where(r > 0.0, 1, 0)
@@ -164,7 +139,7 @@ class FormEvaluator:
         of the shape of z for an array of points."""
         fs = self.frames[label]
         reduced, logf = self._eval_guarded(label, z, check=False)
-        return reduced * np.exp(logf + fs.log_scale + self.log_norm)
+        return reduced * np.exp(logf + fs.log_scale)
 
     # -- evaluation anywhere on the upper half plane -------------------------
 
@@ -183,18 +158,6 @@ class FormEvaluator:
             return self.eval_frame("V4", w)
         j = (d * pow(c, -1, 4)) % 4
         return self.eval_frame("W4", (w + j) / 4.0)
-
-
-def eval_at_cusp(form, frame: str | CuspFrame, z: complex, prec: int = 677) -> LogScaled:
-    """y^(k/2) |(f|ki)(z)| for a plus-space eigenform in the given frame,
-    from its coefficients to index prec (FormEvaluator.from_plus_form).
-
-    Convenience wrapper over FormEvaluator for one-off evaluations; build the
-    evaluator directly when evaluating many points.
-    """
-    label = frame.label if isinstance(frame, CuspFrame) else frame
-    ev = FormEvaluator.from_plus_form(form, prec)
-    return ev.eval_frame(label, z)
 
 
 def sl2_reduce(z: complex) -> tuple[tuple[int, int, int, int], complex]:
@@ -309,14 +272,6 @@ def apply_matrix(mat, z: complex) -> complex:
     return (a * z + b) / (c * z + d)
 
 
-def d_gamma(mat, l: int, z: complex) -> float:
-    """d_gamma(z) = |gamma z - conj(z)| |j(gamma, z)| / (2 y sqrt(l))."""
-    a, b, c, d = mat
-    j = c * z + d
-    gz = (a * z + b) / j
-    return abs(gz - z.conjugate()) * abs(j) / (2.0 * z.imag * math.sqrt(l))
-
-
 def _u_exact(mat, l: int, zq: tuple[Fraction, Fraction], wq: tuple[Fraction, Fraction]) -> Fraction:
     """u(gamma z, w) exactly, for rational z, w (borderline membership)."""
     a, b, c, d = (Fraction(t) for t in mat)
@@ -333,34 +288,27 @@ def _float_to_fraction(x: float) -> Fraction:
     return Fraction(x).limit_denominator(10**12)
 
 
-def enumerate_gl(l: int, z: complex, delta: float, w: complex | None = None,
-                 modc: int = 4) -> list[tuple[int, int, int, int]]:
+def enumerate_gl(l: int, z: complex, delta: float,
+                 w: complex | None = None) -> list[tuple[int, int, int, int]]:
     """All gamma in G_l(4) with u(gamma z, w) <= delta (w defaults to z), as
     sorted (a, b, c, d) tuples; see gl_arrays for the enumeration."""
-    mats, _u = gl_arrays(l, z, delta, w=w, modc=modc)
+    mats, _u = gl_arrays(l, z, delta, w=w)
     return sorted(map(tuple, mats.tolist()))
-
-
-def iter_gl(l: int, z: complex, delta: float, w: complex | None = None, modc: int = 4):
-    """Generator over the rows of gl_arrays, yielding (matrix tuple, u) in its order."""
-    mats, us = gl_arrays(l, z, delta, w=w, modc=modc)
-    for mat, u in zip(mats.tolist(), us.tolist()):
-        yield tuple(mat), u
 
 
 # candidate (a, d) pairs per block of gl_arrays: bounds its int64 work arrays
 _LATTICE_BLOCK = 1 << 14
 
 
-def gl_arrays(l: int, z: complex, delta: float, w: complex | None = None,
-              modc: int = 4) -> tuple[np.ndarray, np.ndarray]:
+def gl_arrays(l: int, z: complex, delta: float,
+              w: complex | None = None) -> tuple[np.ndarray, np.ndarray]:
     """All gamma in G_l(4) with u(gamma z, w) <= delta (w defaults to z), as an
     (n, 4) int64 array of rows (a, b, c, d) and the float u of each row.
 
     The c = 0 layer comes first: a d = l over the divisors d of l, ascending,
-    sign + then -, each with b ascending in its window.  Then c = modc, -modc,
-    2 modc, -2 modc, ... up to the bound that u <= delta puts on |c|; for each
-    c, every d in the window of |c z + d|^2 is taken, with the a in the window
+    sign + then -, each with b ascending in its window.  Then c = 4, -4, 8,
+    -8, ... up to the bound that u <= delta puts on |c|; for each c, every d
+    in the window of |c z + d|^2 is taken, with the a in the window
     of the imaginary part of a z + b - (c z + d) conj(w) for which c divides
     a d - l.  Those a step through one class mod c / gcd(c, d), whose least
     member depends only on d mod c and comes from a per-c table
@@ -428,7 +376,7 @@ def gl_arrays(l: int, z: complex, delta: float, w: complex | None = None,
             b = np.arange(blo, bhi + 1, dtype=np.int64)
             take(np.full_like(b, a), b, np.zeros_like(b), np.full_like(b, d))
 
-    for c in range(modc, math.floor(c_bound + 1e-9) + 1, modc):
+    for c in range(4, math.floor(c_bound + 1e-9) + 1, 4):
         # |c z + d|^2 in [l yz/(yw r_max), l yz r_max / yw]
         hi2 = l * yz * r_max / yw - c * c * yz * yz
         if hi2 < 0:
@@ -493,8 +441,8 @@ def _window_pairs(lo: np.ndarray, hi: np.ndarray):
         i = j
 
 
-def enumerate_box(l: int, z: complex, delta: float, box: int | None = None,
-                  modc: int = 4) -> list[tuple[int, int, int, int]]:
+def enumerate_box(l: int, z: complex, delta: float,
+                  box: int | None = None) -> list[tuple[int, int, int, int]]:
     """Exhaustive reference enumerator over an analysis-derived entry box.
 
     Iterates all (a, d, c = 0 mod 4) in the box, solving for b (by the
@@ -522,8 +470,7 @@ def enumerate_box(l: int, z: complex, delta: float, box: int | None = None,
     out = []
     zq = (_float_to_fraction(xz), _float_to_fraction(yz))
     eps = 1e-9
-    cstart = -(box_c // modc) * modc
-    for c in range(cstart, box_c + 1, modc):
+    for c in range(-(box_c // 4) * 4, box_c + 1, 4):
         for d in range(-box_d, box_d + 1):
             for a in range(-box_a, box_a + 1):
                 if c == 0:
@@ -597,14 +544,6 @@ def theta_value(z: complex, tol: float = 1e-16) -> complex:
     for n in range(1, n_max + 1):
         total += 2.0 * cmath.exp(2j * math.pi * n * n * z)
     return total
-
-
-def theta_multiplier(mat, z: complex) -> complex:
-    """j_Theta(gamma, z) = Theta(gamma z)/Theta(z) for gamma in Gamma_0(4).
-
-    Raises if |Theta(z)| is too small for a stable quotient.
-    """
-    return theta_value(apply_matrix(mat, z)) / _theta_denominator(z)
 
 
 def _theta_denominator(z: complex) -> complex:
@@ -806,8 +745,6 @@ def scaling_experiment(k_list, rel_tol: float = 1e-8) -> dict:
     the other weights carry no fhat_j(1) at all and are skipped (the sweep
     still spans the full range through every second weight).
     """
-    from .salie import admissible
-
     rows = []
     for k in k_list:
         k = half_integer(k)
@@ -831,39 +768,3 @@ def scaling_experiment(k_list, rel_tol: float = 1e-8) -> dict:
     ys = np.array([r["log_S"] for r in rows])
     slope, intercept = np.polyfit(xs, ys, 1)
     return {"slope": float(slope), "intercept": float(intercept), "rows": rows}
-
-
-def per_form_sup_report(k_list, prec: int | None = None) -> dict:
-    """Observational: fits log max_j sup y^(k/2)|f_j(z)| (L2-normalised forms)
-    against log k, for comparison with the 3/7 and 1/4 reference slopes.
-    Each weight's forms are taken to prec, by default plus_form_precision(k).
-
-    Heavier than the spectral route (needs eigenforms, scans and quadrature
-    norms per weight), so meant for short sweeps.
-    """
-    from .hecke import dim_cusp_level1, eigenbasis_plus
-    from .lfunctions import petersson_norm_f
-
-    rows = []
-    for k in k_list:
-        k = half_integer(k)
-        if dim_cusp_level1(int(2 * k - 1)) == 0:
-            continue
-        best = None
-        kprec = prec or plus_form_precision(k)
-        for f in eigenbasis_plus(k, prec=kprec):
-            f.coefficients_upto(kprec)
-            ev = FormEvaluator.from_plus_form(f, kprec)
-            res = supnorm_scan(ev, nx=16, ny=32, refine_rounds=2)
-            nf = petersson_norm_f(f, "quadrature", prec=kprec)
-            log_sup = res.sup.logm - 0.5 * nf.value.logm
-            if best is None or log_sup > best:
-                best = log_sup
-        rows.append({"k": k, "log_k": math.log(float(k)), "log_sup": best})
-    if len(rows) < 2:
-        return {"slope": float("nan"), "rows": rows,
-                "reference_slopes": (3.0 / 7.0, 0.25)}
-    xs = np.array([r["log_k"] for r in rows])
-    ys = np.array([r["log_sup"] for r in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return {"slope": slope, "rows": rows, "reference_slopes": (3.0 / 7.0, 0.25)}

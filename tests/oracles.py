@@ -22,8 +22,9 @@ binary powers (the library builds a weight's monomials from shared power
 chains), basis forms summed from their monomials as Python ints (the
 library combines them in residue space before one CRT per form), the
 spectral average as two fresh c-sums (the library extends one running sum),
-the plus-space T(p^2) matrix from Fraction q-expansions checked
-coefficient by coefficient (the library reads the integer basis rows), and
+the plus-space T(p^2) matrix and the level-1 T(p) from Fraction
+q-expansions checked coefficient by coefficient (the library reads the
+integer basis rows and the Miller rows), and
 level-1 eigenform coefficients summed from the Miller rows index by index in
 exact scalars (the library combines integer rows once per field coordinate
 and makes each scalar on read).
@@ -278,24 +279,41 @@ def _binary_power(a, e: int, prec: int) -> list[int]:
     return result
 
 
+def monomial_int(a: int, b: int, prec: int, frame: str) -> tuple[tuple[int, ...], int]:
+    """Theta^a G^b in frame 'I', 'W4' or 'V4' to index prec, as (integer
+    numerators, common denominator), read from the library's rows of the
+    full space M_k held in qexp._spaces (the identity combinations of its
+    weight), possibly to a higher precision.  This is the library's own
+    ladder, not an oracle: the tests compare it with monomial_int_reference.
+
+    In the V frame index m stands for the exponent m + (a mod 4)/4: the
+    factor q^(a/4) of (Theta|V)^a moves floor(a/4) into the index, and the
+    phase sign (-1)^b that those rows carry (see qexp._combination_map) is
+    undone, leaving the phase e(a/8)."""
+    from plusforms.qexp import _spaces
+
+    series, den = _spaces.get((Fraction(a + 4 * b, 2), "full M"), 0)(frame, prec)[b]
+    if frame == "V4" and b % 2:
+        return tuple(-c for c in series[: prec + 1]), den
+    return series[: prec + 1], den
+
+
 def form_rows_reference(basis, i: int, frame: str, prec: int) -> tuple[list[int], int]:
     """Basis form i of a SpaceBasis in frame 'I', 'W4' or 'V4' to index prec,
     as (integer numerators, common denominator): every monomial as Python
-    ints from the library's ladder (_monomial_int), then their sum with the
+    ints from the library's ladder (monomial_int), then their sum with the
     basis vector's coefficients over the lcm of the coefficient
     denominators.  The library combines the monomials in residue space at
     the end of one chain, with one CRT per form.
 
     In the V frame the phase e(a/8) of Theta^a G^b is -e(r/8) when a - r is
     4 mod 8, so that monomial's coefficient changes sign."""
-    from plusforms.qexp import _monomial_int
-
     r = int(2 * basis.weight)
     rows, coeffs = [], []
     for (a, b), c in zip(basis.monomials, rational_vector(basis.vectors[i])):
         if c == 0:
             continue
-        series, den = _monomial_int(a, b, prec, frame)
+        series, den = monomial_int(a, b, prec, frame)
         if frame == "V4" and (a - r) % 8:
             c = -c
         rows.append(series)
@@ -330,7 +348,6 @@ def eigenform_coefficients_reference(f, n_max: int) -> list:
     and one integer sum over a common denominator per power-basis
     coordinate of the scalars."""
     from plusforms.arith import FieldElement
-    from plusforms.qexp import _monomial_int
 
     vectors = [rational_vector(v) for v in f.basis.vectors]
     mono = [sum((c * v[j] for c, v in zip(f.vector, vectors)), start=Fraction(0))
@@ -338,7 +355,7 @@ def eigenform_coefficients_reference(f, n_max: int) -> list:
     number_field = next((v.field for v in mono if isinstance(v, FieldElement)), None)
     degree = 1 if number_field is None else number_field.degree
     coords = [(v,) if number_field is None else number_field.coords(v) for v in mono]
-    rows = [_monomial_int(a, b, n_max, "I")[0] for a, b in f.basis.monomials]
+    rows = [monomial_int(a, b, n_max, "I")[0] for a, b in f.basis.monomials]
     parts = []
     for t in range(degree):
         den = math.lcm(*(c[t].denominator for c in coords))
@@ -363,6 +380,25 @@ def level1_coefficients_reference(F, n_max: int) -> list:
             for n in range(n_max + 1)]
 
 
+def hecke_integral_reference(F, w: int, p: int):
+    """Classical T(p) on level 1: a(n) -> a(pn) + p^(w-1) a(n/p), on a
+    QExpansion of Fractions coefficient by coefficient."""
+    from plusforms.qexp import PrecisionError, QExpansion
+
+    out_prec = F.prec // p
+    if out_prec < 1 and any(F.coeffs.values()):
+        raise PrecisionError(f"T({p}) needs input precision >= {p}")
+    coeffs: dict[int, Fraction] = {}
+    pw = Fraction(p) ** (w - 1)
+    for n in range(0, out_prec + 1):
+        v = F.coeff(p * n)
+        if n % p == 0:
+            v = v + pw * F.coeff(n // p)
+        if v != 0:
+            coeffs[n] = v
+    return QExpansion(F.weight, F.width, F.param, out_prec, coeffs)
+
+
 def hecke_plus_reference(f, k, p: int):
     """Kohnen plus-space T(p^2), p odd prime, at the coefficient level, on a
     QExpansion of Fractions coefficient by coefficient:
@@ -370,16 +406,16 @@ def hecke_plus_reference(f, k, p: int):
     a(n) -> a(p^2 n) + ((-1)^(k-1/2) n | p) p^(k-3/2) a(n) + p^(2k-2) a(n/p^2).
     """
     from plusforms.arith import half_integer, kronecker_symbol
-    from plusforms.qexp import HALF, PrecisionError, QExpansion
+    from plusforms.qexp import PrecisionError, QExpansion
 
     k = half_integer(k)
     if p == 2 or p % 2 == 0:
         raise ValueError("plus-space T(p^2) implemented for odd p only")
-    sign = -1 if int(k - HALF) % 2 else 1
+    sign = -1 if int(k - Fraction(1, 2)) % 2 else 1
     e_mid = int(k - Fraction(3, 2))
     e_top = int(2 * k - 2)
     out_prec = f.prec // (p * p)
-    if out_prec < 1 and not f.is_zero():
+    if out_prec < 1 and any(f.coeffs.values()):
         raise PrecisionError(f"T({p}^2) needs input precision >= {p * p}")
     coeffs: dict[int, Fraction] = {}
     for n in range(0, out_prec + 1):
@@ -527,14 +563,14 @@ def salie_unit_sum(c: int, n, m, k: Fraction):
     units, inverses and characters serves a whole grid of indices; scalars
     give a complex."""
     from plusforms.arith import half_integer, jacobi_symbol, kronecker_symbol
-    from plusforms.numerics import unit_power
 
     k = half_integer(k)
     n, m = np.asarray(n), np.asarray(m)
     chi4 = kronecker_symbol(4, c)
     sgn = -1 if int(k - Fraction(1, 2)) % 2 else 1
     pref = (1 - sgn * 1j) * (1 + chi4) / (4 * c)
-    minus4_pow = {1: 1.0 + 0.0j, -1: unit_power(-1, k)}
+    # (-1)^k on the principal branch, arg(-1) = +pi
+    minus4_pow = {1: 1.0 + 0.0j, -1: complex(math.cos(math.pi * k), math.sin(math.pi * k))}
     mod = 4 * c
     units = [d for d in range(1, mod, 2) if math.gcd(d, mod) == 1]
     inverses = np.array(_batch_inverse(units, mod))

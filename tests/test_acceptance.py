@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from conftest import record_criterion
 
-from plusforms.arith import fundamental_discriminants
+from plusforms.arith import admissible, fundamental_discriminants, plus_sign
 from plusforms.hecke import (
     dim_cusp_level1,
     eigenbasis_plus,
@@ -67,8 +67,7 @@ def test_criterion_02_shimura_coefficient_relation():
         if dim_cusp_level1(num - 1) == 0:
             continue
         forms = eigenbasis_plus(k)
-        sign = forms[0].basis.sign_unit()
-        discs = fundamental_discriminants(d_limit, sign)
+        discs = fundamental_discriminants(d_limit, plus_sign(k))
         for i, f in enumerate(forms):
             f.coefficients_upto(n_max * n_max * d_limit)
             for D in discs:
@@ -114,7 +113,7 @@ def test_criterion_04_spectral_identity_ratios(eigenform_13_2):
     ms = []
     m = 2
     while len(ms) < 10:
-        if f.basis.admissible(m) and float(f.coeff(m)) != 0:
+        if admissible(f.k, m) and float(f.coeff(m)) != 0:
             ms.append(m)
         m += 1
     worst = 0.0

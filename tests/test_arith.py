@@ -6,6 +6,7 @@ import pytest
 from plusforms.arith import (
     FieldElement,
     NumberField,
+    admissible,
     divisors,
     fundamental_discriminants,
     half_integer,
@@ -13,6 +14,7 @@ from plusforms.arith import (
     jacobi_symbol,
     kronecker_symbol,
     moebius,
+    plus_sign,
     primes_up_to,
     sigma_table,
     sqrt_mod_prime_power,
@@ -41,7 +43,7 @@ def test_kronecker_extensions():
     assert kronecker_symbol(4, 6) == 0
     assert kronecker_symbol(4, 9) == 1
     with pytest.raises(ValueError):
-        jacobi_symbol(3, 4)  # even modulus needs the extended flag
+        jacobi_symbol(3, 4)  # even modulus: kronecker_symbol's domain
 
 
 def test_divisor_functions():
@@ -70,6 +72,18 @@ def test_half_integer_parsing():
     assert half_integer((5, 2)) == Fraction(5, 2)
     with pytest.raises(ValueError):
         half_integer("1/3")
+
+
+@pytest.mark.parametrize("num", range(5, 63, 2))
+def test_plus_sign_and_admissible_match_definitions(num):
+    """plus_sign(k) = (-1)^(k-1/2) = e^(i pi (k-1/2)), and n is admissible
+    exactly when (-1)^(k-1/2) n = 0 or 1 mod 4, for k = num/2 given as a
+    string, a Fraction and a tuple."""
+    sign = round(math.cos(math.pi * (num - 1) / 2))
+    for k in (f"{num}/2", Fraction(num, 2), (num, 2)):
+        assert plus_sign(k) == sign
+        for n in range(-12, 41):
+            assert admissible(k, n) == ((sign * n) % 4 in (0, 1)), (k, n)
 
 
 def test_quadext_field_arithmetic():

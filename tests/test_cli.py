@@ -185,6 +185,50 @@ def test_kz_takes_negative_discriminants_after_a_space():
     assert run_cli(args + ["--D=-3,-4,-7,-8"]) == (0, text)
 
 
+def test_kz_builds_the_plus_rows_once_to_the_largest_discriminant(monkeypatch):
+    """At 19/2 every D is negative: the plus-space rows are built once, to
+    max |D| + 1, not once more per D as each fhat(|D|) is read."""
+    from plusforms import qexp
+
+    builds = []
+    combined = qexp._combined_rows
+
+    def spy(r, vectors, prec, frame):
+        builds.append(prec)
+        return combined(r, vectors, prec, frame)
+
+    monkeypatch.setattr(qexp, "_combined_rows", spy)
+    qexp._spaces.cache_clear()
+    code, _ = run_cli(["kz", "--k", "19/2", "--D", "-1003,-1007,-1011", "--primes", "20000"])
+    assert code == 0
+    assert [prec for prec in builds if prec > 700] == [1012]
+
+
+@pytest.mark.parametrize("args", [
+    ["basis", "--k", "13/2", "--tol", "0.5"],
+    ["eigen", "--k", "13/2", "--tol", "0.5"],
+    ["shimura-check", "--k", "13/2", "--tol", "0.5"],
+    ["supnorm", "--k", "13/2", "--tol", "0.5"],
+    ["amplify", "--k", "13/2", "--tol", "0.5"],
+    ["counts", "--tol", "123"],
+    ["counts", "--prec", "7"],
+    ["scaling", "--k-range", "13/2:17/2", "--tol", "9"],
+    ["scaling", "--k-range", "13/2:17/2", "--prec", "5"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(args):
+    assert run_cli(args) == (2, "")
+
+
+@pytest.mark.parametrize("args, code", [
+    (["kz", "--k", "13/2", "--D", "1", "--primes", "20000", "--tol", "1e-2"], 0),
+    (["kz", "--k", "13/2", "--D", "1", "--primes", "20000", "--tol", "1e-300"], 1),
+    (["kernel-check", "--k", "13/2", "--prec", "200", "--tol", "1e-2"], 0),
+    (["kernel-check", "--k", "13/2", "--prec", "200", "--tol", "1e-12"], 1),
+])
+def test_tol_is_read_by_kz_and_kernel_check(args, code):
+    assert run_cli(args)[0] == code
+
+
 def test_kz_rejects_discriminant_of_wrong_sign(capsys):
     """At 13/2 the identity holds for D > 0 only: D = -4 is a named failure,
     not a skipped row."""

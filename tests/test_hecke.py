@@ -3,31 +3,30 @@ from fractions import Fraction
 
 import pytest
 
-from plusforms.arith import FieldElement, fundamental_discriminants, primes_up_to
+from plusforms.arith import FieldElement, fundamental_discriminants, plus_sign, primes_up_to
 from plusforms import intpoly
 from plusforms.hecke import (
     IntegralForm,
     _eigenvectors,
     _miller,
     _miller_shape,
+    _t_p2,
     dim_cusp_level1,
     eigenbasis_plus,
     eigenforms_level1,
-    hecke_integral,
     hecke_matrix_level1,
     hecke_matrix_plus,
-    hecke_plus,
-    miller_basis,
     multiplicativity_check,
     shimura_charpolys_match,
     verify_sqrcoeff,
 )
 from plusforms.linalg import charpoly_exact
-from plusforms.qexp import PrecisionError, cusp_plus_basis, sturm_index
+from plusforms.qexp import PrecisionError, cusp_plus_basis, from_int_series, sturm_index
 
 from oracles import (
     delta_by_eisenstein,
     embedding_reference,
+    hecke_integral_reference,
     hecke_matrix_plus_reference,
     series_mul_reference,
 )
@@ -36,24 +35,30 @@ from oracles import (
 # -- Miller basis --------------------------------------------------------------
 
 
+def _miller_basis(w: int, prec: int):
+    """The Miller rows of S_w to index prec as QExpansions."""
+    return [from_int_series(w, row, prec) for row in _miller.get(w, prec)]
+
+
 def test_miller_w12_against_eisenstein_oracle():
-    basis = miller_basis(12, 12)
-    assert len(basis) == 1
+    rows = _miller.get(12, 12)
+    assert len(rows) == 1
     oracle = delta_by_eisenstein(12)
     for n in range(13):
-        assert basis[0].coeff(n) == oracle[n]
-    assert [basis[0].coeff(n) for n in (1, 2, 3, 4)] == [1, -24, 252, -1472]
+        assert rows[0][n] == oracle[n]
+    assert [rows[0][n] for n in (1, 2, 3, 4)] == [1, -24, 252, -1472]
 
 
 def test_miller_w14_empty():
-    assert miller_basis(14, 10) == []
+    assert dim_cusp_level1(14) == 0
+    assert eigenforms_level1(14, 10) == [] and hecke_matrix_level1(14, 2) == []
 
 
 def test_miller_w24_echelon():
-    basis = miller_basis(24, 12)
-    assert len(basis) == 2
-    assert basis[0].coeff(1) == 1 and basis[0].coeff(2) == 0
-    assert basis[1].coeff(1) == 0 and basis[1].coeff(2) == 1
+    rows = _miller.get(24, 12)
+    assert len(rows) == 2
+    assert rows[0][1] == 1 and rows[0][2] == 0
+    assert rows[1][1] == 0 and rows[1][2] == 1
 
 
 def _miller_reference(w, prec, powers):
@@ -109,19 +114,18 @@ def test_miller_rows_match_one_at_a_time_products(monkeypatch):
     for w in range(12, 62, 2):
         rows = _miller.get(w, prec)
         assert [row[: prec + 1] for row in rows] == _miller_reference(w, prec, powers), w
-        basis = miller_basis(w, 64)
-        assert [[f.coeff(n) for n in range(65)] for f in basis] == [list(row[:65]) for row in rows]
+        assert [row[:65] for row in _miller.get(w, 64)] == [row[:65] for row in rows]
         assert _miller._held[w][0] == prec
     assert runs and set(runs) == {intpoly._transform_size(prec)}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_hecke_matrix_level1_matches_qexpansion_route(p):
-    """T(p) on the held integer rows equals hecke_integral applied to the
-    Miller basis as QExpansions, for every w <= 60."""
+    """T(p) on the held integer rows equals hecke_integral_reference applied
+    to the Miller basis as QExpansions, for every w <= 60."""
     for w in range(12, 62, 2):
         d = dim_cusp_level1(w)
-        images = [hecke_integral(f, w, p) for f in miller_basis(w, p * d + 1)]
+        images = [hecke_integral_reference(f, w, p) for f in _miller_basis(w, p * d + 1)]
         assert hecke_matrix_level1(w, p) == [[t.coeff(n) for t in images] for n in range(1, d + 1)]
 
 
@@ -135,21 +139,26 @@ def test_dimension_formula():
 
 
 def test_hecke_integral_eigenvalue_w12():
-    delta = miller_basis(12, 24)[0]
-    t2 = hecke_integral(delta, 12, 2)
+    """Delta is a T(2) eigenform with eigenvalue tau(2) = -24: on the held
+    rows and through the Fraction reference alike."""
+    assert hecke_matrix_level1(12, 2) == [[-24]]
+    delta = _miller_basis(12, 24)[0]
+    t2 = hecke_integral_reference(delta, 12, 2)
     assert t2.coeff(1) / delta.coeff(1) == -24
     for n in range(1, 12):
         assert t2.coeff(n) == -24 * delta.coeff(n)
 
 
 def test_hecke_integral_zero_and_precision():
-    from plusforms.qexp import zero_expansion
+    """The Fraction reference maps the zero series to zero and refuses an
+    input too short for one output coefficient."""
+    from plusforms.qexp import QExpansion
 
-    z = zero_expansion(Fraction(12), 10)
-    assert hecke_integral(z, 12, 5).is_zero()
-    delta = miller_basis(12, 4)[0]
+    z = QExpansion(Fraction(12), 1, Fraction(0), 10)
+    assert not any(hecke_integral_reference(z, 12, 5).coeffs.values())
+    delta = _miller_basis(12, 4)[0]
     with pytest.raises(PrecisionError):
-        hecke_integral(delta, 12, 7)
+        hecke_integral_reference(delta, 12, 7)
 
 
 def test_w24_charpoly_integer_irrational_eigenvalues():
@@ -175,10 +184,11 @@ def test_hecke_multiplicativity_integral():
 
 
 def test_deligne_bound():
+    """|Fhat(p)| <= 2 p^((w-1)/2) for every prime p < 100."""
     for w in (12, 16, 24):
         for F in eigenforms_level1(w, prec=120):
             for p in primes_up_to(100):
-                assert F.deligne_ok(p)
+                assert abs(float(F.coeff(p))) <= 2.0 * p ** ((w - 1) / 2.0) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("w, degree", [(12, 1), (24, 2), (36, 3)])
@@ -234,16 +244,13 @@ def test_hecke_plus_eigenvalue_13_2(eigenform_13_2):
 
 
 def test_hecke_plus_zero_and_character_term():
-    from plusforms.qexp import zero_expansion
-
-    z = zero_expansion(Fraction(13, 2), 20)
-    assert hecke_plus(z, "13/2", 3).is_zero()
-    # middle character term vanishes when p | n, p^2 does not divide n
-    basis = cusp_plus_basis("13/2", 120)
-    f = basis.forms[0]
-    t = hecke_plus(f, "13/2", 3)
+    """The T(p^2) kernel maps a zero row to zero, and its middle character
+    term vanishes when p | n but p^2 does not divide n."""
+    image = _t_p2("13/2", 3)
+    assert not any(image([0] * 181, n) for n in range(21))
+    (row, _den), = cusp_plus_basis("13/2", 120).int_rows("I", 120)
     n = 12  # 3 | 12, 9 does not divide 12
-    assert t.coeff(n) == f.coeff(9 * n)  # only the a(p^2 n) term survives
+    assert image(row, n) == row[9 * n]  # only the a(p^2 n) term survives
 
 
 def _rational(matrix_den):
@@ -276,7 +283,7 @@ def test_hecke_plus_rejects_p_that_is_not_an_odd_prime(p):
     with pytest.raises(ValueError, match="odd prime"):
         hecke_matrix_plus(basis, p)
     with pytest.raises(ValueError, match="odd prime"):
-        hecke_plus(cusp_plus_basis("13/2", 300).forms[0], "13/2", p)
+        _t_p2("13/2", p)
     with pytest.raises(ValueError, match="odd prime"):
         hecke_matrix_plus(cusp_plus_basis("5/2"), p)
 
@@ -458,7 +465,7 @@ def test_separation_and_real_roots_are_checked():
 def test_embedding_correctly_rounded(k):
     """float() of every fhat(1..1000) is the correctly rounded value of the
     exact coefficient at the field's root (oracle: mpmath polyroots)."""
-    for f in eigenbasis_plus(k, pair=False):
+    for f in eigenbasis_plus(k):
         for c in f.coefficients_upto(1000)[1:]:
             ref = embedding_reference(c)
             assert abs(float(c) - ref) <= 2.3e-16 * abs(ref)
@@ -469,7 +476,7 @@ def test_exact_identities_through_61_2():
         k = Fraction(num, 2)
         forms = eigenbasis_plus(k)
         assert len(forms) == dim_cusp_level1(num - 1)
-        sign = forms[0].basis.sign_unit()
+        sign = plus_sign(k)
         for f in forms:
             lam = f.eigenvalue(9)
             value = 0

@@ -11,11 +11,9 @@ from plusforms.numerics import (
     CertifiedValue,
     LogScaled,
     bessel_j_half,
-    check_bessel_smallarg,
     gamma_half,
     s_sum,
     s_sum_upper_bound_log,
-    unit_power,
 )
 
 from oracles import bessel_series
@@ -98,30 +96,6 @@ def test_bessel_200_point_grid_against_series_oracle():
     assert worst < 1e-12
 
 
-def test_check_bessel_smallarg_grid():
-    rng = random.Random(3)
-    rhos, xs = [], []
-    for _ in range(120):
-        x = rng.uniform(0.05, 7.0)
-        nmin = max(0, math.ceil(2 * x * x - 0.5))
-        n = rng.randint(nmin, 99)
-        rhos.append(Fraction(2 * n + 1, 2))
-        xs.append(x)
-    report = check_bessel_smallarg([r for r in rhos], [1.0])  # grid product form below
-    # pointwise run (the module API takes grids; use matched pairs here)
-    worst = 0.0
-    for rho, x in zip(rhos, xs):
-        r = check_bessel_smallarg([rho], [x])
-        worst = max(worst, r["max_ratio"])
-        assert r["ok"]
-    assert worst <= 2.0
-
-
-def test_check_bessel_smallarg_rejects_bad_point():
-    with pytest.raises(ValueError):
-        check_bessel_smallarg([Fraction(1, 2)], [3.0])
-
-
 # -- the exponential sum -----------------------------------------------------
 
 
@@ -174,13 +148,3 @@ def test_gamma_half_exact_values():
     assert gamma_half(4.3).value.logm == pytest.approx(math.lgamma(4.3), rel=1e-14)
     with pytest.raises(ValueError):
         gamma_half(-1)
-
-
-def test_unit_power_branch():
-    assert unit_power(1, Fraction(13, 2)) == 1
-    v = unit_power(-1, Fraction(13, 2))
-    assert v == pytest.approx(1j, abs=1e-14)
-    v = unit_power(-1, Fraction(5, 2))
-    assert v == pytest.approx(1j, abs=1e-14)
-    v = unit_power(-1, Fraction(3, 2))
-    assert v == pytest.approx(-1j, abs=1e-14)

@@ -16,6 +16,7 @@ from oracles import (
     g_v_reference,
     g_w_reference,
     integer_row,
+    monomial_int,
     monomial_int_reference,
     monomial_reference,
     qexp_mul_reference,
@@ -24,28 +25,47 @@ from oracles import (
     series_eval_reference,
 )
 from plusforms import intpoly, qexp
+from plusforms.arith import plus_sign
 from plusforms.hecke import dim_cusp_level1
 from plusforms.qexp import (
     PrecisionError,
     QExpansion,
-    _monomial_int,
+    _g16_frame_v,
+    _g16_frame_w,
     cusp_plus_basis,
-    monomial_expansion,
-    monomial_span,
+    from_int_series,
     space_basis,
     sturm_index,
-    theta_series,
-    weight2_generator,
-    weight2_generator_frame_v,
-    weight2_generator_frame_w,
     weight_monomials,
-    zero_expansion,
 )
 
 HALF = Fraction(1, 2)
 
 
 # -- theta and the weight-2 generator ----------------------------------------
+
+
+def theta_series(prec: int) -> QExpansion:
+    """Theta(z) = sum_{n in Z} e(n^2 z): weight 1/2, width 1, parameter 0."""
+    return from_int_series(HALF, intpoly.theta_int(prec), prec)
+
+
+def weight2_generator(prec: int) -> QExpansion:
+    """G = sum_{n >= 1 odd} sigma_1(n) q^n, weight 2 on Gamma_0(4)."""
+    return from_int_series(2, intpoly.sigma_odd_int(prec), prec)
+
+
+def weight2_generator_frame_w(prec: int) -> QExpansion:
+    """G under the Fricke frame: Theta^4/16 - G, from the integer series
+    behind every W4 row."""
+    return from_int_series(2, _g16_frame_w(prec), prec, den=16)
+
+
+def weight2_generator_frame_v(prec: int) -> QExpansion:
+    """G under the V frame, (E_2(z) - 3E_2(2z) + E_2(z + 1/2)/2) / 24, from
+    the integer series behind every V4 row: -1/16 at q^0, -sigma(n)/2 for
+    odd n, 3 sigma(n/2) - 3 sigma(n)/2 for even n."""
+    return from_int_series(2, _g16_frame_v(prec), prec, den=16)
 
 
 def test_theta_series_examples():
@@ -121,7 +141,7 @@ def test_weight2_generator_v_partner_automorphy():
 
 
 def test_rank_two_at_weight_two():
-    basis = monomial_span(2, 30)
+    basis = space_basis(2, 30, "full M")
     assert basis.dimension == 2  # Theta^4 and G are independent
     from plusforms.linalg import rref_exact
 
@@ -172,7 +192,7 @@ def test_eval_reduced_grid_equals_points(evaluator_13_2):
 
 
 def test_eval_reduced_empty_series():
-    q = zero_expansion(Fraction(13, 2), 10)
+    q = QExpansion(Fraction(13, 2), 1, Fraction(0), 10)
     zs = np.array([[0.1 + 1j, 0.2 + 2j, 0.3 + 0.5j]])
     reduced, scale = q.eval_reduced(zs)
     assert reduced.shape == scale.shape == zs.shape
@@ -231,7 +251,7 @@ def test_eval_reduced_upto_matches_truncated_reference(evaluator_13_2, label):
 
 
 def test_eval_reduced_empty_series_matches_reference():
-    q = zero_expansion(Fraction(13, 2), 10)
+    q = QExpansion(Fraction(13, 2), 1, Fraction(0), 10)
     for zs in (_reference_point_sets()["scan grid"], complex(0.1, 1.0), np.zeros(0, complex)):
         assert _same_bits(q.eval_reduced(zs), eval_reduced_reference(q, zs))
 
@@ -263,7 +283,7 @@ def test_plus_condition_recheck():
     """Every flagged coefficient of every basis element vanishes exactly."""
     for kstr in ("13/2", "15/2", "19/2", "25/2"):
         basis = cusp_plus_basis(kstr, 80)
-        sign = basis.sign_unit()
+        sign = plus_sign(kstr)
         for f in basis.forms:
             for n in range(0, f.prec + 1):
                 if (sign * n) % 4 in (2, 3):
@@ -358,14 +378,17 @@ def test_frame_generators_match_fraction_oracle():
 # the stored range, and for a >= 16 all of it.
 @pytest.mark.parametrize("num", range(5, 27, 2))
 def test_monomial_expansion_matches_fraction_oracle(num):
+    """Each monomial Theta^a G^b read from the held full-space rows, made a
+    QExpansion (in the V frame with the exponent offset (a mod 4)/4), equals
+    the Fraction-dict product of the frame generators."""
     k = Fraction(num, 2)
     for prec in (sturm_index(k), 200, 7, 3):
         for a, b in weight_monomials(k):
             for frame in FRAMES:
-                q, phase = monomial_expansion(a, b, prec, frame)
-                ref, ref_phase = _reference_monomial(a, b, prec, frame)
-                _assert_same_expansion(q, ref)
-                assert phase == ref_phase
+                series, den = monomial_int(a, b, prec, frame)
+                param = Fraction(a % 4, 4) if frame == "V4" else 0
+                q = from_int_series(k, series, prec, den, param=param)
+                _assert_same_expansion(q, _reference_monomial(a, b, prec, frame)[0])
 
 
 def _check_ladder(k, precs):
@@ -378,9 +401,9 @@ def _check_ladder(k, precs):
     for prec in precs:
         for frame in FRAMES:
             a, b = monos[len(monos) // 2]
-            assert _monomial_int(a, b, prec, frame) == monomial_int_reference(a, b, prec, frame)
+            assert monomial_int(a, b, prec, frame) == monomial_int_reference(a, b, prec, frame)
             for a, b in reversed(monos):
-                assert _monomial_int(a, b, prec, frame) == monomial_int_reference(a, b, prec, frame)
+                assert monomial_int(a, b, prec, frame) == monomial_int_reference(a, b, prec, frame)
 
 
 @pytest.mark.parametrize("num", range(5, 62, 2))
@@ -425,7 +448,7 @@ def test_ladder_majorant_bounds_every_monomial(num):
         for frame in FRAMES:
             bounds = _ladder_bit_bounds(num, prec, frame)
             for a, b in weight_monomials(k):
-                series, _ = _monomial_int(a, b, prec, frame)
+                series, _ = monomial_int(a, b, prec, frame)
                 actual = max(c.bit_length() for c in series)
                 bound = bounds[b]
                 assert bound >= actual, (num, prec, frame, b)
@@ -441,18 +464,18 @@ def test_ladder_cache_serves_prefixes():
     r, big = 29, 400
     k = Fraction(r, 2)
     for frame in FRAMES:
-        _monomial_int(1, 7, big, frame)
+        monomial_int(1, 7, big, frame)
     for small in (3, sturm_index(k), 121, big):
         for frame in FRAMES:
             fresh = qexp._combined_rows(r, _identity(r), small, frame)
             for a, b in weight_monomials(k):
                 row, den = fresh[b]
                 sign = -1 if frame == "V4" and b % 2 else 1
-                assert _monomial_int(a, b, small, frame) == (tuple(sign * c for c in row), den)
+                assert monomial_int(a, b, small, frame) == (tuple(sign * c for c in row), den)
     assert list(qexp._spaces._held) == [(k, "full M")]
     held = qexp._spaces.get((k, "full M"), 0)._held
     assert {frame: prec for frame, (prec, _) in held.items()} == dict.fromkeys(FRAMES, big)
-    _monomial_int(1, 7, big + 1, "I")
+    monomial_int(1, 7, big + 1, "I")
     assert held["I"][0] == big + 1
 
 
@@ -471,13 +494,13 @@ def test_ladder_falls_back_to_integer_products(monkeypatch):
     r, prec = 21, 1200
     monos = weight_monomials(Fraction(r, 2))
     qexp._spaces.cache_clear()
-    _monomial_int(*monos[0], prec, "I")
+    monomial_int(*monos[0], prec, "I")
     assert products == []
     monkeypatch.setattr(intpoly, "_ROUNDING_SLACK", 0.0)
     for frame in FRAMES:
         qexp._spaces.cache_clear()
         products.clear()
-        ladder = [_monomial_int(a, b, prec, frame) for a, b in monos]
+        ladder = [monomial_int(a, b, prec, frame) for a, b in monos]
         assert products
         for (a, b), got in zip(monos, ladder):
             assert got == monomial_int_reference(a, b, prec, frame)
@@ -636,7 +659,7 @@ def test_short_chains_walk_on_integers(monkeypatch):
             qexp._spaces.cache_clear()
             residue_runs.clear()
             monos = weight_monomials(Fraction(r, 2))
-            ladder = [_monomial_int(a, b, prec, frame) for a, b in monos]
+            ladder = [monomial_int(a, b, prec, frame) for a, b in monos]
             assert residue_runs == ([] if prec < cutoff else [size]), (prec, frame)
             for (a, b), got in zip(monos, ladder):
                 assert got == monomial_int_reference(a, b, prec, frame)

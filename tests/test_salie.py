@@ -3,9 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from plusforms.arith import admissible
 from plusforms.salie import (
     SalieParams,
-    admissible,
     bessel_correction_factor,
     poincare_coeff,
     salie_h,

@@ -9,11 +9,11 @@ import pytest
 from oracles import iter_gl_reference
 from plusforms.arith import jacobi_symbol
 from plusforms.lfunctions import petersson_gram
+from plusforms.numerics import log_abs_fraction
 from plusforms.qexp import PrecisionError, QExpansion, space_basis
 from plusforms.supnorm import (
     SQRT3_OVER_8,
     AmplifierSpec,
-    CuspFrame,
     FormEvaluator,
     amplified_rhs,
     amplifier_build,
@@ -22,16 +22,14 @@ from plusforms.supnorm import (
     bergman_partial,
     bergman_spectral,
     count_matrices,
-    d_gamma,
     enumerate_box,
     enumerate_gl,
     eq_sup_terms,
     gl_arrays,
-    iter_gl,
     plus_form_precision,
     sl2_reduce,
     supnorm_scan,
-    theta_multiplier,
+    _theta_denominator,
     theta_value,
     u_invariant,
 )
@@ -41,14 +39,15 @@ from plusforms.supnorm import (
 
 
 def test_cusp_frame_data():
-    f0 = CuspFrame.for_weight("W4", "13/2")
-    assert f0.cusp == "0" and f0.width == 4 and f0.parameter == 0
-    fh = CuspFrame.for_weight("V4", "13/2")
-    assert fh.width == 1 and fh.parameter == Fraction(1, 4)
-    fh = CuspFrame.for_weight("V4", "15/2")
-    assert fh.parameter == Fraction(3, 4)
-    fi = CuspFrame.for_weight("I", "13/2")
-    assert fi.width == 1 and fi.parameter == 0
+    """The frame series of a plus form: width 1 everywhere, parameter 0 in
+    the identity and Fricke frames, and in the V frame the parameter
+    1/2 - (-1)^(k-1/2)/4 of the cusp 1/2 (1/4 at 13/2, 3/4 at 19/2)."""
+    from plusforms.hecke import eigenbasis_plus
+
+    for kstr, v_param in (("13/2", Fraction(1, 4)), ("19/2", Fraction(3, 4))):
+        frames = FormEvaluator.from_plus_form(eigenbasis_plus(kstr)[0], 100).frames
+        assert {label: (fs.series.width, fs.series.param) for label, fs in frames.items()} == {
+            "I": (1, 0), "W4": (1, 0), "V4": (1, v_param)}
 
 
 def test_lemma_transfer_exact_w_frame(eigenform_13_2):
@@ -133,6 +132,20 @@ def test_eval_precision_guard(eigenform_13_2):
         ev.eval_frame("I", complex(0.1, 0.05))
 
 
+def _tail_log(q: QExpansion, y: float, growth: float) -> float:
+    """log bound on the tail of q past its precision at height y, assuming
+    |a(m)| <= C (m+1)^growth with C fitted from the stored coefficients;
+    the terms decay geometrically once the ratio bound is below 1."""
+    c_log = max(log_abs_fraction(v) - growth * math.log(m + 1) for m, v in q.coeffs.items() if v)
+    rate = 2.0 * math.pi * y / q.width
+    m1 = q.prec + 1
+    first = c_log + growth * math.log(m1 + 1) - rate * (m1 + float(q.param))
+    ratio = growth * math.log1p(1.0 / (m1 + 1)) - rate
+    if ratio >= -1e-9:
+        return math.inf
+    return first - math.log(-math.expm1(ratio))
+
+
 def test_eval_truncation_honesty(eigenform_13_2):
     """Doubling the stored precision does not move values beyond the tail."""
     f = eigenform_13_2
@@ -144,7 +157,7 @@ def test_eval_truncation_honesty(eigenform_13_2):
         for label in ("I", "W4", "V4"):
             v1 = ev1.eval_frame(label, z, check=False)
             v2 = ev2.eval_frame(label, z, check=False)
-            tail = ev1.frames[label].series.tail_log(z.imag, 6.5 / 2 + 1.0)
+            tail = _tail_log(ev1.frames[label].series, z.imag, 6.5 / 2 + 1.0)
             if v1.sign == 0:
                 continue
             moved = abs((v1 - v2).to_float())
@@ -206,7 +219,7 @@ def test_guarded_truncation_within_tail_bound(evaluator_13_2):
             reduced, m0 = fs.series.eval_reduced(z)
             full = abs(complex(reduced)) * math.exp(m0 + 0.5 * 6.5 * math.log(z.imag) + fs.log_scale)
             moved = abs(ev.eval_frame(label, z).to_float() - full)
-            tail = cut.tail_log(z.imag, 6.5 / 2 + 1.0)
+            tail = _tail_log(cut, z.imag, 6.5 / 2 + 1.0)
             assert moved <= math.exp(tail + 0.5 * 6.5 * math.log(z.imag) + fs.log_scale) + 1e-12 * full
 
 
@@ -241,10 +254,18 @@ def test_scan_lower_bound_unit_norm(scan_13_2, norm_f_13_2):
 # -- invariants, enumeration, counting ----------------------------------------------
 
 
+def _d_gamma(mat, l: int, z: complex) -> float:
+    """d_gamma(z) = |gamma z - conj(z)| |j(gamma, z)| / (2 y sqrt(l))."""
+    a, b, c, d = mat
+    j = c * z + d
+    gz = (a * z + b) / j
+    return abs(gz - z.conjugate()) * abs(j) / (2.0 * z.imag * math.sqrt(l))
+
+
 def test_u_invariant_examples():
     assert u_invariant(1j, 1j) == 0
     assert u_invariant(2j, 1j) == pytest.approx(1.0 / 8.0)
-    assert d_gamma((1, 0, 0, 1), 1, 0.3 + 2.1j) == pytest.approx(1.0)
+    assert _d_gamma((1, 0, 0, 1), 1, 0.3 + 2.1j) == pytest.approx(1.0)
 
 
 def test_d_gamma_identity_random():
@@ -257,7 +278,7 @@ def test_d_gamma_identity_random():
             continue
         z = complex(rng.uniform(-1, 1), rng.uniform(0.3, 3.0))
         u = u_invariant(apply_matrix((a, b, c, d), z), z)
-        dg = d_gamma((a, b, c, d), det, z)
+        dg = _d_gamma((a, b, c, d), det, z)
         assert dg * dg == pytest.approx(u + 1.0, abs=1e-9 * (1 + u))
         checked += 1
 
@@ -292,14 +313,13 @@ def test_upper_triangular_layer():
 
 
 def _assert_reference_enumeration(l, z, delta, w=None):
-    """gl_arrays and iter_gl give iter_gl_reference's matrices in its order,
-    with the same u bits."""
+    """gl_arrays gives iter_gl_reference's matrices in its order, with the
+    same u bits."""
     ref = list(iter_gl_reference(l, z, delta, w=w))
     mats, us = gl_arrays(l, z, delta, w=w)
     assert mats.dtype == np.int64 and mats.shape == (len(ref), 4)
     assert [tuple(m) for m in mats.tolist()] == [m for m, _u in ref]
     assert [u.hex() for u in us.tolist()] == [u.hex() for _m, u in ref]
-    assert [(m, u.hex()) for m, u in iter_gl(l, z, delta, w=w)] == [(m, u.hex()) for m, u in ref]
     return ref
 
 
@@ -366,12 +386,13 @@ def test_count_classes_literal_definitions():
 
 
 def test_theta_multiplier_modulus():
+    """|Theta(gamma z) / Theta(z)| = |c z + d|^(1/2) on Gamma_0(4)."""
     rng = random.Random(61)
     for mat in ((1, 1, 0, 1), (1, 0, 4, 1), (5, -1, 16, -3), (3, -1, 4, -1)):
         a, b, c, d = mat
         for _ in range(5):
             z = complex(rng.uniform(-1, 1), rng.uniform(0.2, 2.0))
-            jt = theta_multiplier(mat, z)
+            jt = theta_value(apply_matrix(mat, z)) / theta_value(z)
             assert abs(jt) == pytest.approx(abs(c * z + d) ** 0.5, rel=1e-10)
 
 
@@ -381,7 +402,7 @@ def test_theta_quotient_instability_reported():
     z0 = complex(0.5, 0.008)
     assert abs(theta_value(z0)) < 1e-6
     with pytest.raises(ArithmeticError):
-        theta_multiplier((1, 1, 0, 1), z0)
+        _theta_denominator(z0)
 
 
 def test_bergman_partial_matches_per_matrix_theta_quotient():
@@ -391,7 +412,8 @@ def test_bergman_partial_matches_per_matrix_theta_quotient():
     total = 0.0j
     for mat, _u in iter_gl_reference(1, z, u_cut, w=w):
         base = (apply_matrix(mat, z) - w.conjugate()) / 2j
-        total += theta_multiplier(mat, z) ** -13 * cmath.exp(-6.5 * cmath.log(base))
+        jt = theta_value(apply_matrix(mat, z)) / theta_value(z)
+        total += jt ** -13 * cmath.exp(-6.5 * cmath.log(base))
     value, _err = bergman_partial(z, w, k, tol=1e-4)
     assert value == 3.0 * 5.5 / (4.0 * math.pi) * total
 
@@ -475,7 +497,7 @@ def test_amplified_rhs_l1_reduces_to_kernel_count():
     z = complex(0.3, 1.1)
     k = Fraction(13, 2)
     rhs, per_l = amplified_rhs(z, k, spec, u_cut=2.0)
-    direct = sum((1 + u) ** -3.25 for _m, u in iter_gl(1, z, 2.0))
+    direct = sum((1 + u) ** -3.25 for u in gl_arrays(1, z, 2.0)[1].tolist())
     pref = 3 * 5.5 / (4 * math.pi)
     assert rhs.to_float() == pytest.approx(pref * direct, rel=1e-12)
     assert per_l[1] == pytest.approx(pref * direct, rel=1e-12)
@@ -560,30 +582,19 @@ def test_three_frame_covering_spot_check():
         assert arg.imag >= SQRT3_OVER_8 - 1e-12
 
 
-def test_eval_at_cusp_wrapper(eigenform_13_2):
-    from plusforms.supnorm import eval_at_cusp
-
-    v = eval_at_cusp(eigenform_13_2, "V4", complex(0.5, 2.0), prec=700)
-    ev = FormEvaluator.from_plus_form(eigenform_13_2, 700)
-    assert v.logm == ev.eval_frame("V4", complex(0.5, 2.0)).logm
-    frame = CuspFrame.for_weight("W4", "13/2")
-    v2 = eval_at_cusp(eigenform_13_2, frame, complex(0.2, 1.0), prec=700)
-    assert v2.sign != 0
-
-
 @pytest.mark.parametrize("kstr", ["13/2", "17/2"])
 def test_eval_at_cusp_default_precision_is_677(kstr):
     """Without prec the evaluator holds the coefficients to index 677,
     however far the basis rows are built; at y = 0.02 frame I needs index
     180, past the rows the eigenbasis holds at 13/2."""
     from plusforms.hecke import eigenbasis_plus
-    from plusforms.supnorm import eval_at_cusp
 
     f = eigenbasis_plus(kstr)[0]
-    assert FormEvaluator.from_plus_form(f).frames["I"].series.prec == 677
+    default, at_677 = FormEvaluator.from_plus_form(f), FormEvaluator.from_plus_form(f, 677)
+    assert default.frames["I"].series.prec == 677
     for label, z in (("I", complex(0.1, 0.02)), ("W4", complex(-0.2, 0.05)),
                      ("V4", complex(0.4, 0.05))):
-        got, want = eval_at_cusp(f, label, z), eval_at_cusp(f, label, z, prec=677)
+        got, want = default.eval_frame(label, z), at_677.eval_frame(label, z)
         assert (got.sign, got.logm) == (want.sign, want.logm)
 
 
@@ -594,9 +605,7 @@ def test_plus_form_precision_meets_every_frame_guard():
     from types import SimpleNamespace
 
     def frames_at(k, prec):
-        sign = -1 if int(k - Fraction(1, 2)) % 2 else 1
-        form = SimpleNamespace(k=k, coefficients_upto=lambda n: [0] * (n + 1),
-                               basis=SimpleNamespace(sign_unit=lambda: sign))
+        form = SimpleNamespace(k=k, coefficients_upto=lambda n: [0] * (n + 1))
         ev = FormEvaluator.from_plus_form(form, prec)
         return all(ev.frames[label].series.prec >= ev.required_precision(label, SQRT3_OVER_8)
                    for label in ("I", "W4", "V4"))
@@ -607,18 +616,6 @@ def test_plus_form_precision_meets_every_frame_guard():
         assert frames_at(k, prec)
         assert (prec > 900) == (num >= 49)
         assert prec == 900 or not frames_at(k, prec - 1)
-
-
-def test_per_form_sup_report():
-    """Observational per-form sup growth against the reference slopes."""
-    from plusforms.supnorm import per_form_sup_report
-
-    rep = per_form_sup_report([Fraction(n, 2) for n in (13, 17, 19, 21)], prec=700)
-    assert len(rep["rows"]) == 4
-    assert math.isfinite(rep["slope"])
-    assert rep["reference_slopes"] == (3.0 / 7.0, 0.25)
-    # growth is mild: between flat and the trivial-bound regime
-    assert -0.5 < rep["slope"] < 1.5
 
 
 def test_eq_sup_terms():
