@@ -164,7 +164,7 @@ def cmd_shimura_check(args) -> int:
 
 def cmd_kz(args) -> int:
     k = _parse_k(args.k)
-    tol = args.tol if args.tol else 1e-3
+    tol = 1e-3 if args.tol is None else args.tol
     d_list = [int(t) for t in args.D.split(",")]
     forms = eigenbasis_plus(k, prec=args.prec)
     rows = []
@@ -236,7 +236,7 @@ def cmd_counts(args) -> int:
 
 def cmd_kernel_check(args) -> int:
     k = _parse_k(args.k)
-    tol = args.tol if args.tol else 1e-3
+    tol = 1e-3 if args.tol is None else args.tol
     prec = args.prec or 400
     basis = space_basis(k, prec, "full S")
     evs = [FormEvaluator.from_basis_element(basis, i, prec) for i in range(basis.dimension)]

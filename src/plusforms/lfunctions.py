@@ -14,13 +14,12 @@ strip no Deligne-only certificate converges.
 
 The root number is the eps of that same solve (root_number).
 
-Petersson norms: <F,F> over the modular surface by Parseval in the strip
-y >= 1 plus quadrature over the cap; <f,f> = (1/6) * integral over a
-fundamental domain of Gamma_0(4) assembled from six translates of the
-standard domain, each evaluated through the frame that sees its cusp.
-Every series value on the quadrature nodes comes from one array call of
-QExpansion.eval_reduced (directly for the cap of <F,F>, through
-FormEvaluator.eval_frame_complex for the Gram matrix).
+Petersson products: <F,F> over the modular surface; <f_i,f_j> = (1/6) *
+integral over a Gamma_0(4) domain made of six translates of the standard
+domain, each seen through the frame of its cusp.  Above y = 1 a frame's
+translates cover one period, summed exactly by Parseval (_strip_gram, every
+stored term); the cap below y = 1 is Gauss quadrature at two orders, their
+difference the error estimate, with one array call per frame and form.
 """
 
 from __future__ import annotations
@@ -41,21 +40,22 @@ from .supnorm import FormEvaluator
 # ---------------------------------------------------------------------------
 
 
-def upper_gamma_q(n, x):
-    """Regularized upper incomplete gamma Q(n, x) = Gamma(n, x) / Gamma(n) for
-    an integer order n >= 1 and x > 0, a float or an array of them.
-
-    For integer n it is the finite sum e^-x sum_{j < n} x^j / j!, taken term
-    by term as exp(j log x - x - lgamma(j + 1)); every term is positive, so
-    nothing cancels.
+def upper_gamma_q(s, x):
+    """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s) for
+    an order s = n or n + 1/2 >= 1/2 (n an integer) and x > 0, a float or an
+    array of them: e^-x sum_{j < n} x^j / j! for s = n, and erfc(sqrt x) +
+    e^-x sum_{j < n} x^(j+1/2) / Gamma(j + 3/2) for s = n + 1/2, each term as
+    exp((j + f) log x - x - lgamma(j + f + 1)), f = s - n.  Every term is
+    positive, so nothing cancels.
     """
-    if n != int(n) or n < 1:
-        raise ValueError(f"upper_gamma_q needs an integer order n >= 1, not {n}")
+    n, f = divmod(float(s), 1.0)
+    if f not in (0.0, 0.5) or s < 0.5:
+        raise ValueError(f"upper_gamma_q needs an order n or n + 1/2 >= 1/2, not {s}")
     x = np.asarray(x, dtype=np.float64)
     log_x = np.log(x)
-    out = np.zeros_like(x)
+    out = np.vectorize(math.erfc, otypes=[np.float64])(np.sqrt(x)) if f else np.zeros_like(x)
     for j in range(int(n)):
-        out += np.exp(j * log_x - x - math.lgamma(j + 1))
+        out += np.exp((j + f) * log_x - x - math.lgamma(j + f + 1))
     return out if out.ndim else float(out)
 
 
@@ -219,48 +219,46 @@ def _cap_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (xs[:, None] + 1j * ys).ravel(), (2.0 * wx[:, None] * wy).ravel()
 
 
-def _domain_nodes(order: int, y_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights) covering the standard fundamental domain: the cap
-    below y = 1, then strips [2^j, 2^(j+1)] up to y_cap, each a tensor grid
-    with y outer and x inner."""
-    edges = [1.0]
-    while edges[-1] < y_cap:
-        edges.append(min(2 * edges[-1], y_cap))
-    ys, wy = _gauss_nodes(np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None], order)
-    xs, wx = _gauss_nodes(-0.5, 0.5, order)
-    cap_pts, cap_wts = _cap_nodes(order)
-    pts = xs + 1j * ys.reshape(-1, 1)
-    wts = wx * wy.reshape(-1, 1)
-    return np.concatenate([cap_pts, pts.ravel()]), np.concatenate([cap_wts, wts.ravel()])
+def _strip_gram(label: str, series: list[QExpansion], log_scales, k: float, y0: float):
+    """int y^k f_i conj(f_j) dx dy / y^2 over one period and y >= y0 for
+    f_i = series[i] e^(log_scales[i]), series of one frame (width 1, real
+    coefficients), by Parseval: sum_m a_i(m) a_j(m) e^(s_i + s_j)
+    Gamma(k-1, 4 pi t_m y0) / (4 pi t_m)^(k-1) over every stored term.
+    Rows are taken in the log domain, each shifted by its largest term; the
+    shifts return as one diagonal scaling, since e^(shift_i + shift_j) per
+    entry is not of Gram form and the ill-conditioned 'full S' Gram at 49/2
+    turns its rounding into 1e-4 in the Bergman kernel.  A nonzero term at
+    t = 0 diverges: ValueError."""
+    arrays = [q._arrays() for q in series]
+    t = np.sort(np.concatenate([ts for ts, _, _ in arrays]))
+    t = t[np.diff(t, prepend=-np.inf) > 0]  # np.unique would import numpy.ma (1 MB)
+    if t.size and t[0] <= 0.0:
+        raise ValueError(f"frame {label} has a nonzero constant term:"
+                         " the Petersson integral diverges")
+    rate = 4.0 * math.pi * t
+    with np.errstate(divide="ignore"):
+        half = 0.5 * (math.lgamma(k - 1.0) + np.log(upper_gamma_q(k - 1.0, rate * y0))
+                      - (k - 1.0) * np.log(rate))
+    rows = np.zeros((len(series), t.size))
+    shifts = np.zeros(len(series))
+    for i, (ts, logs, signs) in enumerate(arrays):
+        cols = np.searchsorted(t, ts)
+        logterm = logs + half[cols]
+        top = np.max(logterm, initial=-np.inf)
+        rows[i, cols] = signs * np.exp(logterm - top)
+        shifts[i] = top + log_scales[i]
+    scale = np.exp(shifts)
+    return rows @ rows.T * np.outer(scale, scale)
 
 
-def petersson_norm_integral(F, rtol: float = 1e-8) -> CertifiedValue:
-    """<F,F> = int_{F_SL2} |F|^2 y^(w-2) dx dy for an integral-weight form.
-
-    Strip y >= 1 by Parseval (exact incomplete-gamma terms), cap by tensor
-    Gauss quadrature at two orders (difference -> error estimate).
-    """
+def petersson_norm_integral(F) -> CertifiedValue:
+    """<F,F> = int_{F_SL2} |F|^2 y^(w-2) dx dy for an integral-weight form
+    from its first 80 coefficients: strip y >= 1 by _strip_gram, cap by
+    Gauss quadrature at two orders (difference -> error estimate)."""
     w = F.weight
-    strip_logs = []
-    n = 1
-    while True:
-        cn = float(F.coeff(n))
-        if cn != 0.0:
-            t = 4.0 * math.pi * n
-            qreg = upper_gamma_q(w - 1, t)
-            if qreg <= 0:
-                break
-            strip_logs.append(
-                2.0 * math.log(abs(cn)) - (w - 1) * math.log(t) + math.lgamma(w - 1) + math.log(qreg)
-            )
-            if strip_logs[-1] < max(strip_logs) - 60.0:
-                break
-        n += 1
-        if n > F.precision:
-            break
-    strip = math.exp(logsumexp(strip_logs))
     n_coef = min(F.precision, 80)
     series = QExpansion(w, 1, 0, n_coef, {n: F.coeff(n) for n in range(1, n_coef + 1)})
+    strip = float(_strip_gram("I", [series], [0.0], w, 1.0)[0, 0])
 
     def cap_integral(order: int) -> float:
         zs, wts = _cap_nodes(order)
@@ -269,56 +267,58 @@ def petersson_norm_integral(F, rtol: float = 1e-8) -> CertifiedValue:
         return float(np.sum(wts * zs.imag ** (w - 2.0) * abs_sq))
 
     c1, c2 = cap_integral(24), cap_integral(36)
-    value = strip + c2
-    err = abs(c2 - c1) + rtol * value
-    return CertifiedValue(LogScaled.from_float(value), math.log(err + 1e-300))
+    return CertifiedValue(LogScaled.from_float(strip + c2), math.log(abs(c2 - c1) + 1e-300))
 
 
-# the six translates of the standard domain tiling a Gamma_0(4) domain:
-# (frame label, affine map w -> argument, log of Im-scale)
+# the six translates of the standard domain tiling a Gamma_0(4) domain, by
+# the frame that sees their cusp: (frame label, scale, shifts) for the maps
+# w -> scale (w + shift).  A frame's translates of the strip y >= 1 cover
+# one period of width 1 above y = scale.
 _PIECES = (
-    ("I", 1.0, 0.0),
-    ("W4", 0.25, 0.0),
-    ("W4", 0.25, 1.0),
-    ("W4", 0.25, 2.0),
-    ("W4", 0.25, 3.0),
-    ("V4", 1.0, 0.0),
+    ("I", 1.0, (0.0,)),
+    ("W4", 0.25, (0.0, 1.0, 2.0, 3.0)),
+    ("V4", 1.0, (0.0,)),
 )
 
 
-def petersson_gram(evals: list[FormEvaluator], y_cap: float = 64.0) -> tuple[np.ndarray, float]:
+def petersson_gram(evals: list[FormEvaluator]) -> tuple[np.ndarray, float]:
     """Gram matrix <f_i, f_j> = (1/6) int over a Gamma_0(4) domain.
 
     The domain is the union of six translates gamma_i F_SL2; on each the
     invariant integrand is evaluated through the frame seeing gamma_i's
     cusp:  (Im w)^k f fbar at the identity and V frames, (Im w / 4)^k at the
-    four Fricke translates (w+j)/4, j = 0..3.  No evaluators give a 0 x 0
+    four Fricke translates (w+j)/4, j = 0..3.  Above y = 1 each frame's part
+    is exact (_strip_gram); the cap is quadrature at orders 18 and 26, and
+    their largest difference is the error.  No evaluators give a 0 x 0
     matrix with error 0.
     """
     if not evals:
         return np.zeros((0, 0)), 0.0
     k = float(evals[0].k)
-    n = len(evals)
+    strip = sum(_strip_gram(label, [ev.frames[label].series for ev in evals],
+                            [ev.frames[label].log_scale for ev in evals], k, scale)
+                for label, scale, _ in _PIECES)
 
-    def assemble(order: int) -> np.ndarray:
-        g = np.zeros((n, n), dtype=complex)
-        zs, wts = _domain_nodes(order, y_cap)
+    def cap(order: int) -> np.ndarray:
+        g = np.zeros((len(evals),) * 2, dtype=complex)
+        zs, wts = _cap_nodes(order)
         measure = wts / zs.imag**2
-        for label, scale, shift in _PIECES:
-            vals = np.stack([ev.eval_frame_complex(label, scale * (zs + shift)) for ev in evals])
+        for label, scale, shifts in _PIECES:
+            pts = np.concatenate([scale * (zs + shift) for shift in shifts])
+            vals = np.stack([ev.eval_frame_complex(label, pts) for ev in evals])
             pref = (scale * zs.imag) ** k * measure
-            g += np.einsum("ip,jp,p->ij", vals, np.conjugate(vals), pref)
+            for piece in np.split(vals, len(shifts), axis=1):
+                g += np.einsum("ip,jp,p->ij", piece, np.conjugate(piece), pref)
         return g / 6.0
 
-    g1 = assemble(18)
-    g2 = assemble(26)
-    err = float(np.max(np.abs(g2 - g1)))
-    return np.real(g2), err
+    c1, c2 = cap(18), cap(26)
+    return np.real(c2) + strip / 6.0, float(np.max(np.abs(c2 - c1)))
 
 
 def petersson_norm_f(form, method: str = "quadrature", prec: int = 700) -> CertifiedValue:
-    """<f,f>_{Gamma_0(4)} for a plus-space form: 2-d quadrature over the
-    explicit domain, or (dim-1 spectral route) |fhat(m)|^2 / spectral sum."""
+    """<f,f>_{Gamma_0(4)} for a plus-space form: the 1 x 1 petersson_gram
+    (Parseval strips and a quadrature cap), or (dim-1 spectral route)
+    |fhat(m)|^2 / spectral sum."""
     if method == "quadrature":
         ev = FormEvaluator.from_plus_form(form, prec)
         g, err = petersson_gram([ev])

@@ -17,7 +17,9 @@ arithmetic; the library factors them into local sums with square roots mod
 prime powers), and a quadrature-based
 completed-L-value with a different smoothing than the production
 incomplete-gamma sums, mpmath's incomplete gamma (the library sums the finite
-series of an integer order), the plus-space monomials one at a time by
+series of an integer or half-integer order), Petersson Gram matrices by
+quadrature over the whole domain (the library sums the strips y >= 1 by
+Parseval), the plus-space monomials one at a time by
 binary powers (the library builds a weight's monomials from shared power
 chains), basis forms summed from their monomials as Python ints (the
 library combines them in residue space before one CRT per form), the
@@ -471,12 +473,12 @@ def hecke_matrix_plus_reference(basis, p: int) -> list[list[Fraction]]:
     return [[cols[i][j] for i in range(d)] for j in range(d)]
 
 
-def upper_gamma_q_reference(n: int, x: float, dps: int = 40):
-    """Regularized upper incomplete gamma Q(n, x) in dps-digit arithmetic, by
+def upper_gamma_q_reference(s, x: float, dps: int = 40):
+    """Regularized upper incomplete gamma Q(s, x) in dps-digit arithmetic, by
     mpmath's general routine (the library sums the finite series of an
-    integer order in float64)."""
+    integer or half-integer order in float64)."""
     with mp.workdps(dps):
-        return mp.gammainc(n, x, mp.inf, regularized=True)
+        return mp.gammainc(mp.mpf(s), x, mp.inf, regularized=True)
 
 
 def series_eval_reference(q, z: complex, dps: int = 40):
@@ -836,6 +838,30 @@ def domain_nodes_reference(order: int, y_cap: float = 64.0):
                 wts.append(wgx * wgy)
         lo = hi
     return np.array(pts), np.array(wts)
+
+
+def petersson_gram_reference(evals, y_cap: float = 64.0):
+    """(Gram matrix, error) by 2-d Gauss quadrature over the whole standard
+    domain up to y_cap, point by point in domain_nodes_reference, under each
+    of the six piece maps separately (the library sums the strips y >= 1 by
+    Parseval and integrates only the cap, the four Fricke translates in one
+    call).  Orders 18 and 26; the error is their largest difference."""
+    pieces = [("I", 1.0, 0.0)] + [("W4", 0.25, float(j)) for j in range(4)] + [("V4", 1.0, 0.0)]
+    k = float(evals[0].k)
+    n = len(evals)
+
+    def assemble(order):
+        g = np.zeros((n, n), dtype=complex)
+        zs, wts = domain_nodes_reference(order, y_cap)
+        measure = wts / zs.imag**2
+        for label, scale, shift in pieces:
+            vals = np.stack([ev.eval_frame_complex(label, scale * (zs + shift)) for ev in evals])
+            pref = (scale * zs.imag) ** k * measure
+            g += np.einsum("ip,jp,p->ij", vals, np.conjugate(vals), pref)
+        return g / 6.0
+
+    g1, g2 = assemble(18), assemble(26)
+    return np.real(g2), float(np.max(np.abs(g2 - g1)))
 
 
 def spectral_average_two_pass(k, m: int, rel_tol: float = 1e-8):

@@ -221,12 +221,26 @@ def test_flags_a_command_does_not_read_are_usage_errors(args):
 
 @pytest.mark.parametrize("args, code", [
     (["kz", "--k", "13/2", "--D", "1", "--primes", "20000", "--tol", "1e-2"], 0),
-    (["kz", "--k", "13/2", "--D", "1", "--primes", "20000", "--tol", "1e-300"], 1),
+    (["kz", "--k", "13/2", "--D", "1,17", "--primes", "20000", "--tol", "1e-300"], 1),
     (["kernel-check", "--k", "13/2", "--prec", "200", "--tol", "1e-2"], 0),
     (["kernel-check", "--k", "13/2", "--prec", "200", "--tol", "1e-12"], 1),
+    (["kernel-check", "--k", "13/2", "--prec", "200", "--tol", "0"], 1),
 ])
 def test_tol_is_read_by_kz_and_kernel_check(args, code):
+    """--tol 0 is a tolerance of 0, not the default; D = 1 alone agrees
+    exactly at 13/2, so the 1e-300 case also reads D = 17."""
     assert run_cli(args)[0] == code
+
+
+def test_kernel_check_at_49_2():
+    """The 'full S' Gram matrix at 49/2 has scaled condition number about
+    1e15, so the kernel identity there reads the rounding of the Parseval
+    strips: it holds to 1e-4 (to 2e-4 with the strips by quadrature up to
+    y = 64)."""
+    code, text = run_cli(["kernel-check", "--k", "49/2"])
+    assert code == 0
+    rel = [float(line.rsplit(",", 1)[1]) for line in text.splitlines()[2:]]
+    assert len(rel) == 5 and max(rel) < 1e-4
 
 
 def test_kz_rejects_discriminant_of_wrong_sign(capsys):

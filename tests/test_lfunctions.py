@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from plusforms.arith import admissible, fundamental_discriminants, kronecker_symbol
 from plusforms.hecke import eigenbasis_plus, eigenforms_level1
 from plusforms.lfunctions import (
+    _PIECES,
     _cap_nodes,
-    _domain_nodes,
+    _strip_gram,
     _twisted_coeffs,
     central_value,
     kohnen_zagier_check,
@@ -19,12 +21,14 @@ from plusforms.lfunctions import (
     sym2_at_1,
     upper_gamma_q,
 )
+from plusforms.qexp import QExpansion, space_basis
 from plusforms.supnorm import FormEvaluator
 
 from oracles import (
     cap_nodes_reference,
     central_value_quadrature,
     domain_nodes_reference,
+    petersson_gram_reference,
     upper_gamma_q_reference,
 )
 
@@ -32,23 +36,28 @@ KNOWN_NORM_DELTA = 1.0353620568043209223e-6  # independent 30-digit quadrature
 
 
 def test_upper_gamma_q_against_mpmath():
-    # every integer order the AFE (w/2) and the Parseval strip (w - 1) use
-    # through w = 62, on x from 1e-3 to 800; below 1e-290 only an absolute
-    # check, since float64 loses relative precision in the subnormal range
+    # every integer order the AFE (w/2) and the level-1 Parseval strip
+    # (w - 1) use through w = 62, and every half-integer order 1/2 .. 61/2 of
+    # the plus-space strips (k - 1), on x from 1e-3 to 800; below 1e-290 only
+    # an absolute check, since float64 loses relative precision in the
+    # subnormal range
     xs = np.geomspace(1e-3, 800.0, 97)
-    for n in range(1, 62):
-        got = upper_gamma_q(n, xs)
+    for s in list(range(1, 62)) + [h / 2 for h in range(1, 62, 2)]:
+        got = upper_gamma_q(s, xs)
         assert got.shape == xs.shape
         for x, q in zip(xs.tolist(), got.tolist()):
-            ref = upper_gamma_q_reference(n, x)
+            ref = upper_gamma_q_reference(s, x)
             if ref > 1e-290:
-                assert abs(q - ref) <= 2e-13 * ref, (n, x)
+                assert abs(q - ref) <= 2e-13 * ref, (s, x)
             else:
-                assert abs(q - ref) <= 1e-300, (n, x)
+                assert abs(q - ref) <= 1e-300, (s, x)
     assert isinstance(upper_gamma_q(3, 2.0), float)
+    assert isinstance(upper_gamma_q(2.5, 2.0), float)
     assert upper_gamma_q(1, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        upper_gamma_q(2.5, 1.0)
+    assert upper_gamma_q(0.5, 2.0) == pytest.approx(math.erfc(math.sqrt(2.0)), rel=1e-15)
+    for s in (2.25, 0, -0.5):
+        with pytest.raises(ValueError):
+            upper_gamma_q(s, 1.0)
 
 
 def test_central_value_against_quadrature_oracle(delta_form):
@@ -136,9 +145,89 @@ def test_quadrature_nodes_match_pointwise_reference():
 
     for order in (18, 24, 26, 36):
         assert same(_cap_nodes(order), cap_nodes_reference(order)), order
-    for order, y_cap in ((18, 64.0), (26, 64.0), (7, 5.0), (5, 1.0)):
-        assert same(_domain_nodes(order, y_cap), domain_nodes_reference(order, y_cap)), order
-    assert np.all(_domain_nodes(18, 64.0)[0].imag > 0)
+        assert np.all(_cap_nodes(order)[0].imag > 0)
+
+
+def _gram_cases():
+    """(evaluators, label) for the plus eigenforms at 13/2, 17/2, 21/2 and
+    29/2 (precision 900) and the 'full S' bases at 13/2 and 21/2."""
+    for k in ("13/2", "17/2", "21/2", "29/2"):
+        evs = []
+        for f in eigenbasis_plus(k, prec=900):
+            f.coefficients_upto(900)
+            evs.append(FormEvaluator.from_plus_form(f, 900))
+        yield evs, f"plus {k}"
+    for k, prec in (("13/2", 200), ("21/2", 400)):
+        basis = space_basis(k, prec, "full S")
+        yield [FormEvaluator.from_basis_element(basis, i, prec)
+               for i in range(basis.dimension)], f"full S {k}"
+
+
+def test_gram_matches_full_domain_quadrature():
+    """Parseval strips plus a quadrature cap give the Gram matrix of 2-d
+    quadrature over the whole domain to 1e-13 of its largest entry, and an
+    error estimate (orders 18 against 26 on the cap) below that."""
+    for evs, name in _gram_cases():
+        got, err = petersson_gram(evs)
+        ref, _ = petersson_gram_reference(evs)
+        top = np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * top, name
+        assert 0.0 <= err <= 1e-13 * top, name
+
+
+def test_fricke_translates_in_one_call_match_four_calls(evaluator_13_2):
+    """The four Fricke translates of the cap nodes, evaluated in one call,
+    give the values of four separate calls bit for bit (they share every y,
+    so the guard index and the real-factor table are the same)."""
+    basis = space_basis("21/2", 400, "full S")
+    evs = [evaluator_13_2] + [FormEvaluator.from_basis_element(basis, i, 400)
+                              for i in range(basis.dimension)]
+    label, scale, shifts = _PIECES[1]
+    assert label == "W4" and len(shifts) == 4
+    for order in (18, 26):
+        zs, _ = _cap_nodes(order)
+        for ev in evs:
+            batched = ev.eval_frame_complex(label, np.concatenate([scale * (zs + s) for s in shifts]))
+            single = np.concatenate([ev.eval_frame_complex(label, scale * (zs + s)) for s in shifts])
+            assert batched.tobytes() == single.tobytes(), order
+
+
+def test_strip_rejects_nonzero_constant_term():
+    """A nonzero constant term makes the Petersson integral diverge: a named
+    ValueError, from the strip and from a Gram matrix of non-cusp forms."""
+    q = QExpansion(Fraction(13, 2), 1, 0, 5, {0: Fraction(1), 1: Fraction(3)})
+    with pytest.raises(ValueError, match="frame W4 has a nonzero constant term"):
+        _strip_gram("W4", [q], [0.0], 6.5, 0.25)
+    cusp = QExpansion(Fraction(13, 2), 1, 0, 5, {1: Fraction(3)})
+    assert _strip_gram("I", [cusp], [0.0], 6.5, 1.0)[0, 0] > 0
+    basis = space_basis("13/2", 200, "plus M")
+    evs = [FormEvaluator.from_basis_element(basis, i, 200) for i in range(basis.dimension)]
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        petersson_gram(evs)
+
+
+def test_strip_matches_exact_parseval_sum():
+    """The strip of two series, summed in floats in the log domain, against
+    the same Parseval sum of incomplete gammas in 40-digit arithmetic, with
+    the second series scaled by e^3 through its log scale."""
+    a = QExpansion(Fraction(21, 2), 1, Fraction(1, 4), 40,
+                   {m: Fraction((-1) ** m * (m + 1) ** 3, 7) for m in range(41)})
+    b = QExpansion(Fraction(21, 2), 1, Fraction(1, 4), 40,
+                   {m: Fraction(m * m - 5, 3) for m in range(0, 41, 2)})
+    got = _strip_gram("V4", [a, b], [0.0, 3.0], 10.5, 1.0)
+    with mp.workdps(40):
+        ref = [[mp.mpf(0)] * 2 for _ in range(2)]
+        for m in range(41):
+            r = 4 * mp.pi * (m + mp.mpf(1) / 4)
+            w = mp.gammainc(mp.mpf(19) / 2, r, mp.inf) / r ** (mp.mpf(19) / 2)
+            c = [mp.mpf(q.coeff(m).numerator) / q.coeff(m).denominator for q in (a, b)]
+            c[1] *= mp.exp(3)
+            for i in range(2):
+                for j in range(2):
+                    ref[i][j] += c[i] * c[j] * w
+        for i in range(2):
+            for j in range(2):
+                assert abs(got[i, j] - float(ref[i][j])) <= 1e-14 * abs(float(ref[i][j])), (i, j)
 
 
 def test_norm_identity_triangle(delta_form, norm_delta):

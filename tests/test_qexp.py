@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    domain_nodes_reference,
     eval_reduced_reference,
     form_rows_reference,
     g_v_reference,
@@ -206,18 +207,26 @@ def _same_bits(got, ref) -> bool:
 
 def _reference_point_sets() -> dict:
     """The point arrays the library evaluates in bulk: the default scan grid
-    of k = 13/2, the six Gram piece maps of the order-18 and order-26 domain
-    nodes, and the cap nodes at orders 24 and 36."""
-    from plusforms.lfunctions import _PIECES, _cap_nodes, _domain_nodes
+    of k = 13/2, the order-18 and order-26 cap nodes under each of the six
+    Gram piece maps and the four Fricke translates concatenated (as the
+    Gram matrix evaluates them), the six maps of the whole-domain nodes of
+    the quadrature oracle, and the cap nodes at orders 24 and 36."""
+    from plusforms.lfunctions import _PIECES, _cap_nodes
     from plusforms.supnorm import SQRT3_OVER_8
 
     ys = np.exp(np.linspace(math.log(SQRT3_OVER_8), math.log(12.0 * 6.5 / math.pi), 48))
     xs = np.linspace(0.0, 1.0, 24, endpoint=False)
     sets = {"scan grid": xs + 1j * ys[:, None]}
     for order in (18, 26):
-        zs, _ = _domain_nodes(order, 64.0)
-        for j, (_label, scale, shift) in enumerate(_PIECES):
-            sets[f"Gram order {order} piece {j}"] = scale * (zs + shift)
+        cap, _ = _cap_nodes(order)
+        domain, _ = domain_nodes_reference(order, 64.0)
+        for label, scale, shifts in _PIECES:
+            for shift in shifts:
+                sets[f"Gram cap order {order} {label} + {shift}"] = scale * (cap + shift)
+                sets[f"Gram domain order {order} {label} + {shift}"] = scale * (domain + shift)
+            if len(shifts) > 1:
+                sets[f"Gram cap order {order} {label} translates"] = np.concatenate(
+                    [scale * (cap + shift) for shift in shifts])
     for order in (24, 36):
         sets[f"cap order {order}"] = _cap_nodes(order)[0]
     return sets

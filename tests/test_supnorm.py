@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import iter_gl_reference
+from oracles import domain_nodes_reference, iter_gl_reference
 from plusforms.arith import jacobi_symbol
 from plusforms.lfunctions import petersson_gram
 from plusforms.numerics import log_abs_fraction
@@ -173,11 +173,12 @@ _GUARD_WEIGHTS = [f"{num}/2" for num in range(13, 62, 2) if num != 15]
 def test_guarded_truncation_matches_full_series(k):
     """Summing only the terms the precision guard asks for moves no frame
     value by more than 1e-13 of the largest value in its point set: the scan
-    grid in every frame (y^(k/2)|f|, as the scan reads it) and the six Gram
-    pieces at both quadrature orders (raw values, as the Gram matrix reads
-    them)."""
+    grid in every frame (y^(k/2)|f|, as the scan reads it) and, at both
+    quadrature orders, the six Gram pieces of the cap nodes and of the
+    whole-domain nodes, and the four Fricke translates of the cap nodes
+    together (raw values, as the Gram matrix reads them)."""
     from plusforms.hecke import eigenbasis_plus
-    from plusforms.lfunctions import _PIECES, _domain_nodes
+    from plusforms.lfunctions import _PIECES, _cap_nodes
 
     f = eigenbasis_plus(k, prec=900)[0]
     f.coefficients_upto(900)
@@ -194,13 +195,17 @@ def test_guarded_truncation_matches_full_series(k):
         top = np.max(full)
         assert np.max(np.abs(np.exp(got.logm - top) - np.exp(full - top))) <= 1e-13, (k, label)
     for order in (18, 26):
-        zs, _ = _domain_nodes(order, 64.0)
-        for label, scale, shift in _PIECES:
-            pts = scale * (zs + shift)
-            got = ev.eval_frame_complex(label, pts)
-            reduced, logf = ev.frames[label].series.eval_reduced(pts)
-            full = reduced * np.exp(logf + ev.frames[label].log_scale)
-            assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full)), (k, order, shift)
+        for zs in (_cap_nodes(order)[0], domain_nodes_reference(order, 64.0)[0]):
+            for label, scale, shifts in _PIECES:
+                pieces = [scale * (zs + shift) for shift in shifts]
+                if len(shifts) > 1:
+                    pieces.append(np.concatenate(pieces))
+                for pts in pieces:
+                    got = ev.eval_frame_complex(label, pts)
+                    reduced, logf = ev.frames[label].series.eval_reduced(pts)
+                    full = reduced * np.exp(logf + ev.frames[label].log_scale)
+                    assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full)), (
+                        k, order, label, pts.size)
 
 
 def test_guarded_truncation_within_tail_bound(evaluator_13_2):
