@@ -11,7 +11,6 @@ from .numerics import (
     CertifiedValue,
     LogScaled,
     bessel_j_half,
-    gamma_half,
     s_sum,
 )
 from .qexp import (

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -241,8 +242,6 @@ def cmd_kernel_check(args) -> int:
     basis = space_basis(k, prec, "full S")
     evs = [FormEvaluator.from_basis_element(basis, i, prec) for i in range(basis.dimension)]
     gram, _ = petersson_gram(evs)
-    import random
-
     rng = random.Random(20)
     rows = []
     ok_all = True

@@ -187,6 +187,8 @@ def sym2_at_1(F, prime_limit: int = 10**5) -> CertifiedValue:
     with lam_p = Fhat(p) p^(-(w-1)/2).  The error field is a heuristic tail
     estimate c / (sqrt(P) log P); the doubling test in the suite backs it.
     """
+    if prime_limit < 2:
+        raise ValueError("prime_limit must be at least 2")
     a = (F.weight - 1) / 2.0
     log_l = 0.0
     for p in primes_up_to(prime_limit):

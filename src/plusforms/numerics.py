@@ -2,7 +2,7 @@
 
 Log-domain scalars (sign + log magnitude), certified values carrying a
 truncation-error bound, half-integer order Bessel J by closed forms and
-normalized downward recurrence, half-integer Gamma, and the exponential sum
+normalized downward recurrence, and the exponential sum
 S(alpha, beta, kappa) = sum_{m+kappa>0} (m+kappa)^alpha e^(-beta(m+kappa)).
 """
 
@@ -66,12 +66,6 @@ class LogScaled:
         if x == 0.0:
             return LogScaled.zero()
         return LogScaled(1 if x > 0 else -1, math.log(abs(x)))
-
-    @staticmethod
-    def from_log(logm: float, sign: int = 1) -> "LogScaled":
-        if sign == 0:
-            return LogScaled.zero()
-        return LogScaled(sign, logm)
 
     @staticmethod
     def exp_of(logm: float) -> "LogScaled":
@@ -316,43 +310,6 @@ def _miller_downward(n: int, x: float) -> LogScaled:
     )
     sign = (1 if val > 0 else -1) * (1 if ref_rec * ref_exact > 0 else -1)
     return LogScaled(sign, logm)
-
-
-# ---------------------------------------------------------------------------
-# Gamma at half-integers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GammaValue:
-    """Gamma(t) as LogScaled, with the exact form r or r*sqrt(pi) when available."""
-
-    value: LogScaled
-    rational: Fraction | None  # Gamma(t) = rational * sqrt(pi)^[times_sqrt_pi]
-    times_sqrt_pi: bool
-
-
-def gamma_half(t) -> GammaValue:
-    """Gamma(t) for t > 0.  Exact rational (times sqrt(pi)) at (half-)integers."""
-    tf = float(t)
-    if tf <= 0:
-        raise ValueError("gamma_half needs t > 0")
-    try:
-        tq = half_integer(t)
-    except ValueError:
-        tq = None
-    if tq is not None and tq.denominator == 1:
-        n = int(tq)
-        r = Fraction(math.factorial(n - 1))
-        return GammaValue(LogScaled.from_log(log_abs_fraction(r)), r, False)
-    if tq is not None:
-        # Gamma(1/2 + m) = (2m)!/(4^m m!) sqrt(pi)
-        m = int(tq - Fraction(1, 2))
-        r = Fraction(math.factorial(2 * m), 4**m * math.factorial(m))
-        return GammaValue(
-            LogScaled.from_log(log_abs_fraction(r) + 0.5 * math.log(math.pi)), r, True
-        )
-    return GammaValue(LogScaled.from_log(math.lgamma(tf)), None, False)
 
 
 # ---------------------------------------------------------------------------

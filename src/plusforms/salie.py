@@ -39,7 +39,6 @@ from .numerics import (
     CertifiedValue,
     LogScaled,
     bessel_j_half,
-    gamma_half,
     logsumexp,
 )
 
@@ -277,7 +276,7 @@ def spectral_average(k, m: int, rel_tol: float = 1e-8) -> CertifiedValue:
     pref_log = (
         math.log(6.0)
         + (kf - 1.0) * math.log(4.0 * math.pi * m)
-        - gamma_half(k - 1).value.logm
+        - math.lgamma(kf - 1.0)
     )
     val = g.value.value * LogScaled.exp_of(pref_log)
     err_log = g.value.err_log + pref_log if g.value.err_log > NEG_INF else NEG_INF

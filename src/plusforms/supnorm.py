@@ -10,21 +10,20 @@ call per frame for the grid), enumeration of
 
 inside hyperbolic balls u(gamma z, w) <= delta (as int64 arrays, by
 `gl_arrays`), the four counting classes,
-Bergman kernel partial sums with the theta multiplier evaluated as a
-quotient, the amplifier weights y_l, and the weight-aspect scaling
+Bergman kernel partial sums with the theta multiplier in closed form,
+the amplifier weights y_l, and the weight-aspect scaling
 experiment for the spectral average of |fhat_j(1)|^2.
 """
 
 from __future__ import annotations
 
 import math
-import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import admissible, divisors, half_integer, plus_sign, primes_up_to
+from .arith import admissible, divisors, half_integer, kronecker_symbol, plus_sign, primes_up_to
 from .numerics import LogScaled
 from .qexp import PrecisionError, QExpansion, SpaceBasis
 from .salie import spectral_average, bessel_correction_factor
@@ -534,58 +533,40 @@ def count_matrices(z: complex, l: int, delta: float, keep_witnesses: bool = True
 # ---------------------------------------------------------------------------
 
 
-def theta_value(z: complex, tol: float = 1e-16) -> complex:
-    """Theta(z) = 1 + 2 sum e(n^2 z), direct sum (converges for any y > 0)."""
-    y = z.imag
-    if y <= 0:
-        raise ValueError("theta_value needs Im z > 0")
-    n_max = math.ceil(math.sqrt(max(40.0, -math.log(tol)) / (2.0 * math.pi * y))) + 2
-    total = 1.0 + 0.0j
-    for n in range(1, n_max + 1):
-        total += 2.0 * cmath.exp(2j * math.pi * n * n * z)
-    return total
+def _kernel_terms(mats: np.ndarray, z: complex, w: complex, k) -> np.ndarray:
+    """j_Theta(gamma, z)^(-2k) ((gamma z - conj w)/(2i))^(-k) for each row
+    (a, b, c, d) of mats, with the theta multiplier in closed form
+    j_Theta(gamma, z) = (c/d) eps_d^(-1) (c z + d)^(1/2): Shimura's symbol
+    (c/d), eps_d = 1 or i for d = 1 or 3 mod 4, and the principal root.
+    Since 2k is odd, the term is (c/d) eps_d^(2k) exp(-k (Log(c z + d) +
+    Log(base))) with principal logarithms, so no branch is merged."""
+    kf = float(k)
+    a, b, c, d = mats.T.astype(np.float64)
+    czd = c * z + d
+    base = ((a * z + b) / czd - w.conjugate()) / 2j
+    chi = np.array([kronecker_symbol(ci, di) for ci, di in mats[:, 2:].tolist()], dtype=np.float64)
+    eps = np.where(mats[:, 3] % 4 == 3, 1j ** (int(2 * k) % 4), 1.0)
+    return chi * eps * np.exp(-kf * (np.log(czd) + np.log(base)))
 
 
-def _theta_denominator(z: complex) -> complex:
-    """Theta(z), raising if it is too small for a stable quotient."""
-    tz = theta_value(z)
-    if abs(tz) < 1e-6:
-        raise ArithmeticError("theta quotient unstable: |Theta(z)| < 1e-6")
-    return tz
-
-
-def bergman_partial(z: complex, w: complex, k, u_cut: float | None = None,
-                    tol: float = 1e-4) -> tuple[complex, float]:
+def bergman_partial(z: complex, w: complex, k, tol: float = 1e-4) -> tuple[complex, float]:
     """Truncated group-side Bergman kernel
 
         3(k-1)/(4 pi) sum_{gamma in G_1(4), u(gamma z, w) <= u_cut}
-            j_Theta(gamma, z)^(-2k) ((gamma z - conj w)/(2i))^(-k).
+            j_Theta(gamma, z)^(-2k) ((gamma z - conj w)/(2i))^(-k),
 
-    The multiplier is the theta quotient raised to the odd integer 2k (no
-    branch ambiguity); the remaining power uses the principal branch, whose
-    base has positive real part.  Returns (value, heuristic error estimate
-    from the outermost shell's decay).
+    u_cut = max(24, 2 tol^(-2/k)), with the theta multiplier in closed form
+    (_kernel_terms).  Returns (value, heuristic error estimate: twice the
+    absolute sum of the terms with u > u_cut / 2).
     """
     k = half_integer(k)
     kf = float(k)
-    two_k = int(2 * k)
-    if u_cut is None:
-        u_cut = max(24.0, (1.0 / tol) ** (2.0 / kf) * 2.0)
+    u_cut = max(24.0, (1.0 / tol) ** (2.0 / kf) * 2.0)
     pref = 3.0 * (kf - 1.0) / (4.0 * math.pi)
-    total = 0.0j
-    shell = 0.0
     mats, us = gl_arrays(1, z, u_cut, w=w)
-    tz = _theta_denominator(z) if len(mats) else None
-    for mat, u in zip(mats.tolist(), us.tolist()):
-        gz = apply_matrix(mat, z)
-        jt = theta_value(gz) / tz
-        base = (gz - w.conjugate()) / 2j
-        term = jt ** (-two_k) * cmath.exp(-kf * cmath.log(base))
-        total += term
-        if u > 0.5 * u_cut:
-            shell += abs(term)
-    err = pref * (shell + 1e-300) * 2.0
-    return pref * total, err
+    terms = _kernel_terms(mats, z, w, k)
+    shell = float(np.abs(terms[us > 0.5 * u_cut]).sum())
+    return complex(pref * terms.sum()), pref * (shell + 1e-300) * 2.0
 
 
 def bergman_spectral(z: complex, w: complex, evaluators: list[FormEvaluator],
@@ -637,29 +618,25 @@ def amplifier_build(lam: float, kind: str, a_values: dict[int, float]) -> Amplif
     return AmplifierSpec(lam, kind, primes, x, {l: v for l, v in y.items() if v != 0})
 
 
-def amplified_rhs(z: complex, k, spec: AmplifierSpec,
-                  u_cut: float | None = None) -> tuple[LogScaled, dict[int, float]]:
+def amplified_rhs(z: complex, k, spec: AmplifierSpec) -> tuple[LogScaled, dict[int, float]]:
     """Geometric side of the amplified inequality at the point z:
 
         3(k-1)/(4 pi) sum_l |y_l| l^(-1/2) sum_{gamma in G_l(4), u <= u_cut}
-            (1 + u(gamma z, z))^(-k/2).
+            (1 + u(gamma z, z))^(-k/2),
 
-    Dropping u > u_cut only lowers the (positive) right side, so the
-    truncated value stays a valid lower bound for inequality checks.
+    u_cut = 20 log(k) / k.  Dropping u > u_cut only lowers the (positive)
+    right side, so the truncated value stays a valid lower bound for
+    inequality checks.
     """
     k = half_integer(k)
     kf = float(k)
-    if u_cut is None:
-        u_cut = 20.0 * math.log(kf) / kf
+    u_cut = 20.0 * math.log(kf) / kf
     pref = 3.0 * (kf - 1.0) / (4.0 * math.pi)
     per_l: dict[int, float] = {}
     total = 0.0
     for l in sorted(spec.y):
-        yl = abs(spec.y[l])
-        s = 0.0
-        for u in gl_arrays(l, z, u_cut)[1].tolist():
-            s += (1.0 + u) ** (-kf / 2.0)
-        contrib = pref * yl * s / math.sqrt(l)
+        s = float(np.sum((1.0 + gl_arrays(l, z, u_cut)[1]) ** (-kf / 2)))
+        contrib = pref * abs(spec.y[l]) * s / math.sqrt(l)
         per_l[l] = contrib
         total += contrib
     return LogScaled.from_float(total), per_l

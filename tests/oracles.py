@@ -24,6 +24,8 @@ binary powers (the library builds a weight's monomials from shared power
 chains), basis forms summed from their monomials as Python ints (the
 library combines them in residue space before one CRT per form), the
 spectral average as two fresh c-sums (the library extends one running sum),
+the theta multiplier as the quotient of two direct theta sums (the library
+uses Shimura's closed form),
 the plus-space T(p^2) matrix and the level-1 T(p) from Fraction
 q-expansions checked coefficient by coefficient (the library reads the
 integer basis rows and the Miller rows), and
@@ -34,6 +36,7 @@ and makes each scalar on read).
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -705,6 +708,37 @@ def eval_reduced_reference(q, zs):
     return reduced.reshape(zs.shape), log_scale.reshape(zs.shape)
 
 
+def theta_reference_value(z: complex, mat=(1, 0, 0, 1)) -> complex:
+    """Theta(gamma z) = 1 + 2 sum e(n^2 gamma z) by direct summation.  gamma z
+    is taken exactly from the float z, as (R + i y det(gamma)) / N over one
+    integer N, and each phase n^2 R / N is reduced mod 1 in integers: near
+    the real line n^2 reaches 10^4, where a float phase would lose 1e-12."""
+    a, b, c, d = mat
+    x, y = Fraction(z.real), Fraction(z.imag)
+    if y <= 0:
+        raise ValueError("theta_reference_value needs Im z > 0")
+    den = math.lcm(x.denominator, y.denominator)
+    xi, yi = int(x * den), int(y * den)
+    cd = c * xi + d * den
+    r = (a * xi + b * den) * cd + a * c * yi * yi
+    n = cd * cd + c * c * yi * yi
+    im = yi * den * (a * d - b * c) / n
+    total = 1.0 + 0.0j
+    for m in range(1, math.ceil(math.sqrt(40.0 / (2.0 * math.pi * im))) + 3):
+        total += 2.0 * cmath.exp(2.0 * math.pi * (1j * (m * m * r % n) / n - m * m * im))
+    return total
+
+
+def kernel_term_reference(mat, z: complex, w: complex, k) -> complex:
+    """j_Theta(gamma, z)^(-2k) ((gamma z - conj w)/(2i))^(-k) with j_Theta
+    the quotient Theta(gamma z) / Theta(z) of direct sums, raised to the odd
+    integer 2k; the library uses the closed form (c/d) eps_d^(-1) (cz+d)^(1/2)."""
+    a, b, c, d = mat
+    gz = (a * z + b) / (c * z + d)
+    jt = theta_reference_value(z, mat) / theta_reference_value(z)
+    return jt ** -int(2 * k) * cmath.exp(-float(k) * cmath.log((gz - w.conjugate()) / 2j))
+
+
 def iter_gl_reference(l: int, z: complex, delta: float, w: complex | None = None,
                       modc: int = 4):
     """The lattice enumerator one matrix at a time, yielding (matrix, u): a
@@ -870,7 +904,7 @@ def spectral_average_two_pass(k, m: int, rel_tol: float = 1e-8):
     tighter tol.  The library extends one running sum past the first c_max
     and must agree with this bit for bit."""
     from plusforms.arith import half_integer
-    from plusforms.numerics import NEG_INF, CertifiedValue, LogScaled, gamma_half
+    from plusforms.numerics import NEG_INF, CertifiedValue, LogScaled
     from plusforms.salie import poincare_coeff
 
     k = half_integer(k)
@@ -882,7 +916,7 @@ def spectral_average_two_pass(k, m: int, rel_tol: float = 1e-8):
     pref_log = (
         math.log(6.0)
         + (kf - 1.0) * math.log(4.0 * math.pi * m)
-        - gamma_half(k - 1).value.logm
+        - math.lgamma(kf - 1.0)
     )
     val = g.value.value * LogScaled.exp_of(pref_log)
     err_log = g.value.err_log + pref_log if g.value.err_log > NEG_INF else NEG_INF

@@ -252,6 +252,15 @@ def test_kz_rejects_discriminant_of_wrong_sign(capsys):
     assert err.startswith("FAILED check: kz: ValueError: discriminant sign must satisfy")
 
 
+def test_kz_rejects_prime_limit_below_2(capsys):
+    """--primes 1 leaves the Euler product no prime and its tail estimate a
+    division by log 1 = 0: a named failure."""
+    code, _ = run_cli(["kz", "--k", "13/2", "--D", "1", "--primes", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED check: kz: ValueError: prime_limit must be at least 2")
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "plusforms.cli", "basis", "--k", "5/2"],

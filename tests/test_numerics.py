@@ -11,7 +11,6 @@ from plusforms.numerics import (
     CertifiedValue,
     LogScaled,
     bessel_j_half,
-    gamma_half,
     s_sum,
     s_sum_upper_bound_log,
 )
@@ -29,9 +28,8 @@ HALF = Fraction(1, 2)
 def test_logscaled_roundtrip_600_orders(log10x):
     x = LogScaled(1, log10x * math.log(10.0))
     back = LogScaled.from_float(x.to_float()) if abs(log10x) < 300 else x
-    # round trip through the representation itself
-    y = LogScaled.from_log(x.logm, x.sign)
-    assert abs(y.logm - x.logm) <= 1e-14 * max(1.0, abs(x.logm))
+    assert back.sign == 1
+    assert abs(back.logm - x.logm) <= 1e-14 * max(1.0, abs(x.logm))
 
 
 @settings(max_examples=200, deadline=None)
@@ -133,18 +131,3 @@ def test_exp_decay_lemma_grid():
         lhs = alpha * math.log(kappa) - beta * kappa
         rhs = alpha * (math.log(alpha) - math.log(beta) - 1.0) - beta * kappa / 2.0
         assert lhs <= rhs + 1e-12
-
-
-# -- gamma and unit powers ---------------------------------------------------
-
-
-def test_gamma_half_exact_values():
-    g = gamma_half(Fraction(1, 2))
-    assert g.rational == 1 and g.times_sqrt_pi
-    g = gamma_half(Fraction(5, 2))
-    assert g.rational == Fraction(3, 4) and g.times_sqrt_pi
-    g = gamma_half(12)
-    assert g.rational == 39916800 and not g.times_sqrt_pi
-    assert gamma_half(4.3).value.logm == pytest.approx(math.lgamma(4.3), rel=1e-14)
-    with pytest.raises(ValueError):
-        gamma_half(-1)

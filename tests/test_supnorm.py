@@ -1,4 +1,3 @@
-import cmath
 import math
 import random
 from fractions import Fraction
@@ -6,7 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import domain_nodes_reference, iter_gl_reference
+from oracles import (
+    domain_nodes_reference,
+    iter_gl_reference,
+    kernel_term_reference,
+    theta_reference_value,
+)
 from plusforms.arith import jacobi_symbol
 from plusforms.lfunctions import petersson_gram
 from plusforms.numerics import log_abs_fraction
@@ -29,8 +33,7 @@ from plusforms.supnorm import (
     plus_form_precision,
     sl2_reduce,
     supnorm_scan,
-    _theta_denominator,
-    theta_value,
+    _kernel_terms,
     u_invariant,
 )
 
@@ -397,30 +400,42 @@ def test_theta_multiplier_modulus():
         a, b, c, d = mat
         for _ in range(5):
             z = complex(rng.uniform(-1, 1), rng.uniform(0.2, 2.0))
-            jt = theta_value(apply_matrix(mat, z)) / theta_value(z)
+            jt = theta_reference_value(z, mat) / theta_reference_value(z)
             assert abs(jt) == pytest.approx(abs(c * z + d) ** 0.5, rel=1e-10)
 
 
-def test_theta_quotient_instability_reported():
-    # theta decays like a theta_4-value approaching the real line at x = 1/2;
-    # quotients at such points must be refused
-    z0 = complex(0.5, 0.008)
-    assert abs(theta_value(z0)) < 1e-6
-    with pytest.raises(ArithmeticError):
-        _theta_denominator(z0)
+@pytest.mark.parametrize("k", ["9/2", "13/2", "29/2", "61/2"])
+def test_closed_form_multiplier_matches_theta_quotient(k):
+    """On every matrix bergman_partial sums for kernel-check's five pairs,
+    the closed-form term equals the theta-quotient term to 1e-12; the
+    matrices include c < 0, d < 0 and d = 3 mod 4."""
+    kf = float(Fraction(k))
+    u_cut = max(24.0, (1.0 / 1e-5) ** (2.0 / kf) * 2.0)
+    rng = random.Random(20)
+    rows = []
+    for _ in range(5):
+        z = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.5, 1.3))
+        w = complex(rng.uniform(-0.4, 0.4), rng.uniform(0.5, 1.3))
+        mats, _u = gl_arrays(1, z, u_cut, w=w)
+        terms = _kernel_terms(mats, z, w, Fraction(k))
+        for mat, term in zip(mats.tolist(), terms.tolist()):
+            ref = kernel_term_reference(mat, z, w, Fraction(k))
+            assert abs(term - ref) <= 1e-12 * abs(ref), (mat, term, ref)
+        rows.extend(mats.tolist())
+    assert any(c < 0 for _a, _b, c, _d in rows)
+    assert any(d < 0 for _a, _b, _c, d in rows)
+    assert any(d % 4 == 3 for _a, _b, _c, d in rows)
 
 
 def test_bergman_partial_matches_per_matrix_theta_quotient():
-    """Theta(z) once per call gives the same sum as the quotient per matrix."""
+    """The closed-form sum equals the theta-quotient sum over the reference
+    enumeration."""
     z, w, k = 0.1 + 0.9j, 0.3 + 1.2j, Fraction(13, 2)
     u_cut = max(24.0, (1.0 / 1e-4) ** (2.0 / 6.5) * 2.0)
-    total = 0.0j
-    for mat, _u in iter_gl_reference(1, z, u_cut, w=w):
-        base = (apply_matrix(mat, z) - w.conjugate()) / 2j
-        jt = theta_value(apply_matrix(mat, z)) / theta_value(z)
-        total += jt ** -13 * cmath.exp(-6.5 * cmath.log(base))
+    total = sum(kernel_term_reference(mat, z, w, k)
+                for mat, _u in iter_gl_reference(1, z, u_cut, w=w))
     value, _err = bergman_partial(z, w, k, tol=1e-4)
-    assert value == 3.0 * 5.5 / (4.0 * math.pi) * total
+    assert value == pytest.approx(3.0 * 5.5 / (4.0 * math.pi) * total, rel=1e-12)
 
 
 def test_bergman_hermitian_and_diagonal():
@@ -501,8 +516,9 @@ def test_amplified_rhs_l1_reduces_to_kernel_count():
     spec = AmplifierSpec(3.0, "M1", [3], {9: 1}, {1: 1})
     z = complex(0.3, 1.1)
     k = Fraction(13, 2)
-    rhs, per_l = amplified_rhs(z, k, spec, u_cut=2.0)
-    direct = sum((1 + u) ** -3.25 for u in gl_arrays(1, z, 2.0)[1].tolist())
+    rhs, per_l = amplified_rhs(z, k, spec)
+    u_cut = 20 * math.log(6.5) / 6.5
+    direct = sum((1 + u) ** -3.25 for u in gl_arrays(1, z, u_cut)[1].tolist())
     pref = 3 * 5.5 / (4 * math.pi)
     assert rhs.to_float() == pytest.approx(pref * direct, rel=1e-12)
     assert per_l[1] == pytest.approx(pref * direct, rel=1e-12)
