@@ -25,6 +25,7 @@ difference the error estimate, with one array call per frame and form.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -210,15 +211,19 @@ def _gauss_nodes(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
+@lru_cache(maxsize=8)
 def _cap_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor Gauss nodes and weights on the cap of the standard fundamental
     domain below y = 1, on x in [0, 1/2] with weights doubled for the
     reflection x -> -x.  x is outermost so the inner bound sqrt(1 - x^2)
     stays smooth; y outermost would put a square-root singularity at y = 1
-    and stall the quadrature."""
+    and stall the quadrature.  Cached per order, as read-only arrays."""
     xs, wx = _gauss_nodes(0.0, 0.5, order)
     ys, wy = _gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, order)
-    return (xs[:, None] + 1j * ys).ravel(), (2.0 * wx[:, None] * wy).ravel()
+    nodes = ((xs[:, None] + 1j * ys).ravel(), (2.0 * wx[:, None] * wy).ravel())
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
 
 
 def _strip_gram(label: str, series: list[QExpansion], log_scales, k: float, y0: float):

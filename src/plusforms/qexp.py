@@ -10,9 +10,9 @@ its Fractions are made.
 `QExpansion.eval_reduced` is the one place where a truncated series is
 summed at points: whole arrays of points in fixed-size blocks, each point
 shifted by its largest log term so that nothing overflows or underflows,
-with one exponential per distinct y and one per distinct x.
-The frame evaluators, the sup-norm scan, the Petersson quadratures and the
-Bergman kernel's spectral side all evaluate through it.
+with one exponential per distinct y and one per distinct x (a single point
+skips the blocks).  The frame evaluators, the sup-norm scan, the Petersson
+quadratures and the Bergman kernel's spectral side all evaluate through it.
 
 The spaces M_k(Gamma_0(4)) are spanned by monomials Theta^a G^b where Theta
 is the standard theta series (weight 1/2) and G = sum_{n odd} sigma_1(n) q^n
@@ -129,17 +129,24 @@ class QExpansion:
         blocks of _EVAL_BLOCK points gather their (points, terms) products and
         sum each row.  A tensor grid of points costs about one exp per row and
         one per column, and every value equals the term-by-term sum bit for bit.
+        A single point (with terms to sum) runs the same operations on the
+        1-d term rows and returns numpy scalars.
         """
-        zs = np.asarray(zs, dtype=complex)
-        flat = zs.reshape(-1)
-        reduced = np.zeros(flat.shape, dtype=complex)
-        log_scale = np.full(flat.shape, NEG_INF)
         t, logs, signs = self._arrays()
         if upto is not None:
             n = np.searchsorted(t, (upto + float(self.param)) / self.width, side="right")
             t, logs, signs = t[:n], logs[:n], signs[:n]
+        rate, freq = 2.0 * math.pi * t, 2j * math.pi * t
+        if t.size and np.ndim(zs) == 0:
+            z = complex(zs)
+            logterm = logs - rate * z.imag
+            m0 = np.max(logterm)
+            return np.sum(signs * np.exp(logterm - m0) * np.exp(freq * z.real)), m0
+        zs = np.asarray(zs, dtype=complex)
+        flat = zs.reshape(-1)
+        reduced = np.zeros(flat.shape, dtype=complex)
+        log_scale = np.full(flat.shape, NEG_INF)
         if t.size and flat.size:
-            rate, freq = 2.0 * math.pi * t, 2j * math.pi * t
             for pts, ys, iy, xs, ix in _tiles(flat):
                 logterm = logs - rate * ys[:, None]
                 m0 = np.max(logterm, axis=1, keepdims=True)

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import admissible, divisors, half_integer, kronecker_symbol, plus_sign, primes_up_to
-from .numerics import LogScaled
+from .numerics import NEG_INF, LogScaled
 from .qexp import PrecisionError, QExpansion, SpaceBasis
 from .salie import spectral_average, bessel_correction_factor
 
@@ -104,12 +104,11 @@ class FormEvaluator:
     def required_precision(self, label: str, y: float) -> int:
         return _guard_index(self.k, self.frames[label].series.width, y)
 
-    def _eval_guarded(self, label: str, z, check: bool):
+    def _eval_guarded(self, label: str, z, y_min: float, check: bool):
         """eval_reduced of the frame's series at z, summed up to the index the
-        guard asks for at the lowest point of z (all stored terms if fewer);
-        with check, fewer raise PrecisionError."""
+        guard asks for at y_min, the lowest point of z (all stored terms if
+        fewer); with check, fewer raise PrecisionError."""
         series = self.frames[label].series
-        y_min = float(np.min(np.imag(z)))
         need = self.required_precision(label, y_min)
         if check and series.prec < need:
             raise PrecisionError(
@@ -120,24 +119,25 @@ class FormEvaluator:
 
     def eval_frame(self, label: str, z, check: bool = True) -> LogScaled:
         """y^(k/2) |(f|ki)(z)| as a LogScaled value.  For an array of points
-        its sign and logm are arrays of the same shape."""
+        its sign and logm are arrays of the same shape; a single point takes
+        the same operations on scalars."""
         fs = self.frames[label]
-        y = np.imag(z)
-        reduced, m0 = self._eval_guarded(label, z, check)
+        one = np.ndim(z) == 0
+        y = z.imag if one else np.imag(z)
+        reduced, m0 = self._eval_guarded(label, z, y if one else float(np.min(y)), check)
         r = np.hypot(reduced.real, reduced.imag)
         shift = 0.5 * float(self.k) * np.log(y) + fs.log_scale
+        if one:
+            return LogScaled(int(r > 0.0), float(m0 + (np.log(r) if r > 0.0 else NEG_INF) + shift))
         with np.errstate(divide="ignore"):
             logm = m0 + np.log(r) + shift
-        sign = np.where(r > 0.0, 1, 0)
-        if np.ndim(z) == 0:
-            return LogScaled(int(sign), float(logm))
-        return LogScaled(sign, logm)
+        return LogScaled(np.where(r > 0.0, 1, 0), logm)
 
     def eval_frame_complex(self, label: str, z):
         """Raw series value (f|ki)(z) (no y-power), for kernel work; an array
         of the shape of z for an array of points."""
         fs = self.frames[label]
-        reduced, logf = self._eval_guarded(label, z, check=False)
+        reduced, logf = self._eval_guarded(label, z, float(np.min(np.imag(z))), check=False)
         return reduced * np.exp(logf + fs.log_scale)
 
     # -- evaluation anywhere on the upper half plane -------------------------
@@ -271,20 +271,29 @@ def apply_matrix(mat, z: complex) -> complex:
     return (a * z + b) / (c * z + d)
 
 
-def _u_exact(mat, l: int, zq: tuple[Fraction, Fraction], wq: tuple[Fraction, Fraction]) -> Fraction:
-    """u(gamma z, w) exactly, for rational z, w (borderline membership)."""
-    a, b, c, d = (Fraction(t) for t in mat)
-    xz, yz = zq
-    xw, yw = wq
-    # N = a z + b - (c z + d) conj(w); |N|^2 = 4 l yz yw (u + 1)
-    re = a * xz + b - (c * xz + d) * xw - c * yz * yw
-    im = a * yz - c * (yz * xw - xz * yw) + d * yw
-    n2 = re * re + im * im
-    return n2 / (4 * l * yz * yw) - 1
-
-
 def _float_to_fraction(x: float) -> Fraction:
     return Fraction(x).limit_denominator(10**12)
+
+
+def _exact_judge(l: int, z: complex, w: complex, delta: float):
+    """Exact membership of borderline rows: z, w, delta as fractions
+    (_float_to_fraction), the coordinates over one denominator D, so D^2 N,
+    N = a z + b - (c z + d) conj(w), is integral and u <= delta compares
+    integers.  Returns (a, b, c, d) -> u rounded to float, or None if u > delta."""
+    xz, yz, xw, yw = (_float_to_fraction(t) for t in (z.real, z.imag, w.real, w.imag))
+    dq = _float_to_fraction(delta)
+    den = math.lcm(xz.denominator, yz.denominator, xw.denominator, yw.denominator)
+    xz, yz, xw, yw = (int(t * den) for t in (xz, yz, xw, yw))
+    norm = 4 * l * yz * yw * den * den  # D^4 |N|^2 at u = 0
+    bound = norm * (dq.numerator + dq.denominator)
+
+    def judge(a: int, b: int, c: int, d: int) -> float | None:
+        re = (a * xz - d * xw + b * den) * den - c * (xz * xw + yz * yw)
+        im = (a * yz + d * yw) * den - c * (yz * xw - xz * yw)
+        n2 = re * re + im * im
+        return None if n2 * dq.denominator > bound else (n2 - norm) / norm
+
+    return judge
 
 
 def enumerate_gl(l: int, z: complex, delta: float,
@@ -295,8 +304,8 @@ def enumerate_gl(l: int, z: complex, delta: float,
     return sorted(map(tuple, mats.tolist()))
 
 
-# candidate (a, d) pairs per block of gl_arrays: bounds its int64 work arrays
-_LATTICE_BLOCK = 1 << 14
+# candidates per block of gl_arrays: bounds its int64 work arrays
+_LATTICE_BLOCK = 1 << 12
 
 
 def gl_arrays(l: int, z: complex, delta: float,
@@ -306,19 +315,22 @@ def gl_arrays(l: int, z: complex, delta: float,
 
     The c = 0 layer comes first: a d = l over the divisors d of l, ascending,
     sign + then -, each with b ascending in its window.  Then c = 4, -4, 8,
-    -8, ... up to the bound that u <= delta puts on |c|; for each c, every d
-    in the window of |c z + d|^2 is taken, with the a in the window
-    of the imaginary part of a z + b - (c z + d) conj(w) for which c divides
-    a d - l.  Those a step through one class mod c / gcd(c, d), whose least
-    member depends only on d mod c and comes from a per-c table
-    (_first_solutions).  The (d, a) pairs are int64 arrays in blocks of at
-    most _LATTICE_BLOCK, d then a ascending.  u is computed in float64, and
-    the memberships with |u - delta| < 1e-9 are settled in exact rational
-    arithmetic.  A z or w off the upper half-plane, or an l or delta whose
+    -8, ... up to the bound that u <= delta puts on |c|, each with d
+    ascending in the window of |c z + d|^2, all (c, d) pairs in one array.
+    The a with c | a d - l form one class mod |c| / gcd(c, d), or none
+    (_congruence_classes).  With b = (a d - l) / c, N = a z + b - (c z + d)
+    conj(w) is linear in a, so |N|^2 <= 4 l yz yw (1 + delta + 2e-9) is an
+    interval of a (_interval); its members of the class, a ascending, are
+    the candidates, in blocks of about _LATTICE_BLOCK.  u is computed in
+    float64, and the memberships with |u - delta| < 1e-9 are settled in
+    integers (_exact_judge, built at the first such row).  A non-finite z, w
+    or delta, a z or w off the upper half-plane, or an l or delta whose
     windows reach entries of 2^30, raises ValueError.
     """
     if w is None:
         w = z
+    if not all(map(math.isfinite, (z.real, z.imag, w.real, w.imag, delta))):
+        raise ValueError("z, w and delta must be finite")
     if l < 1 or delta < 0:
         raise ValueError("need l >= 1 and delta >= 0")
     if not (z.imag > 0 and w.imag > 0):
@@ -337,106 +349,101 @@ def gl_arrays(l: int, z: complex, delta: float,
     if not max(l, c_bound, d_bound, a_bound, b_bound) < 2.0**30:
         raise ValueError(f"l = {l}, delta = {delta}: matrix entries could overflow int64")
 
-    zq = (_float_to_fraction(xz), _float_to_fraction(yz))
-    wq = (_float_to_fraction(xw), _float_to_fraction(yw))
-    dq = _float_to_fraction(delta)
     norm = 4.0 * l * yz * yw
-    eps = 1e-9
+    r_cut = norm * (1.0 + delta + 2e-9)  # |N|^2 bound of the candidates
     mats, us = [np.zeros((0, 4), dtype=np.int64)], [np.zeros(0)]
+    judge = None
 
     def take(a, b, c, d):
         """Keep the rows (a, b, c, d) with u(gamma z, w) <= delta."""
+        nonlocal judge
         re = a * xz + b - (c * xz + d) * xw - c * yz * yw
         im = a * yz - c * (yz * xw - xz * yw) + d * yw
         u = (re * re + im * im) / norm - 1.0
-        keep = ~(u > delta + eps)
-        for j in np.flatnonzero(keep & (np.abs(u - delta) < eps)).tolist():
-            ue = _u_exact((int(a[j]), int(b[j]), int(c[j]), int(d[j])), l, zq, wq)
-            if ue > dq:
+        keep = ~(u > delta + 1e-9)
+        for j in np.flatnonzero(keep & (np.abs(u - delta) < 1e-9)).tolist():
+            judge = judge or _exact_judge(l, z, w, delta)
+            ue = judge(int(a[j]), int(b[j]), int(c[j]), int(d[j]))
+            if ue is None:
                 keep[j] = False
             else:
-                u[j] = float(ue)
+                u[j] = ue
         mats.append(np.stack([a, b, c, d], 1)[keep])
         us.append(u[keep])
 
-    # c = 0 layer: a d = l
-    for dd in divisors(l):
-        for sgn in (1, -1):
-            a = sgn * (l // dd)
-            d = sgn * dd
-            im = a * yz + d * yw
-            rad = big_r - im * im
-            if rad < -1e-12:
-                continue
-            rad = math.sqrt(max(rad, 0.0))
-            # |a xz + b - d xw| <= rad
-            blo = math.ceil(d * xw - a * xz - rad - 1e-9)
-            bhi = math.floor(d * xw - a * xz + rad + 1e-9)
-            b = np.arange(blo, bhi + 1, dtype=np.int64)
-            take(np.full_like(b, a), b, np.zeros_like(b), np.full_like(b, d))
+    # c = 0: a d = l, N = a xz + b - d xw + i (a yz + d yw) linear in b
+    d = np.array([sgn * t for t in divisors(l) for sgn in (1, -1)], dtype=np.int64)
+    a = l // d
+    i, b = _ranges(*_interval(d * xw - a * xz, r_cut - (a * yz + d * yw) ** 2))
+    take(a[i], b, np.zeros_like(b), d[i])
 
-    for c in range(4, math.floor(c_bound + 1e-9) + 1, 4):
-        # |c z + d|^2 in [l yz/(yw r_max), l yz r_max / yw]
-        hi2 = l * yz * r_max / yw - c * c * yz * yz
-        if hi2 < 0:
-            continue
-        lo2 = l * yz / (yw * r_max) - c * c * yz * yz
-        # the d window of c, then that of -c, as one array
-        d = [np.arange(math.ceil(-cc * xz - math.sqrt(hi2) - 1e-9),
-                       math.floor(-cc * xz + math.sqrt(hi2) + 1e-9) + 1, dtype=np.int64)
-             for cc in (c, -c)]
-        cc = np.repeat(np.array([c, -c]), [d[0].size, d[1].size])
-        d = np.concatenate(d)
-        if lo2 > 0:
-            t2 = (cc * xz + d) ** 2 + cc * cc * yz * yz
-            keep = ~(t2 < l * yz / (yw * r_max) - 1e-9)
-            cc, d = cc[keep], d[keep]
-        # imag-part window: |a yz - c im_shift + d yw| <= im_bound
-        base = -cc * im_shift + d * yw
-        alo = (-im_bound - base) / yz
-        ahi = (im_bound - base) / yz
-        # the a with c | a d - l form one class mod step = c / gcd(c, d), or
-        # none; its least member a0 >= 0 depends only on d mod c
-        res, inv = np.unique(d % c, return_inverse=True)
-        a0 = _first_solutions(res, c, l)[inv]
-        step = c // np.gcd(c, d)
-        # a = a0 + j step over the window, from the first member at or above
-        # alo (less 1e-12 steps)
-        lo = np.maximum(np.ceil((alo - a0) / step - 1e-12).astype(np.int64),
-                        -((a0 - np.floor(alo).astype(np.int64) + 1) // step))
-        hi = np.where(a0 < 0, lo - 1, (np.floor(ahi + 1e-9).astype(np.int64) - a0) // step)
-        for i, j in _window_pairs(lo, hi):
-            a, ci, di = a0[i] + step[i] * j, cc[i], d[i]
-            take(a, (a * di - l) // ci, ci, di)
+    # c = 4, -4, 8, -8, ...: d in the window |c z + d|^2 <= l yz r_max / yw
+    c = np.arange(4, math.floor(c_bound + 1e-9) + 1, 4, dtype=np.int64)
+    c = np.stack([c, -c], 1).ravel()
+    i, d = _ranges(*_interval(-c * xz, l * yz * r_max / yw - c * c * yz * yz))
+    a0, step = _congruence_classes(np.abs(c[i]), d, l)
+    has = a0 >= 0
+    c, d, a0, step = c[i][has], d[has], a0[has], step[has]
+    # b = (a d - l) / c makes N = p a + q + i (yz a + s) linear in a
+    p = xz + d / c
+    q = -l / c - (c * xz + d) * xw - c * yz * yw
+    s = -c * im_shift + d * yw
+    sq = p * p + yz * yz
+    alo, ahi = _interval(-(p * q + yz * s) / sq, (r_cut * sq - (p * s - q * yz) ** 2) / sq**2)
+    # a = a0 + j step over [alo, ahi]
+    for i, j in _blocks(-((a0 - alo) // step), (ahi - a0) // step):
+        a, ci, di = a0[i] + step[i] * j, c[i], d[i]
+        take(a, (a * di - l) // ci, ci, di)
 
     return np.concatenate(mats), np.concatenate(us)
 
 
-def _first_solutions(res: np.ndarray, c: int, l: int) -> np.ndarray:
-    """For each residue r in res, the least a in [0, c) with c | a r - l, or -1
-    where there is none; the congruence is tested for every a, in blocks of
-    about _LATTICE_BLOCK (r, a) pairs."""
-    a = np.arange(c, dtype=np.int64)
-    first = np.empty(res.size, dtype=np.int64)
-    rows = max(1, _LATTICE_BLOCK // c)
-    for lo in range(0, res.size, rows):
-        hit = (res[lo:lo + rows, None] * a - l) % c == 0
-        first[lo:lo + rows] = np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
-    return first
+def _interval(centre: np.ndarray, half_sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integers (lo, hi) of [centre - h, centre + h], h = sqrt(half_sq),
+    widened by 1e-7 (1 + |centre| + h) against rounding; empty (hi < lo)
+    where half_sq < 0."""
+    half = np.sqrt(np.maximum(half_sq, 0.0))
+    slack = 1e-7 * (1.0 + np.abs(centre) + half)
+    lo = np.ceil(centre - half - slack).astype(np.int64)
+    return lo, np.where(half_sq < 0, lo - 1, np.floor(centre + half + slack).astype(np.int64))
 
 
-def _window_pairs(lo: np.ndarray, hi: np.ndarray):
-    """(i, a) int64 arrays running over lo[i] <= a <= hi[i], i then a
-    ascending, in blocks of about _LATTICE_BLOCK pairs (one i at least)."""
+def _congruence_classes(c: np.ndarray, d: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a0, step) with c | a d - l exactly when a = a0 mod step, step =
+    c / gcd(c, d) and 0 <= a0 < step, for each c > 0 and d; a0 = -1 where no
+    a solves it.  Extended Euclid on (c, d mod c), keeping r = s d mod c, on
+    every pair at once until each remainder is 0."""
+    r0, r1 = c.copy(), d % c
+    s0, s1 = np.zeros_like(c), np.ones_like(c)
+    live = np.flatnonzero(r1)
+    while live.size:
+        qt = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - qt * r1[live]
+        s0[live], s1[live] = s1[live], s0[live] - qt * s1[live]
+        live = live[r1[live] != 0]
+    # r0 = g = gcd(c, d) = s0 d mod c: a = s0 l / g mod c / g when g | l
+    step = c // r0
+    return np.where(l % r0 == 0, (s0 % step) * ((l // r0) % step) % step, -1), step
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, x) int64 arrays running over lo[i] <= x <= hi[i], i then x
+    ascending."""
     counts = np.maximum(hi - lo + 1, 0)
-    ends = np.cumsum(counts)
+    i = np.repeat(np.arange(lo.size), counts)
+    return i, lo[i] + np.arange(i.size) - (np.cumsum(counts) - counts)[i]
+
+
+def _blocks(lo: np.ndarray, hi: np.ndarray):
+    """_ranges(lo, hi) in blocks of about _LATTICE_BLOCK pairs (one i at
+    least)."""
+    ends = np.cumsum(np.maximum(hi - lo + 1, 0))
     i = 0
     while i < lo.size:
-        start = ends[i] - counts[i]
+        start = ends[i - 1] if i else 0
         j = max(i + 1, int(np.searchsorted(ends, start + _LATTICE_BLOCK, side="right")))
-        n = counts[i:j]
-        idx = np.repeat(np.arange(i, j), n)
-        yield idx, lo[idx] + np.arange(idx.size) - (ends[idx] - counts[idx] - start)
+        k, x = _ranges(lo[i:j], hi[i:j])
+        yield k + i, x
         i = j
 
 
@@ -467,7 +474,7 @@ def enumerate_box(l: int, z: complex, delta: float,
     else:
         box_c = box_d = box_a = box_b = box
     out = []
-    zq = (_float_to_fraction(xz), _float_to_fraction(yz))
+    judge = None
     eps = 1e-9
     for c in range(-(box_c // 4) * 4, box_c + 1, 4):
         for d in range(-box_d, box_d + 1):
@@ -489,7 +496,8 @@ def enumerate_box(l: int, z: complex, delta: float,
                     if u > delta + eps:
                         continue
                     if abs(u - delta) < eps:
-                        if _u_exact((a, b, c, d), l, zq, zq) > _float_to_fraction(delta):
+                        judge = judge or _exact_judge(l, z, z, delta)
+                        if judge(a, b, c, d) is None:
                             continue
                     out.append((a, b, c, d))
     return sorted(out)
@@ -618,7 +626,8 @@ def amplifier_build(lam: float, kind: str, a_values: dict[int, float]) -> Amplif
     return AmplifierSpec(lam, kind, primes, x, {l: v for l, v in y.items() if v != 0})
 
 
-def amplified_rhs(z: complex, k, spec: AmplifierSpec) -> tuple[LogScaled, dict[int, float]]:
+def amplified_rhs(z: complex, k, spec: AmplifierSpec,
+                  known: dict[int, float] | None = None) -> tuple[LogScaled, dict[int, float]]:
     """Geometric side of the amplified inequality at the point z:
 
         3(k-1)/(4 pi) sum_l |y_l| l^(-1/2) sum_{gamma in G_l(4), u <= u_cut}
@@ -626,17 +635,22 @@ def amplified_rhs(z: complex, k, spec: AmplifierSpec) -> tuple[LogScaled, dict[i
 
     u_cut = 20 log(k) / k.  Dropping u > u_cut only lowers the (positive)
     right side, so the truncated value stays a valid lower bound for
-    inequality checks.
+    inequality checks.  known holds terms of l already summed at the same
+    z, k and y_l (a per_l of an earlier call); they are not enumerated again.
     """
     k = half_integer(k)
     kf = float(k)
     u_cut = 20.0 * math.log(kf) / kf
     pref = 3.0 * (kf - 1.0) / (4.0 * math.pi)
+    known = known or {}
     per_l: dict[int, float] = {}
     total = 0.0
     for l in sorted(spec.y):
-        s = float(np.sum((1.0 + gl_arrays(l, z, u_cut)[1]) ** (-kf / 2)))
-        contrib = pref * abs(spec.y[l]) * s / math.sqrt(l)
+        if l in known:
+            contrib = known[l]
+        else:
+            s = float(np.sum((1.0 + gl_arrays(l, z, u_cut)[1]) ** (-kf / 2)))
+            contrib = pref * abs(spec.y[l]) * s / math.sqrt(l)
         per_l[l] = contrib
         total += contrib
     return LogScaled.from_float(total), per_l
@@ -659,9 +673,9 @@ def amplifier_inequality(form, lam: float, kind: str, sup_phi_sq: float,
 
     for an L2-normalised eigenform (sup_phi_sq = the normalised y^k|f|^2 at
     z).  The right side is a sum of positive terms, so it is evaluated under
-    escalating determinant caps; the first cap that already dominates the
-    left side settles the inequality (a truncated right side can only be
-    smaller than the true one).
+    escalating determinant caps, each reusing the terms of the caps before;
+    the first cap that already dominates the left side settles the inequality
+    (a truncated right side can only be smaller than the true one).
     """
     k = half_integer(k)
     a_vals = {}
@@ -678,7 +692,7 @@ def amplifier_inequality(form, lam: float, kind: str, sup_phi_sq: float,
     per_l: dict[int, float] = {}
     for cap in caps:
         sub = restrict_amplifier(spec, cap)
-        rhs, per_l = amplified_rhs(z, k, sub)
+        rhs, per_l = amplified_rhs(z, k, sub, known=per_l)
         rhs_val = rhs.to_float()
         used_cap = cap
         if rhs_val >= lhs:

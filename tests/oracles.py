@@ -739,6 +739,21 @@ def kernel_term_reference(mat, z: complex, w: complex, k) -> complex:
     return jt ** -int(2 * k) * cmath.exp(-float(k) * cmath.log((gz - w.conjugate()) / 2j))
 
 
+def u_exact_reference(mat, l: int, zq: tuple[Fraction, Fraction],
+                      wq: tuple[Fraction, Fraction]) -> Fraction:
+    """u(gamma z, w) exactly in Fractions, for rational z = zq and w = wq; the
+    library settles borderline memberships with the same quantity in integers
+    over one common denominator (supnorm._exact_judge)."""
+    a, b, c, d = (Fraction(t) for t in mat)
+    xz, yz = zq
+    xw, yw = wq
+    # N = a z + b - (c z + d) conj(w); |N|^2 = 4 l yz yw (u + 1)
+    re = a * xz + b - (c * xz + d) * xw - c * yz * yw
+    im = a * yz - c * (yz * xw - xz * yw) + d * yw
+    n2 = re * re + im * im
+    return n2 / (4 * l * yz * yw) - 1
+
+
 def iter_gl_reference(l: int, z: complex, delta: float, w: complex | None = None,
                       modc: int = 4):
     """The lattice enumerator one matrix at a time, yielding (matrix, u): a
@@ -747,7 +762,7 @@ def iter_gl_reference(l: int, z: complex, delta: float, w: complex | None = None
     |u - delta| < 1e-9 settled exactly.  The library builds the same
     candidates as int64 arrays and must match this in order and in u bits."""
     from plusforms.arith import divisors
-    from plusforms.supnorm import _float_to_fraction, _u_exact
+    from plusforms.supnorm import _float_to_fraction
 
     if w is None:
         w = z
@@ -769,7 +784,7 @@ def iter_gl_reference(l: int, z: complex, delta: float, w: complex | None = None
         if u > delta + eps:
             return None
         if abs(u - delta) < eps:
-            ue = _u_exact((a, b, c, d), l, zq, wq)
+            ue = u_exact_reference((a, b, c, d), l, zq, wq)
             if ue > _float_to_fraction(delta):
                 return None
             u = float(ue)

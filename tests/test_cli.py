@@ -261,6 +261,14 @@ def test_kz_rejects_prime_limit_below_2(capsys):
     assert err.startswith("FAILED check: kz: ValueError: prime_limit must be at least 2")
 
 
+def test_counts_rejects_non_finite_delta(capsys):
+    """A NaN in the delta grid is a named failure of the enumerator."""
+    code, _ = run_cli(["counts", "--z", "0.3+2i", "--L", "4", "--delta-grid", "nan"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("FAILED check: counts: ValueError: z, w and delta must be finite")
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "plusforms.cli", "basis", "--k", "5/2"],

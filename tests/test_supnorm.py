@@ -10,6 +10,7 @@ from oracles import (
     iter_gl_reference,
     kernel_term_reference,
     theta_reference_value,
+    u_exact_reference,
 )
 from plusforms.arith import jacobi_symbol
 from plusforms.lfunctions import petersson_gram
@@ -241,6 +242,52 @@ def test_zero_form_evaluates_to_zero():
     assert list(grid.sign) == [0, 0] and np.all(grid.logm == -math.inf)
 
 
+def _guard_edge(ev, label):
+    """The least float height at which the frame's guard still finds every
+    index it needs stored (bisection down to adjacent floats)."""
+    def stored(y):
+        return ev.required_precision(label, y) <= ev.frames[label].series.prec
+
+    lo, hi = 1e-3, 10.0
+    assert not stored(lo) and stored(hi)
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if stored(mid) else (mid, hi)
+    return hi
+
+
+def test_one_point_route_matches_array_route(evaluator_13_2):
+    """eval_frame and eval_reduced at a single point take the scalar route;
+    its values equal those of the same point as a one-element array, and as
+    a member of a larger array, bit for bit, in every frame, at random
+    points and at the guard edge (where one step lower raises in both)."""
+    ev = evaluator_13_2
+    rng = random.Random(90)
+    pts = [complex(rng.uniform(-1.0, 1.0),
+                   math.exp(rng.uniform(math.log(SQRT3_OVER_8), math.log(40.0))))
+           for _ in range(200)]
+    for label in ("I", "W4", "V4"):
+        series = ev.frames[label].series
+        edge = _guard_edge(ev, label)
+        below = complex(0.3, np.nextafter(edge, 0.0))
+        for route in (lambda z: z, lambda z: np.array([z])):
+            with pytest.raises(PrecisionError):
+                ev.eval_frame(label, route(below))
+        edge_pts = [complex(x, edge) for x in (0.0, 0.3, -0.45)]
+        bulk = ev.eval_frame(label, np.array(pts + edge_pts))
+        for i, z in enumerate(pts + edge_pts):
+            one, arr = ev.eval_frame(label, z), ev.eval_frame(label, np.array([z]))
+            assert one.sign == arr.sign[0] == bulk.sign[i], (label, z)
+            assert float(one.logm).hex() == float(arr.logm[0]).hex() \
+                == float(bulk.logm[i]).hex(), (label, z)
+            upto = rng.randrange(series.prec + 1)
+            r1, s1 = series.eval_reduced(z, upto=upto)
+            ra, sa = series.eval_reduced(np.array([z]), upto=upto)
+            assert float(s1).hex() == float(sa[0]).hex()
+            assert float(r1.real).hex() == float(ra[0].real).hex()
+            assert float(r1.imag).hex() == float(ra[0].imag).hex()
+
+
 # -- scan --------------------------------------------------------------------------
 
 
@@ -331,7 +378,7 @@ def _assert_reference_enumeration(l, z, delta, w=None):
     return ref
 
 
-@pytest.mark.parametrize("z", [1j, 0.3 + 2.5j])
+@pytest.mark.parametrize("z", [1j, 0.3 + 2.5j, 0.4 + 1j])  # 0.4 + i: a counts-workload point
 @pytest.mark.parametrize("delta", [0.1, 1.0, 10.0])
 @pytest.mark.parametrize("l", [1, 4, 9, 36, 144])
 def test_gl_arrays_match_reference(l, delta, z):
@@ -339,26 +386,33 @@ def test_gl_arrays_match_reference(l, delta, z):
 
 
 def test_gl_arrays_match_reference_w_not_z():
-    for l, z, delta, w in ((1, 0.1 + 0.9j, 24.0, 0.3 + 1.2j), (9, 0.2 + 1.5j, 5.0, -0.3 + 0.8j)):
+    u_cut_9_2 = max(24.0, (1.0 / 1e-7) ** (2.0 / 4.5) * 2.0)  # bergman_partial, 9/2, tol 1e-7
+    for l, z, delta, w in ((1, 0.1 + 0.9j, 24.0, 0.3 + 1.2j), (9, 0.2 + 1.5j, 5.0, -0.3 + 0.8j),
+                           (1, 0.1 + 0.9j, u_cut_9_2, -0.2 + 0.7j)):
         assert _assert_reference_enumeration(l, z, delta, w)
 
 
 def test_gl_arrays_borderline_exact(monkeypatch):
-    """delta set to an attained exact u: the membership is settled by
-    _u_exact against delta as a fraction, in both enumerators alike.  The
-    matrix stays in when that fraction is at least its u, else it drops."""
+    """delta set to an attained exact u: the membership is settled exactly
+    against delta as a fraction, in both enumerators alike, and the
+    library's integer test (_exact_judge, built only when a row is
+    borderline) agrees with the Fraction oracle on every matrix.  The matrix
+    stays in when that fraction is at least its u, else it drops."""
     import plusforms.supnorm as sn
 
     calls = []
-    exact = sn._u_exact
-    monkeypatch.setattr(sn, "_u_exact", lambda *args: calls.append(args) or exact(*args))
+    build = sn._exact_judge
+    monkeypatch.setattr(sn, "_exact_judge", lambda *args: calls.append(args) or build(*args))
+    gl_arrays(1, 1j, 0.3)
+    assert not calls  # no row is borderline
     ref = _assert_reference_enumeration(1, 1j, 0.25)
-    assert ((1, 1, 0, 1), 0.25) in ref and calls
+    assert ((1, 1, 0, 1), 0.25) in ref and len(calls) == 1
+    _assert_judge_matches_oracle(1, 1j, 1j, 0.25, [m for m, _u in ref] + [(1, 2, 0, 1)])
     z = 0.3 + 2.5j
     zq = (sn._float_to_fraction(z.real), sn._float_to_fraction(z.imag))
     seen = set()
     for mat in (m for m in enumerate_gl(9, z, 5.0) if m[2] != 0):
-        ue = exact(mat, 9, zq, zq)
+        ue = u_exact_reference(mat, 9, zq, zq)
         kept = sn._float_to_fraction(float(ue)) >= ue
         if kept in seen:
             continue
@@ -366,7 +420,34 @@ def test_gl_arrays_borderline_exact(monkeypatch):
         calls.clear()
         ref = _assert_reference_enumeration(9, z, float(ue))
         assert calls and (mat in [m for m, _u in ref]) == kept
+        _assert_judge_matches_oracle(9, z, z, float(ue), enumerate_gl(9, z, 5.0))
     assert seen == {True, False}
+
+
+def _assert_judge_matches_oracle(l, z, w, delta, mats):
+    """_exact_judge gives the Fraction oracle's u, rounded, exactly on the
+    matrices whose u is at most delta as a fraction, and None on the rest."""
+    import plusforms.supnorm as sn
+
+    judge = sn._exact_judge(l, z, w, delta)
+    zq, wq = ((sn._float_to_fraction(t.real), sn._float_to_fraction(t.imag)) for t in (z, w))
+    dq = sn._float_to_fraction(delta)
+    for mat in mats:
+        ue = u_exact_reference(mat, l, zq, wq)
+        got = judge(*mat)
+        assert (got is None) == (ue > dq), mat
+        assert got is None or got.hex() == float(ue).hex(), mat
+
+
+def test_gl_arrays_reject_non_finite_input():
+    """A NaN or infinite delta, z or w is a named ValueError, not an error
+    of the rational conversion or the overflow guard."""
+    nan, inf = float("nan"), float("inf")
+    for z, delta, w in ((0.3 + 2j, nan, None), (0.3 + 2j, inf, None),
+                        (complex(nan, 2.0), 1.0, None), (complex(0.3, inf), 1.0, None),
+                        (0.3 + 2j, 1.0, complex(0.1, nan)), (0.3 + 2j, 1.0, complex(inf, 1.0))):
+        with pytest.raises(ValueError, match="z, w and delta must be finite"):
+            gl_arrays(4, z, delta, w=w)
 
 
 def test_gl_arrays_rejects_int64_overflow():
@@ -531,6 +612,26 @@ def test_amplifier_inequality_pointwise(eigenform_13_2, scan_13_2, norm_f_13_2):
         for lam in (3.0, 5.0):
             rec = amplifier_inequality(eigenform_13_2, lam, kind, sup_phi_sq, z, "13/2")
             assert rec["ok"], rec
+
+
+def test_amplifier_inequality_enumerates_each_l_once(eigenform_13_2, monkeypatch):
+    """The escalating caps reuse the sums of the smaller caps: each l is
+    enumerated once, and the last cap's terms and total equal a direct
+    amplified_rhs over the whole amplifier."""
+    import plusforms.supnorm as sn
+
+    z = complex(0.3, 1.1)
+    spec = amplifier_build(3.0, "M1", {
+        m: eigenform_13_2.normalized_eigenvalue(m).to_float() for m in (9, 25)})
+    rhs, per_l = amplified_rhs(z, "13/2", spec)
+    seen = []
+    enumerate_ball = sn.gl_arrays
+    monkeypatch.setattr(sn, "gl_arrays", lambda l, *args, **kw: seen.append(l)
+                        or enumerate_ball(l, *args, **kw))
+    rec = amplifier_inequality(eigenform_13_2, 3.0, "M1", 1e6, z, "13/2")
+    assert rec["l_cap"] is None and not rec["ok"]  # every cap was evaluated
+    assert sorted(seen) == sorted(set(seen)) == sorted(rec["per_l"])
+    assert rec["per_l"] == per_l and rec["rhs"] == rhs.to_float()
 
 
 def test_amplifier_positivity_z_sample(eigenform_13_2, norm_f_13_2, evaluator_13_2):
