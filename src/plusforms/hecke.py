@@ -16,7 +16,8 @@ matrix, its charpoly and the eigenvectors are held once per plus space.
 An eigenform on either side keeps its coefficients one way (_RowForm): it
 combines the basis rows that the eigenforms of its weight share (the
 Miller rows, or the plus-space basis rows) into one integer row per field
-coordinate, and makes each scalar when it is read.
+coordinate, and makes each scalar when it is read; float_coeffs holds
+the coefficients' floats, which the approximate functional equation reads.
 
 Half-integral weight: the coefficient action of T(p^2) on the Kohnen plus
 space as one integer kernel on the held basis rows (a T(p^2) matrix is
@@ -155,6 +156,7 @@ class _RowForm:
         self._coeff_cache: dict = {}  # n -> coefficient, made on first read
         self._cached_upto = -1  # the index the coordinate rows reach
         self._rows: tuple = (None, ())  # (number field or None, [(numerators, denominator)])
+        self._floats: list[float] = []  # float_coeffs, made on first read
 
     def coeff(self, n: int):
         """Coefficient n, exact scalar, read from the coordinate rows (built
@@ -180,6 +182,20 @@ class _RowForm:
                                         for i in range(len(coords[0]))]
             self._cached_upto = n - 1
         return Coefficients(self, n_max + 1)
+
+    def float_coeffs(self, n: int) -> list[float]:
+        """[float(coeff(i)) for i in range(n + 1)], held and extended on
+        demand: num[i] / den (correctly rounded) on rational rows, else
+        float(coeff(i)) once per i."""
+        floats = self._floats
+        if n >= len(floats):
+            self.coeff(n)  # the rows reach n, or coeff extends past them
+            number_field, parts = self._rows
+            if number_field is None:
+                num, den = parts[0]
+                floats += [num[i] / den for i in range(len(floats), min(n, self._cached_upto) + 1)]
+            floats += [float(self.coeff(i)) for i in range(len(floats), n + 1)]
+        return floats[: n + 1]
 
 
 def _power_recursion(lam, pw, e: int):

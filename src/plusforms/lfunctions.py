@@ -62,15 +62,17 @@ def upper_gamma_q(s, x):
 
 def _twisted_coeffs(F, D: int, n_max: int) -> np.ndarray:
     """b(n) = chi_D(n) Fhat(n) / n^((w-1)/2) for n = 1..n_max.  D is
-    fundamental, so chi_D has period |D| and is read from one period."""
+    fundamental, so chi_D has period |D| and is read from one period; Fhat(n)
+    is read from the form's float view (float_coeffs)."""
     a = (F.weight - 1) / 2.0
     chi_d = [kronecker_symbol(D, r) for r in range(abs(D))]
+    coeffs = F.float_coeffs(n_max)
     out = np.zeros(n_max + 1)
     for n in range(1, n_max + 1):
         chi = chi_d[n % abs(D)]
         if chi == 0:
             continue
-        out[n] = chi * float(F.coeff(n)) / n**a
+        out[n] = chi * coeffs[n] / n**a
     return out
 
 
@@ -133,10 +135,8 @@ def _afe_solve(F, D: int, target_err: float = 1e-9) -> tuple[float, int, float]:
     def A(x: float) -> float:
         return float(np.sum(bn * upper_gamma_q(a + 0.5, ns * x / qc)))
 
-    a_vals = {}
-    for x in xs:
-        a_vals[x] = A(x)
-        a_vals[1.0 / x] = A(1.0 / x)
+    # each distinct split once: x = 1 is its own inverse
+    a_vals = {x: A(x) for x in dict.fromkeys(v for x in xs for v in (x, 1.0 / x))}
 
     num = a_vals[xs[0]] - a_vals[xs[1]]
     den = a_vals[1.0 / xs[1]] - a_vals[1.0 / xs[0]]

@@ -2,7 +2,8 @@
 
 Log-domain scalars (sign + log magnitude), certified values carrying a
 truncation-error bound, half-integer order Bessel J by closed forms and
-normalized downward recurrence, and the exponential sum
+normalized downward recurrence (checked, and as an unchecked float core for
+sums that check once), and the exponential sum
 S(alpha, beta, kappa) = sum_{m+kappa>0} (m+kappa)^alpha e^(-beta(m+kappa)).
 """
 
@@ -225,40 +226,40 @@ def _closed_pair(x: float) -> tuple[float, float]:
 
 
 def bessel_j_half(rho, x: float, rel_err: float = 1e-12) -> CertifiedValue:
-    """J_rho(x) for half-integer rho >= 1/2, relative error below rel_err.
-
-    Closed forms handle rho in {1/2, 3/2}.  For x > 2*rho the upward
-    recurrence is stable and used directly; otherwise a normalized downward
-    (Miller) recurrence with periodic log rescaling avoids the catastrophic
-    instability of upward recursion in the regime rho >> x.
-    """
+    """J_rho(x) for half-integer rho >= 1/2, relative error below rel_err:
+    _bessel_core after the checks."""
     rho = half_integer(rho)
     if x <= 0:
         raise ValueError("bessel_j_half needs x > 0")
     n = int(rho - Fraction(1, 2))
     if n < 0:
         raise ValueError("bessel_j_half needs rho >= 1/2")
-    if n == 0 or n == 1:
-        j0, j1 = _closed_pair(x)
-        v = LogScaled.from_float(j0 if n == 0 else j1)
-    elif x <= 0.5:
+    v = _bessel_core(n, float(rho), x)
+    if v is None:
+        return CertifiedValue(LogScaled.zero(), NEG_INF)
+    return CertifiedValue(LogScaled(*v), v[1] + math.log(rel_err))
+
+
+def _bessel_core(n: int, rho: float, x: float) -> tuple[int, float] | None:
+    """(sign, log|J_rho(x)|), or None for 0, at rho = n + 1/2 >= 1/2 and x > 0,
+    unchecked.  Closed forms handle rho in {1/2, 3/2}.  For x > 2*rho the
+    upward recurrence is stable and used directly; otherwise a normalized
+    downward (Miller) recurrence with periodic log rescaling avoids the
+    catastrophic instability of upward recursion in the regime rho >> x."""
+    if n > 1 and x <= 0.5:
         # ascending series; leading term dominates (term ratio < 1/24), no cancellation
-        v = _ascending_series(float(rho), x)
-    elif x > 2.0 * float(rho):
-        # oscillatory regime: |J_m| stays O(1), upward recurrence is safe
-        j0, j1 = _closed_pair(x)
-        prev, cur = j0, j1
-        for m in range(1, n):
-            prev, cur = cur, ((2 * m + 1) / x) * cur - prev
-        v = LogScaled.from_float(cur)
-    else:
-        v = _miller_downward(n, x)
-    if v.sign == 0:
-        return CertifiedValue(v, NEG_INF)
-    return CertifiedValue(v, v.logm + math.log(rel_err))
+        return _ascending_series(rho, x)
+    if n > 1 and x <= 2.0 * rho:
+        return _miller_downward(n, x)
+    # closed forms, then for x > 2 rho (|J_m| stays O(1)) the safe upward recurrence
+    prev, cur = _closed_pair(x)
+    for m in range(1, n):
+        prev, cur = cur, ((2 * m + 1) / x) * cur - prev
+    v = prev if n == 0 else cur
+    return (1 if v > 0 else -1, math.log(abs(v))) if v != 0.0 else None
 
 
-def _ascending_series(rho: float, x: float) -> LogScaled:
+def _ascending_series(rho: float, x: float) -> tuple[int, float] | None:
     """(x/2)^rho/Gamma(rho+1) * sum_j (-x^2/4)^j / (j! (rho+1)_j), log-scaled prefactor."""
     q = x * x / 4.0
     term = 1.0
@@ -270,11 +271,11 @@ def _ascending_series(rho: float, x: float) -> LogScaled:
             break
     pref_log = rho * math.log(x / 2.0) - math.lgamma(rho + 1.0)
     if total == 0.0:
-        return LogScaled.zero()
-    return LogScaled(1 if total > 0 else -1, pref_log + math.log(abs(total)))
+        return None
+    return 1 if total > 0 else -1, pref_log + math.log(abs(total))
 
 
-def _miller_downward(n: int, x: float) -> LogScaled:
+def _miller_downward(n: int, x: float) -> tuple[int, float] | None:
     """Normalized downward recurrence for J_{n+1/2}(x), log-rescaled."""
     start = max(n, int(x / 2) + 1) + 45 + int(math.sqrt(34.0 * x))
     fp = 0.0  # F_{m+1}
@@ -301,7 +302,7 @@ def _miller_downward(n: int, x: float) -> LogScaled:
         ref_exact, ref_rec = j1, f_3half
     val, scale_at_n = at_n
     if val == 0.0:
-        return LogScaled.zero()
+        return None
     logm = (
         math.log(abs(val))
         + scale_at_n
@@ -309,7 +310,7 @@ def _miller_downward(n: int, x: float) -> LogScaled:
         + math.log(abs(ref_exact))
     )
     sign = (1 if val > 0 else -1) * (1 if ref_rec * ref_exact > 0 else -1)
-    return LogScaled(sign, logm)
+    return sign, logm
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ Fourier coefficients
 and summing |fhat_j(m)|^2 over an orthonormal basis of the plus space gives
 6 (4 pi m)^(k-1) / Gamma(k-1) * g_{k,m}(m).  Truncation of the c-sum is
 certified through the trivial bound |H_c| <= 2 and the small-argument
-Bessel bound once k - 1 >= 2 (pi sqrt(nm)/c)^2.
+Bessel bound once k - 1 >= 2 (pi sqrt(nm)/c)^2.  A c-sum checks its inputs
+once; each c calls the unchecked cores that salie_h and bessel_j_half wrap.
 """
 
 from __future__ import annotations
@@ -35,14 +36,16 @@ from .arith import (
     sqrt_mod_prime_power,
 )
 from .numerics import (
+    LN2,
     NEG_INF,
     CertifiedValue,
     LogScaled,
-    bessel_j_half,
+    _bessel_core,
     logsumexp,
 )
 
 HALF = Fraction(1, 2)
+LOG_REL_ERR = math.log(1e-12)  # bessel_j_half's default rel_err
 
 
 @dataclass(frozen=True)
@@ -78,7 +81,11 @@ def salie_h(p: SalieParams) -> complex:
     factor and any odd factor with p | A B are summed over their local units
     in exact cyclotomic integers.  A vanishing local factor, hence H_c, is an exact 0.
     """
-    c, n, m, sgn = p.c, p.n, p.m, plus_sign(p.k)
+    return _salie_h(p.c, p.n, p.m, plus_sign(p.k))
+
+
+def _salie_h(c: int, n: int, m: int, sgn: int) -> complex:
+    """salie_h, unchecked, at sgn = (-1)^(k-1/2)."""
     s = (c & -c).bit_length() - 1
     r = c >> s
     q2 = 4 << s
@@ -204,11 +211,16 @@ def _poincare_sum(k, m: int, n: int, c_cap: int = 10**6):
     """The c-sum of g_{k,m}(n) as one running sum: the returned function
     certifies it to an absolute tol, as poincare_coeff does.  A tighter tol
     adds only the c past the last c_max, in the same order, so each result
-    equals poincare_coeff at that tol bit for bit."""
+    equals poincare_coeff at that tol bit for bit.  k, n, m are checked once."""
     k = half_integer(k)
     kf = float(k)
+    if k.denominator != 2 or k < 2:
+        raise ValueError(f"the Poincare c-sum needs a half-integral weight k >= 5/2, not {k}")
+    if n < 1 or m < 1:
+        raise ValueError("n, m must be positive")
     if not admissible(k, n) or not admissible(k, m):
         raise ValueError("n, m must satisfy the plus-space congruence")
+    sgn, n_j, rho = plus_sign(k), int(k - 3 * HALF), float(k - 1)  # J order k-1 = n_j + 1/2
     x1 = math.pi * math.sqrt(n * m)
     sign = (-1) ** int((k + HALF) / 2)
     pref_log = (
@@ -220,6 +232,8 @@ def _poincare_sum(k, m: int, n: int, c_cap: int = 10**6):
 
     def certify(tol: float) -> PoincareCoeff:
         nonlocal c_max, c_done, total
+        if not tol > 0:
+            raise ValueError(f"tol must be positive, not {tol}")
         while True:
             tail_log = _bessel_tail_log(kf, x1, c_max + 1) + pref_log + math.log(2.0 / 3.0)
             if tail_log < math.log(tol):
@@ -230,16 +244,15 @@ def _poincare_sum(k, m: int, n: int, c_cap: int = 10**6):
                 )
             c_max = max(c_max + 8, int(c_max * 1.3))
         for c in range(c_done + 1, c_max + 1):
-            h = salie_h(SalieParams(c, n, m, k))
+            h = _salie_h(c, n, m, sgn)
             if h == 0:
                 continue
-            j = bessel_j_half(k - 1, x1 / c)
-            if j.value.logm < -700.0:
+            j = _bessel_core(n_j, rho, x1 / c)
+            if j is None or j[1] < -700.0:
                 # far-underflow terms are inside the certified tail already
                 continue
-            total += h * j.value.to_float()
-            if j.err_log > NEG_INF:
-                bessel_err_logs.append(j.err_log + math.log(2.0))
+            total += h * (j[0] * math.exp(j[1]))
+            bessel_err_logs.append(j[1] + LOG_REL_ERR + LN2)  # |H_c| <= 2
         c_done = c_max
         series = sign * math.pi * math.sqrt(2.0) * (n / m) ** ((kf - 1.0) / 2.0) * total
         value = (2.0 / 3.0) * ((1.0 if m == n else 0.0) + series.real)
@@ -266,6 +279,8 @@ def spectral_average(k, m: int, rel_tol: float = 1e-8) -> CertifiedValue:
     which estimates |g|, then, extended past that c_max only where needed,
     to an absolute tail below rel_tol * |g| / 2.
     """
+    if not rel_tol > 0:
+        raise ValueError(f"rel_tol must be positive, not {rel_tol}")
     k = half_integer(k)
     kf = float(k)
     certify = _poincare_sum(k, m, m)

@@ -24,7 +24,10 @@ binary powers (the library builds a weight's monomials from shared power
 chains), basis forms summed from their monomials as Python ints (the
 library combines them in residue space before one CRT per form), the
 spectral average as two fresh c-sums (the library extends one running sum),
-the theta multiplier as the quotient of two direct theta sums (the library
+the Poincare c-sum with a checked SalieParams, salie_h and bessel_j_half
+per term (the library checks once per sum and calls unchecked cores), the
+twisted AFE coefficients from exact scalars (the library reads each form's
+float view), the theta multiplier as the quotient of two direct theta sums (the library
 uses Shimura's closed form),
 the plus-space T(p^2) matrix and the level-1 T(p) from Fraction
 q-expansions checked coefficient by coefficient (the library reads the
@@ -936,3 +939,82 @@ def spectral_average_two_pass(k, m: int, rel_tol: float = 1e-8):
     val = g.value.value * LogScaled.exp_of(pref_log)
     err_log = g.value.err_log + pref_log if g.value.err_log > NEG_INF else NEG_INF
     return CertifiedValue(val, err_log)
+
+
+def poincare_sum_reference(k, m: int, n: int, c_cap: int = 10**6):
+    """The c-sum of g_{k,m}(n) with a checked object per term: SalieParams,
+    salie_h and bessel_j_half's CertifiedValue for each c (the library checks
+    k, n and m once per sum and calls unchecked integer and float cores).
+    Returns a function certifying one running sum to an absolute tol, like
+    salie._poincare_sum, which must agree with it bit for bit."""
+    from plusforms.arith import admissible, half_integer
+    from plusforms.numerics import NEG_INF, CertifiedValue, LogScaled, bessel_j_half, logsumexp
+    from plusforms.salie import PoincareCoeff, SalieParams, _bessel_tail_log, salie_h
+
+    HALF = Fraction(1, 2)
+    k = half_integer(k)
+    kf = float(k)
+    if not admissible(k, n) or not admissible(k, m):
+        raise ValueError("n, m must satisfy the plus-space congruence")
+    x1 = math.pi * math.sqrt(n * m)
+    sign = (-1) ** int((k + HALF) / 2)
+    pref_log = (
+        math.log(math.pi) + 0.5 * math.log(2.0) + (kf - 1.0) / 2.0 * (math.log(n) - math.log(m))
+    )
+    # start where the small-argument bound applies: k-1 >= 2 (x1/c)^2
+    c_max = max(1, math.ceil(x1 / math.sqrt((kf - 1.0) / 2.0)))
+    c_done, total, bessel_err_logs = 0, 0.0j, []
+
+    def certify(tol: float) -> PoincareCoeff:
+        nonlocal c_max, c_done, total
+        while True:
+            tail_log = _bessel_tail_log(kf, x1, c_max + 1) + pref_log + math.log(2.0 / 3.0)
+            if tail_log < math.log(tol):
+                break
+            if c_max > c_cap:
+                raise RuntimeError(
+                    f"poincare_coeff: cannot certify tail below {tol} within c <= {c_cap}"
+                )
+            c_max = max(c_max + 8, int(c_max * 1.3))
+        for c in range(c_done + 1, c_max + 1):
+            h = salie_h(SalieParams(c, n, m, k))
+            if h == 0:
+                continue
+            j = bessel_j_half(k - 1, x1 / c)
+            if j.value.logm < -700.0:
+                # far-underflow terms are inside the certified tail already
+                continue
+            total += h * j.value.to_float()
+            if j.err_log > NEG_INF:
+                bessel_err_logs.append(j.err_log + math.log(2.0))
+        c_done = c_max
+        series = sign * math.pi * math.sqrt(2.0) * (n / m) ** ((kf - 1.0) / 2.0) * total
+        value = (2.0 / 3.0) * ((1.0 if m == n else 0.0) + series.real)
+        imag = (2.0 / 3.0) * series.imag
+        err_logs = [tail_log]
+        if bessel_err_logs:
+            err_logs.append(pref_log + math.log(2.0 / 3.0) + logsumexp(bessel_err_logs))
+        err_log = logsumexp(err_logs)
+        return PoincareCoeff(
+            k, m, n, CertifiedValue(LogScaled.from_float(value), err_log), c_max,
+            math.exp(tail_log), abs(imag),
+        )
+
+    return certify
+
+
+def twisted_coeffs_reference(F, D: int, n_max: int) -> np.ndarray:
+    """b(n) = chi_D(n) Fhat(n) / n^((w-1)/2) for n = 1..n_max, each Fhat(n)
+    made as an exact scalar and converted by float() (the library reads the
+    form's float view, float_coeffs)."""
+    from plusforms.arith import kronecker_symbol
+
+    a = (F.weight - 1) / 2.0
+    chi_d = [kronecker_symbol(D, r) for r in range(abs(D))]
+    out = np.zeros(n_max + 1)
+    for n in range(1, n_max + 1):
+        chi = chi_d[n % abs(D)]
+        if chi == 0:
+            continue
+        out[n] = chi * float(F.coeff(n)) / n**a
+    return out

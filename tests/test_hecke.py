@@ -218,6 +218,42 @@ def test_level1_coefficients_match_eager_combination(w, degree):
             F.coeff(2 * p)
 
 
+def _float_bits(xs) -> list[str]:
+    return [float(x).hex() for x in xs]
+
+
+@pytest.mark.parametrize("w, degree", [(12, 1), (24, 2), (36, 3)])
+def test_level1_float_coeffs_equal_float_of_each_coefficient(w, degree):
+    """float_coeffs(n) is float(coeff(i)) for i = 0..n, bit for bit, at Hecke
+    field degrees 1, 2 and 3, read to 700 and then extended to 2000; past
+    the rows it extends multiplicatively as coeff does."""
+    forms = eigenforms_level1(w, 2000)
+    assert len(forms) == degree
+    for F in forms:
+        small = F.float_coeffs(700)
+        assert _float_bits(small) == _float_bits(F.coeff(i) for i in range(701))
+        full = F.float_coeffs(2000)
+        assert full[:701] == small and len(full) == 2001
+        assert _float_bits(full) == _float_bits(F.coeff(i) for i in range(2001))
+    G = eigenforms_level1(w, 300)[0]
+    past = next(q for q in primes_up_to(400) if q > 300) - 1  # every prime <= past is in the rows
+    assert _float_bits(G.float_coeffs(past)) == _float_bits(G.coeff(i) for i in range(past + 1))
+    with pytest.raises(PrecisionError):
+        G.float_coeffs(past + 1)
+
+
+@pytest.mark.parametrize("kstr", ["13/2", "25/2"])
+def test_plus_float_coeffs_equal_float_of_each_coefficient(kstr):
+    """The same for the plus-space eigenforms, whose rows are built to n when
+    float_coeffs asks past them."""
+    for f in eigenbasis_plus(kstr):
+        small = f.float_coeffs(300)
+        assert _float_bits(small) == _float_bits(f.coeff(i) for i in range(301))
+        full = f.float_coeffs(2000)
+        assert full[:301] == small and len(full) == 2001
+        assert _float_bits(full) == _float_bits(f.coeff(i) for i in range(2001))
+
+
 @pytest.mark.parametrize("kstr", ["13/2", "25/2"])
 def test_grown_partner_equals_level1_form(kstr):
     """The partner that the pairing attaches, grown with coefficients_upto,

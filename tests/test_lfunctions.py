@@ -29,6 +29,7 @@ from oracles import (
     central_value_quadrature,
     domain_nodes_reference,
     petersson_gram_reference,
+    twisted_coeffs_reference,
     upper_gamma_q_reference,
 )
 
@@ -98,13 +99,28 @@ def test_twisted_coeffs_read_chi_from_one_period():
         weight = 1
 
         @staticmethod
-        def coeff(n):
-            return Fraction(1)
+        def float_coeffs(n):
+            return [1.0] * (n + 1)
 
     for D in fundamental_discriminants(400, 1) + fundamental_discriminants(400, -1):
         b = _twisted_coeffs(Ones, D, 3 * abs(D))
         assert b.tolist() == [0.0] + [float(kronecker_symbol(D, n))
                                       for n in range(1, 3 * abs(D) + 1)], D
+
+
+@pytest.mark.parametrize("w", [12, 18, 24])
+def test_central_value_equals_solve_on_exact_scalar_coeffs(w, monkeypatch):
+    """central_value and root_number read the float view of the form's
+    coefficients; a solve whose coefficients are float(Fhat(n)) of exact
+    scalars gives the same value, error and root number bit for bit."""
+    discs = (1, 5, 8, 12, 13, -3, -4, -7, -8, -15, 17, -20, 21, -23)
+    forms = eigenforms_level1(w, 1500)
+    got = [[(central_value(F, D), root_number(F, D)) for D in discs] for F in forms]
+    monkeypatch.setattr("plusforms.lfunctions._twisted_coeffs", twisted_coeffs_reference)
+    ref = [[(central_value(F, D), root_number(F, D)) for D in discs] for F in forms]
+    bits = lambda rows: [[(v.value.sign, v.value.logm.hex(), v.err_log.hex(), eps)
+                          for v, eps in row] for row in rows]
+    assert bits(got) == bits(ref)
 
 
 def test_gram_of_no_forms_is_empty():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from plusforms.numerics import (
     CertifiedValue,
     LogScaled,
+    _bessel_core,
     bessel_j_half,
     s_sum,
     s_sum_upper_bound_log,
@@ -92,6 +93,30 @@ def test_bessel_200_point_grid_against_series_oracle():
             rel = abs((mp.mpf(mine.value.sign) * mp.e**mp.mpf(mine.value.logm) - ref) / ref)
         worst = max(worst, float(rel))
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("rho, xs", [
+    (HALF, [1e-3, 0.4, 1.0, 7.5, 300.0]),  # closed form
+    (Fraction(3, 2), [1e-3, 0.4, 1.0, 7.5, 300.0]),  # closed form
+    (Fraction(11, 2), [1e-4, 0.01, 0.3, 0.5]),  # ascending series, x <= 0.5
+    (Fraction(59, 2), [1e-6, 0.25, 0.5]),  # ascending series
+    (Fraction(11, 2), [11.0 + 1e-9, 12.0, 40.0, 1e3]),  # upward recurrence, x > 2 rho
+    (Fraction(59, 2), [60.0, 75.0, 500.0]),  # upward recurrence
+    (Fraction(11, 2), [0.5 + 1e-9, 1.0, 5.0, 11.0]),  # Miller recurrence
+    (Fraction(59, 2), [0.6, 3.0, 30.0, 59.0]),  # Miller recurrence
+    (Fraction(199, 2), [0.75, 10.0, 150.0]),  # Miller recurrence
+])
+def test_bessel_core_matches_bessel_j_half(rho, xs):
+    """The unchecked core gives bessel_j_half's sign and log magnitude bit
+    for bit in each of the four regimes, and bessel_j_half's error is the
+    core's log magnitude plus log(rel_err)."""
+    n = int(rho - HALF)
+    for x in xs:
+        core = _bessel_core(n, float(rho), x)
+        v = bessel_j_half(rho, x)
+        assert core is not None and core[0] == v.value.sign, x
+        assert core[1].hex() == v.value.logm.hex(), x
+        assert v.err_log.hex() == (core[1] + math.log(1e-12)).hex(), x
 
 
 # -- the exponential sum -----------------------------------------------------

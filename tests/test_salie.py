@@ -14,7 +14,12 @@ from plusforms.salie import (
     _poincare_sum,
 )
 
-from oracles import salie_direct, salie_unit_sum, spectral_average_two_pass
+from oracles import (
+    poincare_sum_reference,
+    salie_direct,
+    salie_unit_sum,
+    spectral_average_two_pass,
+)
 
 
 def test_admissibility():
@@ -175,3 +180,48 @@ def test_spectral_average_one_running_sum_matches_two_pass_oracle(k):
 
 def test_bessel_correction_factor_large_k():
     assert bessel_correction_factor("45/2") == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("k", ["13/2", "15/2", "21/2", "25/2", "61/2"])
+def test_poincare_sum_matches_per_term_reference(k):
+    """The c-sum with its checks made once and unchecked cores per c equals
+    the per-term-object oracle bit for bit: value, error, c_max, tail bound
+    and imaginary residual, for diagonal and off-diagonal (n, m) in both
+    orders, as one running sum certified at 1e-7 and then at 1e-9."""
+    ms = [m for m in range(1, 22) if admissible(k, m)]
+    pairs = [(m, m) for m in ms] + [(ms[0], ms[1]), (ms[1], ms[0]), (ms[2], ms[-1])]
+    for m, n in pairs:
+        mine, ref = _poincare_sum(k, m, n), poincare_sum_reference(k, m, n)
+        for tol in (1e-7, 1e-9):
+            assert _poincare_bits(mine(tol)) == _poincare_bits(ref(tol)), (m, n, tol)
+
+
+@pytest.mark.parametrize("k", [6, "6", "3/2", "1/2", "-1/2"])
+def test_poincare_rejects_weights_without_a_c_sum(k):
+    """An integral weight, or a half-integral one below 5/2, is named; the
+    indices are not blamed."""
+    with pytest.raises(ValueError, match="half-integral weight k >= 5/2"):
+        poincare_coeff(k, 1, 1)
+    with pytest.raises(ValueError, match="half-integral weight k >= 5/2"):
+        spectral_average(k, 1)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+def test_poincare_rejects_nonpositive_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        poincare_coeff("13/2", 1, 1, tol=tol)
+    certify = _poincare_sum("13/2", 1, 1)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        certify(tol)
+
+
+@pytest.mark.parametrize("rel_tol", [0.0, -1e-8, float("nan")])
+def test_spectral_average_rejects_nonpositive_rel_tol(rel_tol):
+    with pytest.raises(ValueError, match="rel_tol must be positive"):
+        spectral_average("13/2", 1, rel_tol=rel_tol)
+
+
+def test_poincare_rejects_nonpositive_index():
+    for m, n in ((0, 1), (1, 0), (-3, 1)):
+        with pytest.raises(ValueError, match="n, m must be positive"):
+            poincare_coeff("13/2", m, n)
