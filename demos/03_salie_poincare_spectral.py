@@ -14,11 +14,11 @@ normalisation in the sum.
 """
 
 from plusforms.hecke import eigenbasis_plus
-from plusforms.salie import poincare_coeff, salie_h_raw, spectral_average
+from plusforms.salie import poincare_coeff, salie_h, spectral_average
 
 print("H_c(1,1) at k = 13/2 for small c:")
 for c in range(1, 7):
-    h = salie_h_raw(c, 1, 1, "13/2")
+    h = salie_h(c, 1, 1, "13/2")
     assert abs(h.imag) < 1e-12, (c, h)
     print(f"  c = {c}: {h.real:+.6f}")
 

@@ -7,12 +7,7 @@ experiments in the weight aspect.
 """
 
 from .arith import half_integer
-from .numerics import (
-    CertifiedValue,
-    LogScaled,
-    bessel_j_half,
-    s_sum,
-)
+from .numerics import CertifiedValue, LogScaled, s_sum
 from .qexp import (
     QExpansion,
     SpaceBasis,

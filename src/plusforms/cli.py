@@ -208,7 +208,6 @@ def cmd_supnorm(args) -> int:
     forms = eigenbasis_plus(k, prec=prec)
     rows = []
     for i, f in enumerate(forms):
-        f.coefficients_upto(prec)
         ev = FormEvaluator.from_plus_form(f, prec)
         res = supnorm_scan(ev)
         rows.append({"k": str(k), "form": i, "frame": res.frame,
@@ -266,7 +265,6 @@ def cmd_amplify(args) -> int:
     rows = []
     ok_all = True
     for i, f in enumerate(forms):
-        f.coefficients_upto(prec)
         ev = FormEvaluator.from_plus_form(f, prec)
         res = supnorm_scan(ev, nx=16, ny=32, refine_rounds=2)
         nf = petersson_norm_f(f, "quadrature", prec=prec)

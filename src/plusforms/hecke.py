@@ -2,10 +2,12 @@
 
 Level-1 integral weight: Victor Miller echelon bases of S_w(SL(2,Z)) built
 from E4, E6 and the discriminant form, classical T(p), exact eigenforms.
-The monomials Delta^i E4^alpha E6^beta of a weight are one product chain
-(_walk_miller) run by intpoly.chain_products, whose integer map is the
-echelon step; the rows are held per weight at the largest precision asked
-for (qexp._Prefixes), and T(p) acts on them as integers.
+The monomials Delta^i E4^alpha E6^beta of a weight are one product chain,
+intpoly.descending_walk after the squarings and the Eisenstein head
+(_walk_miller), run by intpoly.chain_products, whose integer map is the
+echelon step that linalg.rref_exact finds on the monomials to index d; the
+rows are held per weight at the largest precision asked for
+(qexp._Prefixes), and T(p) acts on them as integers.
 
 Eigenvalues are exact at every degree: rational, in Q(sqrt(d)), or y in
 Q[y]/(charpoly) with y sent to one real root (arith.NumberField).  Both
@@ -51,7 +53,7 @@ from .arith import (
     plus_sign,
     real_roots,
 )
-from .linalg import charpoly_exact
+from .linalg import charpoly_exact, rref_exact
 from .numerics import LogScaled, log_abs_fraction
 from .qexp import PrecisionError, SpaceBasis, _Prefixes, combine_int_rows, cusp_plus_basis
 
@@ -89,54 +91,38 @@ def _miller_inputs(w: int, prec: int) -> list:
 
 
 def _walk_miller(w: int, inputs, mul, wanted):
-    """Yield (i, (Delta/q)^i E4^(alpha + 3(d - i)) E6^beta) for each i in
-    wanted, i descending, from the inputs of _miller_inputs and products
-    mul(x, y) of any kind of series (see _miller_shape).
-
-    Delta/q = (q^(-1/8) eta^3)^8 comes from three squarings.  One chain gives
-    its powers up to max(wanted), the other E6^beta E4^alpha (E4^3)^(d - i)
-    from i = d down to min(wanted); each step is one product, and so is each
-    monomial, shaped like qexp._walk_ladder so that each operand is
-    transformed once."""
+    """(i, (Delta/q)^i E4^(alpha + 3(d - i)) E6^beta) for each i in wanted,
+    i descending, from the inputs of _miller_inputs and products mul(x, y)
+    of any kind of series (see _miller_shape): intpoly.descending_walk of the
+    powers of Delta/q = (q^(-1/8) eta^3)^8, three squarings, from the head
+    E6^beta E4^alpha times powers of E4^3."""
     d, alpha, beta = _miller_shape(w)
     eta3, *eisenstein = inputs
     e4 = eisenstein[0] if alpha or d > 1 else None
     core = mul(eta3, eta3)
     core = mul(core, core)
     core = mul(core, core)
-    cpow = [None, core]
-    for _ in range(2, max(wanted) + 1):
-        cpow.append(mul(cpow[-1], core))
-    epart = eisenstein[-1] if beta else None  # None standing for 1
+    head = eisenstein[-1] if beta else None  # None standing for 1
     for _ in range(alpha):
-        epart = e4 if epart is None else mul(epart, e4)
+        head = e4 if head is None else mul(head, e4)
     e12 = mul(mul(e4, e4), e4) if d > min(wanted) else None
-    for i in range(d, min(wanted) - 1, -1):
-        if i < d:
-            epart = e12 if epart is None else mul(epart, e12)
-        if i in wanted:
-            yield i, cpow[i] if epart is None else mul(cpow[i], epart)
-        cpow[i] = None
+    return intpoly.descending_walk(core, head, e12, d, wanted, mul)
 
 
 def _miller_rows(w: int, prec: int) -> tuple[tuple[int, ...], ...]:
     """The Miller echelon rows of S_w to index prec: row i is q^(i+1) + ...
-    and no other row touches its pivot.  The echelon step is found on the
-    monomials to index d, where every pivot is 1 and every step integer,
-    and applied as the map of one chain_products run."""
+    and no other row touches its pivot.  The echelon step is found by
+    rref_exact on the monomials to index d, where every pivot is 1 and every
+    step integer, and applied as the map of one chain_products run."""
     d = dim_cusp_level1(w)
     keys = range(1, d + 1)
     walk = partial(_walk_miller, w)
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
     low = intpoly.chain_products(walk, _miller_inputs(w, d), d, keys, identity, keys)
-    rows = [row + unit for row, unit in zip(low, identity)]  # the map beside each row
-    for i in range(d):
-        assert rows[i][i + 1] == 1
-        for j in range(d):
-            f = rows[j][i + 1]
-            if j != i and f:
-                rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
-    matrix = [row[d + 1 :] for row in rows]
+    # the map beside each row; the rows are echelon with unit pivots already
+    _, reduced, _ = rref_exact([row + unit for row, unit in zip(low, identity)])
+    assert [row[i + 1] for i, row in enumerate(reduced)] == [1] * d
+    matrix = [row[d + 1 :] for row in reduced]
     out = intpoly.chain_products(walk, _miller_inputs(w, prec), prec, keys, matrix, keys)
     return tuple(tuple(row) for row in out)
 
@@ -239,9 +225,6 @@ class IntegralForm(_RowForm):
                 raise PrecisionError(f"need Fhat({p}) beyond stored precision")
             value = value * _power_recursion(super().coeff(p), Fraction(p) ** (self.weight - 1), e)
         return value
-
-    def eigenvalue(self, p: int):
-        return self.coeff(p)
 
 
 def eigenforms_level1(w: int, prec: int) -> list[IntegralForm]:
@@ -394,7 +377,6 @@ class HalfIntegralForm(_RowForm):
     charpoly: list[Fraction]
     shimura_partner: IntegralForm | None = None
     eigen_table: dict = field(default_factory=dict)  # p -> lambda(p^2), scalars
-    petersson_norm: object = None  # CertifiedValue, filled by callers that need it
 
     def _basis_rows(self, n: int) -> tuple:
         return self.basis.int_rows("I", n)

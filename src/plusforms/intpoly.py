@@ -13,15 +13,15 @@ primes its own bound needs.  Memory is bounded by _CHUNK_BYTES of transform
 work per chunk.
 
 Shorter chains, and a chain whose rounding check fails, are walked on
-integers with poly_mul_trunc, which takes one of two exact paths, chosen by
-operand length alone:
+integers with poly_mul_trunc, which takes every product by Kronecker
+substitution: each coefficient is stored with a bias of half a slot in a
+fixed number of bytes, the two packed integers are multiplied once by CPython
+(one squaring when both operands are the same list) and the slots are read
+back with the bias removed, so signed series need no splitting into positive
+and negative parts.
 
-* short operands: the schoolbook double loop;
-* longer operands: Kronecker substitution.  Each coefficient is stored with
-  a bias of half a slot in a fixed number of bytes, the two packed integers
-  are multiplied once by CPython (one squaring when both operands are the same
-  list) and the slots are read back with the bias removed, so signed series
-  need no splitting into positive and negative parts.
+The Miller monomials of hecke and the theta ladder of qexp are one walk,
+descending_walk, after a few products of their own.
 
 Residue arithmetic is exact by construction.  The primes multiply to more
 than twice the majorant's bound on every coefficient, so the balanced CRT
@@ -45,8 +45,6 @@ import numpy as np
 
 from .arith import primes_up_to, sigma_table
 
-# operand length up to which the double loop beats Kronecker substitution
-_SCHOOLBOOK_CUTOFF = 24
 # precision from which a chain of products runs on residues; shorter chains
 # (to index 127, such as the Miller rows at 64) are faster on integers
 _CHAIN_RESIDUE_PREC = 128
@@ -65,31 +63,13 @@ _CHUNK_BYTES = 1 << 18
 
 
 def poly_mul_trunc(a: list[int], b: list[int], prec: int) -> list[int]:
-    """Product of integer series truncated to indices <= prec."""
-    square = a is b
-    la = min(len(a), prec + 1)
-    lb = min(len(b), prec + 1)
-    if la == 0 or lb == 0:
+    """Product of integer series truncated to indices <= prec, by Kronecker
+    substitution (a squaring when b is a)."""
+    if not a or not b or prec < 0:
         return []
-    a = a[:la]
-    b = a if square else b[:lb]
-    if la * lb <= _SCHOOLBOOK_CUTOFF * _SCHOOLBOOK_CUTOFF:
-        return _mul_schoolbook(a, b, prec)
-    return _mul_kronecker(a, b, prec)
-
-
-def _mul_schoolbook(a: list[int], b: list[int], prec: int) -> list[int]:
-    n = min(prec, len(a) + len(b) - 2)
-    out = [0] * (n + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > n:
-            continue
-        jmax = min(len(b) - 1, n - i)
-        for j in range(jmax + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
+    square = a is b
+    a = a[: prec + 1]
+    return _mul_kronecker(a, a if square else b[: prec + 1], prec)
 
 
 def _coeff_bits(coeffs: list[int]) -> int:
@@ -431,6 +411,30 @@ def _from_mixed_radix(digits: np.ndarray, primes: tuple[int, ...]) -> list[int]:
 # in one batched transform, with the map applied to each chunk's residues.
 # Shorter chains, and a chain whose rounding check fails, run on integers
 # through poly_mul_trunc, with the map applied to the integer results.
+
+
+def descending_walk(base, head, step, top: int, wanted, mul):
+    """Yield (i, base^i head step^(top - i)) for each i in wanted, a nonempty
+    subset of 0..top, i descending, from products mul(x, y) of any kind of
+    series.  A head or value None stands for 1; step may be None when
+    min(wanted) = top.
+
+    One product makes each power base^2 .. base^max(wanted), each step of the
+    head part head step^(top - i) (a first step from a None head is step
+    itself), and each value that is neither.  A step's
+    right operand is step and a value's is its head part, the left operand of
+    the next step; so a product that keeps the transform of its right
+    operand, and uses one kept on its left, transforms each operand once.
+    """
+    pows = [None, base]
+    for _ in range(2, max(wanted) + 1):
+        pows.append(mul(pows[-1], base))
+    for i in range(top, min(wanted) - 1, -1):
+        if i < top:
+            head = step if head is None else mul(head, step)
+        if i in wanted:
+            yield i, pows[i] if head is None else head if i == 0 else mul(pows[i], head)
+            pows[i] = None
 
 
 def chain_products(walk, inputs, prec: int, keys, matrix, shifts) -> list[list[int]]:

@@ -2,8 +2,8 @@
 
 Log-domain scalars (sign + log magnitude), certified values carrying a
 truncation-error bound, half-integer order Bessel J by closed forms and
-normalized downward recurrence (checked, and as an unchecked float core for
-sums that check once), and the exponential sum
+normalized downward recurrence (an unchecked float core for sums that check
+their inputs once), and the exponential sum
 S(alpha, beta, kappa) = sum_{m+kappa>0} (m+kappa)^alpha e^(-beta(m+kappa)).
 """
 
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .arith import half_integer
 
 NEG_INF = float("-inf")
 LN2 = math.log(2.0)
@@ -223,21 +221,6 @@ def _closed_pair(x: float) -> tuple[float, float]:
     pre = math.sqrt(2.0 / (math.pi * x))
     s, c = math.sin(x), math.cos(x)
     return pre * s, pre * (s / x - c)
-
-
-def bessel_j_half(rho, x: float, rel_err: float = 1e-12) -> CertifiedValue:
-    """J_rho(x) for half-integer rho >= 1/2, relative error below rel_err:
-    _bessel_core after the checks."""
-    rho = half_integer(rho)
-    if x <= 0:
-        raise ValueError("bessel_j_half needs x > 0")
-    n = int(rho - Fraction(1, 2))
-    if n < 0:
-        raise ValueError("bessel_j_half needs rho >= 1/2")
-    v = _bessel_core(n, float(rho), x)
-    if v is None:
-        return CertifiedValue(LogScaled.zero(), NEG_INF)
-    return CertifiedValue(LogScaled(*v), v[1] + math.log(rel_err))
 
 
 def _bessel_core(n: int, rho: float, x: float) -> tuple[int, float] | None:

@@ -24,8 +24,9 @@ while Theta|V = 2 e(1/8) q^(1/4) sum_{t >= 0} q^(t(t+1)) and 16 G|V is an
 integer series.  So every monomial is an integer series over 16^b in all three
 frames.  The monomials of one weight r/2 are built together, from one chain
 of powers of G and one of Theta^(r mod 4) times powers of Theta^4, with one
-product per step and one per monomial.  The chain is written once
-(_walk_ladder) and run by intpoly.chain_products, which ends it with an
+product per step and one per monomial: intpoly.descending_walk, which the
+Miller monomials of hecke share, after the products Theta^2, Theta^4 and
+Theta^3 (_walk_ladder).  intpoly.chain_products runs it and ends it with an
 integer map: the combinations that make the forms of a basis, whose
 denominators 16^b, V-frame scale 2^a, shift and phase sign are folded into
 the map.  A monomial is the identity combination of its weight, so the
@@ -207,18 +208,8 @@ def combine_int_rows(rows, coeffs, n: int) -> tuple[list[int], int]:
 
     The denominator is the lcm of the coefficients' denominators.
     """
-    den = 1
-    for c in coeffs:
-        den = math.lcm(den, c.denominator)
-    num = [0] * n
-    for row, c in zip(rows, coeffs):
-        if c == 0:
-            continue
-        mult = int(c * den)
-        for m, y in enumerate(row[:n]):
-            if y:
-                num[m] += mult * y
-    return num, den
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return intpoly._map_row(rows, [int(c * den) for c in coeffs], [0] * len(rows), n), den
 
 
 # ---------------------------------------------------------------------------
@@ -318,40 +309,18 @@ def _frame_generators(prec: int, frame: str) -> tuple:
 
 
 def _walk_ladder(r: int, inputs, mul, wanted):
-    """Yield (b, Theta^(r - 4b) G^b) for each b in wanted, b descending, from
-    inputs = (Theta, G) and products mul(x, y) of any kind of series; r >= 1.
-
-    One chain gives G, G^2, ..., G^max(wanted), the other Theta^(r mod 4)
-    (Theta^4)^j from b = floor(r/4) down to min(wanted); each step is one
-    product, and so is each monomial that is not a power of Theta or of G.
-    The right operand of every chain step is G or Theta^4, and of a
-    monomial's product its Theta power, the left operand of the next Theta
-    step; so a product that keeps the transform of its right operand, and
-    uses one kept on its left, transforms G and Theta^4 once and each Theta
-    power once.
-    """
+    """(b, Theta^(r - 4b) G^b) for each b in wanted, b descending, from
+    inputs = (Theta, G) and products mul(x, y) of any kind of series; r >= 1:
+    intpoly.descending_walk of the powers of G, from Theta^(r mod 4) times
+    powers of Theta^4, after the products Theta^2, Theta^4 and Theta^3 that
+    the weight needs."""
     theta, g = inputs
-    top, hi, lo = r // 4, max(wanted), min(wanted)
-    gpow = [None, g]
-    for _ in range(2, hi + 1):
-        gpow.append(mul(gpow[-1], g))
+    top = r // 4
     theta2 = mul(theta, theta) if top or r % 4 >= 2 else None
     theta4 = mul(theta2, theta2) if top else None
     # Theta^(r mod 4), None standing for 1
-    tpow = (None, theta, theta2)[r % 4] if r % 4 < 3 else mul(theta2, theta)
-    del theta2  # with any transform kept on it
-    for b in range(top, lo - 1, -1):
-        if b < top:
-            tpow = theta4 if tpow is None else mul(tpow, theta4)
-        if b not in wanted:
-            continue
-        if not b:
-            yield b, tpow
-        elif tpow is None:
-            yield b, gpow[b]
-        else:
-            yield b, mul(gpow[b], tpow)
-        gpow[b] = None
+    head = (None, theta, theta2)[r % 4] if r % 4 < 3 else mul(theta2, theta)
+    return intpoly.descending_walk(g, head, theta4, top, wanted, mul)
 
 
 def _combined_rows(r: int, vectors, prec: int, frame: str) -> tuple:

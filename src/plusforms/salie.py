@@ -17,7 +17,8 @@ and summing |fhat_j(m)|^2 over an orthonormal basis of the plus space gives
 6 (4 pi m)^(k-1) / Gamma(k-1) * g_{k,m}(m).  Truncation of the c-sum is
 certified through the trivial bound |H_c| <= 2 and the small-argument
 Bessel bound once k - 1 >= 2 (pi sqrt(nm)/c)^2.  A c-sum checks its inputs
-once; each c calls the unchecked cores that salie_h and bessel_j_half wrap.
+once; each c calls the unchecked integer core of salie_h, _salie_h, and the
+float Bessel core numerics._bessel_core.
 """
 
 from __future__ import annotations
@@ -45,24 +46,10 @@ from .numerics import (
 )
 
 HALF = Fraction(1, 2)
-LOG_REL_ERR = math.log(1e-12)  # bessel_j_half's default rel_err
+LOG_REL_ERR = math.log(1e-12)  # relative error of each _bessel_core value
 
 
-@dataclass(frozen=True)
-class SalieParams:
-    c: int
-    n: int
-    m: int
-    k: Fraction
-
-    def __post_init__(self):
-        if self.c < 1 or self.n < 1 or self.m < 1:
-            raise ValueError("c, n, m must be positive")
-        if not admissible(self.k, self.n) or not admissible(self.k, self.m):
-            raise ValueError("n, m must satisfy the plus-space congruence")
-
-
-def salie_h(p: SalieParams) -> complex:
+def salie_h(c: int, n: int, m: int, k) -> complex:
     """H_c(n, m) = (1 - (-1)^(k-1/2) i)(1 + (4|c)) / (4c) times
 
         sum_{delta mod 4c, unit} (4c|delta) eps(delta) e((n delta + m delta^-1) / 4c),
@@ -70,7 +57,8 @@ def salie_h(p: SalieParams) -> complex:
     eps(delta) = 1 for delta = 1 mod 4 and (-1)^k = e(k/2) for delta = 3 mod 4.
     (4|c) is the Kronecker symbol: odd c get weight 2, even c weight 1, the
     normalisation pinned down by the exact plus-space eigenform ratios (see
-    the spectral tests).
+    the spectral tests).  c must be positive and n, m plus-space indices of
+    weight k; _salie_h is the unchecked core.
 
     No unit is summed over 4c.  With 4c = Q R, Q = 2^(s+2), R odd, quadratic
     reciprocity turns (4c|delta) into (2|delta)^s (-1)^((R-1)/2 (delta-1)/2)
@@ -81,7 +69,19 @@ def salie_h(p: SalieParams) -> complex:
     factor and any odd factor with p | A B are summed over their local units
     in exact cyclotomic integers.  A vanishing local factor, hence H_c, is an exact 0.
     """
-    return _salie_h(p.c, p.n, p.m, plus_sign(p.k))
+    k = half_integer(k)
+    if c < 1:
+        raise ValueError("c must be positive")
+    _check_indices(k, n, m)
+    return _salie_h(c, n, m, plus_sign(k))
+
+
+def _check_indices(k: Fraction, n: int, m: int) -> None:
+    """Raise ValueError unless n and m are positive plus-space indices at k."""
+    if n < 1 or m < 1:
+        raise ValueError("n, m must be positive")
+    if not admissible(k, n) or not admissible(k, m):
+        raise ValueError("n, m must satisfy the plus-space congruence")
 
 
 def _salie_h(c: int, n: int, m: int, sgn: int) -> complex:
@@ -165,10 +165,6 @@ def _odd_local_sum(p: int, e: int, a: int, b: int) -> complex:
     return _cyclotomic_value(coeffs, q)
 
 
-def salie_h_raw(c: int, n: int, m: int, k) -> complex:
-    return salie_h(SalieParams(c, n, m, half_integer(k)))
-
-
 @dataclass(frozen=True)
 class PoincareCoeff:
     k: Fraction
@@ -216,10 +212,7 @@ def _poincare_sum(k, m: int, n: int, c_cap: int = 10**6):
     kf = float(k)
     if k.denominator != 2 or k < 2:
         raise ValueError(f"the Poincare c-sum needs a half-integral weight k >= 5/2, not {k}")
-    if n < 1 or m < 1:
-        raise ValueError("n, m must be positive")
-    if not admissible(k, n) or not admissible(k, m):
-        raise ValueError("n, m must satisfy the plus-space congruence")
+    _check_indices(k, n, m)
     sgn, n_j, rho = plus_sign(k), int(k - 3 * HALF), float(k - 1)  # J order k-1 = n_j + 1/2
     x1 = math.pi * math.sqrt(n * m)
     sign = (-1) ** int((k + HALF) / 2)

@@ -24,8 +24,11 @@ binary powers (the library builds a weight's monomials from shared power
 chains), basis forms summed from their monomials as Python ints (the
 library combines them in residue space before one CRT per form), the
 spectral average as two fresh c-sums (the library extends one running sum),
-the Poincare c-sum with a checked SalieParams, salie_h and bessel_j_half
-per term (the library checks once per sum and calls unchecked cores), the
+the Poincare c-sum with the checked salie_h and bessel_j_half per term
+(the library checks once per sum and calls unchecked cores; bessel_j_half
+lives here, the checked form of numerics._bessel_core), the Miller and theta
+ladder walks each written out in full (the library runs both through one
+intpoly.descending_walk), the
 twisted AFE coefficients from exact scalars (the library reads each form's
 float view), the theta multiplier as the quotient of two direct theta sums (the library
 uses Shimura's closed form),
@@ -64,6 +67,25 @@ def bessel_series(rho, x, dps: int = 60):
             if abs(term) < mp.mpf(10) ** (-dps + 2) * abs(total) or j > 500:
                 break
         return (x / 2) ** rho * total
+
+
+def bessel_j_half(rho, x: float, rel_err: float = 1e-12):
+    """J_rho(x) for half-integer rho >= 1/2 as a CertifiedValue of relative
+    error rel_err: numerics._bessel_core after the checks, the checked
+    reference for that unchecked core."""
+    from plusforms.arith import half_integer
+    from plusforms.numerics import NEG_INF, CertifiedValue, LogScaled, _bessel_core
+
+    rho = half_integer(rho)
+    if x <= 0:
+        raise ValueError("bessel_j_half needs x > 0")
+    n = int(rho - Fraction(1, 2))
+    if n < 0:
+        raise ValueError("bessel_j_half needs rho >= 1/2")
+    v = _bessel_core(n, float(rho), x)
+    if v is None:
+        return CertifiedValue(LogScaled.zero(), NEG_INF)
+    return CertifiedValue(LogScaled(*v), v[1] + math.log(rel_err))
 
 
 def delta_by_eisenstein(prec: int) -> list[Fraction]:
@@ -942,14 +964,14 @@ def spectral_average_two_pass(k, m: int, rel_tol: float = 1e-8):
 
 
 def poincare_sum_reference(k, m: int, n: int, c_cap: int = 10**6):
-    """The c-sum of g_{k,m}(n) with a checked object per term: SalieParams,
-    salie_h and bessel_j_half's CertifiedValue for each c (the library checks
+    """The c-sum of g_{k,m}(n) with a checked call per term: salie_h and
+    bessel_j_half's CertifiedValue for each c (the library checks
     k, n and m once per sum and calls unchecked integer and float cores).
     Returns a function certifying one running sum to an absolute tol, like
     salie._poincare_sum, which must agree with it bit for bit."""
     from plusforms.arith import admissible, half_integer
-    from plusforms.numerics import NEG_INF, CertifiedValue, LogScaled, bessel_j_half, logsumexp
-    from plusforms.salie import PoincareCoeff, SalieParams, _bessel_tail_log, salie_h
+    from plusforms.numerics import NEG_INF, CertifiedValue, LogScaled, logsumexp
+    from plusforms.salie import PoincareCoeff, _bessel_tail_log, salie_h
 
     HALF = Fraction(1, 2)
     k = half_integer(k)
@@ -977,7 +999,7 @@ def poincare_sum_reference(k, m: int, n: int, c_cap: int = 10**6):
                 )
             c_max = max(c_max + 8, int(c_max * 1.3))
         for c in range(c_done + 1, c_max + 1):
-            h = salie_h(SalieParams(c, n, m, k))
+            h = salie_h(c, n, m, k)
             if h == 0:
                 continue
             j = bessel_j_half(k - 1, x1 / c)
@@ -1018,3 +1040,55 @@ def twisted_coeffs_reference(F, D: int, n_max: int) -> np.ndarray:
             continue
         out[n] = chi * float(F.coeff(n)) / n**a
     return out
+
+
+def ladder_walk_reference(r: int, inputs, mul, wanted):
+    """(b, Theta^(r - 4b) G^b) for each b in wanted, b descending, from
+    inputs = (Theta, G), r >= 1: the ladder walk written out in full, making
+    the same products as qexp._walk_ladder (which hands its powers of G and
+    Theta^4 to intpoly.descending_walk)."""
+    theta, g = inputs
+    top, hi, lo = r // 4, max(wanted), min(wanted)
+    gpow = [None, g]
+    for _ in range(2, hi + 1):
+        gpow.append(mul(gpow[-1], g))
+    theta2 = mul(theta, theta) if top or r % 4 >= 2 else None
+    theta4 = mul(theta2, theta2) if top else None
+    tpow = (None, theta, theta2)[r % 4] if r % 4 < 3 else mul(theta2, theta)
+    for b in range(top, lo - 1, -1):
+        if b < top:
+            tpow = theta4 if tpow is None else mul(tpow, theta4)
+        if b not in wanted:
+            continue
+        if not b:
+            yield b, tpow
+        elif tpow is None:
+            yield b, gpow[b]
+        else:
+            yield b, mul(gpow[b], tpow)
+
+
+def miller_walk_reference(w: int, inputs, mul, wanted):
+    """(i, (Delta/q)^i E4^(alpha + 3(d - i)) E6^beta) for each i in wanted,
+    i descending, max(wanted) = d = dim S_w: the Miller walk written out in
+    full, making the same products as hecke._walk_miller."""
+    from plusforms.hecke import _miller_shape
+
+    d, alpha, beta = _miller_shape(w)
+    eta3, *eisenstein = inputs
+    e4 = eisenstein[0] if alpha or d > 1 else None
+    core = mul(eta3, eta3)
+    core = mul(core, core)
+    core = mul(core, core)
+    cpow = [None, core]
+    for _ in range(2, max(wanted) + 1):
+        cpow.append(mul(cpow[-1], core))
+    epart = eisenstein[-1] if beta else None
+    for _ in range(alpha):
+        epart = e4 if epart is None else mul(epart, e4)
+    e12 = mul(mul(e4, e4), e4) if d > min(wanted) else None
+    for i in range(d, min(wanted) - 1, -1):
+        if i < d:
+            epart = e12 if epart is None else mul(epart, e12)
+        if i in wanted:
+            yield i, cpow[i] if epart is None else mul(cpow[i], epart)

@@ -26,7 +26,7 @@ from plusforms.lfunctions import (
     petersson_norm_f,
     sym2_at_1,
 )
-from plusforms.numerics import bessel_j_half, s_sum, s_sum_upper_bound_log
+from plusforms.numerics import s_sum, s_sum_upper_bound_log
 from plusforms.qexp import cusp_plus_basis, space_basis
 from plusforms.salie import spectral_average
 from plusforms.supnorm import (
@@ -40,6 +40,8 @@ from plusforms.supnorm import (
     scaling_experiment,
     supnorm_scan,
 )
+
+from oracles import bessel_j_half
 
 
 def test_criterion_01_dimension_identity():

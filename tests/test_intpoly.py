@@ -1,19 +1,19 @@
-"""The exact series engine: schoolbook and Kronecker products, and chains of
-products on residues, against the plain double loop, on each side of every
-length crossover."""
+"""The exact series engine: Kronecker products, the one walk of the package's
+chains, and chains of products on residues, against the plain double loop,
+on each side of the residue cutoff."""
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
-from plusforms import hecke, intpoly
+from plusforms import hecke, intpoly, qexp
 from plusforms.arith import divisors, primes_up_to
 
-from oracles import series_mul_reference
+from oracles import ladder_walk_reference, miller_walk_reference, series_mul_reference
 
-SCHOOL = intpoly._SCHOOLBOOK_CUTOFF
 # operands this long make a one-product chain whose transforms run in chunks
 # of two primes
 LONG = 1000
@@ -23,14 +23,13 @@ LONG = 1000
 def paths(monkeypatch):
     """Names of the integer product paths taken, in call order."""
     taken = []
-    for name in ("_mul_schoolbook", "_mul_kronecker"):
-        inner = getattr(intpoly, name)
+    inner = intpoly._mul_kronecker
 
-        def spy(*args, _inner=inner, _name=name):
-            taken.append(_name)
-            return _inner(*args)
+    def spy(*args):
+        taken.append("_mul_kronecker")
+        return inner(*args)
 
-        monkeypatch.setattr(intpoly, name, spy)
+    monkeypatch.setattr(intpoly, "_mul_kronecker", spy)
     return taken
 
 
@@ -69,14 +68,15 @@ def _padded(series, prec):
 @pytest.mark.parametrize(
     "la, lb, path",
     [
-        (SCHOOL, SCHOOL, "_mul_schoolbook"),
-        (SCHOOL, SCHOOL + 1, "_mul_kronecker"),
-        # Kronecker substitution serves every longer operand
+        # Kronecker substitution serves short operands and long ones alike
+        (24, 24, "_mul_kronecker"),
+        (24, 25, "_mul_kronecker"),
         (160, 161, "_mul_kronecker"),
         (999, 1040, "_mul_kronecker"),
     ],
 )
 def test_product_on_each_side_of_crossovers(paths, la, lb, path, signed):
+    """Every operand length takes one product on the one integer path."""
     rng = random.Random(la * 7 + lb + signed)
     a = _series(rng, la, 40, signed)
     b = _series(rng, lb, 25, signed)
@@ -102,9 +102,9 @@ def test_one_product_chain_on_each_side_of_residue_cutoff(paths, residue_runs, l
     assert paths == ([] if on_residues else ["_mul_kronecker"])
 
 
-# 160 lies well inside the Kronecker range, and a one-product chain of any of
-# the last three lengths runs on residues
-@pytest.mark.parametrize("length", [SCHOOL, 160, 999, 1003])
+# a one-product chain of length 24 runs on integers, and one of any of the
+# last three lengths on residues
+@pytest.mark.parametrize("length", [24, 160, 999, 1003])
 def test_square_of_same_list(length, monkeypatch):
     convolve = intpoly._convolve
     squares = []
@@ -123,7 +123,7 @@ def test_square_of_same_list(length, monkeypatch):
     assert _one_product(a, a, prec) == _padded(square, prec)
     # the majorant and each residue chunk transform the one operand once
     on_residues = prec >= intpoly._CHAIN_RESIDUE_PREC
-    assert all(squares) and bool(squares) == on_residues == (length > SCHOOL)
+    assert all(squares) and bool(squares) == on_residues == (length > 24)
     cube = intpoly.chain_products(
         lambda xs, mul, wanted: [(0, mul(mul(xs[0], xs[0]), xs[0]))], [a], prec, [0], [[1]], [0]
     )[0]
@@ -144,7 +144,7 @@ def test_prec_shorter_than_both_operands(paths, residue_runs):
     assert residue_runs == [True] and paths == ["_mul_kronecker"]
 
 
-@pytest.mark.parametrize("length", [SCHOOL + 40, 200, LONG])
+@pytest.mark.parametrize("length", [64, 200, LONG])
 def test_zero_operand(length):
     rng = random.Random(3)
     a = _series(rng, length, 20, signed=True)
@@ -305,6 +305,96 @@ def test_failed_rounding_check_falls_back_to_exact_product(paths, monkeypatch):
     assert _one_product(a, b, prec) == series_mul_reference(a, b, prec)
     assert paths == ["_mul_kronecker"]
     assert len(calls) == 2
+
+
+def _counting(products: list, prec: int):
+    """poly_mul_trunc to index prec, noting each call in products."""
+    def mul(x, y):
+        products.append(1)
+        return intpoly.poly_mul_trunc(x, y, prec)
+    return mul
+
+
+def _subsets(items):
+    """Every nonempty subset of items."""
+    items = list(items)
+    return [set(c) for n in range(1, len(items) + 1) for c in itertools.combinations(items, n)]
+
+
+@pytest.mark.parametrize("top", range(5))
+def test_descending_walk_against_powers(top):
+    """For every nonempty wanted subset of 0..top, i = 0 included, with head
+    and step each given or None (None standing for 1; a walk that takes a
+    step needs one), the walk yields base^i head step^(top - i) for each i in
+    wanted, i descending, as powers built by poly_mul_trunc give it.  It
+    makes one product per power of base past the first, one per step (but
+    for a first step from a None head, which takes step itself) and one per
+    value of i > 0 with a head part."""
+    prec = 40
+    rng = random.Random(top)
+    base, head, step = (_series(rng, 12, 6, signed=True) for _ in range(3))
+
+    def times(*factors):
+        out = [1]
+        for x in factors:
+            out = intpoly.poly_mul_trunc(out, x, prec)
+        return out
+
+    for h, s in itertools.product((head, None), (step, None)):
+        for wanted in _subsets(range(top + 1)):
+            lo, hi = min(wanted), max(wanted)
+            if s is None and lo < top:
+                continue
+            products = []
+            mul = _counting(products, prec)
+            got = list(intpoly.descending_walk(base, h, s, top, wanted, mul))
+            assert [i for i, _ in got] == sorted(wanted, reverse=True)
+            for i, value in got:
+                expected = times(*[base] * i, *[h] * (h is not None), *[s] * (top - i))
+                assert _padded(list(value or [1]), prec) == _padded(expected, prec), (i, wanted)
+            steps = top - lo - (h is None and top > lo)
+            values = sum(i > 0 and not (h is None and i == top) for i in wanted)
+            assert len(products) == max(hi - 1, 0) + steps + values, (h, s, wanted)
+
+
+def _symbolic(products: list):
+    """A product of labelled series that notes each (left, right) operand pair
+    and returns the label of the product, operands in order."""
+    def mul(x, y):
+        products.append((x, y))
+        return f"({x}*{y})"
+    return mul
+
+
+@pytest.mark.parametrize("r", range(1, 62))
+def test_ladder_walk_makes_the_written_out_products(r):
+    """The ladder (its Theta prelude, then the shared walk) makes the products
+    of the walk written out in full, each with its operands on the same sides
+    (so each transform is still taken once), and yields the same monomials,
+    for every wanted set of up to 5 rungs and a few wider ones."""
+    top = r // 4
+    sets = _subsets(range(top + 1)) if top < 5 else [
+        set(range(top + 1)), {top}, {0}, {0, top}, set(range(0, top + 1, 2))]
+    for wanted in sets:
+        mine, written = [], []
+        got = list(qexp._walk_ladder(r, ("T", "G"), _symbolic(mine), wanted))
+        ref = list(ladder_walk_reference(r, ("T", "G"), _symbolic(written), wanted))
+        assert got == ref and sorted(mine) == sorted(written), wanted
+
+
+@pytest.mark.parametrize("w", [w for w in range(12, 61, 2) if hecke.dim_cusp_level1(w)])
+def test_miller_walk_makes_the_written_out_products(w):
+    """The Miller walk (squarings and Eisenstein head, then the shared walk)
+    makes the products of the walk written out in full, operands on the same
+    sides, and yields the same monomials, for every wanted set of 1..d that
+    holds d."""
+    d = hecke.dim_cusp_level1(w)
+    inputs = [f"x{j}" for j in range(len(hecke._miller_inputs(w, 0)))]
+    for wanted in [{d} | rest for rest in [set()] + _subsets(range(1, d))]:
+        mine, written = [], []
+        got = list(hecke._walk_miller(w, inputs, _symbolic(mine), wanted))
+        ref = list(miller_walk_reference(w, inputs, _symbolic(written), wanted))
+        assert got == ref and sorted(mine) == sorted(written), wanted
 
 
 def test_generators_from_divisor_sums():

@@ -11,12 +11,11 @@ from plusforms.numerics import (
     CertifiedValue,
     LogScaled,
     _bessel_core,
-    bessel_j_half,
     s_sum,
     s_sum_upper_bound_log,
 )
 
-from oracles import bessel_series
+from oracles import bessel_j_half, bessel_series
 
 HALF = Fraction(1, 2)
 

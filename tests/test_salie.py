@@ -5,11 +5,9 @@ import pytest
 
 from plusforms.arith import admissible
 from plusforms.salie import (
-    SalieParams,
     bessel_correction_factor,
     poincare_coeff,
     salie_h,
-    salie_h_raw,
     spectral_average,
     _poincare_sum,
 )
@@ -27,20 +25,33 @@ def test_admissibility():
     assert not admissible("13/2", 2) and not admissible("13/2", 3)
     assert admissible("15/2", 3) and not admissible("15/2", 1)
     with pytest.raises(ValueError):
-        SalieParams(1, 2, 1, Fraction(13, 2))
+        salie_h(1, 2, 1, Fraction(13, 2))
+
+
+def test_salie_h_names_its_bad_input():
+    """salie_h checks c, then n and m with the named errors of the c-sum."""
+    for c, n, m in ((0, 1, 1), (-2, 1, 1)):
+        with pytest.raises(ValueError, match="c must be positive"):
+            salie_h(c, n, m, "13/2")
+    for n, m in ((0, 1), (1, 0), (-3, 1)):
+        with pytest.raises(ValueError, match="n, m must be positive"):
+            salie_h(1, n, m, "13/2")
+    for n, m in ((2, 1), (1, 3)):
+        with pytest.raises(ValueError, match="plus-space congruence"):
+            salie_h(1, n, m, "13/2")
 
 
 def test_salie_h_1_1_1():
     """H_1(1,1) = -1 at k = 13/2: the delta in {1,3} sum evaluates by hand to
     (1-i)/2 * (-1 - i) = -1."""
-    v = salie_h_raw(1, 1, 1, "13/2")
+    v = salie_h(1, 1, 1, "13/2")
     assert v == pytest.approx(-1.0 + 0j, abs=1e-13)
 
 
 def test_salie_against_direct_oracle():
     for c, n, m, k in ((1, 1, 1, "13/2"), (2, 1, 1, "13/2"), (3, 4, 4, "13/2"),
                        (5, 1, 5, "13/2"), (4, 3, 3, "15/2"), (7, 4, 8, "17/2")):
-        mine = salie_h_raw(c, n, m, k)
+        mine = salie_h(c, n, m, k)
         from plusforms.arith import half_integer
 
         ref = salie_direct(c, n, m, half_integer(k))
@@ -59,7 +70,7 @@ def test_salie_closed_form_against_unit_sum_grid(k):
         ref = salie_unit_sum(c, grid[:, None], grid[None, :], Fraction(k))
         for i, n in enumerate(idx):
             for j, m in enumerate(idx):
-                h = salie_h_raw(c, n, m, k)
+                h = salie_h(c, n, m, k)
                 assert abs(h - ref[i, j]) < 1e-12, (c, n, m)
                 if abs(ref[i, j]) < 1e-12:
                     assert h == 0, (c, n, m)
@@ -73,7 +84,7 @@ def test_salie_closed_form_against_direct_oracle_sparse():
         for c in (8, 9, 25, 27, 49, 64, 73, 97, 121, 125, 256, 343, 360):
             for n, m in ((idx[0], idx[1]), (idx[2], idx[2]), (idx[3], idx[7])):
                 ref = salie_direct(c, n, m, Fraction(k))
-                h = salie_h_raw(c, n, m, k)
+                h = salie_h(c, n, m, k)
                 assert abs(h - ref) < 1e-12, (k, c, n, m)
                 assert (h == 0) == (abs(ref) < 1e-12), (k, c, n, m)
 
@@ -83,9 +94,9 @@ def test_salie_even_c_prefactor_weight():
     # odd c, including c = 3 mod 4, carries weight 2 and does contribute.
     # H_2(1, 1) vanishes at 13/2 (the 40-digit unit sum is 1e-42): its 2-adic
     # sum cancels exactly, so c = 4 shows that even c contribute
-    assert salie_h_raw(3, 1, 1, "13/2") != 0
-    assert salie_h_raw(2, 1, 1, "13/2") == 0
-    assert salie_h_raw(4, 1, 1, "13/2") != 0
+    assert salie_h(3, 1, 1, "13/2") != 0
+    assert salie_h(2, 1, 1, "13/2") == 0
+    assert salie_h(4, 1, 1, "13/2") != 0
 
 
 def test_poincare_delta_limit():

@@ -1,14 +1,14 @@
 """The package holds only what the program runs.
 
 Every function, class, method and module-level name defined in
-src/plusforms must be named somewhere the program reaches it: another part
-of the package (its own definition and __init__.py's re-exports do not
-count), a demo, or a benchmark workload.  A definition only tests call is
-moved into the tests or deleted.
+src/plusforms must be used as an identifier somewhere the program reaches
+it: another part of the package (its own definition and __init__.py's
+re-exports do not count), a demo, or a benchmark workload.  A name that
+only comments or docstrings mention is not reached.  A definition only
+tests call is moved into the tests or deleted.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,18 +38,33 @@ def _definitions(tree: ast.Module):
                     yield target.id, node.lineno, node.end_lineno
 
 
+def _identifiers(tree: ast.AST):
+    """(identifier, line) of each name the code uses: a Name, the attribute
+    of an Attribute, and the name of each import alias.  Comments, strings
+    and docstrings name nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+
+
 def test_every_definition_is_reached_by_the_program():
-    modules = {path: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
-               if path.name != "__init__.py"}
-    callers = [path.read_text() for path in sorted((ROOT / "demos").glob("*.py"))]
-    callers.append((ROOT / "perfbench" / "workloads.py").read_text())
+    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "__init__.py"}
+    callers = [ast.parse(path.read_text()) for path in sorted((ROOT / "demos").glob("*.py"))]
+    callers.append(ast.parse((ROOT / "perfbench" / "workloads.py").read_text()))
+    # identifiers used by the demos, the workloads and each package module
+    outside = {name for tree in callers for name, _ in _identifiers(tree)}
+    used = {path: list(_identifiers(tree)) for path, tree in trees.items()}
     unreached = []
-    for path, text in modules.items():
-        lines = text.splitlines()
-        for name, first, last in _definitions(ast.parse(text)):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            elsewhere = [t for p, t in modules.items() if p != path]
-            elsewhere.append("\n".join(lines[: first - 1] + lines[last:]))
-            if name not in ALLOWED and not any(word.search(t) for t in elsewhere + callers):
+    for path, tree in trees.items():
+        elsewhere = outside | {name for p, ids in used.items() if p != path for name, _ in ids}
+        for name, first, last in _definitions(tree):
+            if name in ALLOWED or name in elsewhere:
+                continue
+            if not any(n == name and not first <= line <= last for n, line in used[path]):
                 unreached.append(f"{path.stem}.{name}")
     assert not unreached, "reached by no command, demo or workload: " + ", ".join(unreached)
