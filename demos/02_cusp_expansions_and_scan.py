@@ -8,9 +8,11 @@ invariant y^(k/2)|f(z)| is scanned over the three frames with y >= sqrt(3)/8,
 which covers a fundamental domain.
 """
 
+import itertools
 import math
 import random
 
+from plusforms.arith import plus_sign
 from plusforms.hecke import eigenbasis_plus
 from plusforms.supnorm import FormEvaluator, supnorm_scan, apply_matrix
 
@@ -18,11 +20,16 @@ f = eigenbasis_plus("13/2")[0]
 f.coefficients_upto(700)
 ev = FormEvaluator.from_plus_form(f, 700)
 
+# the exact coefficient at m of each frame: fhat(n), fhat(4m), (-1)^m fhat(4m + a0)
+a0 = 2 - plus_sign(f.k)
+frame_coeff = {"I": f.coeff, "W4": lambda m: f.coeff(4 * m),
+               "V4": lambda m: (-1) ** m * f.coeff(4 * m + a0)}
 print("frame expansions of the weight-13/2 eigenform:")
 for label in ("I", "W4", "V4"):
     fs = ev.frames[label]
-    first = sorted(fs.series.coeffs.items())[:4]
-    print(f"  {label}: exponent grid (m + {fs.series.param})/{fs.series.width}, "
+    terms = ((m, c) for m in range(fs.prec + 1) if (c := frame_coeff[label](m)))
+    first = list(itertools.islice(terms, 4))
+    print(f"  {label}: exponent grid (m + {fs.param})/{fs.width}, "
           f"leading coefficients {[(m, str(c)) for m, c in first]}")
 
 print()

@@ -240,13 +240,6 @@ def _trim(p: list) -> list:
     return p
 
 
-def _horner(p, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def _poly_mul(a, b) -> list:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -353,46 +346,74 @@ class NumberField:
         return x.coords
 
     def _bracket(self, bits: int) -> tuple[int, int]:
-        """(N, b) with b >= bits and the root in (N / 2^b, (N + 1) / 2^b]:
-        bisection on Sturm's count of the roots above a point, kept here."""
+        """(N, b) with b >= bits and the root in (N / 2^b, (N + 1) / 2^b], by
+        bisection kept here on the interval (n, n + 2^s] / 2^b (s = 0 or b =
+        0): Sturm's count of the roots above the midpoint until the interval
+        holds this one root, then the sign of the modulus there, each sign
+        by Horner on integers."""
         st = self._root
-        if not st:
-            bound = 1 << (int(max(abs(c) for c in self.modulus)) + 1).bit_length()  # Cauchy
-            st.update(chain=_sturm_chain(self.modulus), lo=Fraction(-bound),
-                      width=Fraction(2 * bound))
-        chain, lo, width = st["chain"], st["lo"], st["width"]
-        at_inf = _sign_changes([p[-1] for p in chain])
-        while width.denominator < 1 << bits:
-            width /= 2
-            values = [_horner(p, lo + width) for p in chain]
+        if "chain" not in st:
+            bound = (int(max(abs(c) for c in self.modulus)) + 1).bit_length()  # Cauchy
+            chain = [[int(c * d) for c in p] for p in _sturm_chain(self.modulus)
+                     for d in [math.lcm(*(c.denominator for c in p))]]
+            inf = _sign_changes([p[-1] for p in chain])
+            # sign changes at the two ends; cleared once one root is left
+            st.update(chain=chain, inf=inf, n=-(1 << bound), b=0, s=bound + 1,
+                      ends=[inf + self.degree, inf])
+        chain, ends, n, b, s = st["chain"], st["ends"], st["n"], st["b"], st["s"]
+        while s or b < bits:
+            n, b, s = (n, b, s - 1) if s else (2 * n, b + 1, 0)
+            mid = n + (1 << s)
+            values = [_sign_at(p, mid, b) for p in (chain if ends else chain[:1])]
             if values[0] == 0:
-                raise ValueError(f"the modulus has the rational root {lo + width}")
-            if _sign_changes(values) - at_inf > self.index:
-                lo += width
-        st.update(lo=lo, width=width)
-        b = width.denominator.bit_length() - 1
-        return int(lo * (1 << b)), b
+                raise ValueError(f"the modulus has the rational root {Fraction(mid, 1 << b)}")
+            if ends:
+                v = _sign_changes(values)
+                above = v - st["inf"] > self.index
+                ends[not above] = v
+            else:
+                above = values[0] == st["sign"]
+            n = mid if above else n
+            if ends and ends[0] - ends[1] == 1:
+                ends.clear()
+                st["sign"] = _sign_at(chain[0], n, b)
+        st.update(n=n, b=b, s=s)
+        return n, b
 
-    def embed(self, coords) -> float:
-        """sum coords[i] r^i at the root r, correctly rounded.
+    def embed(self, rows, den: int, lo: int, hi: int) -> list[float]:
+        """sum_t rows[t][i] r^t / den at the root r, correctly rounded, for
+        i = lo..hi-1 and integer rows (one per power-basis coordinate): the
+        value at the bracket's left end N / 2^b (from the held N^t 2^(b(n-1-t)))
+        plus or minus the width times a derivative bound encloses the true
+        value; a bracket to more bits is taken until both ends round alike."""
+        levels = self._root.setdefault("levels", {})
+        n, out = self.degree, []
+        for i in range(lo, hi):
+            a = [row[i] for row in rows]
+            for bits in (64, 256, 1024, 4096):
+                if bits not in levels:
+                    r, b = self._bracket(bits)
+                    s, mag = 1 << b, abs(r) + 1
+                    levels[bits] = ([r**t * s ** (n - 1 - t) for t in range(n)],
+                                    [t * mag ** (t - 1) * s ** (n - 1 - t) if t else 0
+                                     for t in range(n)], s ** (n - 1))
+                powers, slopes, scale = levels[bits]
+                q = den * scale
+                val = sum(c * p for c, p in zip(a, powers))
+                err = sum(abs(c) * e for c, e in zip(a, slopes))
+                if (val - err) / q == (val + err) / q:
+                    break
+            out.append(val / q)
+        return out
 
-        The value at the bracket's left end, plus or minus the width times a
-        bound on the derivative, encloses the true value; the bracket narrows
-        until both ends of the enclosure round to the same float.
-        """
-        den = math.lcm(*(c.denominator for c in coords))
-        a = [c.numerator * (den // c.denominator) for c in coords]
-        n = len(a)
-        for bits in (64, 256, 1024, 4096):
-            lo, b = self._bracket(bits)
-            s, mag = 1 << b, abs(lo) + 1
-            val = sum(c * lo**i * s ** (n - 1 - i) for i, c in enumerate(a))
-            err = sum(i * abs(c) * mag ** (i - 1) * s ** (n - 1 - i)
-                      for i, c in enumerate(a[1:], 1))
-            q = den * s ** (n - 1)
-            if (val - err) / q == (val + err) / q:
-                break
-        return val / q
+
+def _sign_at(p: list[int], num: int, b: int) -> int:
+    """The sign of the integer polynomial p at num / 2^b, by Horner on
+    2^(b deg p) p(num / 2^b)."""
+    acc, d = p[-1], len(p) - 1
+    for i in range(d - 1, -1, -1):
+        acc = acc * num + (p[i] << (b * (d - i)))
+    return (acc > 0) - (acc < 0)
 
 
 class FieldElement:
@@ -453,7 +474,9 @@ class FieldElement:
         return hash((self.field, self.coords))
 
     def __float__(self) -> float:
-        return self.field.embed(self.coords)
+        den = math.lcm(*(c.denominator for c in self.coords))
+        return self.field.embed([[c.numerator * (den // c.denominator)] for c in self.coords],
+                                den, 0, 1)[0]
 
     def __repr__(self):
         m = self.field.modulus

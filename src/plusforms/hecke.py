@@ -18,8 +18,9 @@ matrix, its charpoly and the eigenvectors are held once per plus space.
 An eigenform on either side keeps its coefficients one way (_RowForm): it
 combines the basis rows that the eigenforms of its weight share (the
 Miller rows, or the plus-space basis rows) into one integer row per field
-coordinate, and makes each scalar when it is read; float_coeffs holds
-the coefficients' floats, which the approximate functional equation reads.
+coordinate over one denominator, and makes each scalar when it is read;
+the same rows hold its one float view (qexp.FloatView), which every float
+reader takes.
 
 Half-integral weight: the coefficient action of T(p^2) on the Kohnen plus
 space as one integer kernel on the held basis rows (a T(p^2) matrix is
@@ -54,8 +55,9 @@ from .arith import (
     real_roots,
 )
 from .linalg import charpoly_exact, rref_exact
-from .numerics import LogScaled, log_abs_fraction
-from .qexp import PrecisionError, SpaceBasis, _Prefixes, combine_int_rows, cusp_plus_basis
+from .numerics import LogScaled
+from .qexp import (FloatView, PrecisionError, SpaceBasis, _Prefixes, combine_int_rows,
+                   cusp_plus_basis)
 
 # ---------------------------------------------------------------------------
 # Level-1 integral weight
@@ -133,24 +135,23 @@ _miller = _Prefixes(_miller_rows)
 
 class _RowForm:
     """An eigenform sum_j vector[j] * (basis row j), held as one integer row
-    per power-basis coordinate of its scalars, combined from the basis rows
-    as far as those are held; a scalar is made when it is first read.  A
+    per power-basis coordinate of its scalars over one denominator, combined
+    from the basis rows as far as those are held, in its float view
+    (qexp.FloatView); a scalar is made when it is first read.  A
     subclass (a dataclass with a field vector) gives _basis_rows(n), the
     (integer row, denominator) of each basis form to index n or beyond."""
 
     def __post_init__(self):
         self._coeff_cache: dict = {}  # n -> coefficient, made on first read
         self._cached_upto = -1  # the index the coordinate rows reach
-        self._rows: tuple = (None, ())  # (number field or None, [(numerators, denominator)])
-        self._floats: list[float] = []  # float_coeffs, made on first read
+        self._view = FloatView([()], 1)  # the coordinate rows and their floats
 
     def coeff(self, n: int):
         """Coefficient n, exact scalar, read from the coordinate rows (built
         to n if they reach less)."""
-        if n > self._cached_upto:
-            self.coefficients_upto(n)
+        view = self.float_view(n)
         if n not in self._coeff_cache:
-            self._coeff_cache[n] = _scalar(*self._rows, n)
+            self._coeff_cache[n] = _scalar(view.field, view.rows, view.den, n)
         return self._coeff_cache[n]
 
     def coefficients_upto(self, n_max: int) -> Coefficients:
@@ -164,24 +165,22 @@ class _RowForm:
             vec = [c / den for c, (_, den) in zip(self.vector, rows)]
             number_field = next((v.field for v in vec if isinstance(v, FieldElement)), None)
             coords = [(v,) if number_field is None else number_field.coords(v) for v in vec]
-            self._rows = number_field, [combine_int_rows(ints, [c[i] for c in coords], n)
-                                        for i in range(len(coords[0]))]
+            rows, den = combine_int_rows(ints, list(zip(*coords)), n)
+            self._view.rows, self._view.den, self._view.field = rows, den, number_field
             self._cached_upto = n - 1
         return Coefficients(self, n_max + 1)
 
+    def float_view(self, n: int) -> FloatView:
+        """The coordinate rows and their floats, the rows built to n if they
+        reach less."""
+        if n > self._cached_upto:
+            self.coefficients_upto(n)
+        return self._view
+
     def float_coeffs(self, n: int) -> list[float]:
-        """[float(coeff(i)) for i in range(n + 1)], held and extended on
-        demand: num[i] / den (correctly rounded) on rational rows, else
-        float(coeff(i)) once per i."""
-        floats = self._floats
-        if n >= len(floats):
-            self.coeff(n)  # the rows reach n, or coeff extends past them
-            number_field, parts = self._rows
-            if number_field is None:
-                num, den = parts[0]
-                floats += [num[i] / den for i in range(len(floats), min(n, self._cached_upto) + 1)]
-            floats += [float(self.coeff(i)) for i in range(len(floats), n + 1)]
-        return floats[: n + 1]
+        """The correctly rounded floats of coefficients 0..n from the float
+        view, the rows built to n if they reach less."""
+        return self.float_view(n).floats(n)
 
 
 def _power_recursion(lam, pw, e: int):
@@ -273,12 +272,11 @@ def _eigenvectors(mat, cp, name: str, den: int = 1) -> list[tuple]:
     return out
 
 
-def _scalar(number_field, parts, t: int):
-    """Coefficient t of the coordinate rows parts (see _RowForm._rows)."""
+def _scalar(number_field, rows, den: int, t: int):
+    """Coefficient t of coordinate rows over den (see _RowForm)."""
     if number_field is None:
-        num, den = parts[0]
-        return Fraction(num[t], den)
-    return number_field([Fraction(num[t], den) for num, den in parts])
+        return Fraction(rows[0][t], den)
+    return number_field([Fraction(row[t], den) for row in rows])
 
 
 def hecke_matrix_level1(w: int, p: int) -> list[list[int]]:
@@ -408,21 +406,14 @@ class HalfIntegralForm(_RowForm):
         each coordinate row, over fhat(n0)."""
         n0 = self._lead_index()
         image = _t_p2(self.k, p)
-        self.coefficients_upto(p * p * n0)
-        number_field, parts = self._rows
-        value = _scalar(number_field, [((image(num, n0),), den) for num, den in parts], 0)
+        view = self.float_view(p * p * n0)
+        value = _scalar(view.field, [(image(row, n0),) for row in view.rows], view.den, 0)
         return value / self.coeff(n0)
 
     def normalized_eigenvalue(self, m: int) -> LogScaled:
         """A(m) = lambda(m) m^(-(k-1)/2) as a log-scaled real."""
-        lam = self.eigenvalue(m)
-        f = float(lam)
-        if f == 0.0:
-            return LogScaled.zero()
-        return LogScaled(
-            1 if f > 0 else -1,
-            log_abs_fraction(lam) - float(self.k - 1) / 2.0 * math.log(m),
-        )
+        pw = LogScaled.exp_of(-float(self.k - 1) / 2.0 * math.log(m))
+        return LogScaled.lift(self.eigenvalue(m)) * pw
 
 
 class Coefficients(Sequence):

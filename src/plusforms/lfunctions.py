@@ -20,6 +20,10 @@ domain, each seen through the frame of its cusp.  Above y = 1 a frame's
 translates cover one period, summed exactly by Parseval (_strip_gram, every
 stored term); the cap below y = 1 is Gauss quadrature at two orders, their
 difference the error estimate, with one array call per frame and form.
+
+Every coefficient read here is a float of the form's one float view
+(_RowForm.float_view, float_coeffs), made from its rows without an exact
+scalar.
 """
 
 from __future__ import annotations
@@ -30,10 +34,9 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import is_fundamental_discriminant, kronecker_symbol, plus_sign, primes_up_to
-from .numerics import CertifiedValue, LogScaled, log_abs_fraction, logsumexp
-from .qexp import QExpansion
+from .numerics import CertifiedValue, LogScaled, logsumexp
 from .salie import spectral_average
-from .supnorm import FormEvaluator
+from .supnorm import FormEvaluator, FrameSeries
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +194,10 @@ def sym2_at_1(F, prime_limit: int = 10**5) -> CertifiedValue:
     if prime_limit < 2:
         raise ValueError("prime_limit must be at least 2")
     a = (F.weight - 1) / 2.0
+    floats = F.float_coeffs(prime_limit)
     log_l = 0.0
     for p in primes_up_to(prime_limit):
-        lam = float(F.coeff(p)) / p**a
+        lam = floats[p] / p**a
         den = (1.0 - (lam * lam - 2.0) / p + 1.0 / (p * p)) * (1.0 - 1.0 / p)
         log_l -= math.log(den)
     tail = 8.0 / (math.sqrt(prime_limit) * math.log(prime_limit))
@@ -226,18 +230,17 @@ def _cap_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes
 
 
-def _strip_gram(label: str, series: list[QExpansion], log_scales, k: float, y0: float):
+def _strip_gram(label: str, series: list[FrameSeries], k: float, y0: float):
     """int y^k f_i conj(f_j) dx dy / y^2 over one period and y >= y0 for
-    f_i = series[i] e^(log_scales[i]), series of one frame (width 1, real
-    coefficients), by Parseval: sum_m a_i(m) a_j(m) e^(s_i + s_j)
+    f_i = series[i] (with its log scale s_i), series of one frame (width 1,
+    real coefficients), by Parseval: sum_m a_i(m) a_j(m) e^(s_i + s_j)
     Gamma(k-1, 4 pi t_m y0) / (4 pi t_m)^(k-1) over every stored term.
     Rows are taken in the log domain, each shifted by its largest term; the
     shifts return as one diagonal scaling, since e^(shift_i + shift_j) per
     entry is not of Gram form and the ill-conditioned 'full S' Gram at 49/2
     turns its rounding into 1e-4 in the Bergman kernel.  A nonzero term at
     t = 0 diverges: ValueError."""
-    arrays = [q._arrays() for q in series]
-    t = np.sort(np.concatenate([ts for ts, _, _ in arrays]))
+    t = np.sort(np.concatenate([fs.t for fs in series]))
     t = t[np.diff(t, prepend=-np.inf) > 0]  # np.unique would import numpy.ma (1 MB)
     if t.size and t[0] <= 0.0:
         raise ValueError(f"frame {label} has a nonzero constant term:"
@@ -248,24 +251,26 @@ def _strip_gram(label: str, series: list[QExpansion], log_scales, k: float, y0: 
                       - (k - 1.0) * np.log(rate))
     rows = np.zeros((len(series), t.size))
     shifts = np.zeros(len(series))
-    for i, (ts, logs, signs) in enumerate(arrays):
-        cols = np.searchsorted(t, ts)
-        logterm = logs + half[cols]
+    for i, fs in enumerate(series):
+        cols = np.searchsorted(t, fs.t)
+        logterm = fs.logs + half[cols]
         top = np.max(logterm, initial=-np.inf)
-        rows[i, cols] = signs * np.exp(logterm - top)
-        shifts[i] = top + log_scales[i]
+        rows[i, cols] = fs.signs * np.exp(logterm - top)
+        shifts[i] = top + fs.log_scale
     scale = np.exp(shifts)
     return rows @ rows.T * np.outer(scale, scale)
 
 
 def petersson_norm_integral(F) -> CertifiedValue:
     """<F,F> = int_{F_SL2} |F|^2 y^(w-2) dx dy for an integral-weight form
-    from its first 80 coefficients: strip y >= 1 by _strip_gram, cap by
-    Gauss quadrature at two orders (difference -> error estimate)."""
+    from its first 80 coefficients (its float view): strip y >= 1 by
+    _strip_gram, cap by Gauss quadrature at two orders (difference -> error
+    estimate)."""
     w = F.weight
     n_coef = min(F.precision, 80)
-    series = QExpansion(w, 1, 0, n_coef, {n: F.coeff(n) for n in range(1, n_coef + 1)})
-    strip = float(_strip_gram("I", [series], [0.0], w, 1.0)[0, 0])
+    logs, signs = F.float_view(n_coef).terms(n_coef)
+    series = FrameSeries.of_terms(range(1, n_coef + 1), logs[1:], signs[1:], n_coef)
+    strip = float(_strip_gram("I", [series], w, 1.0)[0, 0])
 
     def cap_integral(order: int) -> float:
         zs, wts = _cap_nodes(order)
@@ -302,8 +307,7 @@ def petersson_gram(evals: list[FormEvaluator]) -> tuple[np.ndarray, float]:
     if not evals:
         return np.zeros((0, 0)), 0.0
     k = float(evals[0].k)
-    strip = sum(_strip_gram(label, [ev.frames[label].series for ev in evals],
-                            [ev.frames[label].log_scale for ev in evals], k, scale)
+    strip = sum(_strip_gram(label, [ev.frames[label] for ev in evals], k, scale)
                 for label, scale, _ in _PIECES)
 
     def cap(order: int) -> np.ndarray:
@@ -337,7 +341,7 @@ def petersson_norm_f(form, method: str = "quadrature", prec: int = 700) -> Certi
             raise ValueError("spectral norm route needs a one-dimensional space")
         m = basis.pivots()[0]
         sa = spectral_average(form.k, m, rel_tol=1e-8)
-        num = LogScaled.from_float(float(form.coeff(m)) ** 2)
+        num = LogScaled.from_float(form.float_coeffs(m)[m] ** 2)
         val = num / sa.value
         err_log = val.logm + math.log(max(sa.rel_err(), 1e-15))
         return CertifiedValue(val, err_log)
@@ -369,10 +373,10 @@ def kohnen_zagier_check(f, F, D: int, norm_f: CertifiedValue,
     if plus_sign(f.k) * D <= 0:
         raise ValueError("discriminant sign must satisfy (-1)^(k-1/2) D > 0")
     k = float(f.k)
-    c = f.coeff(abs(D))
-    if float(c) == 0.0:
+    logs, signs = f.float_view(abs(D)).terms(abs(D))
+    if signs[abs(D)] == 0:
         return {"skipped": True, "D": D}
-    lhs_log = 2.0 * log_abs_fraction(c) - norm_f.value.logm
+    lhs_log = 2.0 * logs[abs(D)] - norm_f.value.logm
     if l_central.value.sign <= 0:
         return {"skipped": True, "D": D, "reason": "nonpositive central value"}
     rhs_log = (

@@ -29,16 +29,10 @@ def log_abs_int(n: int) -> float:
     return math.log(n >> shift) + shift * LN2
 
 
-def log_abs_fraction(x) -> float:
-    """log|x| for any scalar: exact for int and Fraction (no float overflow),
-    through float(x) otherwise (floats, number-field elements)."""
-    if isinstance(x, int):
-        return log_abs_int(x)
-    if isinstance(x, float):
-        return math.log(abs(x)) if x != 0.0 else NEG_INF
-    if isinstance(x, Fraction):
-        return log_abs_int(x.numerator) - log_abs_int(x.denominator)
-    return math.log(abs(float(x))) if float(x) != 0.0 else NEG_INF
+def log_abs_fraction(x: int | Fraction) -> float:
+    """log|x| of an int or a Fraction, from its numerator and denominator
+    (no float overflow)."""
+    return log_abs_int(x.numerator) - log_abs_int(x.denominator)
 
 
 def logsumexp(logs: list[float]) -> float:
@@ -81,7 +75,9 @@ class LogScaled:
     __float__ = to_float
 
     @staticmethod
-    def _lift(other) -> "LogScaled":
+    def lift(other) -> "LogScaled":
+        """other as a LogScaled: an int or a Fraction with its exact log, any
+        other scalar through float()."""
         if isinstance(other, LogScaled):
             return other
         if isinstance(other, (int, Fraction)):
@@ -91,7 +87,7 @@ class LogScaled:
         return LogScaled.from_float(float(other))
 
     def __mul__(self, other):
-        other = LogScaled._lift(other)
+        other = LogScaled.lift(other)
         if self.sign == 0 or other.sign == 0:
             return LogScaled.zero()
         return LogScaled(self.sign * other.sign, self.logm + other.logm)
@@ -99,7 +95,7 @@ class LogScaled:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = LogScaled._lift(other)
+        other = LogScaled.lift(other)
         if other.sign == 0:
             raise ZeroDivisionError
         if self.sign == 0:
@@ -109,11 +105,8 @@ class LogScaled:
     def __neg__(self):
         return LogScaled(-self.sign, self.logm)
 
-    def __abs__(self):
-        return LogScaled(abs(self.sign), self.logm)
-
     def __add__(self, other):
-        other = LogScaled._lift(other)
+        other = LogScaled.lift(other)
         if self.sign == 0:
             return other
         if other.sign == 0:
@@ -128,24 +121,10 @@ class LogScaled:
         return LogScaled(big.sign, big.logm + math.log1p(-t))
 
     def __sub__(self, other):
-        return self + (-LogScaled._lift(other))
-
-    def log(self) -> float:
-        if self.sign <= 0:
-            raise ValueError("log of non-positive LogScaled")
-        return self.logm
-
-    def __lt__(self, other):
-        return (self - other).sign < 0
-
-    def __le__(self, other):
-        return (self - other).sign <= 0
+        return self + (-LogScaled.lift(other))
 
     def __gt__(self, other):
         return (self - other).sign > 0
-
-    def __ge__(self, other):
-        return (self - other).sign >= 0
 
     def __repr__(self):
         if self.sign == 0:
@@ -163,10 +142,6 @@ class CertifiedValue:
 
     value: LogScaled
     err_log: float  # log of the absolute error bound; -inf for exact
-
-    @staticmethod
-    def exact(value: LogScaled) -> "CertifiedValue":
-        return CertifiedValue(value, NEG_INF)
 
     @property
     def err(self) -> float:
@@ -186,22 +161,6 @@ class CertifiedValue:
 
     def to_float(self) -> float:
         return self.value.to_float()
-
-    def __mul__(self, other):
-        """First-order error propagation under multiplication."""
-        if isinstance(other, CertifiedValue):
-            v = self.value * other.value
-            logs = []
-            if self.err_log > NEG_INF and other.value.sign != 0:
-                logs.append(self.err_log + other.value.logm)
-            if other.err_log > NEG_INF and self.value.sign != 0:
-                logs.append(other.err_log + self.value.logm)
-            if self.err_log > NEG_INF and other.err_log > NEG_INF:
-                logs.append(self.err_log + other.err_log)
-            return CertifiedValue(v, logsumexp(logs) if logs else NEG_INF)
-        scale = LogScaled._lift(other)
-        e = self.err_log + scale.logm if self.err_log > NEG_INF and scale.sign != 0 else NEG_INF
-        return CertifiedValue(self.value * scale, e)
 
     def as_dict(self) -> dict:
         return {

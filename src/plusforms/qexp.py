@@ -2,17 +2,11 @@
 
 Every exact series is a list of integer numerators over one common
 denominator.  Series are built and combined with the integer products of
-`intpoly`; a QExpansion only stores the result,
-sum_m a(m) e((m + param) z / width) with rational a(m) and a weight tag,
-and evaluates it.  It does no arithmetic, and `from_int_series` is where
-its Fractions are made.
-
-`QExpansion.eval_reduced` is the one place where a truncated series is
-summed at points: whole arrays of points in fixed-size blocks, each point
-shifted by its largest log term so that nothing overflows or underflows,
-with one exponential per distinct y and one per distinct x (a single point
-skips the blocks).  The frame evaluators, the sup-norm scan, the Petersson
-quadratures and the Bergman kernel's spectral side all evaluate through it.
+`intpoly`.  A QExpansion is the exact container for exact readers, sum_m
+a(m) e((m + param) z / width) with rational a(m) and a weight tag; it does
+no arithmetic and holds no floats, and `from_int_series` makes its
+Fractions.  Float readers take a FloatView: the floats, log|a| and signs of
+one series, made from its integer rows without an exact scalar.
 
 The spaces M_k(Gamma_0(4)) are spanned by monomials Theta^a G^b where Theta
 is the standard theta series (weight 1/2) and G = sum_{n odd} sigma_1(n) q^n
@@ -54,21 +48,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 
-import numpy as np
-
 from . import intpoly
 from .arith import admissible, half_integer, sigma_table
 from .linalg import rref_exact
-from .numerics import NEG_INF, log_abs_fraction
+from .numerics import NEG_INF, log_abs_int
 
 
 class PrecisionError(Exception):
     """A computation needed series coefficients beyond the stored precision."""
-
-
-# points per block in QExpansion.eval_reduced: bounds its work arrays at
-# 256 x (number of terms) complex entries
-_EVAL_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -99,100 +86,6 @@ class QExpansion:
             raise PrecisionError(f"coefficient {m} beyond stored precision {self.prec}")
         return self.coeffs.get(m, Fraction(0))
 
-    # -- evaluation ---------------------------------------------------------
-
-    def _arrays(self):
-        """(t, log|a|, sign a) over the nonzero terms, t = (m + param) / width."""
-        cached = getattr(self, "_eval_arrays", None)
-        if cached is not None:
-            return cached
-        ms = np.array(sorted(m for m, v in self.coeffs.items() if v != 0), dtype=np.float64)
-        logs = np.array(
-            [log_abs_fraction(self.coeffs[int(m)]) for m in ms], dtype=np.float64
-        )
-        signs = np.array([1.0 if float(self.coeffs[int(m)]) > 0 else -1.0 for m in ms])
-        self._eval_arrays = ((ms + float(self.param)) / self.width, logs, signs)
-        return self._eval_arrays
-
-    def eval_reduced(self, zs, upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Series values at zs, a point or an array of points of any shape, as
-        (reduced, log_scale) arrays of that shape: value = reduced * e^log_scale.
-        With upto, only the terms of index m <= upto are summed (a prefix of
-        the sorted term arrays, with the same factor tables and tiles), and
-        the values are those of the series truncated there, bit for bit.
-
-        Each point is shifted by its own largest log term, so a value whose
-        terms all underflow float64 (large y) is still found.  A term is
-        sign * e^(log|a| - 2 pi t y - shift(y)) times e^(2 pi i t x): the real
-        factor is computed once per distinct y and the phase once per distinct
-        x.  The points are cut into tiles of at most _EVAL_BLOCK distinct y by
-        _EVAL_BLOCK distinct x, which bounds both factor tables; within a tile,
-        blocks of _EVAL_BLOCK points gather their (points, terms) products and
-        sum each row.  A tensor grid of points costs about one exp per row and
-        one per column, and every value equals the term-by-term sum bit for bit.
-        A single point (with terms to sum) runs the same operations on the
-        1-d term rows and returns numpy scalars.
-        """
-        t, logs, signs = self._arrays()
-        if upto is not None:
-            n = np.searchsorted(t, (upto + float(self.param)) / self.width, side="right")
-            t, logs, signs = t[:n], logs[:n], signs[:n]
-        rate, freq = 2.0 * math.pi * t, 2j * math.pi * t
-        if t.size and np.ndim(zs) == 0:
-            z = complex(zs)
-            logterm = logs - rate * z.imag
-            m0 = np.max(logterm)
-            return np.sum(signs * np.exp(logterm - m0) * np.exp(freq * z.real)), m0
-        zs = np.asarray(zs, dtype=complex)
-        flat = zs.reshape(-1)
-        reduced = np.zeros(flat.shape, dtype=complex)
-        log_scale = np.full(flat.shape, NEG_INF)
-        if t.size and flat.size:
-            for pts, ys, iy, xs, ix in _tiles(flat):
-                logterm = logs - rate * ys[:, None]
-                m0 = np.max(logterm, axis=1, keepdims=True)
-                real = signs * np.exp(logterm - m0)
-                phase = np.exp(freq * xs[:, None])
-                for lo in range(0, pts.size, _EVAL_BLOCK):
-                    r, x = iy[lo:lo + _EVAL_BLOCK], ix[lo:lo + _EVAL_BLOCK]
-                    reduced[pts[lo:lo + _EVAL_BLOCK]] = np.sum(real[r] * phase[x], axis=1)
-                    log_scale[pts[lo:lo + _EVAL_BLOCK]] = m0[r, 0]
-        return reduced.reshape(zs.shape), log_scale.reshape(zs.shape)
-
-
-def _distinct(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of v and the index of each entry among them."""
-    if v.size == 1:
-        return v, np.zeros(1, dtype=np.intp)
-    return np.unique(v, return_inverse=True)
-
-
-def _tiles(flat: np.ndarray):
-    """Cut the points flat into tiles of at most _EVAL_BLOCK distinct y by at
-    most _EVAL_BLOCK distinct x, yielding (indices into flat, the tile's
-    distinct y, each point's index among them, likewise for x).
-
-    A band holds _EVAL_BLOCK consecutive distinct y; the distinct x of each
-    band are numbered in order and cut into runs of _EVAL_BLOCK.  A tensor
-    grid with few columns is one tile per band, and scattered points make
-    about one tile per _EVAL_BLOCK points.
-    """
-    ys, iy = _distinct(flat.imag)
-    xs, ix = _distinct(flat.real)
-    if ys.size <= _EVAL_BLOCK and xs.size <= _EVAL_BLOCK:
-        yield np.arange(flat.size), ys, iy, xs, ix
-        return
-    band = iy // _EVAL_BLOCK
-    pairs, ip = np.unique(band * xs.size + ix, return_inverse=True)
-    pair_band = pairs // xs.size
-    rank = np.arange(pairs.size) - np.searchsorted(pair_band, pair_band)
-    tile = band * (xs.size // _EVAL_BLOCK + 1) + rank[ip] // _EVAL_BLOCK
-    order = np.argsort(tile, kind="stable")
-    for pts in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
-        uy, ry = np.unique(iy[pts], return_inverse=True)
-        ux, rx = np.unique(ix[pts], return_inverse=True)
-        yield pts, ys[uy], ry, xs[ux], rx
-
 
 def from_int_series(weight, series, prec: int, den: int = 1, width: int = 1,
                     param=Fraction(0)) -> QExpansion:
@@ -202,14 +95,50 @@ def from_int_series(weight, series, prec: int, den: int = 1, width: int = 1,
     return QExpansion(Fraction(weight), width, Fraction(param), prec, coeffs)
 
 
-def combine_int_rows(rows, coeffs, n: int) -> tuple[list[int], int]:
-    """sum_j coeffs[j] * rows[j] on indices 0..n-1, for integer rows and
-    rational coeffs, as (integer numerators, common denominator).
+def combine_int_rows(rows, vectors, n: int) -> tuple[list[list[int]], int]:
+    """sum_j v[j] * rows[j] on indices 0..n-1 for each vector v of rational
+    coefficients, for integer rows, as integer numerators over one common
+    denominator: the lcm of all the coefficients' denominators."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    return [intpoly._map_row(rows, [int(c * den) for c in v], [0] * len(rows), n)
+            for v in vectors], den
 
-    The denominator is the lcm of the coefficients' denominators.
-    """
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return intpoly._map_row(rows, [int(c * den) for c in coeffs], [0] * len(rows), n), den
+
+class FloatView:
+    """The correctly rounded floats of one exact series from its integer rows
+    over den: one row, or one per power-basis coordinate of the NumberField
+    field (NumberField.embed).  Floats, log|a| (of a rational a from its
+    reduced pair) and signs (0 where a = 0) are made as far as read and
+    held; the owner may replace rows and den by longer rows of the series."""
+
+    def __init__(self, rows, den: int, field=None):
+        self.rows, self.den, self.field = rows, den, field
+        self._floats, self._logs, self._signs = [], [], []  # made so far
+
+    def floats(self, n: int) -> list[float]:
+        """The floats of coefficients 0..n; the rows must reach n."""
+        made, num = self._floats, self.rows[0]
+        if n >= len(made):
+            made += ([num[i] / self.den for i in range(len(made), n + 1)] if self.field is None
+                     else self.field.embed(self.rows, self.den, len(made), n + 1))
+        return made[: n + 1]
+
+    def terms(self, n: int) -> tuple[list[float], list[float]]:
+        """(log|a|, sign) of coefficients 0..n; the rows must reach n."""
+        logs, signs, num, den = self._logs, self._signs, self.rows[0], self.den
+        floats = self.floats(n) if self.field is not None else None
+        for i in range(len(logs), n + 1):
+            if any(row[i] for row in self.rows[1:]):  # an irrational coefficient
+                logs.append(math.log(abs(floats[i])))
+                signs.append(1.0 if floats[i] > 0 else -1.0)
+            elif num[i]:
+                g = math.gcd(num[i], den)
+                logs.append(log_abs_int(num[i] // g) - log_abs_int(den // g))
+                signs.append(1.0 if (num[i] > 0) == (den > 0) else -1.0)
+            else:
+                logs.append(NEG_INF)
+                signs.append(0.0)
+        return logs[: n + 1], signs[: n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +303,6 @@ class _FormRows(_Prefixes):
         self.vectors = vectors
         self._values: dict = {}
 
-    def __call__(self, frame: str, prec: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(integer numerators, common denominator) of each combination in
-        frame 'I', 'W4' or 'V4', to index prec or beyond."""
-        return self.get(frame, prec)
-
     def cached(self, name: str, build):
         """build(), computed once for these combinations."""
         if name not in self._values:
@@ -430,16 +354,7 @@ class SpaceBasis:
         """(integer numerators, common denominator) of each basis form in
         frame 'I', 'W4' or 'V4', to index prec or beyond; built to prec if
         they are held to less."""
-        return self._rows(frame, prec)
-
-    def frame_series(self, i: int, frame: str, prec: int) -> tuple[QExpansion, complex]:
-        """Exact expansion of basis form i in frame 'I', 'W4' or 'V4'."""
-        row, den = self.int_rows(frame, prec)[i]
-        if frame == "V4":
-            r = int(2 * self.weight)
-            phase = complex(math.cos(math.pi * r / 4), math.sin(math.pi * r / 4))
-            return from_int_series(self.weight, row, prec, den, param=Fraction(r % 4, 4)), phase
-        return from_int_series(self.weight, row, prec, den), complex(1.0)
+        return self._rows.get(frame, prec)
 
     def cached(self, name: str, build):
         """build(), computed once and shared by every basis that space_basis
@@ -490,7 +405,7 @@ def _held_basis(k: Fraction, kind: str, prec: int) -> SpaceBasis:
     """The basis of kind at weight k from the rows held in _spaces, its rows
     built to index prec if they are held to less."""
     rows = _spaces.get((k, kind), 0)
-    rows("I", prec)
+    rows.get("I", prec)
     return SpaceBasis(k, kind, sturm_index(k), weight_monomials(k), rows.vectors, prec, rows)
 
 
@@ -506,7 +421,7 @@ def _solve_space(k: Fraction, kind: str) -> _FormRows:
     if kind == "full M":
         return _FormRows(r, [(row, 1) for row in identity])
     st = sturm_index(k)
-    rows = [row[: st + 1] for row, _ in _spaces.get((k, "full M"), 0)("I", st)]
+    rows = [row[: st + 1] for row, _ in _spaces.get((k, "full M"), 0).get("I", st)]
     conditions: list[list[int]] = []
     if kind in ("full S", "plus S"):
         conditions.append([row[0] for row in rows])
@@ -527,7 +442,7 @@ def _echelonize(
     q-expansions up to the Sturm index: the vectors, and the rows of their
     forms to there, each as (integer numerators, lcm denominator)."""
     ncoe = st + 1
-    mat = [combine_int_rows(rows, vec, ncoe)[0] + vec for vec in kernel]
+    mat = [row + vec for row, vec in zip(combine_int_rows(rows, kernel, ncoe)[0], kernel)]
     vectors, held = [], []
     for row in rref_exact(mat)[1]:
         if not any(row[:ncoe]):

@@ -2,9 +2,13 @@
 
 Evaluation of the invariant y^(k/2) |(f|ki)(z)| in the three frames that
 cover a fundamental domain of Gamma_0(4) (identity, Fricke, and the frame
-moving the cusp 1/2) at single points or whole arrays of points, through
-`QExpansion.eval_reduced`; grid+golden-section sup-norm scans (one array
-call per frame for the grid), enumeration of
+moving the cusp 1/2) at single points or whole arrays of points.  Each frame
+is a FrameSeries sliced from one float view (qexp.FloatView), and
+`FrameSeries.eval_reduced` is the one place where a truncated series is
+summed at points: the evaluators, the scan, the Petersson quadratures and
+the Bergman kernel's spectral side all evaluate through it.  Also:
+grid+golden-section sup-norm scans (one array call per frame for the grid),
+enumeration of
 
     G_l(4) = { integer 2x2 gamma : det gamma = l, c = 0 mod 4 }
 
@@ -25,7 +29,7 @@ import numpy as np
 
 from .arith import admissible, divisors, half_integer, kronecker_symbol, plus_sign, primes_up_to
 from .numerics import NEG_INF, LogScaled
-from .qexp import PrecisionError, QExpansion, SpaceBasis
+from .qexp import FloatView, PrecisionError, SpaceBasis
 from .salie import spectral_average, bessel_correction_factor
 
 SQRT3_OVER_8 = math.sqrt(3.0) / 8.0
@@ -33,10 +37,114 @@ SQRT3_OVER_8 = math.sqrt(3.0) / 8.0
 FRAME_LABELS = ("I", "W4", "V4")
 
 
+# points per block in FrameSeries.eval_reduced: bounds its work arrays at
+# 256 x (number of terms) complex entries
+_EVAL_BLOCK = 256
+
+
 @dataclass
 class FrameSeries:
-    series: QExpansion
-    log_scale: float  # |actual series| = |stored series| * e^log_scale
+    """A truncated series e^log_scale sum_{m <= prec} a(m) e((m + param) z /
+    width) with real a(m), held as floats over its nonzero terms: t = (m +
+    param) / width ascending, log|a(m)| and the sign of a(m)."""
+
+    t: np.ndarray
+    logs: np.ndarray
+    signs: np.ndarray
+    prec: int
+    param: Fraction = Fraction(0)
+    width: int = 1
+    log_scale: float = 0.0
+
+    @staticmethod
+    def of_terms(ms, logs, signs, prec: int, param=Fraction(0), log_scale: float = 0.0):
+        """The series of the terms m in ms with log|a(m)| and sign logs and
+        signs (arrays beside ms); the terms of sign 0 are dropped."""
+        keep = np.asarray(signs) != 0
+        return FrameSeries(np.asarray(ms, dtype=np.float64)[keep] + float(param),
+                           np.asarray(logs, dtype=np.float64)[keep],
+                           np.asarray(signs, dtype=np.float64)[keep], prec, param,
+                           log_scale=log_scale)
+
+    def eval_reduced(self, zs, upto: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Series values at zs, a point or an array of points of any shape, as
+        (reduced, log_scale) arrays of that shape: value = reduced * e^log_scale
+        * e^self.log_scale.  With upto, only the terms of index m <= upto are
+        summed (a prefix of the sorted term arrays, with the same factor
+        tables and tiles), and the values are those of the series truncated
+        there, bit for bit.
+
+        Each point is shifted by its own largest log term, so a value whose
+        terms all underflow float64 (large y) is still found.  A term is
+        sign * e^(log|a| - 2 pi t y - shift(y)) times e^(2 pi i t x): the real
+        factor is computed once per distinct y and the phase once per distinct
+        x.  The points are cut into tiles of at most _EVAL_BLOCK distinct y by
+        _EVAL_BLOCK distinct x, which bounds both factor tables; within a tile,
+        blocks of _EVAL_BLOCK points gather their (points, terms) products and
+        sum each row.  A tensor grid of points costs about one exp per row and
+        one per column, and every value equals the term-by-term sum bit for bit.
+        A single point (with terms to sum) runs the same operations on the
+        1-d term rows and returns numpy scalars.
+        """
+        t, logs, signs = self.t, self.logs, self.signs
+        if upto is not None:
+            n = np.searchsorted(t, (upto + float(self.param)) / self.width, side="right")
+            t, logs, signs = t[:n], logs[:n], signs[:n]
+        rate, freq = 2.0 * math.pi * t, 2j * math.pi * t
+        if t.size and np.ndim(zs) == 0:
+            z = complex(zs)
+            logterm = logs - rate * z.imag
+            m0 = np.max(logterm)
+            return np.sum(signs * np.exp(logterm - m0) * np.exp(freq * z.real)), m0
+        zs = np.asarray(zs, dtype=complex)
+        flat = zs.reshape(-1)
+        reduced = np.zeros(flat.shape, dtype=complex)
+        log_scale = np.full(flat.shape, NEG_INF)
+        if t.size and flat.size:
+            for pts, ys, iy, xs, ix in _tiles(flat):
+                logterm = logs - rate * ys[:, None]
+                m0 = np.max(logterm, axis=1, keepdims=True)
+                real = signs * np.exp(logterm - m0)
+                phase = np.exp(freq * xs[:, None])
+                for lo in range(0, pts.size, _EVAL_BLOCK):
+                    r, x = iy[lo:lo + _EVAL_BLOCK], ix[lo:lo + _EVAL_BLOCK]
+                    reduced[pts[lo:lo + _EVAL_BLOCK]] = np.sum(real[r] * phase[x], axis=1)
+                    log_scale[pts[lo:lo + _EVAL_BLOCK]] = m0[r, 0]
+        return reduced.reshape(zs.shape), log_scale.reshape(zs.shape)
+
+
+def _distinct(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of v and the index of each entry among them."""
+    if v.size == 1:
+        return v, np.zeros(1, dtype=np.intp)
+    return np.unique(v, return_inverse=True)
+
+
+def _tiles(flat: np.ndarray):
+    """Cut the points flat into tiles of at most _EVAL_BLOCK distinct y by at
+    most _EVAL_BLOCK distinct x, yielding (indices into flat, the tile's
+    distinct y, each point's index among them, likewise for x).
+
+    A band holds _EVAL_BLOCK consecutive distinct y; the distinct x of each
+    band are numbered in order and cut into runs of _EVAL_BLOCK.  A tensor
+    grid with few columns is one tile per band, and scattered points make
+    about one tile per _EVAL_BLOCK points.
+    """
+    ys, iy = _distinct(flat.imag)
+    xs, ix = _distinct(flat.real)
+    if ys.size <= _EVAL_BLOCK and xs.size <= _EVAL_BLOCK:
+        yield np.arange(flat.size), ys, iy, xs, ix
+        return
+    band = iy // _EVAL_BLOCK
+    pairs, ip = np.unique(band * xs.size + ix, return_inverse=True)
+    pair_band = pairs // xs.size
+    rank = np.arange(pairs.size) - np.searchsorted(pair_band, pair_band)
+    tile = band * (xs.size // _EVAL_BLOCK + 1) + rank[ip] // _EVAL_BLOCK
+    order = np.argsort(tile, kind="stable")
+    for pts in np.split(order, np.flatnonzero(np.diff(tile[order])) + 1):
+        uy, ry = np.unique(iy[pts], return_inverse=True)
+        ux, rx = np.unique(ix[pts], return_inverse=True)
+        yield pts, ys[uy], ry, xs[ux], rx
 
 
 def _guard_index(k, width: int, y: float) -> int:
@@ -71,44 +179,40 @@ class FormEvaluator:
 
     @staticmethod
     def from_plus_form(form, prec: int = 677) -> "FormEvaluator":
-        """Build the three frame expansions of a plus-space eigenform from
-        its coefficients to index prec, by default 677 = 4 * 13^2 + 1
-        whatever precision the basis rows are held to (exact transfer: the
-        Fricke frame sees fhat(4m), the V frame sees fhat(m) on
-        m = (-1)^(k-1/2) mod 4 with alternating signs folded into the
-        rational series)."""
-        k = form.k
-        coeffs = form.coefficients_upto(prec)
-        log_half_pow = (0.5 - float(k)) * math.log(2.0)
-        a0 = 2 - plus_sign(k)  # m = (-1)^(k-1/2) mod 4 is 1 or 3
-        w_prec, v_prec = prec // 4, (prec - a0) // 4
-        series = {
-            "I": QExpansion(k, 1, Fraction(0), prec, {n: c for n, c in enumerate(coeffs) if c}),
-            "W4": QExpansion(k, 1, Fraction(0), w_prec,
-                             {m: c for m in range(w_prec + 1) if (c := coeffs[4 * m])}),
-            "V4": QExpansion(k, 1, Fraction(a0, 4), v_prec, {
-                m: c * (-1) ** m for m in range(v_prec + 1) if (c := coeffs[4 * m + a0])}),
-        }
-        return FormEvaluator(k, {label: FrameSeries(q, 0.0 if label == "I" else log_half_pow)
-                                 for label, q in series.items()})
+        """The three frames of a plus-space eigenform from the float view of
+        its coefficients to index prec, by default 677 = 4 * 13^2 + 1 (exact
+        transfer: the Fricke frame sees fhat(4m), the V frame (-1)^m
+        fhat(4m + a0), a0 = (-1)^(k-1/2) mod 4)."""
+        k, a0 = form.k, 2 - plus_sign(form.k)  # m = (-1)^(k-1/2) mod 4 is 1 or 3
+        logs, signs = (np.array(v) for v in form.float_view(prec).terms(prec))
+        half_pow = (0.5 - float(k)) * math.log(2.0)
+        w, v = np.arange(prec // 4 + 1), np.arange((prec - a0) // 4 + 1)
+        return FormEvaluator(k, {
+            "I": FrameSeries.of_terms(np.arange(prec + 1), logs, signs, prec),
+            "W4": FrameSeries.of_terms(w, logs[4 * w], signs[4 * w], prec // 4, log_scale=half_pow),
+            "V4": FrameSeries.of_terms(v, logs[4 * v + a0], signs[4 * v + a0] * (1 - 2 * (v % 2)),
+                                       (prec - a0) // 4, Fraction(a0, 4), half_pow)})
 
     @staticmethod
     def from_basis_element(basis: SpaceBasis, i: int, prec: int) -> "FormEvaluator":
-        """Exact frame expansions of a (not necessarily plus) basis form."""
+        """Frame expansions of a (not necessarily plus) basis form, from its
+        integer rows to index prec (SpaceBasis.int_rows)."""
         frames = {}
         for label in FRAME_LABELS:
-            q, _phase = basis.frame_series(i, label, prec)
-            frames[label] = FrameSeries(q, 0.0)
+            row, den = basis.int_rows(label, prec)[i]
+            param = Fraction(int(2 * basis.weight) % 4 if label == "V4" else 0, 4)
+            frames[label] = FrameSeries.of_terms(
+                range(prec + 1), *FloatView([row[: prec + 1]], den).terms(prec), prec, param)
         return FormEvaluator(basis.weight, frames)
 
     def required_precision(self, label: str, y: float) -> int:
-        return _guard_index(self.k, self.frames[label].series.width, y)
+        return _guard_index(self.k, self.frames[label].width, y)
 
     def _eval_guarded(self, label: str, z, y_min: float, check: bool):
         """eval_reduced of the frame's series at z, summed up to the index the
         guard asks for at y_min, the lowest point of z (all stored terms if
         fewer); with check, fewer raise PrecisionError."""
-        series = self.frames[label].series
+        series = self.frames[label]
         need = self.required_precision(label, y_min)
         if check and series.prec < need:
             raise PrecisionError(

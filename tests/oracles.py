@@ -322,7 +322,7 @@ def monomial_int(a: int, b: int, prec: int, frame: str) -> tuple[tuple[int, ...]
     undone, leaving the phase e(a/8)."""
     from plusforms.qexp import _spaces
 
-    series, den = _spaces.get((Fraction(a + 4 * b, 2), "full M"), 0)(frame, prec)[b]
+    series, den = _spaces.get((Fraction(a + 4 * b, 2), "full M"), 0).get(frame, prec)[b]
     if frame == "V4" and b % 2:
         return tuple(-c for c in series[: prec + 1]), den
     return series[: prec + 1], den
@@ -709,18 +709,18 @@ def embedding_reference(x, prec: int = 448):
 
 
 def eval_reduced_reference(q, zs):
-    """QExpansion.eval_reduced term by term: every (point, term) pair gets its
-    own real and complex exponential, in blocks of _EVAL_BLOCK points.  The
-    library computes each factor once per distinct y and per distinct x and
-    must agree with this bit for bit."""
+    """FrameSeries.eval_reduced term by term: every (point, term) pair gets
+    its own real and complex exponential, in blocks of _EVAL_BLOCK points.
+    The library computes each factor once per distinct y and per distinct x
+    and must agree with this bit for bit."""
     from plusforms.numerics import NEG_INF
-    from plusforms.qexp import _EVAL_BLOCK
+    from plusforms.supnorm import _EVAL_BLOCK
 
     zs = np.asarray(zs, dtype=complex)
     flat = zs.reshape(-1)
     reduced = np.zeros(flat.shape, dtype=complex)
     log_scale = np.full(flat.shape, NEG_INF)
-    t, logs, signs = q._arrays()
+    t, logs, signs = q.t, q.logs, q.signs
     if t.size:
         rate, freq = 2.0 * math.pi * t, 2j * math.pi * t
         for lo in range(0, flat.size, _EVAL_BLOCK):
@@ -731,6 +731,90 @@ def eval_reduced_reference(q, zs):
             reduced[lo:lo + _EVAL_BLOCK] = np.sum(terms, axis=1)
             log_scale[lo:lo + _EVAL_BLOCK] = m0[:, 0]
     return reduced.reshape(zs.shape), log_scale.reshape(zs.shape)
+
+
+def float_series_reference(q, log_scale: float = 0.0):
+    """The FrameSeries of an exact QExpansion by way of an exact scalar per
+    term: log|a| by log_abs_fraction of a Fraction and log|float(a)| of a
+    number-field element, the sign of float(a).  The library makes the same
+    arrays from integer rows (qexp.FloatView) without the scalars, bit for
+    bit."""
+    from plusforms.numerics import log_abs_fraction
+    from plusforms.supnorm import FrameSeries
+
+    terms = sorted((m, v) for m, v in q.coeffs.items() if v != 0)
+    ms = np.array([m for m, _ in terms], dtype=np.float64)
+    logs = np.array([log_abs_fraction(v) if isinstance(v, (int, Fraction))
+                     else math.log(abs(float(v))) for _, v in terms], dtype=np.float64)
+    signs = np.array([1.0 if float(v) > 0 else -1.0 for _, v in terms])
+    return FrameSeries((ms + float(q.param)) / q.width, logs, signs, q.prec, q.param, q.width,
+                       log_scale)
+
+
+def plus_frames_reference(form, prec: int) -> dict:
+    """label -> (exact QExpansion, log scale) of the three frames of a plus
+    eigenform from its exact coefficients: fhat(n) in the identity frame,
+    fhat(4m) in the Fricke frame and (-1)^m fhat(4m + a0) in the V frame,
+    a0 = (-1)^(k-1/2) mod 4, both scaled by 2^(1/2 - k)."""
+    from plusforms.arith import plus_sign
+    from plusforms.qexp import QExpansion
+
+    k = form.k
+    coeffs = form.coefficients_upto(prec)
+    log_half_pow = (0.5 - float(k)) * math.log(2.0)
+    a0 = 2 - plus_sign(k)
+    w_prec, v_prec = prec // 4, (prec - a0) // 4
+    return {
+        "I": (QExpansion(k, 1, Fraction(0), prec, {n: c for n, c in enumerate(coeffs) if c}), 0.0),
+        "W4": (QExpansion(k, 1, Fraction(0), w_prec,
+                          {m: c for m in range(w_prec + 1) if (c := coeffs[4 * m])}), log_half_pow),
+        "V4": (QExpansion(k, 1, Fraction(a0, 4), v_prec, {
+            m: c * (-1) ** m for m in range(v_prec + 1) if (c := coeffs[4 * m + a0])}),
+            log_half_pow),
+    }
+
+
+def basis_frame_series(basis, i: int, frame: str, prec: int):
+    """(exact expansion, phase) of basis form i in frame 'I', 'W4' or 'V4',
+    from its integer rows: in the V frame the exponent offset (r mod 4)/4 and
+    the phase e(r/8), r = 2k."""
+    from plusforms.qexp import from_int_series
+
+    row, den = basis.int_rows(frame, prec)[i]
+    if frame == "V4":
+        r = int(2 * basis.weight)
+        phase = complex(math.cos(math.pi * r / 4), math.sin(math.pi * r / 4))
+        return from_int_series(basis.weight, row, prec, den, param=Fraction(r % 4, 4)), phase
+    return from_int_series(basis.weight, row, prec, den), complex(1.0)
+
+
+def bracket_reference(modulus, index: int, levels) -> list[tuple[int, int]]:
+    """(N, b) with the index-th largest root of modulus in (N / 2^b, (N + 1)
+    / 2^b] at b = each level in turn, by bisection on Sturm's count of the
+    roots above the midpoint P / 2^b alone, each chain polynomial cleared of
+    denominators and its sign read from sum_i c_i P^i 2^(b(d-i))."""
+    from plusforms.arith import _sign_changes, _sturm_chain
+
+    chain = []
+    for p in _sturm_chain([Fraction(c) for c in modulus]):
+        den = math.lcm(*(c.denominator for c in p))
+        chain.append([int(c * den) for c in p])
+    at_inf = _sign_changes([p[-1] for p in chain])
+    bound = 1 << (int(max(abs(Fraction(c)) for c in modulus)) + 1).bit_length()
+    lo, width = Fraction(-bound), Fraction(2 * bound)
+    out = []
+    for bits in levels:
+        while width.denominator < 1 << bits:
+            width /= 2
+            b = width.denominator.bit_length() - 1
+            mid = int((lo + width) * (1 << b))
+            values = [sum(c * mid**i << (b * (len(p) - 1 - i)) for i, c in enumerate(p))
+                      for p in chain]
+            if _sign_changes(values) - at_inf > index:
+                lo += width
+        b = width.denominator.bit_length() - 1
+        out.append((int(lo * (1 << b)), b))
+    return out
 
 
 def theta_reference_value(z: complex, mat=(1, 0, 0, 1)) -> complex:
@@ -1028,7 +1112,7 @@ def poincare_sum_reference(k, m: int, n: int, c_cap: int = 10**6):
 def twisted_coeffs_reference(F, D: int, n_max: int) -> np.ndarray:
     """b(n) = chi_D(n) Fhat(n) / n^((w-1)/2) for n = 1..n_max, each Fhat(n)
     made as an exact scalar and converted by float() (the library reads the
-    form's float view, float_coeffs)."""
+    form's float view, float_coeffs, made from integer rows)."""
     from plusforms.arith import kronecker_symbol
 
     a = (F.weight - 1) / 2.0

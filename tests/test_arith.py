@@ -111,6 +111,32 @@ def test_quadext_field_arithmetic():
         t + NumberField(cubic.modulus, 1)([0, 1])  # another root, another field
 
 
+@pytest.mark.parametrize("kstr", ["41/2", "61/2"])
+def test_bracket_matches_sturm_only_bisection(kstr):
+    """_bracket, which leaves Sturm's count for the sign of the modulus once
+    its interval holds the one root, gives the (N, b) of bisection on the
+    count alone at 64, 256, 1024 and 4096 bits, for the Hecke field of every
+    eigenform at the weight."""
+    from oracles import bracket_reference
+    from plusforms.hecke import eigenbasis_plus
+
+    levels = (64, 256, 1024, 4096)
+    for f in eigenbasis_plus(kstr):
+        field = f.eigen_table[3].field
+        fresh = NumberField(field.modulus, field.index)
+        assert [fresh._bracket(b) for b in levels] == \
+            bracket_reference(field.modulus, field.index, levels), field
+
+
+def test_bracket_names_a_rational_root():
+    """A modulus with a rational root raises a named ValueError when the
+    bisection meets it: y(y - 1) while the count runs (at 0), y^2 - 4 after
+    the interval holds one root (at 2)."""
+    for modulus, root in (((0, -1, 1), "0"), ((-4, 0, 1), "2")):
+        with pytest.raises(ValueError, match=f"rational root {root}$"):
+            NumberField(tuple(map(Fraction, modulus)), 0)._bracket(64)
+
+
 def test_sqrt_mod_prime_power_against_squares_table():
     # every unit residue mod p^e, p = 3 mod 4, 1 mod 4 and 1 mod 8 (the
     # Tonelli-Shanks loop), e up to 4: exactly the roots a table of squares has

@@ -225,8 +225,9 @@ def _float_bits(xs) -> list[str]:
 @pytest.mark.parametrize("w, degree", [(12, 1), (24, 2), (36, 3)])
 def test_level1_float_coeffs_equal_float_of_each_coefficient(w, degree):
     """float_coeffs(n) is float(coeff(i)) for i = 0..n, bit for bit, at Hecke
-    field degrees 1, 2 and 3, read to 700 and then extended to 2000; past
-    the rows it extends multiplicatively as coeff does."""
+    field degrees 1, 2 and 3, read to 700 and then extended to 2000.  Past
+    the rows, where coeff extends multiplicatively and stops at the first
+    prime, float_coeffs builds the rows."""
     forms = eigenforms_level1(w, 2000)
     assert len(forms) == degree
     for F in forms:
@@ -236,10 +237,11 @@ def test_level1_float_coeffs_equal_float_of_each_coefficient(w, degree):
         assert full[:701] == small and len(full) == 2001
         assert _float_bits(full) == _float_bits(F.coeff(i) for i in range(2001))
     G = eigenforms_level1(w, 300)[0]
-    past = next(q for q in primes_up_to(400) if q > 300) - 1  # every prime <= past is in the rows
-    assert _float_bits(G.float_coeffs(past)) == _float_bits(G.coeff(i) for i in range(past + 1))
+    past = next(q for q in primes_up_to(400) if q > 300)
     with pytest.raises(PrecisionError):
-        G.float_coeffs(past + 1)
+        G.coeff(past)
+    assert _float_bits(G.float_coeffs(past)) == _float_bits(G.coeff(i) for i in range(past + 1))
+    assert G.precision == past
 
 
 @pytest.mark.parametrize("kstr", ["13/2", "25/2"])

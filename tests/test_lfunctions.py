@@ -17,6 +17,7 @@ from plusforms.lfunctions import (
     norm_identity_rhs,
     petersson_gram,
     petersson_norm_f,
+    petersson_norm_integral,
     root_number,
     sym2_at_1,
     upper_gamma_q,
@@ -28,6 +29,7 @@ from oracles import (
     cap_nodes_reference,
     central_value_quadrature,
     domain_nodes_reference,
+    float_series_reference,
     petersson_gram_reference,
     twisted_coeffs_reference,
     upper_gamma_q_reference,
@@ -213,9 +215,9 @@ def test_strip_rejects_nonzero_constant_term():
     ValueError, from the strip and from a Gram matrix of non-cusp forms."""
     q = QExpansion(Fraction(13, 2), 1, 0, 5, {0: Fraction(1), 1: Fraction(3)})
     with pytest.raises(ValueError, match="frame W4 has a nonzero constant term"):
-        _strip_gram("W4", [q], [0.0], 6.5, 0.25)
+        _strip_gram("W4", [float_series_reference(q)], 6.5, 0.25)
     cusp = QExpansion(Fraction(13, 2), 1, 0, 5, {1: Fraction(3)})
-    assert _strip_gram("I", [cusp], [0.0], 6.5, 1.0)[0, 0] > 0
+    assert _strip_gram("I", [float_series_reference(cusp)], 6.5, 1.0)[0, 0] > 0
     basis = space_basis("13/2", 200, "plus M")
     evs = [FormEvaluator.from_basis_element(basis, i, 200) for i in range(basis.dimension)]
     with pytest.raises(ValueError, match="nonzero constant term"):
@@ -230,7 +232,7 @@ def test_strip_matches_exact_parseval_sum():
                    {m: Fraction((-1) ** m * (m + 1) ** 3, 7) for m in range(41)})
     b = QExpansion(Fraction(21, 2), 1, Fraction(1, 4), 40,
                    {m: Fraction(m * m - 5, 3) for m in range(0, 41, 2)})
-    got = _strip_gram("V4", [a, b], [0.0, 3.0], 10.5, 1.0)
+    got = _strip_gram("V4", [float_series_reference(a), float_series_reference(b, 3.0)], 10.5, 1.0)
     with mp.workdps(40):
         ref = [[mp.mpf(0)] * 2 for _ in range(2)]
         for m in range(41):
@@ -355,3 +357,28 @@ def test_fourier_coefficient_lower_inequality(eigenform_13_2, norm_f_13_2, scan_
         lhs = 0.5 * k * math.log(y) + math.log(c)
         rhs = 2 * math.pi * D * y + sup_log
         assert lhs <= rhs + 1e-9
+
+
+def test_float_readers_make_no_exact_scalar(monkeypatch):
+    """At 25/2, whose Hecke field is quadratic, the central values, sym^2,
+    <F,F>, the quadrature <f,f> and the identity check read every
+    coefficient from the forms' float views: no exact scalar is made
+    (hecke._scalar) and none is floated (FieldElement.__float__)."""
+    from plusforms import hecke
+    from plusforms.arith import FieldElement
+
+    f = eigenbasis_plus("25/2")[0]
+    F = f.shimura_partner
+    F.coefficients_upto(2000)
+    assert isinstance(f.eigen_table[3], FieldElement)
+    calls = []
+    scalar, to_float = hecke._scalar, FieldElement.__float__
+    monkeypatch.setattr(hecke, "_scalar", lambda *a: calls.append("_scalar") or scalar(*a))
+    monkeypatch.setattr(FieldElement, "__float__",
+                        lambda x: calls.append("__float__") or to_float(x))
+    norm_f = petersson_norm_f(f, "quadrature", prec=700)
+    norm_F = petersson_norm_integral(F)
+    sym2_at_1(F, prime_limit=2000)
+    for D in (1, 5, 8):
+        kohnen_zagier_check(f, F, D, norm_f, norm_F, central_value(F, D))
+    assert calls == []

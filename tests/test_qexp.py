@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    basis_frame_series,
     domain_nodes_reference,
     eval_reduced_reference,
+    float_series_reference,
     form_rows_reference,
     g_v_reference,
     g_w_reference,
@@ -20,6 +22,7 @@ from oracles import (
     monomial_int,
     monomial_int_reference,
     monomial_reference,
+    plus_frames_reference,
     qexp_mul_reference,
     qexp_sum_reference,
     rational_vector,
@@ -88,7 +91,7 @@ def test_weight2_generator_fixture_table():
 
 
 def _eval_series(q: QExpansion, z: complex) -> complex:
-    reduced, scale = q.eval_reduced(z)
+    reduced, scale = float_series_reference(q).eval_reduced(z)
     return complex(reduced) * math.exp(float(scale))
 
 
@@ -166,13 +169,14 @@ def _eval_points(label: str, n: int, seed: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("label", ["I", "W4", "V4"])
-def test_eval_reduced_matches_mpmath_oracle(evaluator_13_2, label):
-    q = evaluator_13_2.frames[label].series
+def test_eval_reduced_matches_mpmath_oracle(eigenform_13_2, evaluator_13_2, label):
+    q = evaluator_13_2.frames[label]
+    exact = plus_frames_reference(eigenform_13_2, 900)[label][0]
     zs = _eval_points(label, 24, 71).reshape(4, 6)
     reduced, scale = q.eval_reduced(zs)
     assert reduced.shape == scale.shape == zs.shape
     for z, r, s in zip(zs.flat, reduced.flat, scale.flat):
-        ref = series_eval_reference(q, complex(z))
+        ref = series_eval_reference(exact, complex(z))
         with mp.workdps(40):
             got = mp.mpc(complex(r)) * mp.exp(float(s))
             assert abs(got - ref) <= 1e-12 * abs(ref), (label, z)
@@ -183,7 +187,7 @@ def test_eval_reduced_matches_mpmath_oracle(evaluator_13_2, label):
 
 def test_eval_reduced_grid_equals_points(evaluator_13_2):
     for label in ("I", "W4", "V4"):
-        q = evaluator_13_2.frames[label].series
+        q = evaluator_13_2.frames[label]
         zs = _eval_points(label, 300, 72).reshape(12, 25)  # two blocks of points
         reduced, scale = q.eval_reduced(zs)
         for idx in np.ndindex(zs.shape):
@@ -193,7 +197,7 @@ def test_eval_reduced_grid_equals_points(evaluator_13_2):
 
 
 def test_eval_reduced_empty_series():
-    q = QExpansion(Fraction(13, 2), 1, Fraction(0), 10)
+    q = float_series_reference(QExpansion(Fraction(13, 2), 1, Fraction(0), 10))
     zs = np.array([[0.1 + 1j, 0.2 + 2j, 0.3 + 0.5j]])
     reduced, scale = q.eval_reduced(zs)
     assert reduced.shape == scale.shape == zs.shape
@@ -236,7 +240,7 @@ def _reference_point_sets() -> dict:
 def test_eval_reduced_bits_match_reference(evaluator_13_2, label):
     """One exp per distinct y and per distinct x gives the term-by-term sums
     bit for bit, on every bulk point set and on scattered and single points."""
-    q = evaluator_13_2.frames[label].series
+    q = evaluator_13_2.frames[label]
     sets = _reference_point_sets()
     sets["50 scattered"] = _eval_points(label, 50, 73)
     sets["one scalar point"] = complex(0.3, 1.1)
@@ -245,22 +249,24 @@ def test_eval_reduced_bits_match_reference(evaluator_13_2, label):
 
 
 @pytest.mark.parametrize("label", ["I", "W4", "V4"])
-def test_eval_reduced_upto_matches_truncated_reference(evaluator_13_2, label):
+def test_eval_reduced_upto_matches_truncated_reference(eigenform_13_2, evaluator_13_2, label):
     """Summing the terms up to index n gives the term-by-term sums of the
     series truncated at n bit for bit: n below the first term, inside the
     series, at its precision and beyond, on every bulk point set."""
-    q = evaluator_13_2.frames[label].series
-    first = min(q.coeffs)
+    q = evaluator_13_2.frames[label]
+    exact, log_scale = plus_frames_reference(eigenform_13_2, 900)[label]
+    first = min(exact.coeffs)
     for n in (first - 1, first, 110, q.prec // 2, q.prec, q.prec + 40):
-        cut = QExpansion(q.weight, q.width, q.param, q.prec,
-                         {m: c for m, c in q.coeffs.items() if m <= n})
+        cut = float_series_reference(QExpansion(
+            exact.weight, exact.width, exact.param, exact.prec,
+            {m: c for m, c in exact.coeffs.items() if m <= n}), log_scale)
         for name, zs in _reference_point_sets().items():
             assert _same_bits(q.eval_reduced(zs, upto=n), eval_reduced_reference(cut, zs)), \
                 (label, n, name)
 
 
 def test_eval_reduced_empty_series_matches_reference():
-    q = QExpansion(Fraction(13, 2), 1, Fraction(0), 10)
+    q = float_series_reference(QExpansion(Fraction(13, 2), 1, Fraction(0), 10))
     for zs in (_reference_point_sets()["scan grid"], complex(0.1, 1.0), np.zeros(0, complex)):
         assert _same_bits(q.eval_reduced(zs), eval_reduced_reference(q, zs))
 
@@ -532,7 +538,7 @@ def test_frame_series_matches_fraction_oracle(kstr, kind):
                         # V frame: the phase e^(i a pi/4) is +-e^(i r pi/4)
                         sign = -1 if frame == "V4" and (a - r) % 8 else 1
                         terms.append((sign * c, ref))
-                q, phase = basis.frame_series(i, frame, prec)
+                q, phase = basis_frame_series(basis, i, frame, prec)
                 expected = qexp_sum_reference(terms)
                 _assert_same_expansion(q, expected)
                 assert phase == pytest.approx(sign * ref_phase, abs=1e-15)
@@ -579,7 +585,7 @@ def test_basis_rows_match_monomial_route(num):
     qexp._spaces.cache_clear()
     for kind in KINDS:
         basis = space_basis(k, st, kind)
-        held = basis._rows("I", st)
+        held = basis.int_rows("I", st)
         assert _as_lists(held) == [form_rows_reference(basis, i, "I", st)
                                    for i in range(basis.dimension)]
     _check_rows_against_route(k, (677, 9 * (st + 1), st))
@@ -615,7 +621,7 @@ def test_held_space_serves_every_precision(monkeypatch):
             for frame in FRAMES:
                 fresh = qexp._combined_rows(r, basis.vectors, prec, frame)
                 for i, (row, den) in enumerate(fresh):
-                    q, _ = basis.frame_series(i, frame, prec)
+                    q, _ = basis_frame_series(basis, i, frame, prec)
                     assert q.coeffs == qexp.from_int_series(k, row, prec, den).coeffs
         # the kernel of the conditions, then the echelon form: nothing after
         assert len(reductions) == 2

@@ -6,20 +6,23 @@ import numpy as np
 import pytest
 
 from oracles import (
+    basis_frame_series,
     domain_nodes_reference,
     iter_gl_reference,
     kernel_term_reference,
+    plus_frames_reference,
     theta_reference_value,
     u_exact_reference,
 )
 from plusforms.arith import jacobi_symbol
 from plusforms.lfunctions import petersson_gram
 from plusforms.numerics import log_abs_fraction
-from plusforms.qexp import PrecisionError, QExpansion, space_basis
+from plusforms.qexp import FloatView, PrecisionError, QExpansion, space_basis
 from plusforms.supnorm import (
     SQRT3_OVER_8,
     AmplifierSpec,
     FormEvaluator,
+    FrameSeries,
     amplified_rhs,
     amplifier_build,
     amplifier_inequality,
@@ -50,8 +53,27 @@ def test_cusp_frame_data():
 
     for kstr, v_param in (("13/2", Fraction(1, 4)), ("19/2", Fraction(3, 4))):
         frames = FormEvaluator.from_plus_form(eigenbasis_plus(kstr)[0], 100).frames
-        assert {label: (fs.series.width, fs.series.param) for label, fs in frames.items()} == {
+        assert {label: (fs.width, fs.param) for label, fs in frames.items()} == {
             "I": (1, 0), "W4": (1, 0), "V4": (1, v_param)}
+
+
+def test_frames_and_scan_make_no_exact_scalar(monkeypatch):
+    """from_plus_form and supnorm_scan at 41/2, whose Hecke fields are cubic,
+    read every coefficient from the forms' float views: no exact scalar is
+    made (hecke._scalar) and none is floated (FieldElement.__float__)."""
+    from plusforms import hecke
+    from plusforms.arith import FieldElement
+
+    forms = hecke.eigenbasis_plus("41/2")
+    assert all(isinstance(f.eigen_table[3], FieldElement) for f in forms)
+    calls = []
+    scalar, to_float = hecke._scalar, FieldElement.__float__
+    monkeypatch.setattr(hecke, "_scalar", lambda *a: calls.append("_scalar") or scalar(*a))
+    monkeypatch.setattr(FieldElement, "__float__",
+                        lambda x: calls.append("__float__") or to_float(x))
+    for f in forms:
+        supnorm_scan(FormEvaluator.from_plus_form(f, plus_form_precision("41/2")))
+    assert calls == []
 
 
 def test_lemma_transfer_exact_w_frame(eigenform_13_2):
@@ -59,7 +81,7 @@ def test_lemma_transfer_exact_w_frame(eigenform_13_2):
     coefficient by coefficient, as rational numbers."""
     f = eigenform_13_2
     basis = f.basis
-    w4, _phase = basis.frame_series(0, "W4", 200)
+    w4, _phase = basis_frame_series(basis, 0, "W4", 200)
     eps = jacobi_symbol(2, 13)
     pref = Fraction(eps, 2**6)
     for m in range(0, 50):
@@ -71,7 +93,7 @@ def test_lemma_transfer_exact_v_frame(eigenform_13_2):
     on m = 1 mod 4 (as complex numbers, phases included)."""
     f = eigenform_13_2
     basis = f.basis
-    v4, phase = basis.frame_series(0, "V4", 200)
+    v4, phase = basis_frame_series(basis, 0, "V4", 200)
     eps = jacobi_symbol(2, 13)
     for mp_idx in range(0, 40):
         m = 4 * mp_idx + 1
@@ -87,10 +109,10 @@ def test_lemma_transfer_exact_v_frame(eigenform_13_2):
 
 def test_v_frame_support_filter(eigenform_13_2):
     """Only m = 1 mod 4 appear in the V-frame series at k = 13/2."""
-    v4, _ = eigenform_13_2.basis.frame_series(0, "V4", 200)
+    v4, _ = basis_frame_series(eigenform_13_2.basis, 0, "V4", 200)
     assert v4.param == Fraction(1, 4)  # exponents (4m'+1)/4
     ev = FormEvaluator.from_plus_form(eigenform_13_2, 400)
-    assert ev.frames["V4"].series.param == Fraction(1, 4)
+    assert ev.frames["V4"].param == Fraction(1, 4)
 
 
 def test_frame_automorphy_consistency(evaluator_13_2):
@@ -155,13 +177,14 @@ def test_eval_truncation_honesty(eigenform_13_2):
     f = eigenform_13_2
     ev1 = FormEvaluator.from_plus_form(f, 420)
     ev2 = FormEvaluator.from_plus_form(f, 840)
+    exact = plus_frames_reference(f, 420)
     rng = random.Random(33)
     for _ in range(6):
         z = complex(rng.uniform(0, 1), rng.uniform(0.3, 2.0))
         for label in ("I", "W4", "V4"):
             v1 = ev1.eval_frame(label, z, check=False)
             v2 = ev2.eval_frame(label, z, check=False)
-            tail = _tail_log(ev1.frames[label].series, z.imag, 6.5 / 2 + 1.0)
+            tail = _tail_log(exact[label][0], z.imag, 6.5 / 2 + 1.0)
             if v1.sign == 0:
                 continue
             moved = abs((v1 - v2).to_float())
@@ -192,7 +215,7 @@ def test_guarded_truncation_matches_full_series(k):
     grid = np.linspace(0.0, 1.0, 24, endpoint=False) + 1j * ys[:, None]
     for label in ("I", "W4", "V4"):
         got = ev.eval_frame(label, grid, check=False)
-        reduced, m0 = ev.frames[label].series.eval_reduced(grid)
+        reduced, m0 = ev.frames[label].eval_reduced(grid)
         with np.errstate(divide="ignore"):
             full = m0 + np.log(np.abs(reduced)) + 0.5 * kf * np.log(grid.imag)
         full += ev.frames[label].log_scale
@@ -206,26 +229,27 @@ def test_guarded_truncation_matches_full_series(k):
                     pieces.append(np.concatenate(pieces))
                 for pts in pieces:
                     got = ev.eval_frame_complex(label, pts)
-                    reduced, logf = ev.frames[label].series.eval_reduced(pts)
+                    reduced, logf = ev.frames[label].eval_reduced(pts)
                     full = reduced * np.exp(logf + ev.frames[label].log_scale)
                     assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full)), (
                         k, order, label, pts.size)
 
 
-def test_guarded_truncation_within_tail_bound(evaluator_13_2):
+def test_guarded_truncation_within_tail_bound(eigenform_13_2, evaluator_13_2):
     """The terms the guard drops move no value by more than the tail bound of
     the series cut at the guard index."""
     ev = evaluator_13_2
+    exact = plus_frames_reference(eigenform_13_2, 900)
     rng = random.Random(34)
     for _ in range(6):
         z = complex(rng.uniform(0, 1), rng.uniform(0.3, 2.0))
         for label in ("I", "W4", "V4"):
-            fs = ev.frames[label]
+            fs, q = ev.frames[label], exact[label][0]
             need = ev.required_precision(label, z.imag)
-            assert need < fs.series.prec
-            cut = QExpansion(fs.series.weight, fs.series.width, fs.series.param, need,
-                             {m: c for m, c in fs.series.coeffs.items() if m <= need})
-            reduced, m0 = fs.series.eval_reduced(z)
+            assert need < fs.prec
+            cut = QExpansion(q.weight, q.width, q.param, need,
+                             {m: c for m, c in q.coeffs.items() if m <= need})
+            reduced, m0 = fs.eval_reduced(z)
             full = abs(complex(reduced)) * math.exp(m0 + 0.5 * 6.5 * math.log(z.imag) + fs.log_scale)
             moved = abs(ev.eval_frame(label, z).to_float() - full)
             tail = _tail_log(cut, z.imag, 6.5 / 2 + 1.0)
@@ -235,8 +259,7 @@ def test_guarded_truncation_within_tail_bound(evaluator_13_2):
 def test_zero_form_evaluates_to_zero():
     basis = space_basis("13/2", 60, "plus S")
     ev = FormEvaluator.from_basis_element(basis, 0, 60)
-    ev.frames["I"].series.coeffs.clear()
-    ev.frames["I"].series._eval_arrays = None  # QExpansion's term cache
+    ev.frames["I"] = FrameSeries.of_terms([], [], [], 60)
     assert ev.eval_frame("I", complex(0.3, 1.0), check=False).sign == 0
     grid = ev.eval_frame("I", np.array([0.3 + 1.0j, 0.1 + 2.0j]), check=False)
     assert list(grid.sign) == [0, 0] and np.all(grid.logm == -math.inf)
@@ -246,7 +269,7 @@ def _guard_edge(ev, label):
     """The least float height at which the frame's guard still finds every
     index it needs stored (bisection down to adjacent floats)."""
     def stored(y):
-        return ev.required_precision(label, y) <= ev.frames[label].series.prec
+        return ev.required_precision(label, y) <= ev.frames[label].prec
 
     lo, hi = 1e-3, 10.0
     assert not stored(lo) and stored(hi)
@@ -267,7 +290,7 @@ def test_one_point_route_matches_array_route(evaluator_13_2):
                    math.exp(rng.uniform(math.log(SQRT3_OVER_8), math.log(40.0))))
            for _ in range(200)]
     for label in ("I", "W4", "V4"):
-        series = ev.frames[label].series
+        series = ev.frames[label]
         edge = _guard_edge(ev, label)
         below = complex(0.3, np.nextafter(edge, 0.0))
         for route in (lambda z: z, lambda z: np.array([z])):
@@ -713,7 +736,7 @@ def test_eval_at_cusp_default_precision_is_677(kstr):
 
     f = eigenbasis_plus(kstr)[0]
     default, at_677 = FormEvaluator.from_plus_form(f), FormEvaluator.from_plus_form(f, 677)
-    assert default.frames["I"].series.prec == 677
+    assert default.frames["I"].prec == 677
     for label, z in (("I", complex(0.1, 0.02)), ("W4", complex(-0.2, 0.05)),
                      ("V4", complex(0.4, 0.05))):
         got, want = default.eval_frame(label, z), at_677.eval_frame(label, z)
@@ -727,9 +750,9 @@ def test_plus_form_precision_meets_every_frame_guard():
     from types import SimpleNamespace
 
     def frames_at(k, prec):
-        form = SimpleNamespace(k=k, coefficients_upto=lambda n: [0] * (n + 1))
+        form = SimpleNamespace(k=k, float_view=lambda n: FloatView([[0] * (n + 1)], 1))
         ev = FormEvaluator.from_plus_form(form, prec)
-        return all(ev.frames[label].series.prec >= ev.required_precision(label, SQRT3_OVER_8)
+        return all(ev.frames[label].prec >= ev.required_precision(label, SQRT3_OVER_8)
                    for label in ("I", "W4", "V4"))
 
     for num in range(5, 63, 2):

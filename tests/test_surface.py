@@ -41,12 +41,17 @@ def _definitions(tree: ast.Module):
 def _identifiers(tree: ast.AST):
     """(identifier, line) of each name the code uses: a Name, the attribute
     of an Attribute, and the name of each import alias.  Comments, strings
-    and docstrings name nothing."""
+    and docstrings name nothing, and neither does an attribute of a module
+    from outside the package (np.log names no `log` of ours)."""
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if not alias.name.startswith("plusforms")}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.end_lineno
+            if not (isinstance(node.value, ast.Name) and node.value.id in modules):
+                yield node.attr, node.end_lineno
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node.lineno
 
