@@ -346,39 +346,50 @@ class NumberField:
         return x.coords
 
     def _bracket(self, bits: int) -> tuple[int, int]:
-        """(N, b) with b >= bits and the root in (N / 2^b, (N + 1) / 2^b], by
-        bisection kept here on the interval (n, n + 2^s] / 2^b (s = 0 or b =
-        0): Sturm's count of the roots above the midpoint until the interval
-        holds this one root, then the sign of the modulus there, each sign
-        by Horner on integers."""
+        """(N, b) with b >= bits and the root in (N / 2^b, (N + 1) / 2^b],
+        kept here: bisection on the sign of the modulus at the midpoint from
+        the interval _isolate gives, every sign by Horner on integers."""
         st = self._root
-        if "chain" not in st:
-            bound = (int(max(abs(c) for c in self.modulus)) + 1).bit_length()  # Cauchy
-            chain = [[int(c * d) for c in p] for p in _sturm_chain(self.modulus)
-                     for d in [math.lcm(*(c.denominator for c in p))]]
-            inf = _sign_changes([p[-1] for p in chain])
-            # sign changes at the two ends; cleared once one root is left
-            st.update(chain=chain, inf=inf, n=-(1 << bound), b=0, s=bound + 1,
-                      ends=[inf + self.degree, inf])
-        chain, ends, n, b, s = st["chain"], st["ends"], st["n"], st["b"], st["s"]
-        while s or b < bits:
-            n, b, s = (n, b, s - 1) if s else (2 * n, b + 1, 0)
-            mid = n + (1 << s)
-            values = [_sign_at(p, mid, b) for p in (chain if ends else chain[:1])]
-            if values[0] == 0:
-                raise ValueError(f"the modulus has the rational root {Fraction(mid, 1 << b)}")
-            if ends:
-                v = _sign_changes(values)
-                above = v - st["inf"] > self.index
-                ends[not above] = v
-            else:
-                above = values[0] == st["sign"]
-            n = mid if above else n
-            if ends and ends[0] - ends[1] == 1:
-                ends.clear()
-                st["sign"] = _sign_at(chain[0], n, b)
-        st.update(n=n, b=b, s=s)
+        if "n" not in st:
+            st.update(self._isolate())
+        modulus, n, b = st["modulus"], st["n"], st["b"]
+        while b < bits:
+            n, b = 2 * n, b + 1
+            sign = _sign_at(modulus, n + 1, b)
+            if sign == 0:
+                raise ValueError(f"the modulus has the rational root {Fraction(n + 1, 1 << b)}")
+            n += sign == st["sign"]  # the sign of the left end: the root lies above
+        st.update(n=n, b=b)
         return n, b
+
+    def _isolate(self) -> dict:
+        """The modulus on integers, n and b with the root the only one in
+        (n / 2^b, (n + 1) / 2^b], and the modulus's sign at n / 2^b: bisection
+        on Sturm's count of the roots above the midpoint, from the Cauchy
+        bound, until one root is left and the width is 1 / 2^b."""
+        bound = 1 << (int(max(abs(c) for c in self.modulus)) + 1).bit_length()
+        chain = [[int(c * d) for c in p] for p in _sturm_chain(self.modulus)
+                 for d in [math.lcm(*(c.denominator for c in p))]]
+        at_inf = _sign_changes([p[-1] for p in chain])
+
+        def above(x: int, b: int) -> int:  # the roots above x / 2^b
+            values = [_sign_at(p, x, b) for p in chain]
+            if values[0] == 0:
+                raise ValueError(f"the modulus has the rational root {Fraction(x, 1 << b)}")
+            return _sign_changes(values) - at_inf
+
+        lo, hi, b = -bound, bound, 0
+        v_lo, v_hi = above(lo, 0), above(hi, 0)
+        while v_lo - v_hi > 1 or hi - lo > 1:
+            if hi - lo == 1:
+                lo, hi, b = 2 * lo, 2 * hi, b + 1
+            mid = (lo + hi) // 2
+            v = above(mid, b)
+            if v > self.index:
+                lo, v_lo = mid, v
+            else:
+                hi, v_hi = mid, v
+        return {"modulus": chain[0], "n": lo, "b": b, "sign": _sign_at(chain[0], lo, b)}
 
     def embed(self, rows, den: int, lo: int, hi: int) -> list[float]:
         """sum_t rows[t][i] r^t / den at the root r, correctly rounded, for

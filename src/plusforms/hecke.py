@@ -144,12 +144,14 @@ class _RowForm:
     def __post_init__(self):
         self._coeff_cache: dict = {}  # n -> coefficient, made on first read
         self._cached_upto = -1  # the index the coordinate rows reach
-        self._view = FloatView([()], 1)  # the coordinate rows and their floats
+        # the coordinate rows and their floats; floats past the rows (which
+        # only IntegralForm.view leaves short) are those of coeff
+        self._view = FloatView([()], 1, past=self.coeff)
 
     def coeff(self, n: int):
         """Coefficient n, exact scalar, read from the coordinate rows (built
         to n if they reach less)."""
-        view = self.float_view(n)
+        view = self.view(n)
         if n not in self._coeff_cache:
             self._coeff_cache[n] = _scalar(view.field, view.rows, view.den, n)
         return self._coeff_cache[n]
@@ -170,17 +172,12 @@ class _RowForm:
             self._cached_upto = n - 1
         return Coefficients(self, n_max + 1)
 
-    def float_view(self, n: int) -> FloatView:
-        """The coordinate rows and their floats, the rows built to n if they
-        reach less."""
+    def view(self, n: int) -> FloatView:
+        """The coordinate rows and their floats (view(n).floats(n),
+        view(n).terms(n)), the rows built to n if they reach less."""
         if n > self._cached_upto:
             self.coefficients_upto(n)
         return self._view
-
-    def float_coeffs(self, n: int) -> list[float]:
-        """The correctly rounded floats of coefficients 0..n from the float
-        view, the rows built to n if they reach less."""
-        return self.float_view(n).floats(n)
 
 
 def _power_recursion(lam, pw, e: int):
@@ -212,6 +209,11 @@ class IntegralForm(_RowForm):
         """The index the coordinate rows reach: the largest n_max asked of
         coefficients_upto."""
         return self._cached_upto
+
+    def view(self, n: int) -> FloatView:
+        """The coordinate rows and their floats, not built further: past the
+        rows its floats are those of coeff, which extends multiplicatively."""
+        return self._view
 
     def coeff(self, n: int):
         """Fhat(n); extends multiplicatively past the rows, which it does not
@@ -406,7 +408,7 @@ class HalfIntegralForm(_RowForm):
         each coordinate row, over fhat(n0)."""
         n0 = self._lead_index()
         image = _t_p2(self.k, p)
-        view = self.float_view(p * p * n0)
+        view = self.view(p * p * n0)
         value = _scalar(view.field, [(image(row, n0),) for row in view.rows], view.den, 0)
         return value / self.coeff(n0)
 

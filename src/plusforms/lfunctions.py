@@ -22,8 +22,7 @@ stored term); the cap below y = 1 is Gauss quadrature at two orders, their
 difference the error estimate, with one array call per frame and form.
 
 Every coefficient read here is a float of the form's one float view
-(_RowForm.float_view, float_coeffs), made from its rows without an exact
-scalar.
+(_RowForm.view), made from its rows without an exact scalar.
 """
 
 from __future__ import annotations
@@ -66,10 +65,10 @@ def upper_gamma_q(s, x):
 def _twisted_coeffs(F, D: int, n_max: int) -> np.ndarray:
     """b(n) = chi_D(n) Fhat(n) / n^((w-1)/2) for n = 1..n_max.  D is
     fundamental, so chi_D has period |D| and is read from one period; Fhat(n)
-    is read from the form's float view (float_coeffs)."""
+    is read from the form's float view."""
     a = (F.weight - 1) / 2.0
     chi_d = [kronecker_symbol(D, r) for r in range(abs(D))]
-    coeffs = F.float_coeffs(n_max)
+    coeffs = F.view(n_max).floats(n_max)
     out = np.zeros(n_max + 1)
     for n in range(1, n_max + 1):
         chi = chi_d[n % abs(D)]
@@ -194,7 +193,7 @@ def sym2_at_1(F, prime_limit: int = 10**5) -> CertifiedValue:
     if prime_limit < 2:
         raise ValueError("prime_limit must be at least 2")
     a = (F.weight - 1) / 2.0
-    floats = F.float_coeffs(prime_limit)
+    floats = F.view(prime_limit).floats(prime_limit)
     log_l = 0.0
     for p in primes_up_to(prime_limit):
         lam = floats[p] / p**a
@@ -268,7 +267,7 @@ def petersson_norm_integral(F) -> CertifiedValue:
     estimate)."""
     w = F.weight
     n_coef = min(F.precision, 80)
-    logs, signs = F.float_view(n_coef).terms(n_coef)
+    logs, signs = F.view(n_coef).terms(n_coef)
     series = FrameSeries.of_terms(range(1, n_coef + 1), logs[1:], signs[1:], n_coef)
     strip = float(_strip_gram("I", [series], w, 1.0)[0, 0])
 
@@ -341,7 +340,7 @@ def petersson_norm_f(form, method: str = "quadrature", prec: int = 700) -> Certi
             raise ValueError("spectral norm route needs a one-dimensional space")
         m = basis.pivots()[0]
         sa = spectral_average(form.k, m, rel_tol=1e-8)
-        num = LogScaled.from_float(form.float_coeffs(m)[m] ** 2)
+        num = LogScaled.from_float(form.view(m).floats(m)[m] ** 2)
         val = num / sa.value
         err_log = val.logm + math.log(max(sa.rel_err(), 1e-15))
         return CertifiedValue(val, err_log)
@@ -373,7 +372,7 @@ def kohnen_zagier_check(f, F, D: int, norm_f: CertifiedValue,
     if plus_sign(f.k) * D <= 0:
         raise ValueError("discriminant sign must satisfy (-1)^(k-1/2) D > 0")
     k = float(f.k)
-    logs, signs = f.float_view(abs(D)).terms(abs(D))
+    logs, signs = f.view(abs(D)).terms(abs(D))
     if signs[abs(D)] == 0:
         return {"skipped": True, "D": D}
     lhs_log = 2.0 * logs[abs(D)] - norm_f.value.logm

@@ -123,8 +123,17 @@ class LogScaled:
     def __sub__(self, other):
         return self + (-LogScaled.lift(other))
 
+    def __lt__(self, other):
+        return (self - other).sign < 0
+
+    def __le__(self, other):
+        return (self - other).sign <= 0
+
     def __gt__(self, other):
         return (self - other).sign > 0
+
+    def __ge__(self, other):
+        return (self - other).sign >= 0
 
     def __repr__(self):
         if self.sign == 0:
@@ -161,6 +170,22 @@ class CertifiedValue:
 
     def to_float(self) -> float:
         return self.value.to_float()
+
+    def __mul__(self, other):
+        """First-order error propagation under multiplication."""
+        if isinstance(other, CertifiedValue):
+            v = self.value * other.value
+            logs = []
+            if self.err_log > NEG_INF and other.value.sign != 0:
+                logs.append(self.err_log + other.value.logm)
+            if other.err_log > NEG_INF and self.value.sign != 0:
+                logs.append(other.err_log + self.value.logm)
+            if self.err_log > NEG_INF and other.err_log > NEG_INF:
+                logs.append(self.err_log + other.err_log)
+            return CertifiedValue(v, logsumexp(logs) if logs else NEG_INF)
+        scale = LogScaled.lift(other)
+        e = self.err_log + scale.logm if self.err_log > NEG_INF and scale.sign != 0 else NEG_INF
+        return CertifiedValue(self.value * scale, e)
 
     def as_dict(self) -> dict:
         return {

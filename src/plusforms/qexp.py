@@ -109,18 +109,22 @@ class FloatView:
     over den: one row, or one per power-basis coordinate of the NumberField
     field (NumberField.embed).  Floats, log|a| (of a rational a from its
     reduced pair) and signs (0 where a = 0) are made as far as read and
-    held; the owner may replace rows and den by longer rows of the series."""
+    held; the owner may replace rows and den by longer rows of the series.
+    Past the rows, floats takes float(past(i)) if a callable past is given."""
 
-    def __init__(self, rows, den: int, field=None):
-        self.rows, self.den, self.field = rows, den, field
+    def __init__(self, rows, den: int, field=None, past=None):
+        self.rows, self.den, self.field, self.past = rows, den, field, past
         self._floats, self._logs, self._signs = [], [], []  # made so far
 
     def floats(self, n: int) -> list[float]:
-        """The floats of coefficients 0..n; the rows must reach n."""
+        """The floats of coefficients 0..n; the rows must reach n unless the
+        view has past."""
         made, num = self._floats, self.rows[0]
         if n >= len(made):
-            made += ([num[i] / self.den for i in range(len(made), n + 1)] if self.field is None
-                     else self.field.embed(self.rows, self.den, len(made), n + 1))
+            stop = min(n + 1, len(num))
+            made += ([num[i] / self.den for i in range(len(made), stop)] if self.field is None
+                     else self.field.embed(self.rows, self.den, len(made), stop))
+            made += [float(self.past(i)) for i in range(len(made), n + 1)]
         return made[: n + 1]
 
     def terms(self, n: int) -> tuple[list[float], list[float]]:

@@ -184,7 +184,7 @@ class FormEvaluator:
         transfer: the Fricke frame sees fhat(4m), the V frame (-1)^m
         fhat(4m + a0), a0 = (-1)^(k-1/2) mod 4)."""
         k, a0 = form.k, 2 - plus_sign(form.k)  # m = (-1)^(k-1/2) mod 4 is 1 or 3
-        logs, signs = (np.array(v) for v in form.float_view(prec).terms(prec))
+        logs, signs = (np.array(v) for v in form.view(prec).terms(prec))
         half_pow = (0.5 - float(k)) * math.log(2.0)
         w, v = np.arange(prec // 4 + 1), np.arange((prec - a0) // 4 + 1)
         return FormEvaluator(k, {

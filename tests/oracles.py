@@ -1112,7 +1112,7 @@ def poincare_sum_reference(k, m: int, n: int, c_cap: int = 10**6):
 def twisted_coeffs_reference(F, D: int, n_max: int) -> np.ndarray:
     """b(n) = chi_D(n) Fhat(n) / n^((w-1)/2) for n = 1..n_max, each Fhat(n)
     made as an exact scalar and converted by float() (the library reads the
-    form's float view, float_coeffs, made from integer rows)."""
+    form's float view, made from integer rows)."""
     from plusforms.arith import kronecker_symbol
 
     a = (F.weight - 1) / 2.0

@@ -22,7 +22,7 @@ from plusforms.lfunctions import (
     sym2_at_1,
     upper_gamma_q,
 )
-from plusforms.qexp import QExpansion, space_basis
+from plusforms.qexp import FloatView, QExpansion, space_basis
 from plusforms.supnorm import FormEvaluator
 
 from oracles import (
@@ -101,8 +101,8 @@ def test_twisted_coeffs_read_chi_from_one_period():
         weight = 1
 
         @staticmethod
-        def float_coeffs(n):
-            return [1.0] * (n + 1)
+        def view(n):
+            return FloatView([[1] * (n + 1)], 1)
 
     for D in fundamental_discriminants(400, 1) + fundamental_discriminants(400, -1):
         b = _twisted_coeffs(Ones, D, 3 * abs(D))

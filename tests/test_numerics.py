@@ -48,6 +48,9 @@ def test_certified_value():
     v = CertifiedValue(LogScaled.from_float(2.0), math.log(1e-10))
     assert v.err == pytest.approx(1e-10)
     assert v.rel_err() == pytest.approx(5e-11)
+    w = v * 3
+    assert w.to_float() == pytest.approx(6.0)
+    assert w.err == pytest.approx(3e-10)
     d = v.as_dict()
     assert set(d) == {"log_value", "sign", "err"}
     assert d["sign"] == 1 and d["log_value"] == pytest.approx(math.log(2.0))

@@ -750,7 +750,7 @@ def test_plus_form_precision_meets_every_frame_guard():
     from types import SimpleNamespace
 
     def frames_at(k, prec):
-        form = SimpleNamespace(k=k, float_view=lambda n: FloatView([[0] * (n + 1)], 1))
+        form = SimpleNamespace(k=k, view=lambda n: FloatView([[0] * (n + 1)], 1))
         ev = FormEvaluator.from_plus_form(form, prec)
         return all(ev.frames[label].prec >= ev.required_precision(label, SQRT3_OVER_8)
                    for label in ("I", "W4", "V4"))
