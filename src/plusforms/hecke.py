@@ -22,11 +22,11 @@ coordinate over one denominator, and makes each scalar when it is read;
 the same rows hold its one float view (qexp.FloatView), which every float
 reader takes.
 
-Half-integral weight: the coefficient action of T(p^2) on the Kohnen plus
-space as one integer kernel on the held basis rows (a T(p^2) matrix is
-checked to the Sturm index), simultaneous eigenbases, the pairing
-lambda(p^2) = Fhat(p) with the integral partner, exact verification of
-the square-index coefficient relation
+Half-integral weight: T(p^2) on the Kohnen plus space as one integer kernel
+on the held basis rows (built by qexp from Kohnen's generators times E4^a
+E6^b in q^4; a T(p^2) matrix is checked to the Sturm index), simultaneous
+eigenbases, the pairing lambda(p^2) = Fhat(p) with the integral partner,
+exact verification of the square-index coefficient relation
 fhat(n^2 |D|) = fhat(|D|) sum_{d|n} mu(d) (D|d) d^(k-3/2) Fhat(n/d),
 and the eigenvalue multiplicativity
 lambda(m^2) lambda(n^2) = sum_{d|(m,n)} d^(2k-2) lambda(m^2 n^2 / d^4).
@@ -56,8 +56,8 @@ from .arith import (
 )
 from .linalg import charpoly_exact, rref_exact
 from .numerics import LogScaled
-from .qexp import (FloatView, PrecisionError, SpaceBasis, _Prefixes, combine_int_rows,
-                   cusp_plus_basis)
+from .qexp import (FloatView, PrecisionError, SpaceBasis, _identity, _Prefixes,
+                   combine_int_rows, cusp_plus_basis)
 
 # ---------------------------------------------------------------------------
 # Level-1 integral weight
@@ -119,7 +119,7 @@ def _miller_rows(w: int, prec: int) -> tuple[tuple[int, ...], ...]:
     d = dim_cusp_level1(w)
     keys = range(1, d + 1)
     walk = partial(_walk_miller, w)
-    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    identity = _identity(d)
     low = intpoly.chain_products(walk, _miller_inputs(w, d), d, keys, identity, keys)
     # the map beside each row; the rows are echelon with unit pivots already
     _, reduced, _ = rref_exact([row + unit for row, unit in zip(low, identity)])

@@ -259,21 +259,22 @@ class _Term:
 def _convolve(x: _Term, y: _Term, size: int, n: int) -> np.ndarray:
     """Float convolution of the values of two terms (rows of them, for
     residues), entries 0..n - 1, by real FFTs of the given length.  The
-    transform of y is kept on y for its next product, and a transform kept on
-    x is used (so a square takes one transform)."""
-    if y.spectrum is None:
-        y.spectrum = np.fft.rfft(y.values, size)
-    fx = np.fft.rfft(x.values, size) if x.spectrum is None else x.spectrum
-    return np.fft.irfft(fx * y.spectrum, size)[..., :n]
+    transform of each operand is kept on it for its next product (so a
+    square takes one transform)."""
+    for term in (y, x):
+        if term.spectrum is None:
+            term.spectrum = np.fft.rfft(term.values, size)
+    return np.fft.irfft(x.spectrum * y.spectrum, size)[..., :n]
 
 
-def _chain_residues(walk, inputs, n: int, size: int, keys, matrix, shifts, bits) -> list | None:
+def _chain_residues(walk, inputs, n: int, size: int, keys, matrix, shifts, bits,
+                    strides) -> list | None:
     """Rows of the map of chain_products to index n - 1 from balanced
-    residues and CRT, by transforms of length size, for inputs of at most n
-    coefficients and rows whose coefficients have at most bits[i] bits; None
-    when there are not enough primes, the float sums of the inputs' residues
-    or of the map could leave 2^52, or a convolution fails the rounding
-    check."""
+    residues and CRT, by transforms of length size, for inputs in q^stride
+    of at most n coefficients in q and rows whose coefficients have at most
+    bits[i] bits; None when there are not enough primes, the float sums of
+    the inputs' residues or of the map could leave 2^52, or a convolution
+    fails the rounding check."""
     primes = _crt_primes(size, n, n, max(bits) + 1)
     if primes is None:
         return None
@@ -305,7 +306,8 @@ def _chain_residues(walk, inputs, n: int, size: int, keys, matrix, shifts, bits)
                    for j, key in enumerate(keys)}
         wanted = [key for key in keys if targets[key]]
         acc = np.zeros((len(chunk), len(live), n))
-        xs = [_Term(_residues(*m, chunk).astype(np.int32)) for m in limbs]
+        xs = [_Term(_spread(_residues(*m, chunk).astype(np.int32), t, n))
+              for m, t in zip(limbs, strides)]
         mul = partial(_residue_mul, primes=chunk, size=size, n=n)
         try:
             for key, x in walk(xs, mul, wanted) if wanted else ():
@@ -421,10 +423,10 @@ def descending_walk(base, head, step, top: int, wanted, mul):
 
     One product makes each power base^2 .. base^max(wanted), each step of the
     head part head step^(top - i) (a first step from a None head is step
-    itself), and each value that is neither.  A step's
-    right operand is step and a value's is its head part, the left operand of
-    the next step; so a product that keeps the transform of its right
-    operand, and uses one kept on its left, transforms each operand once.
+    itself), and each value that is neither.  Each power is the left operand
+    of the next power and of its value, and each head part the right operand
+    of its value and the left of the next step; so a product that keeps the
+    transforms of both operands transforms each distinct operand once.
     """
     pows = [None, base]
     for _ in range(2, max(wanted) + 1):
@@ -437,10 +439,12 @@ def descending_walk(base, head, step, top: int, wanted, mul):
             pows[i] = None
 
 
-def chain_products(walk, inputs, prec: int, keys, matrix, shifts) -> list[list[int]]:
+def chain_products(walk, inputs, prec: int, keys, matrix, shifts,
+                   strides=None) -> list[list[int]]:
     """Rows of matrix times the series of a chain walk(inputs, mul, wanted),
-    exact to index prec, as lists of prec + 1 ints; the inputs are integer
-    series of at most prec + 1 coefficients.
+    exact to index prec, as lists of prec + 1 ints; input i is an integer
+    series in q^strides[i] (q if strides is None) of at most
+    prec // strides[i] + 1 coefficients, each spread at its own length.
 
     Row i is sum_j matrix[i][j] q^shifts[j] S_j, where S_j is the series of
     keys[j] and matrix holds integers.  On residues, the primes multiply to
@@ -454,27 +458,42 @@ def chain_products(walk, inputs, prec: int, keys, matrix, shifts) -> list[list[i
     used = [key for j, key in enumerate(keys) if any(row[j] for row in matrix)]
     if not used:
         return [[0] * (prec + 1) for _ in matrix]
+    strides = strides or [1] * len(inputs)
     out = None
     if prec >= _CHAIN_RESIDUE_PREC:
-        bits = chain_bits(walk, inputs, prec, keys, matrix, shifts)
+        bits = chain_bits(walk, inputs, prec, keys, matrix, shifts, strides)
         out = _chain_residues(walk, inputs, prec + 1, _transform_size(prec), keys, matrix,
-                              shifts, bits)
+                              shifts, bits, strides)
     if out is None:
+        inputs = [s if t == 1 else list(_spread(np.array(s, dtype=object), t, prec + 1))
+                  for s, t in zip(inputs, strides)]
         series = dict(walk(inputs, lambda x, y: poly_mul_trunc(x, y, prec), used))
         out = [_map_row([series.get(key) for key in keys], row, shifts, prec + 1) for row in matrix]
     return out
 
 
-def chain_bits(walk, inputs, prec: int, keys, matrix, shifts) -> list[int]:
+def chain_bits(walk, inputs, prec: int, keys, matrix, shifts, strides=None) -> list[int]:
     """For every row of the map of chain_products, a bound on the bit length
     of each coefficient of its series: the chain walked on float majorants of
-    |input|, each product a float convolution plus Percival's bound on its
-    error, then the map applied to the majorants as sum_j |matrix[i][j]| m_j."""
+    |input| (spread to its stride), each product a float convolution plus
+    Percival's bound on its error, then the map applied to the majorants as
+    sum_j |matrix[i][j]| m_j."""
     keys = list(keys)
     used = [key for j, key in enumerate(keys) if any(row[j] for row in matrix)]
     mul = partial(_majorant_mul, size=_transform_size(prec), n=prec + 1)
-    majorants = dict(walk([_majorant(s) for s in inputs], mul, used)) if used else {}
+    terms = [_Term(_spread(m.values, t, prec + 1), m.exp)
+             for m, t in zip(map(_majorant, inputs), strides or [1] * len(inputs))]
+    majorants = dict(walk(terms, mul, used)) if used else {}
     return _map_bits([majorants.get(key) for key in keys], matrix, shifts)
+
+
+def _spread(values: np.ndarray, stride: int, n: int) -> np.ndarray:
+    """Rows in q^stride along the last axis as rows in q to index n - 1."""
+    if stride == 1:
+        return values
+    out = np.zeros(values.shape[:-1] + (n,), dtype=values.dtype)
+    out[..., ::stride][..., : values.shape[-1]] = values
+    return out
 
 
 def _map_row(series: list, row: list[int], shifts: list[int], n: int) -> list[int]:

@@ -17,26 +17,29 @@ of E_2: Theta is Fricke-invariant and 16 G|W = Theta^4 - 16 G = Theta(-q)^4,
 while Theta|V = 2 e(1/8) q^(1/4) sum_{t >= 0} q^(t(t+1)) and 16 G|V is an
 integer series.  So every monomial is an integer series over 16^b in all three
 frames.  The monomials of one weight r/2 are built together, from one chain
-of powers of G and one of Theta^(r mod 4) times powers of Theta^4, with one
-product per step and one per monomial: intpoly.descending_walk, which the
-Miller monomials of hecke share, after the products Theta^2, Theta^4 and
-Theta^3 (_walk_ladder).  intpoly.chain_products runs it and ends it with an
-integer map: the combinations that make the forms of a basis, whose
-denominators 16^b, V-frame scale 2^a, shift and phase sign are folded into
-the map.  A monomial is the identity combination of its weight, so the
-monomials are the basis of the full space M_k.  Long chains run on float
-majorants, which size the primes, then on residues modulo those primes, with
-the map applied to the residues and one CRT per row; short chains run on
-integers, and so does a chain whose rounding check fails.  One store
-(_spaces) holds every basis, once per weight and kind, with its rows per
-frame at the largest precision built so far; smaller precisions are their
-prefixes.
+of powers of G and one of Theta^(r mod 4) times powers of Theta^4:
+intpoly.descending_walk, which the Miller monomials of hecke share, after the
+products Theta^2, Theta^4 and Theta^3 (_walk_ladder).  intpoly.chain_products
+runs it and ends it with an integer map: the combinations that make the forms
+of a basis, whose denominators 16^b, V-frame scale 2^a, shift and phase sign
+are folded into the map.  A monomial is the identity combination of its
+weight, so the monomials are the basis of the full space M_k.  Long chains
+run on float majorants, which size the primes, then on residues modulo those
+primes, with the map applied to the residues and one CRT per row; short
+chains run on integers, and so does a chain whose rounding check fails.  One
+store (_spaces) holds every basis, once per weight and kind, with its rows
+per frame at the largest precision built so far; smaller precisions are
+their prefixes.
 
 Cusp and plus-space conditions are imposed by exact row reduction on
 integer rows, once per weight and kind, giving exact bases of S_k, M_k^+
 and the Kohnen plus space S_k^+; one object holds each basis's vectors
 (integer numerators over one denominator per vector), its forms' rows and
-values derived from them, such as the Hecke matrix of T(9).
+values derived from them, such as the Hecke matrix of T(9).  M_k^+ is free
+over the level-1 forms in q^4 on two generators g (Kohnen), so the frame-I
+rows of a plus space are sum_j c_j g_j L_j(4z): one product per key, the
+E4^a E6^b L_j from a chain to a quarter of the precision, the c_j solved
+once per space (_kohnen_rows).
 """
 
 from __future__ import annotations
@@ -300,12 +303,19 @@ def _combination_map(r: int, vectors, frame: str) -> tuple[list, list[int], list
 class _FormRows(_Prefixes):
     """Fixed combinations of the weight-r/2 monomials, each a vector over b
     as (integer numerators, denominator): their integer rows per frame at
-    the largest precision asked for, and values derived from them (cached)."""
+    the largest precision asked for, and values derived from them (cached);
+    a plus space's (plus) frame-I rows off the generator weights by _kohnen_rows."""
 
-    def __init__(self, r: int, vectors, held: dict | None = None):
-        super().__init__(lambda frame, prec: _combined_rows(r, vectors, prec, frame), held)
-        self.vectors = vectors
+    def __init__(self, r: int, vectors, held: dict | None = None, plus: bool = False):
+        super().__init__(self._build_rows, held)
+        self.r, self.vectors = r, vectors
+        self.kohnen = plus and bool(vectors) and r % 2 == 1 and r not in _GENERATORS
         self._values: dict = {}
+
+    def _build_rows(self, frame: str, prec: int) -> tuple:
+        if frame == "I" and self.kohnen:
+            return _kohnen_rows(self, prec)
+        return _combined_rows(self.r, self.vectors, prec, frame)
 
     def cached(self, name: str, build):
         """build(), computed once for these combinations."""
@@ -314,6 +324,80 @@ class _FormRows(_Prefixes):
             with self._lock:
                 self._values.setdefault(name, value)
         return self._values[name]
+
+
+# 2k of the generators of M_k^+ over the level-1 forms in q^4: Theta, H_(5/2)
+# for even k - 1/2, H_(7/2), H_(11/2) for odd (Eichler-Zagier, The Theory of
+# Jacobi Forms (1985), Thms 3.5, 5.4; Kohnen, Math. Ann. 248 (1980))
+_GENERATORS = (1, 5, 7, 11)
+
+
+def _kohnen_keys(r: int) -> list[tuple[int, int, int]]:
+    """The keys (s, a, b) of M_(r/2)^+, r odd: the generator of weight s/2
+    times E4^a E6^b in q^4, of level-1 weight 4a + 6b = (r - s)/2."""
+    gens = _GENERATORS[:2] if r % 4 == 1 else _GENERATORS[2:]
+    return [(s, a, ((r - s) // 2 - 4 * a) // 6) for s in gens for a in range((r - s) // 8 + 1)
+            if ((r - s) // 2 - 4 * a) % 6 == 0]
+
+
+def _walk_level1(inputs, mul, wanted):
+    """((a, b), E4^a E6^b) for each (a, b) in wanted, a + b > 0, from inputs
+    (E4, E6): one product per power of each, then one per key with both."""
+    pows = [[None, x] for x in inputs]
+    for p, top in zip(pows, (max(a for a, _ in wanted), max(b for _, b in wanted))):
+        while len(p) <= top:
+            p.append(mul(p[-1], p[1]))
+    for a, b in wanted:
+        yield (a, b), pows[1][b] if not a else pows[0][a] if not b else mul(pows[0][a], pows[1][b])
+
+
+def _walk_kohnen(gens, inputs, mul, wanted):
+    """(j, L g) for each key j in wanted, one product each, from inputs: the
+    generator rows, then the level-1 series L; gens[j] indexes key j's g."""
+    for j in wanted:
+        yield j, mul(inputs[len(inputs) - len(gens) + j], inputs[gens[j]])
+
+
+def _kohnen_rows(rows: _FormRows, prec: int) -> tuple:
+    """The frame-I rows of a plus-space basis to index prec, as _combined_rows
+    gives them: a chain to prec // 4 for the level-1 factors, then one product
+    per key, its map the forms' coordinates (_kohnen_map) over exact scales."""
+    keys, short = _kohnen_keys(rows.r), prec // 4
+    gens = sorted({s for s, _, _ in keys})
+    inputs = [_spaces.get((Fraction(s, 2), "plus M"), 0).get("I", prec)[0][0][: prec + 1]
+              for s in gens] + intpoly.chain_products(
+        _walk_level1, [intpoly.eisenstein_int(4, short), intpoly.eisenstein_int(6, short)],
+        short, [(a, b) for _, a, b in keys], _identity(len(keys)), [0] * len(keys))
+    strides = [1] * len(gens) + [4] * len(keys)
+    walk = partial(_walk_kohnen, [gens.index(s) for s, _, _ in keys])
+    matrix, scales = rows.cached("Kohnen map", lambda: _kohnen_map(rows, walk, inputs, strides))
+    out = intpoly.chain_products(walk, inputs, prec, range(len(keys)), matrix,
+                                 [0] * len(keys), strides)
+    if any(c % scale for row, scale in zip(out, scales) for c in row):
+        raise RuntimeError(f"plus-space row at k={Fraction(rows.r, 2)} not divisible by its scale")
+    return tuple((tuple(c // scale for c in row), den)
+                 for row, scale, (_, den) in zip(out, scales, rows.get("I", 0)))
+
+
+def _kohnen_map(rows: _FormRows, walk, inputs, strides) -> tuple[list, list[int]]:
+    """(matrix, scales): form i is sum_j matrix[i][j] K_j / scales[i], K_j
+    key j's product in walk(inputs), by the kernel of the keys' and forms'
+    Sturm rows; RuntimeError, naming k, unless the keys' rank is full there."""
+    st, n = sturm_index(Fraction(rows.r, 2)), strides.count(4)
+    cols = intpoly.chain_products(walk, [x[: st // t + 1] for x, t in zip(inputs, strides)],
+                                  st, range(n), _identity(n), [0] * n, strides)
+    cols += [b[: st + 1] for b, _ in rows.get("I", st)]
+    rank, reduced, kernel = rref_exact([list(c) for c in zip(*cols)])
+    if [next(c for c, x in enumerate(row) if x) for row in reduced] != list(range(n)):
+        raise RuntimeError(f"Kohnen generators at k={Fraction(rows.r, 2)}: keys and basis"
+                           f" have rank {rank} at the Sturm index {st}, not the {n} keys'")
+    gs = [math.gcd(*v) for v in kernel]
+    return ([[-c // g for c in v[:n]] for v, g in zip(kernel, gs)],
+            [v[n + i] // g for i, (v, g) in enumerate(zip(kernel, gs))])
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @dataclass
@@ -402,15 +486,9 @@ def space_basis(k, prec: int, kind: str) -> SpaceBasis:
         raise PrecisionError(f"precision {prec} below the Sturm index {st}")
     if not weight_monomials(k):
         return SpaceBasis(k, kind, st, [], [], prec, _FormRows(int(2 * k), []))
-    return _held_basis(k, kind, prec)
-
-
-def _held_basis(k: Fraction, kind: str, prec: int) -> SpaceBasis:
-    """The basis of kind at weight k from the rows held in _spaces, its rows
-    built to index prec if they are held to less."""
     rows = _spaces.get((k, kind), 0)
     rows.get("I", prec)
-    return SpaceBasis(k, kind, sturm_index(k), weight_monomials(k), rows.vectors, prec, rows)
+    return SpaceBasis(k, kind, st, weight_monomials(k), rows.vectors, prec, rows)
 
 
 def _solve_space(k: Fraction, kind: str) -> _FormRows:
@@ -421,7 +499,7 @@ def _solve_space(k: Fraction, kind: str) -> _FormRows:
     combinations, which are the monomials themselves, and no reduction."""
     monos = weight_monomials(k)
     r, bmax = monos[0][0], monos[-1][1]  # Theta^r and G^bmax Theta^(r - 4 bmax)
-    identity = [[int(i == j) for j in range(len(monos))] for i in range(len(monos))]
+    identity = _identity(len(monos))
     if kind == "full M":
         return _FormRows(r, [(row, 1) for row in identity])
     st = sturm_index(k)
@@ -436,7 +514,7 @@ def _solve_space(k: Fraction, kind: str) -> _FormRows:
                 conditions.append([row[n] for row in rows])
     kernel = rref_exact(conditions)[2] if conditions else identity
     vectors, held = _echelonize(kernel, rows, st)
-    return _FormRows(r, vectors, {"I": (st, held)})
+    return _FormRows(r, vectors, {"I": (st, held)}, kind in ("plus M", "plus S"))
 
 
 def _echelonize(

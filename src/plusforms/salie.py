@@ -17,8 +17,8 @@ and summing |fhat_j(m)|^2 over an orthonormal basis of the plus space gives
 6 (4 pi m)^(k-1) / Gamma(k-1) * g_{k,m}(m).  Truncation of the c-sum is
 certified through the trivial bound |H_c| <= 2 and the small-argument
 Bessel bound once k - 1 >= 2 (pi sqrt(nm)/c)^2.  A c-sum checks its inputs
-once; each c calls the unchecked integer core of salie_h, _salie_h, and the
-float Bessel core numerics._bessel_core.
+once; each c calls the unchecked integer core of salie_h, _salie_h, with
+the c-sum's tables of 2-adic unit inverses, and numerics._bessel_core.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def salie_h(c: int, n: int, m: int, k) -> complex:
     if c < 1:
         raise ValueError("c must be positive")
     _check_indices(k, n, m)
-    return _salie_h(c, n, m, plus_sign(k))
+    return _salie_h(c, n, m, plus_sign(k), {})
 
 
 def _check_indices(k: Fraction, n: int, m: int) -> None:
@@ -84,13 +84,16 @@ def _check_indices(k: Fraction, n: int, m: int) -> None:
         raise ValueError("n, m must satisfy the plus-space congruence")
 
 
-def _salie_h(c: int, n: int, m: int, sgn: int) -> complex:
-    """salie_h, unchecked, at sgn = (-1)^(k-1/2)."""
+def _salie_h(c: int, n: int, m: int, sgn: int, inverses: dict) -> complex:
+    """salie_h, unchecked, at sgn = (-1)^(k-1/2); inverses[s] holds the odd
+    x^-1 mod 2^(s+2), x ascending, and a missing s is added."""
     s = (c & -c).bit_length() - 1
     r = c >> s
     q2 = 4 << s
     u = pow(r, -1, q2)
-    total = _two_adic_sum(q2, s, r, sgn, n * u % q2, m * u % q2)
+    if s not in inverses:
+        inverses[s] = [pow(x, -1, q2) for x in range(1, q2, 2)]
+    total = _two_adic_sum(q2, s, r, sgn, n * u % q2, m * u % q2, inverses[s])
     for prime, e in factorize(r):
         if not total:
             break
@@ -107,9 +110,9 @@ def _cyclotomic_value(coeffs: list[int], q: int) -> complex:
     return sum((x * cmath.exp(2j * math.pi * j / q) for j, x in enumerate(coeffs) if x), 0j)
 
 
-def _two_adic_sum(q: int, s: int, r: int, sgn: int, a: int, b: int) -> complex:
+def _two_adic_sum(q: int, s: int, r: int, sgn: int, a: int, b: int, inverses) -> complex:
     """sum over odd x mod q = 2^(s+2) of (2|x)^s (-1)^((r-1)/2 (x-1)/2) eps(x)
-    e((a x + b x^-1)/q), eps(x) = sgn i for x = 3 mod 4.
+    e((a x + b x^-1)/q), eps(x) = sgn i for x = 3 mod 4, the x^-1 in inverses.
 
     Each term is +-e(j/q) (i = e(1/4) is a q-th root of unity), and the
     e(j/q) with j < q/2 are a Z-basis of Z[e(1/q)], so the sum is kept as
@@ -118,9 +121,9 @@ def _two_adic_sum(q: int, s: int, r: int, sgn: int, a: int, b: int) -> complex:
     half = q // 2
     coeffs = [0] * half
     twist3 = sgn * (-1 if r % 4 == 3 else 1)
-    for x in range(1, q, 2):
+    for x, x_inv in zip(range(1, q, 2), inverses):
         sign = -1 if s % 2 and x % 8 in (3, 5) else 1
-        j = (a * x + b * pow(x, -1, q)) % q
+        j = (a * x + b * x_inv) % q
         if x % 4 == 3:
             sign *= twist3
             j = (j + q // 4) % q
@@ -221,7 +224,7 @@ def _poincare_sum(k, m: int, n: int, c_cap: int = 10**6):
     )
     # start where the small-argument bound applies: k-1 >= 2 (x1/c)^2
     c_max = max(1, math.ceil(x1 / math.sqrt((kf - 1.0) / 2.0)))
-    c_done, total, bessel_err_logs = 0, 0.0j, []
+    c_done, total, bessel_err_logs, inverses = 0, 0.0j, [], {}
 
     def certify(tol: float) -> PoincareCoeff:
         nonlocal c_max, c_done, total
@@ -237,7 +240,7 @@ def _poincare_sum(k, m: int, n: int, c_cap: int = 10**6):
                 )
             c_max = max(c_max + 8, int(c_max * 1.3))
         for c in range(c_done + 1, c_max + 1):
-            h = _salie_h(c, n, m, sgn)
+            h = _salie_h(c, n, m, sgn, inverses)
             if h == 0:
                 continue
             j = _bessel_core(n_j, rho, x1 / c)

@@ -187,17 +187,20 @@ def test_kz_takes_negative_discriminants_after_a_space():
 
 def test_kz_builds_the_plus_rows_once_to_the_largest_discriminant(monkeypatch):
     """At 19/2 every D is negative: the plus-space rows are built once, to
-    max |D| + 1, not once more per D as each fhat(|D|) is read."""
+    max |D| + 1, not once more per D as each fhat(|D|) is read.  The rows of
+    the generator spaces they are built from have weights of their own and
+    are not counted."""
     from plusforms import qexp
 
     builds = []
-    combined = qexp._combined_rows
+    build = qexp._FormRows._build_rows
 
-    def spy(r, vectors, prec, frame):
-        builds.append(prec)
-        return combined(r, vectors, prec, frame)
+    def spy(rows, frame, prec):
+        if rows.r == 19:
+            builds.append(prec)
+        return build(rows, frame, prec)
 
-    monkeypatch.setattr(qexp, "_combined_rows", spy)
+    monkeypatch.setattr(qexp._FormRows, "_build_rows", spy)
     qexp._spaces.cache_clear()
     code, _ = run_cli(["kz", "--k", "19/2", "--D", "-1003,-1007,-1011", "--primes", "20000"])
     assert code == 0

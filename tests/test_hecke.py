@@ -367,18 +367,19 @@ def test_pairing_walks_at_most_two_rows_past_the_sturm_index(monkeypatch):
     the frame-I rows of a weight once to the Sturm index (the monomials),
     once to 9 (sturm + 1) for T(9), and once more, to 13^2 n0, only where
     that reaches further (n0 the form's least pivot with a nonzero
-    coordinate)."""
+    coordinate).  The rows of the generator spaces that the plus-space rows
+    read have weights of their own and are not counted."""
     from plusforms import qexp
 
     builds = []
-    combined = qexp._combined_rows
+    build = qexp._FormRows._build_rows
 
-    def spy(r, vectors, prec, frame):
-        if frame == "I":
+    def spy(rows, frame, prec):
+        if frame == "I" and rows.r == int(2 * k):
             builds.append(prec)
-        return combined(r, vectors, prec, frame)
+        return build(rows, frame, prec)
 
-    monkeypatch.setattr(qexp, "_combined_rows", spy)
+    monkeypatch.setattr(qexp._FormRows, "_build_rows", spy)
     assert len(PAIRING_WEIGHTS) == 12
     for k in PAIRING_WEIGHTS:
         qexp._spaces.cache_clear()

@@ -357,6 +357,60 @@ def test_descending_walk_against_powers(top):
             assert len(products) == max(hi - 1, 0) + steps + values, (h, s, wanted)
 
 
+@pytest.mark.parametrize("top, wanted", [(3, {0, 1, 2, 3}), (4, {0, 2, 4}), (2, {2})])
+def test_descending_walk_transforms_each_operand_once(monkeypatch, top, wanted):
+    """Over one residue chunk of a descending_walk chain, np.fft.rfft runs
+    once per distinct operand of its products: the powers of base, the
+    head parts and step each keep their transform for every later
+    product."""
+    rng = random.Random(top)
+    prec = 300
+    size, n = intpoly._transform_size(prec), prec + 1
+    primes = intpoly._crt_primes(size, n, n, 64)[:2]
+    base, head, step = (
+        intpoly._Term(intpoly._residues(*intpoly._limb_matrix(_series(rng, n, 20, True)),
+                                        primes).astype(np.int32))
+        for _ in range(3))
+    transforms, operands = [], []  # the operands held, so that no id is reused
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        transforms.append(1)
+        return rfft(*args, **kwargs)
+
+    def mul(x, y):
+        operands.extend((x, y))
+        return intpoly._residue_mul(x, y, primes, size, n)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    values = list(intpoly.descending_walk(base, head, step, top, wanted, mul))
+    assert [i for i, _ in values] == sorted(wanted, reverse=True)
+    assert len(transforms) == len({id(x) for x in operands}) > 0
+
+
+@pytest.mark.parametrize("prec", [40, 127, 128, 300])
+def test_inputs_in_q_to_a_stride(residue_runs, prec):
+    """An input in q^t (strides) gives the rows of the same input spread to
+    q, on integers and on residues alike."""
+    rng = random.Random(prec)
+    a = _series(rng, prec + 1, 30, True)
+    b = _series(rng, prec // 4 + 1, 30, True)
+    c = _series(rng, prec // 3 + 1, 10, False)
+    spread_b = [b[m // 4] if m % 4 == 0 else 0 for m in range(prec + 1)]
+    spread_c = [c[m // 3] if m % 3 == 0 else 0 for m in range(prec + 1)]
+
+    def walk(xs, mul, wanted):
+        yield "ab", mul(xs[1], xs[0])
+        yield "bc", mul(xs[1], xs[2])
+
+    matrix, keys = [[1, 0], [3, -2], [0, 1]], ["ab", "bc"]
+    got = intpoly.chain_products(walk, [a, b, c], prec, keys, matrix, [0, 0], [1, 4, 3])
+    ab = series_mul_reference(spread_b, a, prec)
+    bc = series_mul_reference(spread_b, spread_c, prec)
+    assert got == [ab, [3 * x - 2 * y for x, y in zip(ab, bc)], _padded(bc, prec)]
+    assert residue_runs == ([True] if prec >= intpoly._CHAIN_RESIDUE_PREC else [])
+
+
 def _symbolic(products: list):
     """A product of labelled series that notes each (left, right) operand pair
     and returns the label of the product, operands in order."""

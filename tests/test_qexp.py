@@ -597,6 +597,81 @@ def test_basis_rows_match_monomial_route_multimodular(kstr):
     qexp._spaces.cache_clear()
 
 
+# the weights whose plus-space rows come from Kohnen's structure: every
+# half-integral weight from 9/2 on but 11/2, a generator weight
+KOHNEN_WEIGHTS = [9] + list(range(13, 62, 2))
+
+
+def _check_kohnen_rows(num, precs):
+    """The frame-I rows of both plus kinds at weight num/2, built at each
+    precision from Kohnen's structure, equal the monomial ladder's
+    (_combined_rows), numerators and denominators bit for bit."""
+    k = Fraction(num, 2)
+    qexp._spaces.cache_clear()
+    for kind in ("plus M", "plus S"):
+        basis = space_basis(k, sturm_index(k), kind)
+        assert basis._rows.kohnen == bool(basis.dimension), kind
+        for prec in precs:
+            got = basis._rows._build_rows("I", prec)
+            assert got == qexp._combined_rows(num, basis.vectors, prec, "I"), (kind, prec)
+
+
+@pytest.mark.parametrize("num", KOHNEN_WEIGHTS)
+def test_kohnen_rows_match_monomial_ladder(num):
+    cutoff = intpoly._CHAIN_RESIDUE_PREC
+    _check_kohnen_rows(num, (cutoff - 1, cutoff, 300))
+
+
+@pytest.mark.parametrize("num", [21, 29])
+def test_kohnen_rows_match_monomial_ladder_multimodular(num):
+    _check_kohnen_rows(num, (5400,))
+    qexp._spaces.cache_clear()
+
+
+@pytest.mark.parametrize("vector", [[0, 0], [1, 0]])
+def test_kohnen_keys_are_checked(monkeypatch, vector):
+    """With the H_(5/2) row replaced by 0 (the keys lose rank) or by Theta^5
+    (not a plus form, so the keys miss the basis), the coordinate solve
+    raises its named RuntimeError, which gives the weight."""
+    qexp._spaces.cache_clear()
+    k = Fraction(29, 2)
+    basis = space_basis(k, sturm_index(k), "plus S")
+    monkeypatch.setitem(qexp._spaces._held, (Fraction(5, 2), "plus M"),
+                        (0, qexp._FormRows(5, [(vector, 1)])))
+    with pytest.raises(RuntimeError, match=r"Kohnen generators at k=29/2"):
+        basis.int_rows("I", 300)
+    qexp._spaces.cache_clear()
+
+
+def test_plus_rows_make_one_product_per_key(monkeypatch):
+    """The plus-space rows take one product per key and chunk of primes: 2,
+    3 and 6 keys at 21/2, 29/2 and 61/2 (dim M_(2k-1)), and at 29/2 in frame
+    I each residue chunk of the chain makes 3 products."""
+    assert [len(qexp._kohnen_keys(r)) for r in (21, 29, 61)] == [2, 3, 6]
+    for r in KOHNEN_WEIGHTS:
+        assert len(qexp._kohnen_keys(r)) == dim_cusp_level1(r - 1) + 1
+    products = []
+    walk = qexp._walk_kohnen
+
+    def spy(gens, inputs, mul, wanted):
+        made = []
+
+        def counted(x, y):
+            made.append(1)
+            return mul(x, y)
+
+        yield from walk(gens, inputs, counted, wanted)
+        if isinstance(inputs[0], intpoly._Term) and inputs[0].values.dtype == np.int32:
+            products.append(len(made))
+
+    monkeypatch.setattr(qexp, "_walk_kohnen", spy)
+    qexp._spaces.cache_clear()
+    k = Fraction(29, 2)
+    space_basis(k, 1200, "plus S")
+    assert len(products) > 1 and set(products) == {3}
+    qexp._spaces.cache_clear()
+
+
 def test_held_space_serves_every_precision(monkeypatch):
     """space_basis reduces once per weight and kind; it then serves P, a
     smaller p (a prefix) and a larger p (rebuilt and held), every frame equal
@@ -623,8 +698,11 @@ def test_held_space_serves_every_precision(monkeypatch):
                 for i, (row, den) in enumerate(fresh):
                     q, _ = basis_frame_series(basis, i, frame, prec)
                     assert q.coeffs == qexp.from_int_series(k, row, prec, den).coeffs
-        # the kernel of the conditions, then the echelon form: nothing after
-        assert len(reductions) == 2
+        # the kernel of the conditions, then the echelon form; for the plus
+        # space also its one solve for the coordinates on Kohnen's keys, and
+        # the kernel and echelon form of each of its two generator spaces
+        # (Theta and H_(5/2), 'plus M'), on first use: nothing after
+        assert len(reductions) == (2 + 1 + 2 * 2 if kind == "plus S" else 2)
         held = basis._rows._held
         assert {frame: prec for frame, (prec, _) in held.items()} == dict.fromkeys(FRAMES, 700)
         reductions.clear()
