@@ -3,8 +3,8 @@
 Level-1 integral weight: Victor Miller echelon bases of S_w(SL(2,Z)) built
 from E4, E6 and the discriminant form, classical T(p), exact eigenforms.
 The monomials Delta^i E4^alpha E6^beta of a weight are one product chain,
-intpoly.descending_walk after the squarings and the Eisenstein head
-(_walk_miller), run by intpoly.chain_products, whose integer map is the
+qexp._walk_miller (which also makes the level-1 factors of the plus-space
+rows), run by intpoly.chain_products, whose integer map is the
 echelon step that linalg.rref_exact finds on the monomials to index d; the
 rows are held per weight at the largest precision asked for
 (qexp._Prefixes), and T(p) acts on them as integers.
@@ -23,8 +23,8 @@ the same rows hold its one float view (qexp.FloatView), which every float
 reader takes.
 
 Half-integral weight: T(p^2) on the Kohnen plus space as one integer kernel
-on the held basis rows (built by qexp from Kohnen's generators times E4^a
-E6^b in q^4; a T(p^2) matrix is checked to the Sturm index), simultaneous
+on the held basis rows (built by qexp from Kohnen's generators times Miller
+monomials in q^4; a T(p^2) matrix is checked to the Sturm index), simultaneous
 eigenbases, the pairing lambda(p^2) = Fhat(p) with the integral partner,
 exact verification of the square-index coefficient relation
 fhat(n^2 |D|) = fhat(|D|) sum_{d|n} mu(d) (D|d) d^(k-3/2) Fhat(n/d),
@@ -56,28 +56,12 @@ from .arith import (
 )
 from .linalg import charpoly_exact, rref_exact
 from .numerics import LogScaled
-from .qexp import (FloatView, PrecisionError, SpaceBasis, _identity, _Prefixes,
-                   combine_int_rows, cusp_plus_basis)
+from .qexp import (FloatView, PrecisionError, SpaceBasis, _identity, _miller_shape, _Prefixes,
+                   _walk_miller, combine_int_rows, cusp_plus_basis, dim_cusp_level1)
 
 # ---------------------------------------------------------------------------
 # Level-1 integral weight
 # ---------------------------------------------------------------------------
-
-
-def dim_cusp_level1(w: int) -> int:
-    """dim S_w(SL(2,Z)) for even w >= 0."""
-    if w < 12 or w % 2:
-        return 0
-    return w // 12 - (1 if w % 12 == 2 else 0)
-
-
-def _miller_shape(w: int) -> tuple[int, int, int]:
-    """(d, alpha, beta): the Miller monomials of S_w are Delta^i
-    E4^(alpha + 3(d - i)) E6^beta, i = 1..d, with d = dim S_w."""
-    d = dim_cusp_level1(w)
-    rem = w - 12 * d  # 0, 4, 6, 8, 10 or 14
-    beta = rem % 4 // 2
-    return d, (rem - 6 * beta) // 4, beta
 
 
 def _miller_inputs(w: int, prec: int) -> list:
@@ -90,25 +74,6 @@ def _miller_inputs(w: int, prec: int) -> list:
     if beta:
         inputs.append(intpoly.eisenstein_int(6, prec))
     return inputs
-
-
-def _walk_miller(w: int, inputs, mul, wanted):
-    """(i, (Delta/q)^i E4^(alpha + 3(d - i)) E6^beta) for each i in wanted,
-    i descending, from the inputs of _miller_inputs and products mul(x, y)
-    of any kind of series (see _miller_shape): intpoly.descending_walk of the
-    powers of Delta/q = (q^(-1/8) eta^3)^8, three squarings, from the head
-    E6^beta E4^alpha times powers of E4^3."""
-    d, alpha, beta = _miller_shape(w)
-    eta3, *eisenstein = inputs
-    e4 = eisenstein[0] if alpha or d > 1 else None
-    core = mul(eta3, eta3)
-    core = mul(core, core)
-    core = mul(core, core)
-    head = eisenstein[-1] if beta else None  # None standing for 1
-    for _ in range(alpha):
-        head = e4 if head is None else mul(head, e4)
-    e12 = mul(mul(e4, e4), e4) if d > min(wanted) else None
-    return intpoly.descending_walk(core, head, e12, d, wanted, mul)
 
 
 def _miller_rows(w: int, prec: int) -> tuple[tuple[int, ...], ...]:
@@ -241,7 +206,8 @@ def eigenforms_level1(w: int, prec: int) -> list[IntegralForm]:
         # arithmetic normalization: coefficient at q^1 equals vec[0]
         if vec[0] == 0:
             raise RuntimeError("eigenvector has vanishing leading coefficient")
-        F = IntegralForm(w, [v / vec[0] for v in vec], cp)
+        inv = 1 / vec[0]
+        F = IntegralForm(w, [v * inv for v in vec], cp)
         F.coefficients_upto(max(prec, 2 * d + 2))
         out.append(F)
     return out
@@ -492,7 +458,8 @@ def _eigensystems(basis: SpaceBasis) -> tuple:
     systems = []
     for lam, vec in _eigenvectors(mat, cp, "T(9)", den):
         lead = min((i for i, c in enumerate(vec) if c != 0), key=lambda i: pivots[i])
-        systems.append((lam, [v / vec[lead] for v in vec]))
+        inv = 1 / vec[lead]
+        systems.append((lam, [v * inv for v in vec]))
     return cp, systems
 
 

@@ -20,8 +20,8 @@ fixed number of bytes, the two packed integers are multiplied once by CPython
 back with the bias removed, so signed series need no splitting into positive
 and negative parts.
 
-The Miller monomials of hecke and the theta ladder of qexp are one walk,
-descending_walk, after a few products of their own.
+The Miller monomials (qexp._walk_miller, run by hecke and qexp) and the
+theta ladder of qexp are one walk, descending_walk, after a few products.
 
 Residue arithmetic is exact by construction.  The primes multiply to more
 than twice the majorant's bound on every coefficient, so the balanced CRT

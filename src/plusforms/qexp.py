@@ -38,8 +38,8 @@ and the Kohnen plus space S_k^+; one object holds each basis's vectors
 values derived from them, such as the Hecke matrix of T(9).  M_k^+ is free
 over the level-1 forms in q^4 on two generators g (Kohnen), so the frame-I
 rows of a plus space are sum_j c_j g_j L_j(4z): one product per key, the
-E4^a E6^b L_j from a chain to a quarter of the precision, the c_j solved
-once per space (_kohnen_rows).
+c_j solved once per space (_kohnen_rows), the L_j the Miller monomials of
+M_w from a chain to a quarter of the precision: _walk_miller, hecke's walk.
 """
 
 from __future__ import annotations
@@ -265,8 +265,9 @@ def _combined_rows(r: int, vectors, prec: int, frame: str) -> tuple:
     with the map of _combination_map at its end."""
     generators = _frame_generators(prec, frame)
     matrix, shifts, dens = _combination_map(r, vectors, frame)
-    if r == 0:  # the one monomial is 1
-        rows = [[row[0]] + [0] * prec for row in matrix]
+    if r < 2:  # the one monomial is 1 or Theta: no product to make
+        monomial = generators[0] if r else [1]
+        rows = [intpoly._map_row([monomial], row, shifts, prec + 1) for row in matrix]
     else:
         rows = intpoly.chain_products(partial(_walk_ladder, r), generators, prec,
                                       range(r // 4 + 1), matrix, shifts)
@@ -326,29 +327,60 @@ class _FormRows(_Prefixes):
         return self._values[name]
 
 
+def dim_cusp_level1(w: int) -> int:
+    """dim S_w(SL(2,Z)) for even w >= 0."""
+    if w < 12 or w % 2:
+        return 0
+    return w // 12 - (1 if w % 12 == 2 else 0)
+
+
+def _miller_shape(w: int) -> tuple[int, int, int]:
+    """(d, alpha, beta): the Miller monomials of M_w (w != 2) are Delta^i
+    E4^(alpha + 3(d - i)) E6^beta, i = 0..d, d = dim S_w; i >= 1 span S_w."""
+    d = dim_cusp_level1(w)
+    rem = w - 12 * d  # 0, 4, 6, 8, 10 or 14
+    beta = rem % 4 // 2
+    return d, (rem - 6 * beta) // 4, beta
+
+
+def _walk_miller(w: int, inputs, mul, wanted):
+    """(i, (Delta/q)^i E4^(alpha + 3(d - i)) E6^beta) for each i in wanted, a
+    nonempty subset of 0..d, i descending, from inputs (the core of eta^3,
+    E4 unless unread, E6 if beta) and products mul(x, y) of any kind of
+    series: intpoly.descending_walk of the powers of Delta/q, from the head
+    E6^beta E4^alpha times powers of E4^3 (see _miller_shape)."""
+    d, alpha, beta = _miller_shape(w)
+    eta3, *eisenstein = inputs
+    e4 = eisenstein[0] if alpha or d > min(wanted) else None
+    core = eta3  # Delta/q = (q^(-1/8) eta^3)^8, made if some i >= 1 is wanted
+    for _ in range(3 if max(wanted) else 0):
+        core = mul(core, core)
+    head = eisenstein[-1] if beta else None  # None standing for 1
+    for _ in range(alpha):
+        head = e4 if head is None else mul(head, e4)
+    e12 = mul(mul(e4, e4), e4) if d > min(wanted) else None
+    return intpoly.descending_walk(core, head, e12, d, wanted, mul)
+
+
 # 2k of the generators of M_k^+ over the level-1 forms in q^4: Theta, H_(5/2)
 # for even k - 1/2, H_(7/2), H_(11/2) for odd (Eichler-Zagier, The Theory of
 # Jacobi Forms (1985), Thms 3.5, 5.4; Kohnen, Math. Ann. 248 (1980))
 _GENERATORS = (1, 5, 7, 11)
 
 
-def _kohnen_keys(r: int) -> list[tuple[int, int, int]]:
-    """The keys (s, a, b) of M_(r/2)^+, r odd: the generator of weight s/2
-    times E4^a E6^b in q^4, of level-1 weight 4a + 6b = (r - s)/2."""
+def _kohnen_keys(r: int) -> list[tuple[int, int]]:
+    """The keys (s, i) of M_(r/2)^+, r odd: the generator of weight s/2 times
+    Miller monomial i of M_w in q^4, w = (r - s)/2 != 2, i = 0..dim S_w."""
     gens = _GENERATORS[:2] if r % 4 == 1 else _GENERATORS[2:]
-    return [(s, a, ((r - s) // 2 - 4 * a) // 6) for s in gens for a in range((r - s) // 8 + 1)
-            if ((r - s) // 2 - 4 * a) % 6 == 0]
+    return [(s, i) for s in gens if r - s >= 0 and r - s != 4
+            for i in range(dim_cusp_level1((r - s) // 2) + 1)]
 
 
 def _walk_level1(inputs, mul, wanted):
-    """((a, b), E4^a E6^b) for each (a, b) in wanted, a + b > 0, from inputs
-    (E4, E6): one product per power of each, then one per key with both."""
-    pows = [[None, x] for x in inputs]
-    for p, top in zip(pows, (max(a for a, _ in wanted), max(b for _, b in wanted))):
-        while len(p) <= top:
-            p.append(mul(p[-1], p[1]))
-    for a, b in wanted:
-        yield (a, b), pows[1][b] if not a else pows[0][a] if not b else mul(pows[0][a], pows[1][b])
+    """((w, i), monomial i of _walk_miller(w)) for each (w, i) in wanted, inputs (eta3, E4, E6)."""
+    for w in sorted({w for w, _ in wanted}, reverse=True):
+        for i, x in _walk_miller(w, inputs, mul, {i for v, i in wanted if v == w}):
+            yield (w, i), x
 
 
 def _walk_kohnen(gens, inputs, mul, wanted):
@@ -363,13 +395,14 @@ def _kohnen_rows(rows: _FormRows, prec: int) -> tuple:
     gives them: a chain to prec // 4 for the level-1 factors, then one product
     per key, its map the forms' coordinates (_kohnen_map) over exact scales."""
     keys, short = _kohnen_keys(rows.r), prec // 4
-    gens = sorted({s for s, _, _ in keys})
+    gens = sorted({s for s, _ in keys})
+    level1 = [intpoly.eta3_int(short)] + [intpoly.eisenstein_int(w, short) for w in (4, 6)]
     inputs = [_spaces.get((Fraction(s, 2), "plus M"), 0).get("I", prec)[0][0][: prec + 1]
               for s in gens] + intpoly.chain_products(
-        _walk_level1, [intpoly.eisenstein_int(4, short), intpoly.eisenstein_int(6, short)],
-        short, [(a, b) for _, a, b in keys], _identity(len(keys)), [0] * len(keys))
+        _walk_level1, level1, short, [((rows.r - s) // 2, i) for s, i in keys],
+        _identity(len(keys)), [i for _, i in keys])
     strides = [1] * len(gens) + [4] * len(keys)
-    walk = partial(_walk_kohnen, [gens.index(s) for s, _, _ in keys])
+    walk = partial(_walk_kohnen, [gens.index(s) for s, _ in keys])
     matrix, scales = rows.cached("Kohnen map", lambda: _kohnen_map(rows, walk, inputs, strides))
     out = intpoly.chain_products(walk, inputs, prec, range(len(keys)), matrix,
                                  [0] * len(keys), strides)
@@ -480,6 +513,8 @@ def space_basis(k, prec: int, kind: str) -> SpaceBasis:
     read from the rows held for that weight and kind, built to prec if they
     are held to less, and made into QExpansions when first read.
     """
+    if kind not in ("full M", "full S", "plus M", "plus S"):
+        raise ValueError(f"unknown space kind {kind!r}: 'full M', 'full S', 'plus M' or 'plus S'")
     k = half_integer(k)
     st = sturm_index(k)
     if prec < st:

@@ -196,17 +196,17 @@ def _bessel_tail_log(k: float, x_at_c1: float, c_from: int) -> float:
     return head + tail_sum
 
 
-def poincare_coeff(k, m: int, n: int, tol: float = 1e-10, c_cap: int = 10**6) -> PoincareCoeff:
+def poincare_coeff(k, m: int, n: int, tol: float = 1e-10) -> PoincareCoeff:
     """g_{k,m}(n) with a certified truncation of the c-sum.
 
     The c-sum is evaluated exactly (in doubles) up to c_max, which starts at
     the edge of the small-argument Bessel regime and grows until the
-    certified tail drops below tol (absolute, on g).
+    certified tail drops below tol (absolute, on g); past c = 10^6, an error.
     """
-    return _poincare_sum(k, m, n, c_cap)(tol)
+    return _poincare_sum(k, m, n)(tol)
 
 
-def _poincare_sum(k, m: int, n: int, c_cap: int = 10**6):
+def _poincare_sum(k, m: int, n: int):
     """The c-sum of g_{k,m}(n) as one running sum: the returned function
     certifies it to an absolute tol, as poincare_coeff does.  A tighter tol
     adds only the c past the last c_max, in the same order, so each result
@@ -234,9 +234,9 @@ def _poincare_sum(k, m: int, n: int, c_cap: int = 10**6):
             tail_log = _bessel_tail_log(kf, x1, c_max + 1) + pref_log + math.log(2.0 / 3.0)
             if tail_log < math.log(tol):
                 break
-            if c_max > c_cap:
+            if c_max > 10**6:
                 raise RuntimeError(
-                    f"poincare_coeff: cannot certify tail below {tol} within c <= {c_cap}"
+                    f"poincare_coeff: cannot certify tail below {tol} within c <= 10^6"
                 )
             c_max = max(c_max + 8, int(c_max * 1.3))
         for c in range(c_done + 1, c_max + 1):
@@ -294,10 +294,10 @@ def spectral_average(k, m: int, rel_tol: float = 1e-8) -> CertifiedValue:
     return CertifiedValue(val, err_log)
 
 
-def bessel_correction_factor(k, tol: float = 1e-10) -> float:
+def bessel_correction_factor(k) -> float:
     """The bracket [1 + sign * pi sqrt(2) * sum_c H_c(1,1) J_{k-1}(pi/c)] / 1.
 
-    Equals (3/2) g_{k,1}(1); tends to 1 as k grows.
+    Equals (3/2) g_{k,1}(1), certified to 1e-10; tends to 1 as k grows.
     """
-    g = poincare_coeff(k, 1, 1, tol=tol)
+    g = poincare_coeff(k, 1, 1, tol=1e-10)
     return 1.5 * g.value.to_float()

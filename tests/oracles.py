@@ -1153,18 +1153,22 @@ def ladder_walk_reference(r: int, inputs, mul, wanted):
 
 
 def miller_walk_reference(w: int, inputs, mul, wanted):
-    """(i, (Delta/q)^i E4^(alpha + 3(d - i)) E6^beta) for each i in wanted,
-    i descending, max(wanted) = d = dim S_w: the Miller walk written out in
-    full, making the same products as hecke._walk_miller."""
+    """(i, (Delta/q)^i E4^(alpha + 3(d - i)) E6^beta) for each i in wanted, a
+    nonempty subset of 0..d, d = dim S_w, i descending: the Miller walk
+    written out in full, making the same products as qexp._walk_miller.  It
+    reads E4 when alpha > 0 or some i < d is wanted, and makes Delta/q only
+    when some i >= 1 is."""
     from plusforms.hecke import _miller_shape
 
     d, alpha, beta = _miller_shape(w)
     eta3, *eisenstein = inputs
-    e4 = eisenstein[0] if alpha or d > 1 else None
-    core = mul(eta3, eta3)
-    core = mul(core, core)
-    core = mul(core, core)
-    cpow = [None, core]
+    e4 = eisenstein[0] if alpha or d > min(wanted) else None
+    cpow = [None]
+    if max(wanted) >= 1:
+        core = mul(eta3, eta3)
+        core = mul(core, core)
+        core = mul(core, core)
+        cpow.append(core)
     for _ in range(2, max(wanted) + 1):
         cpow.append(mul(cpow[-1], core))
     epart = eisenstein[-1] if beta else None
@@ -1175,4 +1179,4 @@ def miller_walk_reference(w: int, inputs, mul, wanted):
         if i < d:
             epart = e12 if epart is None else mul(epart, e12)
         if i in wanted:
-            yield i, cpow[i] if epart is None else mul(cpow[i], epart)
+            yield i, cpow[i] if epart is None else epart if i == 0 else mul(cpow[i], epart)

@@ -416,6 +416,29 @@ def test_eigenbasis_25_2_conjugate_pair():
         assert f.eigenvalue(9) == f.shimura_partner.coeff(3)
 
 
+def test_one_inverse_per_eigenform(monkeypatch):
+    """Each eigenvector is normalised by one inverse of its leading
+    coordinate, multiplied into every coordinate: eigenbasis_plus, on empty
+    stores, inverts 2d field elements at the cubic and quintic Hecke fields
+    of 41/2 and 61/2, one per eigenform on each side of the pairing."""
+    from plusforms import hecke, qexp
+
+    calls = []
+    inverse = FieldElement.inverse
+
+    def counted(x):
+        calls.append(x)
+        return inverse(x)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    for kstr, d in (("41/2", 3), ("61/2", 5)):
+        qexp._spaces.cache_clear()
+        hecke._t3.cache_clear()
+        calls.clear()
+        assert len(eigenbasis_plus(kstr)) == d
+        assert len(calls) == 2 * d, kstr
+
+
 def test_shimura_charpoly_certificates_sweep():
     for num in range(5, 42, 2):
         assert shimura_charpolys_match(Fraction(num, 2))

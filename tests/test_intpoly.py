@@ -436,17 +436,22 @@ def test_ladder_walk_makes_the_written_out_products(r):
         assert got == ref and sorted(mine) == sorted(written), wanted
 
 
-@pytest.mark.parametrize("w", [w for w in range(12, 61, 2) if hecke.dim_cusp_level1(w)])
+@pytest.mark.parametrize(
+    "w", [4, 6, 8, 10, 14] + [w for w in range(12, 61, 2) if qexp.dim_cusp_level1(w)])
 def test_miller_walk_makes_the_written_out_products(w):
     """The Miller walk (squarings and Eisenstein head, then the shared walk)
     makes the products of the walk written out in full, operands on the same
-    sides, and yields the same monomials, for every wanted set of 1..d that
-    holds d."""
-    d = hecke.dim_cusp_level1(w)
-    inputs = [f"x{j}" for j in range(len(hecke._miller_inputs(w, 0)))]
-    for wanted in [{d} | rest for rest in [set()] + _subsets(range(1, d))]:
+    sides, and yields the same monomials: for every wanted set of 1..d that
+    holds d, on hecke's inputs (_miller_inputs), and for every wanted set of
+    0..d that holds 0, on the inputs (eta3, E4, E6) of the Kohnen level-1
+    factors, at the weights with d = 0 too."""
+    d = qexp.dim_cusp_level1(w)
+    miller = [f"x{j}" for j in range(len(hecke._miller_inputs(w, 0)))]
+    cases = [(miller, {d} | rest) for rest in [set()] + _subsets(range(1, d))] if d else []
+    cases += [(["x0", "x1", "x2"], {0} | rest) for rest in [set()] + _subsets(range(1, d + 1))]
+    for inputs, wanted in cases:
         mine, written = [], []
-        got = list(hecke._walk_miller(w, inputs, _symbolic(mine), wanted))
+        got = list(qexp._walk_miller(w, inputs, _symbolic(mine), wanted))
         ref = list(miller_walk_reference(w, inputs, _symbolic(written), wanted))
         assert got == ref and sorted(mine) == sorted(written), wanted
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     basis_frame_series,
+    delta_by_eisenstein,
     domain_nodes_reference,
     eval_reduced_reference,
     float_series_reference,
@@ -27,10 +28,11 @@ from oracles import (
     qexp_sum_reference,
     rational_vector,
     series_eval_reference,
+    series_mul_reference,
 )
 from plusforms import intpoly, qexp
 from plusforms.arith import plus_sign
-from plusforms.hecke import dim_cusp_level1
+from plusforms.hecke import _miller_shape, dim_cusp_level1
 from plusforms.qexp import (
     PrecisionError,
     QExpansion,
@@ -294,6 +296,16 @@ def test_cusp_plus_basis_precision_guard():
         cusp_plus_basis("3/2")
 
 
+def test_space_basis_rejects_unknown_kinds():
+    """A kind other than the four raises a ValueError that names them, and
+    no space is solved or stored under it."""
+    qexp._spaces.cache_clear()
+    for kind in ("plus s", "cusp", ""):
+        with pytest.raises(ValueError, match="'full M', 'full S', 'plus M' or 'plus S'"):
+            space_basis("13/2", 20, kind)
+    assert not qexp._spaces._held
+
+
 def test_plus_condition_recheck():
     """Every flagged coefficient of every basis element vanishes exactly."""
     for kstr in ("13/2", "15/2", "19/2", "25/2"):
@@ -471,6 +483,23 @@ def test_ladder_majorant_bounds_every_monomial(num):
                     assert bound <= actual + 2, (num, prec, frame, b)
 
 
+def test_product_free_weights_take_no_chain(monkeypatch):
+    """At weights 0 and 1/2 the one monomial, 1 or Theta, is mapped without
+    a chain: no chain_products call, and the rows of combinations of it
+    equal the one-at-a-time oracle in every frame, at integer-route and
+    residue-route precisions."""
+    calls = []
+    monkeypatch.setattr(intpoly, "chain_products", lambda *args: calls.append(args))
+    for prec in (10, 127, 128, 5400):
+        for frame in FRAMES:
+            for r in (0, 1):
+                series, den = monomial_int_reference(r, 0, prec, frame)
+                series += (0,) * (prec + 1 - len(series))  # the reference's 1 is (1,)
+                rows = qexp._combined_rows(r, [([1], 1), ([3], 2)], prec, frame)
+                assert rows == ((series, den), (tuple(3 * c for c in series), 2 * den)), (r, prec)
+    assert calls == []
+
+
 def test_ladder_cache_serves_prefixes():
     """After prec P, a smaller precision p is served from the rows of the
     full space held at P: equal to a fresh build at p, with the V-frame phase
@@ -640,6 +669,48 @@ def test_kohnen_keys_are_checked(monkeypatch, vector):
                         (0, qexp._FormRows(5, [(vector, 1)])))
     with pytest.raises(RuntimeError, match=r"Kohnen generators at k=29/2"):
         basis.int_rows("I", 300)
+    qexp._spaces.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def _miller_monomial_reference(w, i, prec):
+    """Delta^i E4^(alpha + 3(d - i)) E6^beta to index prec (see
+    qexp._miller_shape), a product at a time by the plain double loop, with
+    Delta = (E4^3 - E6^2)/1728 from the Eisenstein-polynomial oracle."""
+    d, alpha, beta = _miller_shape(w)
+    delta = [int(c) for c in delta_by_eisenstein(prec)]
+    factors = ([delta] * i + [intpoly.eisenstein_int(4, prec)] * (alpha + 3 * (d - i))
+               + [intpoly.eisenstein_int(6, prec)] * beta)
+    out = [1] + [0] * prec
+    for f in factors:
+        out = series_mul_reference(out, list(f), prec)
+    return out
+
+
+@pytest.mark.parametrize("num", [21, 29, 61])
+def test_kohnen_level1_inputs_are_miller_monomials(monkeypatch, num):
+    """The level-1 factors of the Kohnen keys (s, i), one chain to prec // 4
+    on integers (prec 300) and on residues (prec 1200), are the Miller
+    monomials i of M_w, w = (r - s)/2, times q^i: Delta^i
+    E4^(alpha + 3(d - i)) E6^beta, built from plain double-loop products."""
+    made = []
+    chain = intpoly.chain_products
+
+    def spy(walk, inputs, prec, keys, *rest):
+        out = chain(walk, inputs, prec, keys, *rest)
+        if walk is qexp._walk_level1:
+            made.append((list(keys), out))
+        return out
+
+    monkeypatch.setattr(intpoly, "chain_products", spy)
+    for prec in (300, 1200):
+        qexp._spaces.cache_clear()
+        made.clear()
+        space_basis(Fraction(num, 2), prec, "plus S")
+        ((keys, rows),) = made
+        assert keys == [((num - s) // 2, i) for s, i in qexp._kohnen_keys(num)]
+        for (w, i), row in zip(keys, rows):
+            assert row == _miller_monomial_reference(w, i, prec // 4), (w, i, prec)
     qexp._spaces.cache_clear()
 
 
